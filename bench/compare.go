@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -15,26 +14,24 @@ import (
 // spreads, the change and the bound, and a verdict. Each side is a result
 // file or a directory of them; the runs of one side are pooled.
 func compareMain(args []string) int {
-	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
-	specPath := fs.String("spec", "BENCHMARK.json", "benchmark declaration")
-	if err := fs.Parse(args); err != nil || fs.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: bench compare [-spec BENCHMARK.json] PARENT CHANGE (result files or directories of them)")
+	if len(args) != 2 {
+		fmt.Fprintln(os.Stderr, "usage: bench compare PARENT CHANGE (result files or directories of them)")
 		return 2
 	}
-	spec, err := loadSpec(*specPath)
+	spec, err := loadSpec(specFile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		return 1
 	}
 	var sides [2]side
 	for i := range sides {
-		if sides[i], err = loadSide(fs.Arg(i)); err != nil {
+		if sides[i], err = loadSide(args[i]); err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			return 1
 		}
 	}
 	for i, s := range sides {
-		fmt.Printf("%s: %d runs on %s\n", fs.Arg(i), len(s.runs), strings.Join(s.hosts, "; "))
+		fmt.Printf("%s: %d runs on %s\n", args[i], len(s.runs), strings.Join(s.hosts, "; "))
 	}
 	if strings.Join(sides[0].hosts, ";") != strings.Join(sides[1].hosts, ";") {
 		fmt.Println("note: the sides ran on different hosts; the comparison is reported, not a verdict on the change")
@@ -55,11 +52,20 @@ func compareMain(args []string) int {
 		if m.Bound > 0 {
 			bound = fmt.Sprintf("%.0f%%", 100*m.Bound)
 		}
-		fmt.Printf("%-13s %-32s %12.6g %6.1f%% %12.6g %6.1f%% %+7.1f%% %6s  %s\n",
+		fmt.Printf("%-13s %-32s %12.6g %6.1f%% %12.6g %6.1f%% %8s %6s  %s\n",
 			key.workload, key.metric, sa.Median, 100*sa.spread(), sb.Median, 100*sb.spread(),
-			100*(sb.Median-sa.Median)/math.Abs(sa.Median), bound, verdict(a, b, m))
+			delta(sa.Median, sb.Median), bound, verdict(a, b, m))
 	}
 	return 0
+}
+
+// delta is the change in the median, relative to the parent's, or the raw
+// difference when the parent's median is 0.
+func delta(parent, change float64) string {
+	if parent == 0 {
+		return fmt.Sprintf("%+.3g", change)
+	}
+	return fmt.Sprintf("%+.1f%%", 100*(change-parent)/math.Abs(parent))
 }
 
 type sideKey struct{ workload, metric string }
@@ -129,12 +135,14 @@ func pooledKeys(sides [2]side) []sideKey {
 }
 
 // verdict judges the change (b) against the parent (a): better when every
-// change run beats every parent run, or when the medians differ in the
+// change run beats every parent run, or when change runs beat parent runs in
+// at least nine tenths of all pairings and the medians differ in the
 // change's favour by more than the parent's own spread; unresolved when
 // either side's spread exceeds the bound; worse when the change's median is
 // worse by more than the bound; same otherwise. Per-layer metrics have no
 // bound: they are worse when they move against their direction by more than
-// the parent's spread.
+// the parent's spread. A parent median of 0 admits no relative change: the
+// medians are compared as they are.
 func verdict(a, b []float64, m specMetric) string {
 	cost := func(x float64) float64 {
 		if m.Better == "higher" {
@@ -143,15 +151,26 @@ func verdict(a, b []float64, m specMetric) string {
 		return x
 	}
 	sa, sb := summarize(a), summarize(b)
+	if sa.Median == 0 {
+		switch {
+		case cost(sb.Median) > 0:
+			return "worse"
+		case cost(sb.Median) < 0:
+			return "better"
+		}
+		return "same"
+	}
 	worse := (cost(sb.Median) - cost(sa.Median)) / math.Abs(sa.Median)
-	allBetter := true
+	wins := 0
 	for _, x := range b {
 		for _, y := range a {
-			allBetter = allBetter && cost(x) < cost(y)
+			if cost(x) < cost(y) {
+				wins++
+			}
 		}
 	}
 	switch {
-	case allBetter:
+	case wins == len(a)*len(b):
 		return "better"
 	case m.Bound > 0 && math.Max(sa.spread(), sb.spread()) > m.Bound:
 		return "unresolved"
@@ -159,7 +178,7 @@ func verdict(a, b []float64, m specMetric) string {
 		return "worse"
 	case m.Bound == 0 && worse > sa.spread():
 		return "worse"
-	case worse < 0 && -worse > sa.spread():
+	case 10*wins >= 9*len(a)*len(b) && -worse > sa.spread():
 		return "better"
 	}
 	return "same"

@@ -6,7 +6,7 @@
 //
 // Usage, from the repository root:
 //
-//	bash bench/run.sh -workload hpc-long -seed 1 [-seconds 12] [-trace 0|1] [-out r.json] [-spans s.json]
+//	bash bench/run.sh -workload hpc-long -seed 1 [-seconds 10] [-trace 0|1] [-out r.json] [-spans s.json]
 //	bash bench/run.sh -workload all -seed 1
 //	bash bench/run.sh compare parent.json change.json
 //
@@ -44,6 +44,10 @@ type benchSpec struct {
 	EndToEnd []specMetric `json:"end_to_end"`
 	PerLayer []specMetric `json:"per_layer"`
 }
+
+// specFile is BENCHMARK.json as run.sh's working directory, the repository
+// root, sees it.
+const specFile = "BENCHMARK.json"
 
 func loadSpec(path string) (*benchSpec, error) {
 	b, err := os.ReadFile(path)
@@ -107,15 +111,20 @@ type result struct {
 // record is one workload pass in a result file, with the in-run quartiles
 // compare and later readers want.
 type record struct {
-	Workload  string             `json:"workload"`
-	Seed      uint64             `json:"seed"`
-	Trace     bool               `json:"trace"`
-	Correct   bool               `json:"correct"`
-	Attempted int                `json:"attempted"`
-	Failed    int                `json:"failed"`
-	Metrics   map[string]value   `json:"metrics"`
-	Summaries map[string]summary `json:"summaries,omitempty"`
-	Problems  []string           `json:"problems,omitempty"`
+	Workload  string           `json:"workload"`
+	Seed      uint64           `json:"seed"`
+	Trace     bool             `json:"trace"`
+	Correct   bool             `json:"correct"`
+	Attempted int              `json:"attempted"`
+	Failed    int              `json:"failed"`
+	Metrics   map[string]value `json:"metrics"`
+	// SpeedFactor is what the times were multiplied by to scale them to
+	// the reference speed; dividing by it gives the time as measured.
+	// LiveSpeedFactor is the live run's, for its CPU time and tail lag.
+	SpeedFactor     float64            `json:"speed_factor,omitempty"`
+	LiveSpeedFactor float64            `json:"live_speed_factor,omitempty"`
+	Summaries       map[string]summary `json:"summaries,omitempty"`
+	Problems        []string           `json:"problems,omitempty"`
 }
 
 // resultFile is what -out writes and compare reads.
@@ -139,12 +148,10 @@ func runMain(args []string) int {
 	trace := fs.Int("trace", 0, "0: end-to-end metrics from untraced phasedetect runs; 1: per-layer metrics from the traced in-process pass")
 	out := fs.String("out", "", "also write the result, with quartiles and the host, to this file")
 	spansOut := fs.String("spans", "", "with -trace 1, write the recorded spans to this file")
-	pd := fs.String("phasedetect", "", "phasedetect binary (default: next to this program)")
-	specPath := fs.String("spec", "BENCHMARK.json", "benchmark declaration")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	spec, err := loadSpec(*specPath)
+	spec, err := loadSpec(specFile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		return 1
@@ -165,15 +172,14 @@ func runMain(args []string) int {
 	if *seconds == 0 {
 		*seconds = spec.RunSeconds
 	}
-	if *pd == "" {
-		exe, err := os.Executable()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			return 1
-		}
-		*pd = filepath.Join(filepath.Dir(exe), "phasedetect")
+	// run.sh builds phasedetect next to this program.
+	exe, err := os.Executable()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bench:", err)
+		return 1
 	}
-	if _, err := os.Stat(*pd); err != nil {
+	pd := filepath.Join(filepath.Dir(exe), "phasedetect")
+	if _, err := os.Stat(pd); err != nil {
 		fmt.Fprintln(os.Stderr, "bench: phasedetect binary:", err)
 		return 1
 	}
@@ -190,7 +196,7 @@ func runMain(args []string) int {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			return 1
 		}
-		e := env{phasedetect: *pd, work: work, seed: *seed, seconds: time.Duration(*seconds) * time.Second}
+		e := env{phasedetect: pd, work: work, seed: *seed, seconds: time.Duration(*seconds) * time.Second}
 		rec := runWorkload(e, w, *trace == 1, spec, *spansOut)
 		os.RemoveAll(work)
 		file.Runs = append(file.Runs, rec)
@@ -243,7 +249,7 @@ func runWorkload(e env, w workload, trace bool, spec *benchSpec, spansOut string
 		o = endToEnd(e, w)
 	}
 	rec := record{Workload: w.name, Seed: e.seed, Trace: trace, Attempted: max(o.attempted, 1), Failed: o.failed,
-		Metrics: map[string]value{}, Summaries: o.summaries}
+		Metrics: map[string]value{}, SpeedFactor: o.speedFactor, LiveSpeedFactor: o.liveSpeedFactor, Summaries: o.summaries}
 	for _, m := range declared {
 		v, ok := o.metrics[m.Name]
 		if !ok || math.IsNaN(v) || math.IsInf(v, 0) {
@@ -268,6 +274,12 @@ func printRecord(rec record, spec *benchSpec) {
 	for _, p := range rec.Problems {
 		fmt.Printf("   problem: %s\n", p)
 	}
+	if rec.SpeedFactor != 0 {
+		fmt.Printf("   times scaled to the reference speed: measured times x %.4g\n", rec.SpeedFactor)
+	}
+	if rec.LiveSpeedFactor != 0 {
+		fmt.Printf("   the live run's CPU time and tail lag: measured x %.4g\n", rec.LiveSpeedFactor)
+	}
 	for _, m := range append(append([]specMetric(nil), spec.EndToEnd...), spec.PerLayer...) {
 		v, ok := rec.Metrics[m.Name]
 		if !ok {
@@ -275,7 +287,7 @@ func printRecord(rec record, spec *benchSpec) {
 		}
 		line := fmt.Sprintf("   %-34s %14.6g %-6s", m.Name, v.Value, v.Unit)
 		if s, ok := rec.Summaries[m.Name]; ok && s.N > 1 {
-			line += fmt.Sprintf("  of %d runs; quartiles %.6g %.6g %.6g", s.N, s.Q1, s.Median, s.Q3)
+			line += fmt.Sprintf("  of %d samples; quartiles %.6g %.6g %.6g", s.N, s.Q1, s.Median, s.Q3)
 		}
 		fmt.Println(line)
 	}

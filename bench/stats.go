@@ -73,11 +73,3 @@ func maximum(xs []float64) float64 {
 	}
 	return m
 }
-
-func minimum(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		m = math.Min(m, x)
-	}
-	return m
-}

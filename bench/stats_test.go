@@ -85,12 +85,29 @@ func TestVerdict(t *testing.T) {
 		{"slower past the bound", steady, shift(steady, 1.2), lower, "worse"},
 		{"slower within the bound", steady, shift(steady, 1.05), lower, "same"},
 		{"every run faster", steady, shift(steady, 0.8), lower, "better"},
+		{"faster median, overlapping runs", steady, []float64{95, 96, 97, 104, 97, 96}, lower, "same"},
 		{"higher is better", steady, shift(steady, 0.8), higher, "worse"},
 		{"too noisy to tell", []float64{50, 100, 150, 100, 60, 140}, []float64{55, 110, 145, 100}, lower, "unresolved"},
 		{"layer moved against its direction", steady, shift(steady, 1.2), layer, "worse"},
+		{"zero stays zero", []float64{0, 0, 0}, []float64{0, 0}, layer, "same"},
+		{"zero grows", []float64{0, 0, 0}, []float64{10, 10}, layer, "worse"},
+		{"zero grows, higher is better", []float64{0, 0, 0}, []float64{10, 10}, higher, "better"},
 	} {
 		if got := verdict(tc.a, tc.b, tc.m); got != tc.want {
 			t.Errorf("%s: verdict = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		parent, change float64
+		want           string
+	}{
+		{100, 120, "+20.0%"},
+		{-50, -25, "+50.0%"},
+		{0, 10, "+10"},
+		{0, 0, "+0"},
+	} {
+		if got := delta(tc.parent, tc.change); got != tc.want {
+			t.Errorf("delta(%v, %v) = %s, want %s", tc.parent, tc.change, got, tc.want)
 		}
 	}
 }

@@ -143,7 +143,12 @@ func tracedBatch(e env, w workload, tr *tracer, o *outcome) ([]*profile.Sample, 
 		return sum / float64(len(spans))
 	}
 
-	// incprof: write, load and tail the dump directory.
+	// incprof: write, load and tail the dump directory. The timed writes go
+	// over files an untimed first write created, as the end-to-end set-up's
+	// do (see endToEnd).
+	if !o.op(c.write(dir, 0, n)) {
+		return nil, nil
+	}
 	st, err := incprof.NewFormatDirStore(dir, f)
 	if !o.op(err) {
 		return nil, nil
@@ -287,7 +292,7 @@ func tracedBatch(e env, w workload, tr *tracer, o *outcome) ([]*profile.Sample, 
 		}
 	}
 	layers := load.ms() + diff.ms() + feat.ms() + sweep.ms() + sel.ms() + sites.ms() + render.ms()
-	o.metrics["batch.unaccounted_ms"] = minimum(walls) - layers
+	o.metrics["batch.unaccounted_ms"] = median(walls) - layers
 	return snaps, ref
 }
 
@@ -356,11 +361,6 @@ func sameDetection(ref *phase.Detection, k int, phases []phase.Phase) error {
 	return nil
 }
 
-// liveLength caps the stream the live layers are driven over at the live
-// workload's length, so a long batch corpus prices the live path on the
-// same scale and the pass stays within its time.
-const liveLength = 1500
-
 // liveDrive feeds the dumps through the checkpoint and stream layers in the
 // order checkpoint.Runner.Emit uses — Manager.Append, then Engine.Emit,
 // then Engine.State and Manager.Save every ckptEvery dumps — with fsync on
@@ -371,7 +371,10 @@ const liveLength = 1500
 func liveDrive(e env, w workload, tr *tracer, o *outcome, snaps []*profile.Sample, batchRef *phase.Detection) {
 	defer tr.section("live")()
 	opts := phaseOptions(w)
-	n := min(len(snaps), liveLength)
+	// The stream is capped at the live workload's length, so a long batch
+	// corpus prices the live path on the same scale and the pass stays
+	// within its time.
+	n := min(len(snaps), liveSpec.Dumps)
 	crashAt := n
 	if w.mode == resume {
 		crashAt = w.imageDumps()
@@ -390,7 +393,7 @@ func liveDrive(e env, w workload, tr *tracer, o *outcome, snaps []*profile.Sampl
 	refreshed := false
 	eopts := stream.Options{
 		Phase:        opts,
-		RefreshEvery: 10,
+		RefreshEvery: refreshEvery,
 		OnLabel:      func(online.Event) {},
 		OnRefresh: func(r stream.Refresh) {
 			if !r.Final {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -30,21 +31,30 @@ type workload struct {
 	rate int
 }
 
-// Follow-mode settings, as users run -follow: fast polling, a short idle
-// window, refresh every 10 intervals, and the checkpoint layer with fsync on.
+// Follow-mode settings: fast polling, a short idle window, and the
+// checkpoint layer with fsync on. The live replay runs 50x faster than the
+// run it stands for, so the refresh and snapshot cadences are twice the
+// CLI's defaults (10 and 25 dumps). At the defaults the analyzer used two
+// thirds of a core by the end of the stream, and a host at half speed fell
+// behind the schedule for good; at these it uses a third.
 const (
-	followIdle = 500 * time.Millisecond
-	ckptEvery  = 25
+	followIdle   = 500 * time.Millisecond
+	refreshEvery = 20
+	ckptEvery    = 50
 )
 
 func followFlags() []string {
-	return []string{"-follow", "-follow-poll", "10ms", "-follow-idle", followIdle.String(), "-refresh", "10"}
+	return []string{"-follow", "-follow-poll", "10ms", "-follow-idle", followIdle.String(),
+		"-refresh", strconv.Itoa(refreshEvery), "-checkpoint-every", strconv.Itoa(ckptEvery)}
 }
 
 // liveSpec is the corpus the live-follow and resume workloads share: 120
-// functions, each phase running 6 shared ones and 19 of its own.
+// functions, each phase running 6 shared ones and 19 of its own. The
+// analyzer's work per dump grows with the stream; at 1,500 dumps the last
+// refreshes stopped fitting between dumps whenever the host slowed, and the
+// label lag then grew without bound.
 var liveSpec = corpusSpec{
-	Format: "gmon", Dumps: 1500, Namespace: 120, Phases: 6, Shared: 6, Active: 25,
+	Format: "gmon", Dumps: 1000, Namespace: 120, Phases: 6, Shared: 6, Active: 25,
 	MinRun: 20, MaxRun: 120, Samples: 500, Skew: 0.5, Jitter: 0.3,
 	Symbol: func(i int) string { return fmt.Sprintf("app_region_%03d", i) },
 }
@@ -84,7 +94,7 @@ var workloads = []workload{
 		selection: "silhouette",
 	},
 	{
-		// The paper's live use: a 25-minute run replayed 50x fast while
+		// The paper's live use: a 17-minute run replayed 50x fast while
 		// phasedetect -follow tails it. Refresh re-clustering grows with the
 		// stream, and the WAL and snapshots write every dump.
 		name:      "live-follow",
@@ -95,7 +105,7 @@ var workloads = []workload{
 	},
 	{
 		// The live-follow corpus resumed from a crash image (a snapshot at
-		// 1,200 dumps plus a 10-record WAL): snapshot decode, engine restore
+		// 800 dumps plus a 10-record WAL): snapshot decode, engine restore
 		// and WAL replay, the read side of what live-follow writes.
 		name:      "resume",
 		mode:      resume,
@@ -120,7 +130,8 @@ func (w workload) scaled(div int) workload {
 		return w
 	}
 	shrink := func(n, floor int) int { return max(n/div, floor) }
-	w.corpus.Dumps = shrink(w.corpus.Dumps, 60)
+	// 80 dumps leave the resume image a snapshot: 50 dumps plus 10 in the WAL.
+	w.corpus.Dumps = shrink(w.corpus.Dumps, 80)
 	w.corpus.MinRun = shrink(w.corpus.MinRun, 4)
 	w.corpus.MaxRun = shrink(w.corpus.MaxRun, 8)
 	return w
@@ -128,7 +139,7 @@ func (w workload) scaled(div int) workload {
 
 // imageDumps is how many dumps the resume workload's crash image covers:
 // whole snapshot periods up to four fifths of the run, plus 10 dumps left
-// in the WAL (1,210 for the full corpus: a snapshot at 1,200 plus 10 WAL
+// in the WAL (810 for the full corpus: a snapshot at 800 plus 10 WAL
 // records).
 func (w workload) imageDumps() int {
 	return w.corpus.Dumps*4/5/ckptEvery*ckptEvery + 10
