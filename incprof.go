@@ -1,18 +1,20 @@
 package incprof
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/incprof/incprof/internal/cluster"
 	"github.com/incprof/incprof/internal/exec"
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/heartbeat"
 	"github.com/incprof/incprof/internal/incprof"
 	"github.com/incprof/incprof/internal/interval"
 	"github.com/incprof/incprof/internal/online"
 	"github.com/incprof/incprof/internal/phase"
+	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/profiler"
 	"github.com/incprof/incprof/internal/vclock"
+	"github.com/incprof/incprof/internal/xmath"
 )
 
 // Execution runtime (see internal/exec).
@@ -119,9 +121,10 @@ func DifferenceSnapshotsP(snaps []*Snapshot, parallelism int) ([]IntervalProfile
 	return interval.DifferenceP(snaps, parallelism)
 }
 
-// Features builds the clustering feature matrix from interval profiles.
+// Features builds the clustering feature matrix from interval profiles in
+// flat CSR form.
 func Features(profiles []IntervalProfile, opts FeatureOptions) FeatureMatrix {
-	return interval.Features(profiles, opts)
+	return interval.FeaturesCSR(profiles, opts)
 }
 
 // Phase detection (see internal/phase and internal/cluster).
@@ -167,15 +170,42 @@ func Detect(profiles []IntervalProfile, opts DetectOptions) (*Detection, error) 
 // their restarts out on a pool bounded by opts.Parallelism. Results are
 // identical for every Parallelism value given the same opts.Seed.
 func SweepKMeans(points [][]float64, kmax int, opts ClusterOptions) ([]*ClusterResult, error) {
-	return cluster.Sweep(points, kmax, opts)
+	m, err := packPoints(points)
+	if err != nil {
+		return nil, err
+	}
+	return cluster.SweepCSR(m, kmax, opts)
 }
 
 // MeanSilhouette scores a clustering with the mean silhouette coefficient,
 // splitting the O(n²) pairwise-distance work across a pool bounded by
 // parallelism (0 means GOMAXPROCS); the score is bit-identical for every
-// bound.
-func MeanSilhouette(points [][]float64, assign []int, k, parallelism int) float64 {
-	return cluster.SilhouetteP(points, assign, k, parallelism)
+// bound. assign must hold one label in [0, k) per point.
+func MeanSilhouette(points [][]float64, assign []int, k, parallelism int) (float64, error) {
+	m, err := packPoints(points)
+	if err != nil {
+		return 0, err
+	}
+	if len(assign) != len(points) {
+		return 0, fmt.Errorf("incprof: %d labels for %d points", len(assign), len(points))
+	}
+	for i, a := range assign {
+		if a < 0 || a >= k {
+			return 0, fmt.Errorf("incprof: point %d has label %d, want [0, %d)", i, a, k)
+		}
+	}
+	return cluster.SilhouetteCSR(m, assign, k, parallelism), nil
+}
+
+// packPoints packs caller-supplied rows into the CSR form the clusterer
+// takes, rejecting ragged rows: packing alone would silently misread them.
+func packPoints(points [][]float64) (*xmath.CSR, error) {
+	for i, p := range points {
+		if len(p) != len(points[0]) {
+			return nil, fmt.Errorf("cluster: point %d has dimension %d, want %d", i, len(p), len(points[0]))
+		}
+	}
+	return xmath.NewCSRFromDense(points), nil
 }
 
 // AppEKG heartbeats (see internal/heartbeat).

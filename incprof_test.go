@@ -134,3 +134,34 @@ func TestDirStoreExposed(t *testing.T) {
 		t.Fatalf("snapshots = %d", len(snaps))
 	}
 }
+
+// TestClusteringValidatesOutsideInput: the [][]float64 clustering entries
+// reject malformed rows and labels with an error instead of panicking inside
+// the worker pool or silently misreading ragged rows once packed.
+func TestClusteringValidatesOutsideInput(t *testing.T) {
+	ragged := [][]float64{{1, 2}, {3}}
+	if _, err := incprof.SweepKMeans(ragged, 4, incprof.ClusterOptions{Seed: 1}); err == nil {
+		t.Fatal("SweepKMeans accepted ragged input")
+	}
+	points := [][]float64{{0, 0}, {0, 1}, {5, 5}, {5, 6}}
+	for name, tc := range map[string]struct {
+		points [][]float64
+		assign []int
+	}{
+		"ragged rows":    {ragged, []int{0, 1}},
+		"label count":    {points, []int{0, 0, 1}},
+		"negative label": {points, []int{0, -1, 1, 1}},
+		"label >= k":     {points, []int{0, 0, 1, 2}},
+	} {
+		if _, err := incprof.MeanSilhouette(tc.points, tc.assign, 2, 1); err == nil {
+			t.Errorf("%s: MeanSilhouette accepted bad input", name)
+		}
+	}
+	results, err := incprof.SweepKMeans(points, 2, incprof.ClusterOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := incprof.MeanSilhouette(points, results[1].Assign, 2, 1); err != nil || s <= 0.5 {
+		t.Fatalf("MeanSilhouette on two clear pairs = %v, %v", s, err)
+	}
+}

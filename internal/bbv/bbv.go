@@ -107,7 +107,7 @@ func Phases(snaps []*gcov.Snapshot, opts Options) (*Result, error) {
 	}
 
 	projected := Project(raw, opts.Dims, opts.Seed)
-	results, err := cluster.Sweep(projected, opts.KMax, cluster.Options{Seed: opts.Seed})
+	results, err := cluster.SweepCSR(xmath.NewCSRFromDense(projected), opts.KMax, cluster.Options{Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,6 @@
 // alloc_test.go asserts the allocation discipline of the batch clustering
 // path, extending the per-interval proof in internal/stream/alloc_test.go:
-// a full Sweep allocates only per-run state (results, centroids, the first
+// a full SweepCSR allocates only per-run state (results, centroids, the first
 // sizing of the pooled scratch) — the Lloyd iterations themselves must not
 // touch the allocator at all. The proof is iteration-independence: the same
 // sweep capped at 2 iterations and given room for 120 must allocate the
@@ -19,7 +19,7 @@ func TestSweepIterationsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector shadow state allocates")
 	}
-	pts := benchSweepMatrix()
+	m := benchSweepMatrix()
 	// The scratch and pair-matrix pools must survive the measurement: a GC
 	// between runs would clear sync.Pool and bill a fresh scratch sizing to
 	// whichever run triggered it.
@@ -27,7 +27,7 @@ func TestSweepIterationsAllocateNothing(t *testing.T) {
 
 	measure := func(maxIter int) float64 {
 		return testing.AllocsPerRun(3, func() {
-			if _, err := Sweep(pts, 8, Options{Seed: 1, Parallelism: 1, MaxIterations: maxIter}); err != nil {
+			if _, err := SweepCSR(m, 8, Options{Seed: 1, Parallelism: 1, MaxIterations: maxIter}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -12,11 +12,12 @@ import (
 // scale, ~8x the paper's) at several worker-pool bounds.
 //
 // BenchmarkSweep uses the phase-structured sparse fixture below — the shape
-// real interval profiles have, and the one the sparse/pruned hot path is
-// built for. BenchmarkSweepDense keeps the old uniform-random fully-dense
-// matrix as the tracked worst case: it has no cluster structure for the
-// triangle-inequality bounds to exploit and no zeros for the sparse kernels
-// to skip, so it bounds the regression risk of the exact-pruning machinery.
+// real interval profiles have, and the one the packed/pruned hot path is
+// built for. BenchmarkSweepDense keeps the uniform-random fully-dense matrix
+// as the tracked worst case: it takes the pointSet dense fallback, has no
+// cluster structure for the triangle-inequality bounds to exploit and no
+// zeros for the packed kernels to skip, so it bounds the regression risk of
+// the exact-pruning machinery.
 // Compare parallelism=1 against parallelism=8 for the pool speedup; the
 // determinism tests in cluster_test.go prove the outputs are identical.
 
@@ -56,21 +57,22 @@ func phaseMatrix(n, d, phases, activePerPhase int, seed uint64) [][]float64 {
 	return pts
 }
 
-func benchSweepMatrix() [][]float64 {
-	return phaseMatrix(500, 200, 6, 25, 1)
+// The fixtures are packed once, outside every timed loop.
+func benchSweepMatrix() *xmath.CSR {
+	return csr(phaseMatrix(500, 200, 6, 25, 1))
 }
 
-func benchSweepDenseMatrix() [][]float64 {
-	return randomMatrix(500, 200, 1)
+func benchSweepDenseMatrix() *xmath.CSR {
+	return csr(randomMatrix(500, 200, 1))
 }
 
 func BenchmarkSweep(b *testing.B) {
-	pts := benchSweepMatrix()
+	m := benchSweepMatrix()
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("parallelism=%d", p), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Sweep(pts, 8, Options{Seed: 1, Parallelism: p}); err != nil {
+				if _, err := SweepCSR(m, 8, Options{Seed: 1, Parallelism: p}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -79,12 +81,12 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 func BenchmarkSweepDense(b *testing.B) {
-	pts := benchSweepDenseMatrix()
+	m := benchSweepDenseMatrix()
 	for _, p := range []int{1, 8} {
 		b.Run(fmt.Sprintf("parallelism=%d", p), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Sweep(pts, 8, Options{Seed: 1, Parallelism: p}); err != nil {
+				if _, err := SweepCSR(m, 8, Options{Seed: 1, Parallelism: p}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -93,8 +95,8 @@ func BenchmarkSweepDense(b *testing.B) {
 }
 
 func BenchmarkSilhouetteP(b *testing.B) {
-	pts := benchSweepMatrix()
-	res, err := KMeans(pts, 4, Options{Seed: 1})
+	m := benchSweepMatrix()
+	res, err := kmeansCSR(m, 4, Options{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -102,7 +104,7 @@ func BenchmarkSilhouetteP(b *testing.B) {
 		b.Run(fmt.Sprintf("parallelism=%d", p), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = SilhouetteP(pts, res.Assign, res.K, p)
+				_ = SilhouetteCSR(m, res.Assign, res.K, p)
 			}
 		})
 	}
@@ -112,14 +114,14 @@ func BenchmarkSilhouetteP(b *testing.B) {
 // over a sweep — the path that used to recompute the O(n²) pairwise matrix
 // once per k and now shares it across all of them.
 func BenchmarkSelectSilhouetteP(b *testing.B) {
-	pts := benchSweepMatrix()
-	results, err := Sweep(pts, 8, Options{Seed: 1})
+	m := benchSweepMatrix()
+	results, err := SweepCSR(m, 8, Options{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = SelectSilhouetteP(pts, results, 1)
+		_ = SelectSilhouetteCSR(m, results, 1)
 	}
 }

@@ -16,7 +16,7 @@ func clusteredPoints() [][]float64 {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	r, err := KMeans(clusteredPoints(), 2, Options{Seed: 1})
+	r, err := kmeansCSR(csr(clusteredPoints()), 2, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestCloneIsDeep(t *testing.T) {
 	c.Assign[0] = 99
 	c.Sizes[0] = -1
 	c.WCSS = -1
-	orig, err := KMeans(clusteredPoints(), 2, Options{Seed: 1})
+	orig, err := kmeansCSR(csr(clusteredPoints()), 2, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,12 +62,12 @@ func TestWarmStartDoesNotMutateSeedCentroids(t *testing.T) {
 	points := clusteredPoints()
 	seed := [][]float64{{0.5, 0.5}, {4, 4}}
 	before := CloneCentroids(seed)
-	r, err := WarmStart(points, seed, Options{})
+	r, err := WarmStartCSR(csr(points), seed, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seed, before) {
-		t.Fatal("WarmStart mutated the caller's centroids")
+		t.Fatal("WarmStartCSR mutated the caller's centroids")
 	}
 	if len(r.Centroids) != 2 || r.WCSS <= 0 {
 		t.Fatalf("degenerate warm-start result: %+v", r)
@@ -75,11 +75,11 @@ func TestWarmStartDoesNotMutateSeedCentroids(t *testing.T) {
 }
 
 // A centroid from before a dimension-growth refresh is shorter than the
-// points; WarmStart zero-pads it. Longer than the points is a caller bug and
+// points; WarmStartCSR zero-pads it. Longer than the points is a caller bug and
 // must error.
 func TestWarmStartPadsShortCentroids(t *testing.T) {
 	points := clusteredPoints()
-	r, err := WarmStart(points, [][]float64{{0}, {5}}, Options{})
+	r, err := WarmStartCSR(csr(points), [][]float64{{0}, {5}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +88,13 @@ func TestWarmStartPadsShortCentroids(t *testing.T) {
 			t.Fatalf("centroid %d has dim %d, want 2", i, len(c))
 		}
 	}
-	if _, err := WarmStart(points, [][]float64{{1, 2, 3}}, Options{}); err == nil {
+	if _, err := WarmStartCSR(csr(points), [][]float64{{1, 2, 3}}, Options{}); err == nil {
 		t.Fatal("over-long centroid accepted")
 	}
-	if _, err := WarmStart(points, nil, Options{}); err == nil {
+	if _, err := WarmStartCSR(csr(points), nil, Options{}); err == nil {
 		t.Fatal("empty centroid set accepted")
 	}
-	if _, err := WarmStart(nil, [][]float64{{1}}, Options{}); err == nil {
+	if _, err := WarmStartCSR(csr(nil), [][]float64{{1}}, Options{}); err == nil {
 		t.Fatal("empty point set accepted")
 	}
 }

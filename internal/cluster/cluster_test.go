@@ -9,6 +9,9 @@ import (
 	"github.com/incprof/incprof/internal/xmath"
 )
 
+// csr packs a dense test fixture into the CSR form every entry takes.
+func csr(rows [][]float64) *xmath.CSR { return xmath.NewCSRFromDense(rows) }
+
 // blobs generates n points around each of the given centers with the given
 // spread.
 func blobs(centers [][]float64, n int, spread float64, seed uint64) ([][]float64, []int) {
@@ -47,7 +50,7 @@ func agreement(a, b []int) float64 {
 func TestKMeansRecoversWellSeparatedBlobs(t *testing.T) {
 	centers := [][]float64{{0, 0}, {10, 0}, {0, 10}}
 	pts, truth := blobs(centers, 30, 0.5, 1)
-	res, err := KMeans(pts, 3, Options{Seed: 42})
+	res, err := kmeansCSR(csr(pts), 3, Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +66,11 @@ func TestKMeansRecoversWellSeparatedBlobs(t *testing.T) {
 
 func TestKMeansDeterministicForSeed(t *testing.T) {
 	pts, _ := blobs([][]float64{{0, 0}, {5, 5}}, 20, 1, 2)
-	a, err := KMeans(pts, 2, Options{Seed: 7})
+	a, err := kmeansCSR(csr(pts), 2, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := KMeans(pts, 2, Options{Seed: 7})
+	b, err := kmeansCSR(csr(pts), 2, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +86,7 @@ func TestKMeansDeterministicForSeed(t *testing.T) {
 
 func TestKMeansK1(t *testing.T) {
 	pts := [][]float64{{0}, {2}, {4}}
-	res, err := KMeans(pts, 1, Options{})
+	res, err := kmeansCSR(csr(pts), 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +100,7 @@ func TestKMeansK1(t *testing.T) {
 
 func TestKMeansKEqualsN(t *testing.T) {
 	pts := [][]float64{{0}, {5}, {9}}
-	res, err := KMeans(pts, 3, Options{Seed: 3})
+	res, err := kmeansCSR(csr(pts), 3, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +118,7 @@ func TestKMeansKEqualsN(t *testing.T) {
 
 func TestKMeansIdenticalPoints(t *testing.T) {
 	pts := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
-	res, err := KMeans(pts, 2, Options{Seed: 5})
+	res, err := kmeansCSR(csr(pts), 2, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,23 +128,23 @@ func TestKMeansIdenticalPoints(t *testing.T) {
 }
 
 func TestKMeansErrors(t *testing.T) {
-	if _, err := KMeans(nil, 1, Options{}); err == nil {
+	if _, err := kmeansCSR(nil, 1, Options{}); err == nil {
+		t.Fatal("accepted nil matrix")
+	}
+	if _, err := kmeansCSR(csr(nil), 1, Options{}); err == nil {
 		t.Fatal("accepted empty input")
 	}
-	if _, err := KMeans([][]float64{{1}, {1, 2}}, 1, Options{}); err == nil {
-		t.Fatal("accepted ragged input")
-	}
-	if _, err := KMeans([][]float64{{1}}, 0, Options{}); err == nil {
+	if _, err := kmeansCSR(csr([][]float64{{1}}), 0, Options{}); err == nil {
 		t.Fatal("accepted k=0")
 	}
-	if _, err := KMeans([][]float64{{1}}, 2, Options{}); err == nil {
+	if _, err := kmeansCSR(csr([][]float64{{1}}), 2, Options{}); err == nil {
 		t.Fatal("accepted k>n")
 	}
 }
 
 func TestMembersAndDistance(t *testing.T) {
 	pts := [][]float64{{0}, {0.1}, {10}}
-	res, err := KMeans(pts, 2, Options{Seed: 1})
+	res, err := kmeansCSR(csr(pts), 2, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +153,7 @@ func TestMembersAndDistance(t *testing.T) {
 	if len(mem) != 2 {
 		t.Fatalf("Members = %v", mem)
 	}
-	d := res.DistanceToCentroid(2, pts[2])
+	d := xmath.Euclidean(pts[2], res.Centroids[res.Assign[2]])
 	if d > 1e-9 {
 		t.Fatalf("singleton's distance to own centroid = %v, want 0", d)
 	}
@@ -158,7 +161,7 @@ func TestMembersAndDistance(t *testing.T) {
 
 func TestSweepProducesDecreasingWCSS(t *testing.T) {
 	pts, _ := blobs([][]float64{{0, 0}, {8, 8}, {16, 0}}, 20, 1, 9)
-	results, err := Sweep(pts, 8, Options{Seed: 11})
+	results, err := SweepCSR(csr(pts), 8, Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +179,7 @@ func TestSweepProducesDecreasingWCSS(t *testing.T) {
 
 func TestSweepClampsKmax(t *testing.T) {
 	pts := [][]float64{{0}, {1}, {2}}
-	results, err := Sweep(pts, 8, Options{Seed: 1})
+	results, err := SweepCSR(csr(pts), 8, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +213,7 @@ func TestElbowKDegenerate(t *testing.T) {
 
 func TestSelectElbowFindsTrueK(t *testing.T) {
 	pts, truth := blobs([][]float64{{0, 0}, {12, 0}, {0, 12}, {12, 12}}, 25, 0.6, 21)
-	results, err := Sweep(pts, 8, Options{Seed: 13})
+	results, err := SweepCSR(csr(pts), 8, Options{Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +232,7 @@ func TestSelectElbowFindsTrueK(t *testing.T) {
 
 func TestSilhouetteHighForSeparatedLowForMixed(t *testing.T) {
 	pts, truth := blobs([][]float64{{0, 0}, {20, 20}}, 25, 0.5, 31)
-	good := Silhouette(pts, truth, 2)
+	good := SilhouetteCSR(csr(pts), truth, 2, 0)
 	if good < 0.9 {
 		t.Fatalf("silhouette of well-separated blobs = %v, want > 0.9", good)
 	}
@@ -239,7 +242,7 @@ func TestSilhouetteHighForSeparatedLowForMixed(t *testing.T) {
 	for i := range random {
 		random[i] = rng.Intn(2)
 	}
-	bad := Silhouette(pts, random, 2)
+	bad := SilhouetteCSR(csr(pts), random, 2, 0)
 	if bad > good/2 {
 		t.Fatalf("random labeling silhouette %v not clearly worse than %v", bad, good)
 	}
@@ -247,18 +250,18 @@ func TestSilhouetteHighForSeparatedLowForMixed(t *testing.T) {
 
 func TestSilhouetteSingleClusterIsZero(t *testing.T) {
 	pts := [][]float64{{0}, {1}, {2}}
-	if got := Silhouette(pts, []int{0, 0, 0}, 1); got != 0 {
+	if got := SilhouetteCSR(csr(pts), []int{0, 0, 0}, 1, 0); got != 0 {
 		t.Fatalf("silhouette(k=1) = %v", got)
 	}
 }
 
 func TestSelectSilhouetteFindsTrueK(t *testing.T) {
 	pts, _ := blobs([][]float64{{0, 0}, {15, 0}, {0, 15}}, 20, 0.5, 41)
-	results, err := Sweep(pts, 6, Options{Seed: 17})
+	results, err := SweepCSR(csr(pts), 6, Options{Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
-	best := SelectSilhouette(pts, results)
+	best := SelectSilhouetteCSR(csr(pts), results, 0)
 	if best.K != 3 {
 		t.Fatalf("silhouette picked k=%d, want 3", best.K)
 	}
@@ -268,7 +271,7 @@ func TestDBSCANSeparatesBlobsAndNoise(t *testing.T) {
 	pts, truth := blobs([][]float64{{0, 0}, {20, 20}}, 30, 0.5, 51)
 	// Add two far-away noise points.
 	pts = append(pts, []float64{100, -100}, []float64{-100, 100})
-	labels, k, err := DBSCAN(pts, 3, 4)
+	labels, k, err := DBSCANCSR(csr(pts), 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,17 +287,17 @@ func TestDBSCANSeparatesBlobsAndNoise(t *testing.T) {
 }
 
 func TestDBSCANErrors(t *testing.T) {
-	if _, _, err := DBSCAN([][]float64{{0}}, 0, 2); err == nil {
+	if _, _, err := DBSCANCSR(csr([][]float64{{0}}), 0, 2); err == nil {
 		t.Fatal("accepted eps=0")
 	}
-	if _, _, err := DBSCAN([][]float64{{0}}, 1, 0); err == nil {
+	if _, _, err := DBSCANCSR(csr([][]float64{{0}}), 1, 0); err == nil {
 		t.Fatal("accepted minPts=0")
 	}
 }
 
 func TestDBSCANAllNoiseWhenSparse(t *testing.T) {
 	pts := [][]float64{{0}, {100}, {200}, {300}}
-	labels, k, err := DBSCAN(pts, 1, 2)
+	labels, k, err := DBSCANCSR(csr(pts), 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,9 +313,9 @@ func TestDBSCANAllNoiseWhenSparse(t *testing.T) {
 
 func TestEstimateEpsPositive(t *testing.T) {
 	pts, _ := blobs([][]float64{{0, 0}}, 30, 1, 61)
-	eps := EstimateEps(pts, 4, 0.9)
+	eps := EstimateEpsCSR(csr(pts), 4, 0.9)
 	if eps <= 0 || math.IsNaN(eps) {
-		t.Fatalf("EstimateEps = %v", eps)
+		t.Fatalf("EstimateEpsCSR = %v", eps)
 	}
 }
 
@@ -321,7 +324,7 @@ func TestEstimateEpsPositive(t *testing.T) {
 func TestPropertyAssignmentsAreNearest(t *testing.T) {
 	f := func(seed uint64) bool {
 		pts, _ := blobs([][]float64{{0, 0}, {6, 6}, {12, 0}}, 15, 1.2, seed)
-		res, err := KMeans(pts, 3, Options{Seed: seed})
+		res, err := kmeansCSR(csr(pts), 3, Options{Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -341,7 +344,7 @@ func TestPropertyAssignmentsAreNearest(t *testing.T) {
 func TestPropertyWCSSConsistent(t *testing.T) {
 	f := func(seed uint64) bool {
 		pts, _ := blobs([][]float64{{0}, {10}}, 10, 1, seed)
-		res, err := KMeans(pts, 2, Options{Seed: seed})
+		res, err := kmeansCSR(csr(pts), 2, Options{Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -361,7 +364,7 @@ func TestPropertyWCSSConsistent(t *testing.T) {
 func TestPropertyDBSCANClustersHaveCores(t *testing.T) {
 	f := func(seed uint64) bool {
 		pts, _ := blobs([][]float64{{0, 0}, {30, 30}}, 12, 1, seed)
-		labels, k, err := DBSCAN(pts, 4, 3)
+		labels, k, err := DBSCANCSR(csr(pts), 4, 3)
 		if err != nil {
 			return false
 		}
@@ -404,9 +407,10 @@ func BenchmarkKMeansSweep60x30(b *testing.B) {
 		}
 		pts[i] = row
 	}
+	m := csr(pts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Sweep(pts, 8, Options{Seed: uint64(i)}); err != nil {
+		if _, err := SweepCSR(m, 8, Options{Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -414,9 +418,10 @@ func BenchmarkKMeansSweep60x30(b *testing.B) {
 
 func BenchmarkSilhouette60Points(b *testing.B) {
 	pts, truth := blobs([][]float64{{0, 0}, {10, 10}}, 30, 1, 1)
+	m := csr(pts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Silhouette(pts, truth, 2)
+		_ = SilhouetteCSR(m, truth, 2, 0)
 	}
 }
 
@@ -464,12 +469,12 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 
 func TestKMeansParallelismInvariant(t *testing.T) {
 	pts := randomMatrix(80, 12, 3)
-	serial, err := KMeans(pts, 4, Options{Seed: 9, Parallelism: 1})
+	serial, err := kmeansCSR(csr(pts), 4, Options{Seed: 9, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 4, 8} {
-		par, err := KMeans(pts, 4, Options{Seed: 9, Parallelism: p})
+		par, err := kmeansCSR(csr(pts), 4, Options{Seed: 9, Parallelism: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -479,11 +484,11 @@ func TestKMeansParallelismInvariant(t *testing.T) {
 
 func TestSweepParallelismInvariant(t *testing.T) {
 	pts := randomMatrix(60, 10, 5)
-	serial, err := Sweep(pts, 8, Options{Seed: 21, Parallelism: 1})
+	serial, err := SweepCSR(csr(pts), 8, Options{Seed: 21, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Sweep(pts, 8, Options{Seed: 21, Parallelism: 8})
+	parallel, err := SweepCSR(csr(pts), 8, Options{Seed: 21, Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,14 +502,14 @@ func TestSweepParallelismInvariant(t *testing.T) {
 
 func TestSilhouetteParallelismInvariant(t *testing.T) {
 	pts, truth := blobs([][]float64{{0, 0}, {6, 6}, {12, 0}}, 25, 1.0, 71)
-	serial := SilhouetteP(pts, truth, 3, 1)
+	serial := SilhouetteCSR(csr(pts), truth, 3, 1)
 	for _, p := range []int{2, 8} {
-		if got := SilhouetteP(pts, truth, 3, p); got != serial {
+		if got := SilhouetteCSR(csr(pts), truth, 3, p); got != serial {
 			t.Fatalf("parallelism %d silhouette %v != serial %v", p, got, serial)
 		}
 	}
-	if got := Silhouette(pts, truth, 3); got != serial {
-		t.Fatalf("Silhouette (default pool) %v != serial %v", got, serial)
+	if got := SilhouetteCSR(csr(pts), truth, 3, 0); got != serial {
+		t.Fatalf("default-pool silhouette %v != serial %v", got, serial)
 	}
 }
 
@@ -517,7 +522,7 @@ func TestSilhouetteParallelismInvariant(t *testing.T) {
 func TestLloydReseatsEmptyClusterAgainstNormalizedCentroids(t *testing.T) {
 	pts := [][]float64{{0}, {1}, {10}}
 	centroids := [][]float64{{100}, {0.5}}
-	res := lloyd(newPointSet(pts), centroids, 1)
+	res := lloyd(newPointSet(csr(pts)), centroids, 1)
 	if res.Centroids[0][0] != 10 {
 		t.Fatalf("empty cluster reseated on %v, want the true farthest point {10}", res.Centroids[0])
 	}
@@ -527,7 +532,7 @@ func TestLloydReseatsEmptyClusterAgainstNormalizedCentroids(t *testing.T) {
 func TestLloydReseatsMultipleEmptyClustersDistinctly(t *testing.T) {
 	pts := [][]float64{{0}, {1}, {10}}
 	centroids := [][]float64{{100}, {200}, {0.5}}
-	res := lloyd(newPointSet(pts), centroids, 1)
+	res := lloyd(newPointSet(csr(pts)), centroids, 1)
 	if res.Centroids[0][0] == res.Centroids[1][0] {
 		t.Fatalf("two empty clusters reseated on the same point: %v", res.Centroids)
 	}

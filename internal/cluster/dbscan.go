@@ -10,10 +10,11 @@ import (
 // Noise is the DBSCAN label for points in no cluster.
 const Noise = -1
 
-// DBSCAN runs density-based clustering with radius eps and density threshold
-// minPts (a point is a core point when at least minPts points, itself
-// included, lie within eps). It returns per-point labels: 0..k-1 for
-// clusters, Noise for outliers, plus the number of clusters found.
+// DBSCANCSR runs density-based clustering over the rows of m with radius
+// eps and density threshold minPts (a point is a core point when at least
+// minPts points, itself included, lie within eps). It returns per-point
+// labels: 0..k-1 for clusters, Noise for outliers, plus the number of
+// clusters found.
 //
 // Distances run on the shared xmath packed/dense kernel pair the k-means path
 // uses (chosen by the pointSet density rule), not a private loop — both
@@ -23,33 +24,14 @@ const Noise = -1
 //
 // The paper experimented with DBSCAN and found no improvement over k-means
 // for interval data (§V-A); it is retained here as the A2 ablation baseline.
-func DBSCAN(points [][]float64, eps float64, minPts int) ([]int, int, error) {
-	if err := validateDBSCAN(eps, minPts); err != nil {
-		return nil, 0, err
-	}
-	return dbscanValidated(newPointSet(points), eps, minPts)
-}
-
-// DBSCANCSR is DBSCAN on a flat CSR matrix — no densification below the
-// pointSet density threshold; bit-identical to DBSCAN on m.Dense().
 func DBSCANCSR(m *xmath.CSR, eps float64, minPts int) ([]int, int, error) {
-	if err := validateDBSCAN(eps, minPts); err != nil {
-		return nil, 0, err
-	}
-	return dbscanValidated(newPointSetCSR(m), eps, minPts)
-}
-
-func validateDBSCAN(eps float64, minPts int) error {
 	if eps <= 0 {
-		return fmt.Errorf("cluster: DBSCAN eps=%v must be positive", eps)
+		return nil, 0, fmt.Errorf("cluster: DBSCAN eps=%v must be positive", eps)
 	}
 	if minPts < 1 {
-		return fmt.Errorf("cluster: DBSCAN minPts=%d must be >= 1", minPts)
+		return nil, 0, fmt.Errorf("cluster: DBSCAN minPts=%d must be >= 1", minPts)
 	}
-	return nil
-}
-
-func dbscanValidated(ps *pointSet, eps float64, minPts int) ([]int, int, error) {
+	ps := newPointSet(m)
 	n := ps.n
 	labels := make([]int, n)
 	for i := range labels {
@@ -98,20 +80,11 @@ func dbscanValidated(ps *pointSet, eps float64, minPts int) ([]int, int, error) 
 	return labels, cluster, nil
 }
 
-// EstimateEps offers a simple heuristic for DBSCAN's radius on interval
-// data: the p-quantile (typically 0.9) of each point's distance to its
-// k-th nearest neighbor, with k = minPts-1.
-func EstimateEps(points [][]float64, minPts int, p float64) float64 {
-	return estimateEps(newPointSet(points), minPts, p)
-}
-
-// EstimateEpsCSR is EstimateEps on a flat CSR matrix, bit-identical to
-// EstimateEps on m.Dense().
+// EstimateEpsCSR offers a simple heuristic for DBSCAN's radius on interval
+// data: the p-quantile (typically 0.9) of each point's distance to its k-th
+// nearest neighbor, with k = minPts-1.
 func EstimateEpsCSR(m *xmath.CSR, minPts int, p float64) float64 {
-	return estimateEps(newPointSetCSR(m), minPts, p)
-}
-
-func estimateEps(ps *pointSet, minPts int, p float64) float64 {
+	ps := newPointSet(m)
 	n := ps.n
 	if n < 2 || minPts < 2 {
 		return 1

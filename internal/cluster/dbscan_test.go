@@ -1,9 +1,9 @@
 // dbscan_test.go proves DBSCAN's move onto the shared pointSet/xmath kernels
 // changed no output bit: naiveDBSCAN and naiveEstimateEps below are the
 // historical implementations — private dense Euclidean loops, no pointSet —
-// kept verbatim as the reference, and the property tests demand that the
-// rewired DBSCAN/EstimateEps and their CSR entries agree with them exactly on
-// every pruneFixtures matrix.
+// kept verbatim as the reference, and the property tests demand that
+// DBSCANCSR/EstimateEpsCSR agree with them exactly on every pruneFixtures
+// matrix, sparse (packed kernels) and dense (dense fallback) alike.
 package cluster
 
 import (
@@ -106,33 +106,23 @@ func TestDBSCANMatchesNaiveBitForBit(t *testing.T) {
 	for name, pts := range pruneFixtures() {
 		for _, minPts := range []int{2, 4} {
 			wantEps := naiveEstimateEps(pts, minPts, 0.9)
-			eps := EstimateEps(pts, minPts, 0.9)
+			m := csr(pts)
+			eps := EstimateEpsCSR(m, minPts, 0.9)
 			if eps != wantEps {
-				t.Fatalf("%s minPts=%d: EstimateEps = %v, naive = %v", name, minPts, eps, wantEps)
-			}
-			m := xmath.NewCSRFromDense(pts)
-			if e := EstimateEpsCSR(m, minPts, 0.9); e != wantEps {
-				t.Fatalf("%s minPts=%d: EstimateEpsCSR = %v, naive = %v", name, minPts, e, wantEps)
+				t.Fatalf("%s minPts=%d: EstimateEpsCSR = %v, naive = %v", name, minPts, eps, wantEps)
 			}
 
 			wantLabels, wantK := naiveDBSCAN(pts, eps, minPts)
-			labels, k, err := DBSCAN(pts, eps, minPts)
+			labels, k, err := DBSCANCSR(m, eps, minPts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			csrLabels, csrK, err := DBSCANCSR(m, eps, minPts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if k != wantK || csrK != wantK {
-				t.Fatalf("%s minPts=%d: k = %d (dense) / %d (csr), naive = %d", name, minPts, k, csrK, wantK)
+			if k != wantK {
+				t.Fatalf("%s minPts=%d: k = %d, naive = %d", name, minPts, k, wantK)
 			}
 			for i := range wantLabels {
 				if labels[i] != wantLabels[i] {
 					t.Fatalf("%s minPts=%d: labels[%d] = %d, naive = %d", name, minPts, i, labels[i], wantLabels[i])
-				}
-				if csrLabels[i] != wantLabels[i] {
-					t.Fatalf("%s minPts=%d: csr labels[%d] = %d, naive = %d", name, minPts, i, csrLabels[i], wantLabels[i])
 				}
 			}
 		}

@@ -4,16 +4,14 @@
 // paper also experimented with, and DBSCAN as the density-based baseline the
 // paper evaluated and rejected (§V-A).
 //
-// The k-means hot path is exact-optimized (DESIGN.md §10, §14): feature rows
-// are mostly zeros, so the whole path runs on a flat CSR point set — packed
-// values, column indices, and row offsets in three shared backing arrays —
-// with xmath's bit-identical packed kernels, and Lloyd assignment keeps
-// Hamerly triangle-inequality bounds that skip provably-unchanged points.
-// The KMeansCSR/SweepCSR/WarmStartCSR entries consume a CSR matrix directly
-// with no densification at all; the [][]float64 entries pack once at the
-// boundary. None of it changes a single output bit relative to the naive
-// full-scan path — the determinism goldens and the exactness property tests
-// in prune_test.go enforce that.
+// Every entry takes the feature matrix in flat CSR form — packed values,
+// column indices, and row offsets in three shared backing arrays — and the
+// k-means hot path is exact-optimized (DESIGN.md §10, §14): feature rows are
+// mostly zeros, so distances run on xmath's bit-identical packed kernels, and
+// Lloyd assignment keeps Hamerly triangle-inequality bounds that skip
+// provably-unchanged points. None of it changes a single output bit relative
+// to the naive full-scan path — the determinism goldens and the exactness
+// property tests in prune_test.go enforce that.
 package cluster
 
 import (
@@ -43,7 +41,7 @@ type Result struct {
 	Sizes []int
 }
 
-// Options configures KMeans.
+// Options configures the k-means runs.
 type Options struct {
 	// MaxIterations bounds Lloyd iterations; 0 means 100.
 	MaxIterations int
@@ -53,13 +51,13 @@ type Options struct {
 	// Seed makes runs reproducible. The same seed always yields the same
 	// clustering.
 	Seed uint64
-	// Parallelism bounds the worker pool KMeans and Sweep fan restarts
-	// and k values out on; 0 means GOMAXPROCS, 1 forces the serial path.
+	// Parallelism bounds the worker pool SweepCSR fans k values and
+	// restarts out on; 0 means GOMAXPROCS, 1 forces the serial path.
 	// Every restart draws from its own seed-derived RNG and reductions
 	// happen in index order, so the result is identical for every
 	// Parallelism value given the same Seed.
 	Parallelism int
-	// Span, when non-nil, parents the tracing spans Sweep records.
+	// Span, when non-nil, parents the tracing spans SweepCSR records.
 	Span *obs.Span
 }
 
@@ -73,65 +71,25 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// pointSet is the clusterer's view of the data: a flat CSR form (always
-// present) plus, on the dense path, the materialized rows. The packed
-// structure is derived once per public entry (KMeans, WarmStart, or a whole
-// Sweep) and shared read-only by every restart and k.
+// pointSet is the clusterer's view of the data: the caller's CSR matrix plus,
+// on the dense path, the materialized rows. It is shared read-only by every
+// restart and k of one call.
 //
 // Both representations compute identical bits (xmath csr.go), so the kernels
 // are chosen purely on cost: when more than half the cells are non-zero the
 // branchy packed merge loses to the dense loop, the set reports itself dense,
-// and every distance runs on materialized rows (a CSR input is densified
-// once). The choice depends only on the data, never on scheduling, so it
-// cannot perturb determinism.
+// and every distance runs on rows densified once. The choice depends only on
+// the data, never on scheduling, so it cannot perturb determinism.
 type pointSet struct {
 	n, dim int
-	csr    *xmath.CSR  // flat packed rows; nil on the dense path
-	rows   [][]float64 // dense rows; nil on the pure-CSR sparse path
+	csr    *xmath.CSR  // flat packed rows
+	rows   [][]float64 // dense rows; nil on the sparse path
 	sparse bool        // non-zero cells <= half of all cells
 }
 
-func newPointSet(rows [][]float64) *pointSet {
-	ps := &pointSet{n: len(rows), rows: rows}
-	if ps.n > 0 {
-		ps.dim = len(rows[0])
-	}
-	nnz := 0
-	for _, r := range rows {
-		for _, v := range r {
-			if v != 0 {
-				nnz++
-			}
-		}
-	}
-	ps.sparse = 2*nnz <= ps.n*ps.dim
-	if !ps.sparse {
-		// Dense data never pays for the packed copy; every kernel below
-		// dispatches on ps.sparse and reads ps.rows directly.
-		return ps
-	}
-	m := &xmath.CSR{
-		NumCols: ps.dim,
-		Vals:    make([]float64, 0, nnz),
-		Cols:    make([]int32, 0, nnz),
-		RowPtr:  make([]int, ps.n+1),
-	}
-	for i, r := range rows {
-		for d, v := range r {
-			if v != 0 {
-				m.Vals = append(m.Vals, v)
-				m.Cols = append(m.Cols, int32(d))
-			}
-		}
-		m.RowPtr[i+1] = len(m.Vals)
-	}
-	ps.csr = m
-	return ps
-}
-
-// newPointSetCSR wraps a CSR matrix with zero copying on the sparse path;
-// only a denser-than-half matrix is materialized (the documented fallback).
-func newPointSetCSR(m *xmath.CSR) *pointSet {
+// newPointSet wraps a CSR matrix with zero copying on the sparse path; only
+// a denser-than-half matrix is materialized (the documented fallback).
+func newPointSet(m *xmath.CSR) *pointSet {
 	ps := &pointSet{n: m.NumRows(), dim: m.NumCols, csr: m}
 	ps.sparse = 2*m.NNZ() <= ps.n*ps.dim
 	if !ps.sparse {
@@ -192,24 +150,8 @@ func (ps *pointSet) copyRow(i int) []float64 {
 	return out
 }
 
-// validatePoints checks the non-empty, single-dimensionality contract once.
-// The public KMeans entry keeps this per-call check; Sweep hoists it to the
-// sweep boundary so the per-k and per-restart fan-out does not re-derive it.
-func validatePoints(points [][]float64) error {
-	if len(points) == 0 {
-		return fmt.Errorf("cluster: no points")
-	}
-	dim := len(points[0])
-	for i, p := range points {
-		if len(p) != dim {
-			return fmt.Errorf("cluster: point %d has dimension %d, want %d", i, len(p), dim)
-		}
-	}
-	return nil
-}
-
-// validateCSR is validatePoints for the flat form; row uniformity holds by
-// construction, so only emptiness needs checking.
+// validateCSR checks the non-empty contract once per entry; row uniformity
+// holds by construction.
 func validateCSR(m *xmath.CSR) error {
 	if m == nil || m.NumRows() == 0 {
 		return fmt.Errorf("cluster: no points")
@@ -217,32 +159,20 @@ func validateCSR(m *xmath.CSR) error {
 	return nil
 }
 
-// KMeans clusters points into k groups. Points must be non-empty and share
-// one dimensionality; k must satisfy 1 <= k <= len(points).
-func KMeans(points [][]float64, k int, opts Options) (*Result, error) {
-	if err := validatePoints(points); err != nil {
-		return nil, err
-	}
-	if k < 1 || k > len(points) {
-		return nil, fmt.Errorf("cluster: k=%d out of range [1, %d]", k, len(points))
-	}
-	return kmeansValidated(newPointSet(points), k, opts), nil
-}
-
-// KMeansCSR is KMeans on a flat CSR matrix — the zero-densify entry the
-// interval builder feeds directly. Output is bit-identical to KMeans on
-// m.Dense().
-func KMeansCSR(m *xmath.CSR, k int, opts Options) (*Result, error) {
+// kmeansCSR clusters the rows of m into k groups with k-means++ seeding and
+// Lloyd iterations, keeping the lowest-WCSS of Options.Restarts runs; k must
+// satisfy 1 <= k <= m.NumRows(). SweepCSR runs it for every k.
+func kmeansCSR(m *xmath.CSR, k int, opts Options) (*Result, error) {
 	if err := validateCSR(m); err != nil {
 		return nil, err
 	}
 	if k < 1 || k > m.NumRows() {
 		return nil, fmt.Errorf("cluster: k=%d out of range [1, %d]", k, m.NumRows())
 	}
-	return kmeansValidated(newPointSetCSR(m), k, opts), nil
+	return kmeansValidated(newPointSet(m), k, opts), nil
 }
 
-// kmeansValidated is KMeans after validation: the restart fan-out over an
+// kmeansValidated is kmeansCSR after validation: the restart fan-out over an
 // already-checked, already-packed point set.
 func kmeansValidated(ps *pointSet, k int, opts Options) *Result {
 	opts = opts.withDefaults()
@@ -745,19 +675,6 @@ func seedPlusPlus(ps *pointSet, k int, rng *xmath.RNG, sc *lloydScratch) [][]flo
 	return centroids
 }
 
-// nearest is the naive assignment: scan every centroid with a strict <. It
-// remains the reference the pruned path is proven against (prune_test.go) and
-// the small-k entry for one-off lookups.
-func nearest(centroids [][]float64, p []float64) int {
-	best, bestD := 0, math.Inf(1)
-	for c, cent := range centroids {
-		if d := xmath.SquaredEuclidean(p, cent); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best
-}
-
 // Members returns the point indices assigned to cluster c.
 func (r *Result) Members(c int) []int {
 	var out []int
@@ -767,14 +684,6 @@ func (r *Result) Members(c int) []int {
 		}
 	}
 	return out
-}
-
-// DistanceToCentroid returns the Euclidean distance from point p (by index,
-// with its coordinates supplied) to its assigned centroid. The point may be
-// longer than the centroid (the streaming engine's feature space grows
-// mid-run); missing trailing centroid dimensions count as zero.
-func (r *Result) DistanceToCentroid(i int, point []float64) float64 {
-	return xmath.EuclideanPadded(point, r.Centroids[r.Assign[i]])
 }
 
 // Clone returns a deep copy of the result. Callers that refine or drift a
@@ -805,32 +714,20 @@ func CloneCentroids(centroids [][]float64) [][]float64 {
 	return out
 }
 
-// WarmStart runs Lloyd iterations from an externally-supplied centroid set
-// (the incremental clusterer's previous model) instead of k-means++ seeding.
-// The given centroids are cloned, never mutated, and may be shorter than the
-// point dimensionality — a feature space that grew since they were computed —
-// in which case they are zero-padded. Only MaxIterations is honored from
-// opts; there is no restart loop (a warm start IS the restart).
-func WarmStart(points [][]float64, centroids [][]float64, opts Options) (*Result, error) {
-	if err := validatePoints(points); err != nil {
-		return nil, err
-	}
-	return warmStartValidated(newPointSet(points), centroids, opts)
-}
-
-// WarmStartCSR is WarmStart on a flat CSR matrix, bit-identical to WarmStart
-// on m.Dense().
+// WarmStartCSR runs Lloyd iterations from an externally-supplied centroid
+// set (the incremental clusterer's previous model) instead of k-means++
+// seeding. The given centroids are cloned, never mutated, and may be shorter
+// than the point dimensionality — a feature space that grew since they were
+// computed — in which case they are zero-padded. Only MaxIterations is
+// honored from opts; there is no restart loop (a warm start IS the restart).
 func WarmStartCSR(m *xmath.CSR, centroids [][]float64, opts Options) (*Result, error) {
 	if err := validateCSR(m); err != nil {
 		return nil, err
 	}
-	return warmStartValidated(newPointSetCSR(m), centroids, opts)
-}
-
-func warmStartValidated(ps *pointSet, centroids [][]float64, opts Options) (*Result, error) {
 	if len(centroids) == 0 {
 		return nil, fmt.Errorf("cluster: no warm-start centroids")
 	}
+	ps := newPointSet(m)
 	dim := ps.dim
 	opts = opts.withDefaults()
 	seed := make([][]float64, len(centroids))
@@ -845,8 +742,8 @@ func warmStartValidated(ps *pointSet, centroids [][]float64, opts Options) (*Res
 	return lloyd(ps, seed, opts.MaxIterations), nil
 }
 
-// Sweep runs KMeans for every k in [1, kmax] (clamped to the number of
-// points) and returns the results indexed by k-1. Each k gets a distinct
+// SweepCSR runs k-means for every k in [1, kmax] (clamped to the number of
+// rows) and returns the results indexed by k-1. Each k gets a distinct
 // derived seed so restarts do not correlate across k.
 //
 // The k values fan out on a worker pool bounded by Options.Parallelism
@@ -854,23 +751,8 @@ func warmStartValidated(ps *pointSet, centroids [][]float64, opts Options) (*Res
 // a seed-derived RNG and writes only its own slot, the output is identical
 // to the serial sweep for any Parallelism value.
 //
-// Validation and packing happen once here, at the sweep boundary — not once
-// per k times once per restart.
-func Sweep(points [][]float64, kmax int, opts Options) ([]*Result, error) {
-	if kmax < 1 {
-		return nil, fmt.Errorf("cluster: kmax=%d", kmax)
-	}
-	if err := validatePoints(points); err != nil {
-		return nil, err
-	}
-	if kmax > len(points) {
-		kmax = len(points)
-	}
-	return sweepValidated(newPointSet(points), kmax, opts)
-}
-
-// SweepCSR is Sweep on a flat CSR matrix — the zero-densify sweep the batch
-// and live pipelines feed directly. Bit-identical to Sweep on m.Dense().
+// Validation and the point set happen once here, at the sweep boundary —
+// not once per k times once per restart.
 func SweepCSR(m *xmath.CSR, kmax int, opts Options) ([]*Result, error) {
 	if kmax < 1 {
 		return nil, fmt.Errorf("cluster: kmax=%d", kmax)
@@ -881,10 +763,7 @@ func SweepCSR(m *xmath.CSR, kmax int, opts Options) ([]*Result, error) {
 	if kmax > m.NumRows() {
 		kmax = m.NumRows()
 	}
-	return sweepValidated(newPointSetCSR(m), kmax, opts)
-}
-
-func sweepValidated(ps *pointSet, kmax int, opts Options) ([]*Result, error) {
+	ps := newPointSet(m)
 	sweep := obs.Under(opts.Span, "cluster.sweep", 0)
 	sweep.SetInt("kmax", int64(kmax)).SetInt("points", int64(ps.n))
 	defer sweep.End()

@@ -1,15 +1,16 @@
-// prune_test.go proves the exact-pruned hot path (sparse kernels, Hamerly
+// prune_test.go proves the exact-pruned hot path (packed kernels, Hamerly
 // bounds, bounded partial distances, pooled scratch) is bit-identical to the
 // naive full-scan algorithm. naiveKMeans below is a from-scratch reference —
 // dense kernels only, no bounds, no early exit, no pooling — kept deliberately
-// dumb; the property tests demand that KMeans/Sweep agree with it on every
-// output field, bit for bit, across sparse and dense fixtures and worker-pool
-// bounds. Run under -race these tests also exercise the scratch pool across
+// dumb; the property tests demand that the CSR entries agree with it on every
+// output field, bit for bit, across sparse and dense fixtures (the packed and
+// the dense pointSet path) and worker-pool bounds. Run under -race these tests also exercise the scratch pool across
 // concurrent restarts.
 package cluster
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/incprof/incprof/internal/par"
@@ -55,6 +56,17 @@ func naiveSeedPlusPlus(points [][]float64, k int, rng *xmath.RNG) [][]float64 {
 		centroids = append(centroids, append([]float64(nil), points[idx]...))
 	}
 	return centroids
+}
+
+// nearest is the naive assignment: scan every centroid with a strict <.
+func nearest(centroids [][]float64, p []float64) int {
+	best, bestD := 0, math.Inf(1)
+	for c, cent := range centroids {
+		if d := xmath.SquaredEuclidean(p, cent); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best
 }
 
 // naiveLloyd is Lloyd iteration with a full k-way dense scan for every point
@@ -192,7 +204,7 @@ func TestPrunedKMeansMatchesNaiveBitForBit(t *testing.T) {
 			for _, parallelism := range []int{1, 8} {
 				opts := Options{Seed: 42, Parallelism: parallelism}
 				want := naiveKMeans(pts, k, opts)
-				got, err := KMeans(pts, k, opts)
+				got, err := kmeansCSR(csr(pts), k, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -205,7 +217,7 @@ func TestPrunedKMeansMatchesNaiveBitForBit(t *testing.T) {
 func TestPrunedSweepMatchesNaiveBitForBit(t *testing.T) {
 	for name, pts := range pruneFixtures() {
 		for _, parallelism := range []int{1, 8} {
-			results, err := Sweep(pts, 8, Options{Seed: 1, Parallelism: parallelism})
+			results, err := SweepCSR(csr(pts), 8, Options{Seed: 1, Parallelism: parallelism})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +245,7 @@ func TestWarmStartLloydMatchesNaive(t *testing.T) {
 				seed[i][d] = rng.Float64() * 3
 			}
 		}
-		got, err := WarmStart(pts, seed, Options{})
+		got, err := WarmStartCSR(csr(pts), seed, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +263,7 @@ func TestWarmStartLloydMatchesNaive(t *testing.T) {
 func TestWarmStartEmptyClusterKeepsPreviousMean(t *testing.T) {
 	points := [][]float64{{1, 0}, {2, 0}}
 	seed := [][]float64{{1, 0}, {2, 0}, {5, 5}, {6, 6}, {7, 7}}
-	res, err := WarmStart(points, seed, Options{MaxIterations: 1})
+	res, err := WarmStartCSR(csr(points), seed, Options{MaxIterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,84 +284,84 @@ func TestWarmStartEmptyClusterKeepsPreviousMean(t *testing.T) {
 	}
 }
 
-// TestCSREntriesMatchDenseBitForBit: the zero-densify entries (KMeansCSR,
-// SweepCSR, WarmStartCSR, SilhouetteCSR, SelectSilhouetteCSR) must reproduce
-// their [][]float64 counterparts — and hence, transitively, the naive
-// reference — bit for bit on every fixture at both worker-pool bounds. The
-// fixtures cover both sides of the pointSet density rule: the dense-uniform
-// matrix makes newPointSetCSR densify, the others run pure-packed.
-func TestCSREntriesMatchDenseBitForBit(t *testing.T) {
+// naiveSilhouette is the mean silhouette over a square dense-kernel distance
+// scan, each point's neighbors summed in ascending index order.
+func naiveSilhouette(points [][]float64, assign []int, k int) float64 {
+	n := len(points)
+	if k <= 1 || n < 2 {
+		return 0
+	}
+	var total float64
+	for i := range points {
+		sums := make([]float64, k)
+		counts := make([]int, k)
+		for j := range points {
+			if j != i {
+				sums[assign[j]] += xmath.Euclidean(points[i], points[j])
+				counts[assign[j]]++
+			}
+		}
+		own := assign[i]
+		if counts[own] == 0 {
+			continue
+		}
+		a := sums[own] / float64(counts[own])
+		b := math.Inf(1)
+		for c := 0; c < k; c++ {
+			if c != own && counts[c] != 0 && sums[c]/float64(counts[c]) < b {
+				b = sums[c] / float64(counts[c])
+			}
+		}
+		switch {
+		case math.IsInf(b, 1):
+		case a < b:
+			total += 1 - a/b
+		case a > b:
+			total += b/a - 1
+		}
+	}
+	return total / float64(n)
+}
+
+// TestSilhouetteMatchesNaiveBitForBit holds SilhouetteCSR and
+// SelectSilhouetteCSR to the naive reference on every fixture — packed
+// kernels on the sparse one, the dense fallback on the others — at both
+// worker-pool bounds.
+func TestSilhouetteMatchesNaiveBitForBit(t *testing.T) {
 	for name, pts := range pruneFixtures() {
-		m := xmath.NewCSRFromDense(pts)
+		m := csr(pts)
+		results, err := SweepCSR(m, 8, Options{Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, parallelism := range []int{1, 8} {
-			opts := Options{Seed: 42, Parallelism: parallelism}
-			label := fmt.Sprintf("%s p=%d", name, parallelism)
-
-			k := 4
-			if k > len(pts) {
-				k = len(pts)
-			}
-			denseK, err := KMeans(pts, k, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			csrK, err := KMeansCSR(m, k, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, label+" kmeans", denseK, csrK)
-
-			w1, err := WarmStart(pts, CloneCentroids(denseK.Centroids), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w2, err := WarmStartCSR(m, CloneCentroids(denseK.Centroids), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, label+" warmstart", w1, w2)
-
-			denseSweep, err := Sweep(pts, 8, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			csrSweep, err := SweepCSR(m, 8, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(denseSweep) != len(csrSweep) {
-				t.Fatalf("%s: sweep lengths %d vs %d", label, len(denseSweep), len(csrSweep))
-			}
-			for i := range denseSweep {
-				sameResult(t, fmt.Sprintf("%s sweep k=%d", label, i+1), denseSweep[i], csrSweep[i])
-			}
-
-			for _, r := range denseSweep {
-				s1 := SilhouetteP(pts, r.Assign, r.K, parallelism)
-				s2 := SilhouetteCSR(m, r.Assign, r.K, parallelism)
-				if s1 != s2 {
-					t.Fatalf("%s k=%d: SilhouetteP = %v, SilhouetteCSR = %v", label, r.K, s1, s2)
+			want, bestScore := results[0], 0.0
+			for _, r := range results {
+				s := naiveSilhouette(pts, r.Assign, r.K)
+				if got := SilhouetteCSR(m, r.Assign, r.K, parallelism); got != s {
+					t.Fatalf("%s k=%d p=%d: SilhouetteCSR = %v, naive = %v", name, r.K, parallelism, got, s)
+				}
+				if r.K >= 2 && s > bestScore {
+					want, bestScore = r, s
 				}
 			}
-			if p1, p2 := SelectSilhouetteP(pts, denseSweep, parallelism), SelectSilhouetteCSR(m, denseSweep, parallelism); p1 != p2 {
-				t.Fatalf("%s: silhouette selection picked k=%d (dense) vs k=%d (csr)", label, p1.K, p2.K)
+			if got := SelectSilhouetteCSR(m, results, parallelism); got != want {
+				t.Fatalf("%s p=%d: selected k=%d, naive k=%d", name, parallelism, got.K, want.K)
 			}
 		}
 	}
 }
 
-// TestSweepValidatesOnce: validation is hoisted to the sweep boundary — a
-// ragged matrix must fail the whole sweep up front with the same error the
-// public KMeans entry reports.
-func TestSweepValidatesRaggedInput(t *testing.T) {
-	ragged := [][]float64{{1, 2}, {3}}
-	if _, err := Sweep(ragged, 4, Options{Seed: 1}); err == nil {
-		t.Fatal("Sweep accepted ragged input")
+// TestFixturesCoverBothKernelPaths pins what the bit-identity tests above
+// rely on: pruneFixtures has matrices on both sides of the pointSet density
+// rule, so the packed kernels and the dense fallback are both held to the
+// naive references.
+func TestFixturesCoverBothKernelPaths(t *testing.T) {
+	fx := pruneFixtures()
+	if !newPointSet(csr(fx["sparse-phased"])).sparse {
+		t.Fatal("sparse-phased fixture takes the dense path")
 	}
-	if _, err := KMeans(ragged, 1, Options{Seed: 1}); err == nil {
-		t.Fatal("KMeans accepted ragged input")
-	}
-	if _, err := WarmStart(ragged, [][]float64{{0, 0}}, Options{}); err == nil {
-		t.Fatal("WarmStart accepted ragged input")
+	if newPointSet(csr(fx["dense-uniform"])).sparse {
+		t.Fatal("dense-uniform fixture takes the packed path")
 	}
 }

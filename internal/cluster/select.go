@@ -88,7 +88,8 @@ func ElbowKChord(wcss []float64) int {
 }
 
 // SelectElbow runs the sweep-and-pick the paper describes: take the WCSS of
-// each result and return the elbow result. results must be a Sweep output.
+// each result and return the elbow result. results must be a SweepCSR
+// output.
 func SelectElbow(results []*Result) *Result {
 	if len(results) == 0 {
 		return nil
@@ -104,42 +105,24 @@ func SelectElbow(results []*Result) *Result {
 	return results[k-1]
 }
 
-// Silhouette returns the mean silhouette coefficient of a clustering: for
-// each point, (b-a)/max(a,b) where a is its mean distance to its own
-// cluster's other points and b the smallest mean distance to another
-// cluster. Values near 1 indicate compact, well-separated clusters. Points
-// in singleton clusters contribute 0, and a single-cluster result scores 0
-// by convention.
+// SilhouetteCSR returns the mean silhouette coefficient of a clustering of
+// the rows of m: for each point, (b-a)/max(a,b) where a is its mean distance
+// to its own cluster's other points and b the smallest mean distance to
+// another cluster. Values near 1 indicate compact, well-separated clusters.
+// Points in singleton clusters contribute 0, and a single-cluster result
+// scores 0 by convention.
 //
-// Silhouette uses the full GOMAXPROCS worker budget; SilhouetteP takes an
-// explicit bound.
-func Silhouette(points [][]float64, assign []int, k int) float64 {
-	return SilhouetteP(points, assign, k, 0)
-}
-
-// SilhouetteP is Silhouette on a worker pool bounded by parallelism (0 means
-// GOMAXPROCS, 1 forces serial). The O(n²) pairwise distances are computed
-// once into a pooled triangular matrix and its rows are split across the
-// workers; every point's contribution is stored by index and reduced in
-// index order, so the score is bit-identical for every parallelism value.
-func SilhouetteP(points [][]float64, assign []int, k, parallelism int) float64 {
-	obs.C("cluster.silhouette").Inc()
-	if k <= 1 || len(points) < 2 {
-		return 0
-	}
-	pm := pairwiseDistances(newPointSet(points), parallelism)
-	defer putPairMatrix(pm)
-	return silhouetteFromPairs(pm, assign, k, parallelism)
-}
-
-// SilhouetteCSR is SilhouetteP on a flat CSR matrix — no densification;
-// bit-identical to SilhouetteP on m.Dense().
+// The O(n²) pairwise distances are computed once into a pooled triangular
+// matrix and its rows are split across a worker pool bounded by parallelism
+// (0 means GOMAXPROCS, 1 forces serial); every point's contribution is
+// stored by index and reduced in index order, so the score is bit-identical
+// for every parallelism value.
 func SilhouetteCSR(m *xmath.CSR, assign []int, k, parallelism int) float64 {
 	obs.C("cluster.silhouette").Inc()
 	if k <= 1 || m.NumRows() < 2 {
 		return 0
 	}
-	pm := pairwiseDistances(newPointSetCSR(m), parallelism)
+	pm := pairwiseDistances(newPointSet(m), parallelism)
 	defer putPairMatrix(pm)
 	return silhouetteFromPairs(pm, assign, k, parallelism)
 }
@@ -191,10 +174,10 @@ func putPairMatrix(pm *pairMatrix) { pairPool.Put(pm) }
 const pairBlock = 32
 
 // pairwiseDistances fills a pooled triangular matrix with all pairwise
-// Euclidean distances. Distances run on the packed kernel over each row's
-// non-zero structure — bit-identical to the dense kernel (see xmath csr.go),
-// just skipping the zero-zero dimensions that dominate interval feature
-// matrices. Each row tile is written by exactly one worker, so the fill is
+// Euclidean distances. On the sparse path distances run on the packed kernel
+// over each row's non-zero structure — bit-identical to the dense kernel
+// (see xmath csr.go), just skipping the zero-zero dimensions that dominate
+// interval feature matrices. Each row tile is written by exactly one worker, so the fill is
 // race-free and the contents are independent of parallelism.
 func pairwiseDistances(ps *pointSet, parallelism int) *pairMatrix {
 	n := ps.n
@@ -224,10 +207,10 @@ func pairwiseDistances(ps *pointSet, parallelism int) *pairMatrix {
 }
 
 // silhouetteFromPairs scores one clustering over a precomputed triangular
-// distance matrix. Splitting this from SilhouetteP lets a sweep-wide caller
-// (SelectSilhouetteP) pay the O(n²·dim) matrix once and score every k against
-// it; the per-point contributions depend only on the distances and assign, so
-// the score is bit-identical to a standalone SilhouetteP call. Each point's
+// distance matrix. Splitting this from SilhouetteCSR lets a sweep-wide caller
+// (SelectSilhouetteCSR) pay the O(n²·dim) matrix once and score every k
+// against it; the per-point contributions depend only on the distances and
+// assign, so the score is bit-identical to a standalone SilhouetteCSR call. Each point's
 // neighbors are accumulated in ascending j — the j < i cells read down the
 // packed columns, the j > i cells stream row i — preserving the square-matrix
 // summation order bit for bit.
@@ -277,41 +260,21 @@ func silhouetteFromPairs(pm *pairMatrix, assign []int, k, parallelism int) float
 	return total / float64(n)
 }
 
-// SelectSilhouette picks the sweep result (k >= 2) with the highest mean
-// silhouette; if no k >= 2 result exists, or the best silhouette is not
-// positive (no structure), it falls back to k = 1. This is the alternative
-// selection method the paper also experimented with (§V-A).
-func SelectSilhouette(points [][]float64, results []*Result) *Result {
-	return SelectSilhouetteP(points, results, 0)
-}
-
-// SelectSilhouetteP is SelectSilhouette with an explicit worker-pool bound
-// for the per-k silhouette scoring (0 means GOMAXPROCS).
+// SelectSilhouetteCSR picks the sweep result (k >= 2) with the highest mean
+// silhouette over the rows of m; if no k >= 2 result exists, or the best
+// silhouette is not positive (no structure), it falls back to k = 1. This is
+// the alternative selection method the paper also experimented with (§V-A).
+// parallelism bounds the per-k scoring pool (0 means GOMAXPROCS).
 //
-// The O(n²) triangular pairwise matrix is computed once and shared by every k
-// in the sweep — it depends only on the points, not the clustering — instead
-// of being rebuilt from scratch per k, and is returned to the shared pool on
-// exit. Scores are bit-identical to per-k SilhouetteP calls.
-func SelectSilhouetteP(points [][]float64, results []*Result, parallelism int) *Result {
-	return selectSilhouette(len(points), func() *pointSet { return newPointSet(points) }, results, parallelism)
-}
-
-// SelectSilhouetteCSR is SelectSilhouetteP on a flat CSR matrix — the
-// zero-densify selection entry; bit-identical to SelectSilhouetteP on
-// m.Dense().
+// The O(n²) triangular pairwise matrix depends only on the points, not the
+// clustering, so it is computed once — lazily, on the first scorable k, so a
+// kmax=1 sweep never pays for it — shared by every k, and returned to the
+// shared pool on exit. Scores are bit-identical to per-k SilhouetteCSR calls.
 func SelectSilhouetteCSR(m *xmath.CSR, results []*Result, parallelism int) *Result {
-	return selectSilhouette(m.NumRows(), func() *pointSet { return newPointSetCSR(m) }, results, parallelism)
-}
-
-// selectSilhouette is the shared selection core. The point set (and the
-// pooled distance matrix derived from it) is built lazily on the first
-// scorable k — a kmax=1 sweep never pays for either — and every later k,
-// including ones reached through the fallback path, reuses the same pooled
-// buffer.
-func selectSilhouette(n int, mkps func() *pointSet, results []*Result, parallelism int) *Result {
 	if len(results) == 0 {
 		return nil
 	}
+	n := m.NumRows()
 	best := results[0]
 	bestScore := 0.0
 	var pm *pairMatrix
@@ -321,7 +284,7 @@ func selectSilhouette(n int, mkps func() *pointSet, results []*Result, paralleli
 		}
 		obs.C("cluster.silhouette").Inc()
 		if pm == nil {
-			pm = pairwiseDistances(mkps(), parallelism)
+			pm = pairwiseDistances(newPointSet(m), parallelism)
 			defer putPairMatrix(pm)
 		}
 		if s := silhouetteFromPairs(pm, r.Assign, r.K, parallelism); s > bestScore {

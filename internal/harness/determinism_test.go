@@ -30,15 +30,15 @@ func TestSweepParallelismGoldenAcrossApps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := interval.Features(profs, interval.FeatureOptions{Exclude: mpi.IsMPIFunc})
+			m := interval.FeaturesCSR(profs, interval.FeatureOptions{Exclude: mpi.IsMPIFunc})
 			if m.Dims() == 0 {
 				t.Fatal("empty feature matrix")
 			}
-			serial, err := cluster.Sweep(m.Rows, 8, cluster.Options{Seed: 1, Parallelism: 1})
+			serial, err := cluster.SweepCSR(m.Sparse, 8, cluster.Options{Seed: 1, Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			parallel, err := cluster.Sweep(m.Rows, 8, cluster.Options{Seed: 1, Parallelism: 8})
+			parallel, err := cluster.SweepCSR(m.Sparse, 8, cluster.Options{Seed: 1, Parallelism: 8})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -177,7 +177,7 @@ func (k FeatureKind) String() string {
 	}
 }
 
-// FeatureOptions configures Features.
+// FeatureOptions configures FeaturesCSR.
 type FeatureOptions struct {
 	Kind FeatureKind
 	// Exclude drops functions (by name) from the feature space, e.g.
@@ -186,80 +186,39 @@ type FeatureOptions struct {
 }
 
 // Matrix is the clustering input: one row per interval, one column per
-// function observed anywhere in the run. It has two interchangeable
-// backings: dense Rows (the historical form, and the naive reference) or a
-// flat Sparse CSR matrix (the zero-densify analysis path). Exactly one is
-// set; every accessor dispatches on which.
+// function observed anywhere in the run, held in flat CSR form — only each
+// row's non-zero cells are stored, so memory is O(non-zero cells) however
+// wide the symbol space grows.
 type Matrix struct {
 	// FuncNames labels the columns; for SelfPlusCalls the call-count
 	// columns reuse the same names with a "#calls:" prefix, appended
 	// after all time columns.
 	FuncNames []string
-	// Rows holds one feature vector per interval, in interval order.
-	// Nil when Sparse is set.
-	Rows [][]float64
-	// Sparse is the flat CSR backing produced by CSRMatrix/FeaturesCSR.
-	// Scattering its rows reproduces Rows bit for bit.
+	// Sparse holds one row per interval, in interval order.
 	Sparse *xmath.CSR
 }
 
 // Dims returns the dimensionality of the feature space.
-func (m *Matrix) Dims() int {
-	if m.Sparse != nil {
-		return m.Sparse.NumCols
-	}
-	if len(m.Rows) == 0 {
-		return 0
-	}
-	return len(m.Rows[0])
-}
+func (m *Matrix) Dims() int { return m.Sparse.NumCols }
 
-// NumRows returns the number of intervals (rows) on either backing.
-func (m *Matrix) NumRows() int {
-	if m.Sparse != nil {
-		return m.Sparse.NumRows()
-	}
-	return len(m.Rows)
-}
+// NumRows returns the number of intervals (rows).
+func (m *Matrix) NumRows() int { return m.Sparse.NumRows() }
 
 // RowEuclidean returns the Euclidean distance from row i to the dense vector
-// v (length Dims) — bit-identical across backings (xmath csr.go).
+// v (length Dims), bit-identical to the dense kernel on the scattered row
+// (xmath csr.go).
 func (m *Matrix) RowEuclidean(i int, v []float64) float64 {
-	if m.Sparse != nil {
-		av, ac := m.Sparse.Row(i)
-		return xmath.EuclideanPackedDense(av, ac, v)
-	}
-	return xmath.Euclidean(m.Rows[i], v)
+	av, ac := m.Sparse.Row(i)
+	return xmath.EuclideanPackedDense(av, ac, v)
 }
 
-// DenseRows returns the dense row form on either backing, materializing a
-// CSR backing on demand — the escape hatch for naive-reference consumers,
-// not the hot path.
-func (m *Matrix) DenseRows() [][]float64 {
-	if m.Sparse != nil {
-		return m.Sparse.Dense()
-	}
-	return m.Rows
-}
-
-// Features builds the clustering matrix from interval profiles. Only
+// FeaturesCSR builds the clustering matrix from interval profiles. Only
 // functions observed (non-zero feature) in at least one interval become
 // dimensions; dimensions are ordered by name for determinism.
 //
-// Features is the batch driver of MatrixBuilder — the streaming engine feeds
-// the same builder one profile at a time — so both paths construct identical
-// matrices by construction.
-func Features(profiles []Profile, opts FeatureOptions) Matrix {
-	b := NewMatrixBuilder(opts)
-	for i := range profiles {
-		b.Add(&profiles[i])
-	}
-	return b.Matrix()
-}
-
-// FeaturesCSR is Features producing the flat CSR backing instead of dense
-// rows — the zero-densify input the clustering hot path consumes directly.
-// Scattering the result reproduces Features' rows bit for bit.
+// FeaturesCSR is the batch form of MatrixBuilder — the streaming engine
+// feeds the same builder one profile at a time — so both paths construct
+// identical matrices by construction.
 func FeaturesCSR(profiles []Profile, opts FeatureOptions) Matrix {
 	b := NewMatrixBuilder(opts)
 	for i := range profiles {

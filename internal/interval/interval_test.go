@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"github.com/incprof/incprof/internal/exec"
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/incprof"
+	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/profiler"
 )
 
@@ -105,18 +105,19 @@ func TestFeaturesSampledSelf(t *testing.T) {
 		{Index: 0, Self: map[string]time.Duration{"b": time.Second}},
 		{Index: 1, Self: map[string]time.Duration{"a": 500 * time.Millisecond}},
 	}
-	m := Features(profs, FeatureOptions{})
+	m := FeaturesCSR(profs, FeatureOptions{})
 	if len(m.FuncNames) != 2 || m.FuncNames[0] != "a" || m.FuncNames[1] != "b" {
 		t.Fatalf("FuncNames = %v, want sorted [a b]", m.FuncNames)
 	}
 	if m.Dims() != 2 {
 		t.Fatalf("Dims = %d", m.Dims())
 	}
-	if m.Rows[0][0] != 0 || m.Rows[0][1] != 1 {
-		t.Fatalf("row 0 = %v", m.Rows[0])
+	rows := m.Sparse.Dense()
+	if rows[0][0] != 0 || rows[0][1] != 1 {
+		t.Fatalf("row 0 = %v", rows[0])
 	}
-	if m.Rows[1][0] != 0.5 || m.Rows[1][1] != 0 {
-		t.Fatalf("row 1 = %v", m.Rows[1])
+	if rows[1][0] != 0.5 || rows[1][1] != 0 {
+		t.Fatalf("row 1 = %v", rows[1])
 	}
 }
 
@@ -124,7 +125,7 @@ func TestFeaturesExclude(t *testing.T) {
 	profs := []Profile{
 		{Self: map[string]time.Duration{"MPI_Barrier": time.Second, "compute": time.Second}},
 	}
-	m := Features(profs, FeatureOptions{Exclude: func(n string) bool { return n == "MPI_Barrier" }})
+	m := FeaturesCSR(profs, FeatureOptions{Exclude: func(n string) bool { return n == "MPI_Barrier" }})
 	if len(m.FuncNames) != 1 || m.FuncNames[0] != "compute" {
 		t.Fatalf("FuncNames = %v", m.FuncNames)
 	}
@@ -134,12 +135,12 @@ func TestFeaturesSelfPlusCalls(t *testing.T) {
 	profs := []Profile{
 		{Self: map[string]time.Duration{"a": time.Second}, Calls: map[string]int64{"a": 7}},
 	}
-	m := Features(profs, FeatureOptions{Kind: SelfPlusCalls})
+	m := FeaturesCSR(profs, FeatureOptions{Kind: SelfPlusCalls})
 	if len(m.FuncNames) != 2 || m.FuncNames[1] != "#calls:a" {
 		t.Fatalf("FuncNames = %v", m.FuncNames)
 	}
-	if m.Rows[0][0] != 1 || m.Rows[0][1] != 7 {
-		t.Fatalf("row = %v", m.Rows[0])
+	if row := m.Sparse.Dense()[0]; row[0] != 1 || row[1] != 7 {
+		t.Fatalf("row = %v", row)
 	}
 }
 
@@ -149,11 +150,11 @@ func TestFeaturesCallOnlyFunctionIncludedInSelfPlusCalls(t *testing.T) {
 	profs := []Profile{
 		{Self: map[string]time.Duration{"big": time.Second}, Calls: map[string]int64{"tiny": 100}},
 	}
-	m := Features(profs, FeatureOptions{})
+	m := FeaturesCSR(profs, FeatureOptions{})
 	if len(m.FuncNames) != 1 {
 		t.Fatalf("SampledSelf picked up call-only function: %v", m.FuncNames)
 	}
-	m2 := Features(profs, FeatureOptions{Kind: SelfPlusCalls})
+	m2 := FeaturesCSR(profs, FeatureOptions{Kind: SelfPlusCalls})
 	if len(m2.FuncNames) != 4 { // big, tiny, #calls:big, #calls:tiny
 		t.Fatalf("SelfPlusCalls dims = %v", m2.FuncNames)
 	}

@@ -1,11 +1,11 @@
 // matrix.go holds the incremental feature-matrix builder: the streaming
-// counterpart of Features. Rows append one interval at a time, the feature
+// counterpart of FeaturesCSR. Rows append one interval at a time, the feature
 // space grows when a function first shows activity mid-run, and earlier rows
 // are implicitly backfilled with zeros for late-appearing dimensions — so a
-// builder fed row by row produces a Matrix identical to a batch Features call
-// over the same profiles. Features itself is a thin wrapper over the builder:
-// there is exactly one code path that decides what becomes a dimension and
-// what value a cell gets.
+// builder fed row by row produces a Matrix identical to a batch FeaturesCSR
+// call over the same profiles. FeaturesCSR itself is a thin wrapper over the
+// builder: there is exactly one code path that decides what becomes a
+// dimension and what value a cell gets.
 package interval
 
 import (
@@ -18,8 +18,8 @@ import (
 // MatrixBuilder accumulates interval profiles into a clustering matrix
 // incrementally. Internally rows are stored sparsely (only non-zero cells),
 // so memory is O(total non-zero cells + functions), not
-// O(intervals × functions); Matrix materializes the dense, name-sorted
-// canonical form on demand.
+// O(intervals × functions); CSRMatrix materializes the name-sorted canonical
+// form on demand.
 //
 // The zero value is not usable; construct with NewMatrixBuilder.
 type MatrixBuilder struct {
@@ -45,7 +45,7 @@ func NewMatrixBuilder(opts FeatureOptions) *MatrixBuilder {
 }
 
 // pick selects the per-function duration map the configured feature kind
-// reads, mirroring Features.
+// reads.
 func (b *MatrixBuilder) pick(p *Profile) map[string]time.Duration {
 	if b.opts.Kind == ExactSelf {
 		return p.ExactSelf
@@ -65,9 +65,9 @@ func (b *MatrixBuilder) Add(p *Profile) {
 		}
 		if d != 0 && !b.excluded(fn) {
 			// Non-zero cells are stored even when the function has not
-			// (yet) qualified as a dimension: batch Features emits the
+			// (yet) qualified as a dimension: the matrix carries the
 			// stored value for every row once the function qualifies in
-			// any row, including rows where it was zero or negative.
+			// any row, including rows where it was negative.
 			row[fn] = d.Seconds()
 		}
 	}
@@ -122,43 +122,12 @@ func (b *MatrixBuilder) names() []string {
 	return b.sorted
 }
 
-// Matrix materializes the canonical clustering matrix over everything added
-// so far: columns name-sorted, rows dense with zero backfill for dimensions
-// that appeared after the row was added. The result is identical to
-// Features over the same profiles and shares no storage with the builder, so
-// callers may hold it across further Add calls.
-func (b *MatrixBuilder) Matrix() Matrix {
-	names := b.names()
-	cols := names
-	if b.opts.Kind == SelfPlusCalls {
-		cols = make([]string, 0, 2*len(names))
-		cols = append(cols, names...)
-		for _, n := range names {
-			cols = append(cols, "#calls:"+n)
-		}
-	}
-	m := Matrix{FuncNames: append([]string(nil), cols...), Rows: make([][]float64, len(b.rows))}
-	for i, sparse := range b.rows {
-		row := make([]float64, len(cols))
-		for j, fn := range names {
-			row[j] = sparse[fn]
-		}
-		if b.opts.Kind == SelfPlusCalls {
-			for j, fn := range names {
-				row[len(names)+j] = float64(b.callRows[i][fn])
-			}
-		}
-		m.Rows[i] = row
-	}
-	return m
-}
-
-// CSRMatrix materializes the canonical matrix in flat CSR form — the
-// builder's native sparsity handed to clustering with no densification.
-// Scattering each packed row reproduces Matrix().Rows bit for bit (the cells
-// emitted are exactly the non-zero cells Matrix writes, in the same
-// name-sorted column order), so analysis over either form yields identical
-// output. Like Matrix, the result shares no storage with the builder.
+// CSRMatrix materializes the canonical clustering matrix over everything
+// added so far in flat CSR form — the builder's native sparsity handed to
+// clustering with no densification: columns name-sorted, each row's
+// non-zero cells in ascending column order, zero backfill for dimensions
+// that appeared after the row was added. The result shares no storage with
+// the builder, so callers may hold it across further Add calls.
 func (b *MatrixBuilder) CSRMatrix() Matrix {
 	names := b.names()
 	cols := names
@@ -176,68 +145,27 @@ func (b *MatrixBuilder) CSRMatrix() Matrix {
 	}
 	csr.Vals = make([]float64, 0, nnz)
 	csr.Cols = make([]int32, 0, nnz)
-	for i, sparse := range b.rows {
-		for j, fn := range names {
-			if v := sparse[fn]; v != 0 {
-				csr.Vals = append(csr.Vals, v)
-				csr.Cols = append(csr.Cols, int32(j))
-			}
-		}
-		if b.opts.Kind == SelfPlusCalls {
-			off := len(names)
-			for j, fn := range names {
-				if n := b.callRows[i][fn]; n != 0 {
-					csr.Vals = append(csr.Vals, float64(n))
-					csr.Cols = append(csr.Cols, int32(off+j))
-				}
-			}
-		}
+	for i := range b.rows {
+		csr.Cols, csr.Vals = b.appendRow(i, names, csr.Cols, csr.Vals)
 		csr.RowPtr[i+1] = len(csr.Vals)
 	}
 	return Matrix{FuncNames: append([]string(nil), cols...), Sparse: csr}
 }
 
-// Row materializes the i-th row alone in the current canonical space — the
-// cheap path for a live stage that only needs the newest interval's vector.
-func (b *MatrixBuilder) Row(i int) []float64 {
-	return b.RowInto(i, nil)
-}
-
-// RowInto is Row writing into buf (grown as needed) — the pooled variant for
-// per-interval live paths, which call it once per arriving interval and must
-// not churn the allocator. Steady state (feature space no longer growing) is
-// zero allocations; the returned slice aliases buf's storage when it fits.
-func (b *MatrixBuilder) RowInto(i int, buf []float64) []float64 {
-	names := b.names()
-	n := len(names)
-	if b.opts.Kind == SelfPlusCalls {
-		n *= 2
-	}
-	if cap(buf) < n {
-		buf = make([]float64, n)
-	}
-	row := buf[:n]
-	for j, fn := range names {
-		row[j] = b.rows[i][fn]
-	}
-	if b.opts.Kind == SelfPlusCalls {
-		for j, fn := range names {
-			row[len(names)+j] = float64(b.callRows[i][fn])
-		}
-	}
-	return row
-}
-
 // SparseRow returns the i-th row's non-zero cells as parallel (sorted column
 // index, value) slices in the current canonical space — the builder's native
 // sparse representation exposed without densifying. idx and vals are reused
-// when their capacity allows. Scattering the result into a zero vector of
-// Dims' length reproduces Row(i) exactly.
+// when their capacity allows. The cells are exactly row i of CSRMatrix.
 func (b *MatrixBuilder) SparseRow(i int, idx []int32, vals []float64) ([]int32, []float64) {
-	names := b.names()
-	idx, vals = idx[:0], vals[:0]
+	return b.appendRow(i, b.names(), idx[:0], vals[:0])
+}
+
+// appendRow appends row i's non-zero cells over the given name-sorted
+// dimensions to idx and vals in ascending column order: the time columns,
+// then (under SelfPlusCalls) the call-count columns.
+func (b *MatrixBuilder) appendRow(i int, names []string, idx []int32, vals []float64) ([]int32, []float64) {
 	for j, fn := range names {
-		if v, ok := b.rows[i][fn]; ok && v != 0 {
+		if v := b.rows[i][fn]; v != 0 {
 			idx = append(idx, int32(j))
 			vals = append(vals, v)
 		}
@@ -254,8 +182,8 @@ func (b *MatrixBuilder) SparseRow(i int, idx []int32, vals []float64) ([]int32, 
 	return idx, vals
 }
 
-// Dims returns the number of columns a materialized row currently has
-// (NumFuncs, doubled under SelfPlusCalls).
+// Dims returns the number of columns the matrix currently has (NumFuncs,
+// doubled under SelfPlusCalls).
 func (b *MatrixBuilder) Dims() int {
 	if b.opts.Kind == SelfPlusCalls {
 		return 2 * len(b.seen)

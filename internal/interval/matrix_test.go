@@ -3,6 +3,7 @@ package interval
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -44,11 +45,65 @@ func growthProfiles(n int) []Profile {
 
 func exclude(fn string) bool { return strings.HasPrefix(fn, "MPI_") }
 
-// The satellite contract: a builder fed one profile at a time produces a
-// Matrix identical to a batch Features call — zero backfill included — for
-// every feature kind. Subtests run in parallel so `go test -race` and
-// different -parallel values exercise concurrent builders over shared
-// profile data.
+// naiveFeatures is the reference the builder is checked against, computed
+// straight from the profiles in dense form: a function is a dimension when it
+// has a positive feature value (or, under SelfPlusCalls, a positive call
+// count) in some interval and is not excluded; columns are name-sorted, call
+// columns follow the time columns, and every cell holds the interval's raw
+// value for that function.
+func naiveFeatures(profiles []Profile, opts FeatureOptions) ([]string, [][]float64) {
+	pick := func(p *Profile) map[string]time.Duration {
+		if opts.Kind == ExactSelf {
+			return p.ExactSelf
+		}
+		return p.Self
+	}
+	keep := func(fn string) bool { return opts.Exclude == nil || !opts.Exclude(fn) }
+	seen := map[string]bool{}
+	for i := range profiles {
+		for fn, d := range pick(&profiles[i]) {
+			if d > 0 && keep(fn) {
+				seen[fn] = true
+			}
+		}
+		if opts.Kind == SelfPlusCalls {
+			for fn, n := range profiles[i].Calls {
+				if n > 0 && keep(fn) {
+					seen[fn] = true
+				}
+			}
+		}
+	}
+	names := make([]string, 0, len(seen))
+	for fn := range seen {
+		names = append(names, fn)
+	}
+	sort.Strings(names)
+	cols := append([]string(nil), names...)
+	if opts.Kind == SelfPlusCalls {
+		for _, fn := range names {
+			cols = append(cols, "#calls:"+fn)
+		}
+	}
+	rows := make([][]float64, len(profiles))
+	for i := range profiles {
+		row := make([]float64, len(cols))
+		for j, fn := range names {
+			row[j] = pick(&profiles[i])[fn].Seconds()
+			if opts.Kind == SelfPlusCalls {
+				row[len(names)+j] = float64(profiles[i].Calls[fn])
+			}
+		}
+		rows[i] = row
+	}
+	return cols, rows
+}
+
+// The satellite contract: a builder fed one profile at a time produces the
+// naive reference matrix — zero backfill included — and a Matrix identical
+// to a batch FeaturesCSR call, for every feature kind. Subtests run in
+// parallel so `go test -race` and different -parallel values exercise
+// concurrent builders over shared profile data.
 func TestBuilderMatchesBatchUnderDimensionGrowth(t *testing.T) {
 	profiles := growthProfiles(12)
 	for _, kind := range []FeatureKind{SampledSelf, ExactSelf, SelfPlusCalls} {
@@ -56,15 +111,18 @@ func TestBuilderMatchesBatchUnderDimensionGrowth(t *testing.T) {
 		t.Run(fmt.Sprintf("kind=%d", kind), func(t *testing.T) {
 			t.Parallel()
 			opts := FeatureOptions{Kind: kind, Exclude: exclude}
-			want := Features(profiles, opts)
-
 			b := NewMatrixBuilder(opts)
 			for i := range profiles {
 				b.Add(&profiles[i])
 			}
-			got := b.Matrix()
-			if !reflect.DeepEqual(got, want) {
+			got := b.CSRMatrix()
+			if want := FeaturesCSR(profiles, opts); !reflect.DeepEqual(got, want) {
 				t.Fatalf("incremental matrix diverges from batch\n got %+v\nwant %+v", got, want)
+			}
+			names, rows := naiveFeatures(profiles, opts)
+			dense := got.Sparse.Dense()
+			if !reflect.DeepEqual(got.FuncNames, names) || !reflect.DeepEqual(dense, rows) {
+				t.Fatalf("matrix diverges from the naive reference\n got %v %v\nwant %v %v", got.FuncNames, dense, names, rows)
 			}
 
 			// Early rows are zero-backfilled in late dimensions.
@@ -78,7 +136,7 @@ func TestBuilderMatchesBatchUnderDimensionGrowth(t *testing.T) {
 				t.Fatal("late dimension io missing")
 			}
 			for i := 0; i < 8; i++ {
-				if got.Rows[i][col] != 0 {
+				if dense[i][col] != 0 {
 					t.Fatalf("row %d not backfilled with zero in late dimension", i)
 				}
 			}
@@ -91,8 +149,8 @@ func TestBuilderMatchesBatchUnderDimensionGrowth(t *testing.T) {
 	}
 }
 
-// Row(i) equals the i-th row of the materialized Matrix at every point in
-// the stream — the live stage's cheap path agrees with the canonical form
+// SparseRow(i) equals the i-th row of the materialized matrix at every point
+// in the stream — the live stage's cheap path agrees with the canonical form
 // even while dimensions are still appearing.
 func TestBuilderRowMatchesMatrixMidGrowth(t *testing.T) {
 	profiles := growthProfiles(12)
@@ -101,12 +159,17 @@ func TestBuilderRowMatchesMatrixMidGrowth(t *testing.T) {
 		t.Run(fmt.Sprintf("kind=%d", kind), func(t *testing.T) {
 			t.Parallel()
 			b := NewMatrixBuilder(FeatureOptions{Kind: kind, Exclude: exclude})
+			var idx []int32
+			var vals []float64
 			for i := range profiles {
 				b.Add(&profiles[i])
-				m := b.Matrix()
+				m := b.CSRMatrix()
 				for r := 0; r <= i; r++ {
-					if !reflect.DeepEqual(b.Row(r), m.Rows[r]) {
-						t.Fatalf("after %d adds, Row(%d) != Matrix().Rows[%d]", i+1, r, r)
+					idx, vals = b.SparseRow(r, idx, vals)
+					wv, wc := m.Sparse.Row(r)
+					if !reflect.DeepEqual(append([]float64{}, vals...), append([]float64{}, wv...)) ||
+						!reflect.DeepEqual(append([]int32{}, idx...), append([]int32{}, wc...)) {
+						t.Fatalf("after %d adds, SparseRow(%d) != CSRMatrix row %d", i+1, r, r)
 					}
 				}
 			}
@@ -114,7 +177,7 @@ func TestBuilderRowMatchesMatrixMidGrowth(t *testing.T) {
 	}
 }
 
-// Counters: NumRows/NumFuncs track the stream; the builder's Matrix shares
+// Counters: NumRows/NumFuncs track the stream; the builder's matrix shares
 // no storage with it, so a snapshot taken mid-run is immutable under further
 // growth.
 func TestBuilderMatrixSnapshotImmutableUnderGrowth(t *testing.T) {
@@ -123,8 +186,8 @@ func TestBuilderMatrixSnapshotImmutableUnderGrowth(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		b.Add(&profiles[i])
 	}
-	early := b.Matrix()
-	earlyCopy := Features(profiles[:6], FeatureOptions{Exclude: exclude})
+	early := b.CSRMatrix()
+	earlyCopy := FeaturesCSR(profiles[:6], FeatureOptions{Exclude: exclude})
 	if b.NumRows() != 6 || b.NumFuncs() != 2 {
 		t.Fatalf("NumRows=%d NumFuncs=%d, want 6 and 2", b.NumRows(), b.NumFuncs())
 	}
@@ -135,52 +198,23 @@ func TestBuilderMatrixSnapshotImmutableUnderGrowth(t *testing.T) {
 		t.Fatalf("NumFuncs=%d after growth, want 3", b.NumFuncs())
 	}
 	if !reflect.DeepEqual(early, earlyCopy) {
-		t.Fatal("mid-run Matrix snapshot mutated by later growth")
+		t.Fatal("mid-run matrix snapshot mutated by later growth")
 	}
 }
 
-// RowInto must equal Row for every row and feature kind, reuse the caller's
-// buffer once it is large enough, and keep working across mid-stream feature
-// growth (where the required width changes between calls).
-func TestBuilderRowIntoMatchesRow(t *testing.T) {
-	profiles := growthProfiles(12)
-	for _, kind := range []FeatureKind{SampledSelf, ExactSelf, SelfPlusCalls} {
-		b := NewMatrixBuilder(FeatureOptions{Kind: kind, Exclude: exclude})
-		var buf []float64
-		for i := range profiles {
-			b.Add(&profiles[i])
-			for j := 0; j <= i; j++ {
-				buf = b.RowInto(j, buf)
-				want := b.Row(j)
-				if !reflect.DeepEqual(buf, want) {
-					t.Fatalf("kind=%d RowInto(%d) = %v, want %v", kind, j, buf, want)
-				}
-				if len(want) != b.Dims() {
-					t.Fatalf("kind=%d Dims() = %d, row width %d", kind, b.Dims(), len(want))
-				}
-			}
-		}
-		// Steady state: the feature space has stopped growing, so RowInto
-		// into the warmed buffer must not allocate.
-		if n := testing.AllocsPerRun(100, func() {
-			buf = b.RowInto(3, buf)
-		}); n != 0 {
-			t.Fatalf("kind=%d steady-state RowInto allocates %.1f per call, want 0", kind, n)
-		}
-	}
-}
-
-// SparseRow scattered into a zero vector must reproduce Row exactly, and the
-// index list must be sorted — the contract the clustering sparse kernels
-// assume.
+// SparseRow scattered into a zero vector must reproduce the naive reference
+// row exactly, and the index list must be sorted — the contract the
+// clustering packed kernels assume.
 func TestBuilderSparseRowScattersToRow(t *testing.T) {
 	profiles := growthProfiles(12)
 	for _, kind := range []FeatureKind{SampledSelf, ExactSelf, SelfPlusCalls} {
-		b := NewMatrixBuilder(FeatureOptions{Kind: kind, Exclude: exclude})
+		opts := FeatureOptions{Kind: kind, Exclude: exclude}
+		b := NewMatrixBuilder(opts)
 		var idx []int32
 		var vals []float64
 		for i := range profiles {
 			b.Add(&profiles[i])
+			_, want := naiveFeatures(profiles[:i+1], opts)
 			for j := 0; j <= i; j++ {
 				idx, vals = b.SparseRow(j, idx, vals)
 				dense := make([]float64, b.Dims())
@@ -193,8 +227,8 @@ func TestBuilderSparseRowScattersToRow(t *testing.T) {
 					}
 					dense[c] = vals[m]
 				}
-				if want := b.Row(j); !reflect.DeepEqual(dense, want) {
-					t.Fatalf("kind=%d SparseRow(%d) scatter = %v, want %v", kind, j, dense, want)
+				if !reflect.DeepEqual(dense, want[j]) {
+					t.Fatalf("kind=%d SparseRow(%d) scatter = %v, want %v", kind, j, dense, want[j])
 				}
 			}
 		}

@@ -145,14 +145,6 @@ func (t *Tracker) vector(p *interval.Profile) []float64 {
 	return v
 }
 
-// distance computes Euclidean distance, treating missing trailing
-// dimensions of the centroid as zero (centroids are padded lazily, so they
-// are never longer than the observation vector). It delegates to the shared
-// xmath kernel rather than keeping a private loop.
-func distance(centroid, v []float64) float64 {
-	return xmath.EuclideanPadded(centroid, v)
-}
-
 // Observe ingests the next interval and returns its assignment event.
 //
 // Intervals marked Repaired (synthesized by gap repair rather than
@@ -195,7 +187,9 @@ func (t *Tracker) observe(p interval.Profile) Event {
 
 	best, bestDist := -1, math.Inf(1)
 	for c := range t.centroids {
-		if d := distance(t.centroids[c], v); d < bestDist {
+		// Centroids are padded lazily, so missing trailing dimensions
+		// read as zero.
+		if d := xmath.EuclideanPadded(t.centroids[c], v); d < bestDist {
 			best, bestDist = c, d
 		}
 	}

@@ -229,7 +229,7 @@ func Detect(profiles []interval.Profile, opts Options) (*Detection, error) {
 // selection, phase assembly, and Algorithm 1 run exactly as in Detect, but
 // the caller supplies the matrix. The streaming engine uses it so that its
 // incrementally-built matrix flows through the one detection code path —
-// fed the matrix Features would have built, DetectMatrix's output is
+// fed the matrix FeaturesCSR would have built, DetectMatrix's output is
 // byte-identical to Detect's.
 func DetectMatrix(profiles []interval.Profile, m interval.Matrix, opts Options) (*Detection, error) {
 	opts = opts.withDefaults()
@@ -263,13 +263,7 @@ func detectMatrix(profiles []interval.Profile, m interval.Matrix, opts Options, 
 		if copts.Span == nil {
 			copts.Span = sp
 		}
-		var results []*cluster.Result
-		var err error
-		if m.Sparse != nil {
-			results, err = cluster.SweepCSR(m.Sparse, opts.KMax, copts)
-		} else {
-			results, err = cluster.Sweep(m.Rows, opts.KMax, copts)
-		}
+		results, err := cluster.SweepCSR(m.Sparse, opts.KMax, copts)
 		if err != nil {
 			return nil, err
 		}
@@ -279,12 +273,9 @@ func detectMatrix(profiles []interval.Profile, m interval.Matrix, opts Options, 
 		}
 		sel := sp.Child("phase.select")
 		var best *cluster.Result
-		switch {
-		case opts.Selection == Silhouette && m.Sparse != nil:
+		if opts.Selection == Silhouette {
 			best = cluster.SelectSilhouetteCSR(m.Sparse, results, opts.Cluster.Parallelism)
-		case opts.Selection == Silhouette:
-			best = cluster.SelectSilhouetteP(m.Rows, results, opts.Cluster.Parallelism)
-		default:
+		} else {
 			best = cluster.SelectElbow(results)
 		}
 		sel.SetStr("method", opts.Selection.String()).SetInt("k", int64(best.K)).End()
@@ -292,17 +283,8 @@ func detectMatrix(profiles []interval.Profile, m interval.Matrix, opts Options, 
 		assign = best.Assign
 		centroids = best.Centroids
 	case DBSCANAlg:
-		var eps float64
-		var labels []int
-		var k int
-		var err error
-		if m.Sparse != nil {
-			eps = cluster.EstimateEpsCSR(m.Sparse, opts.DBSCANMinPts, 0.9)
-			labels, k, err = cluster.DBSCANCSR(m.Sparse, eps, opts.DBSCANMinPts)
-		} else {
-			eps = cluster.EstimateEps(m.Rows, opts.DBSCANMinPts, 0.9)
-			labels, k, err = cluster.DBSCAN(m.Rows, eps, opts.DBSCANMinPts)
-		}
+		eps := cluster.EstimateEpsCSR(m.Sparse, opts.DBSCANMinPts, 0.9)
+		labels, k, err := cluster.DBSCANCSR(m.Sparse, eps, opts.DBSCANMinPts)
 		if err != nil {
 			return nil, err
 		}
@@ -331,11 +313,11 @@ func detectMatrix(profiles []interval.Profile, m interval.Matrix, opts Options, 
 	return det, nil
 }
 
-// dbscanCentroidsMatrix computes cluster means for DBSCAN labels on either
-// matrix backing so that Algorithm 1's centroid-distance ordering applies
-// unchanged. The CSR accumulation skips only exact-zero cells; a skipped
-// x += 0 cannot change x (accumulators never hold -0: sums starting at +0
-// stay +0 under zero addends), so both backings produce identical bits.
+// dbscanCentroidsMatrix computes cluster means for DBSCAN labels so that
+// Algorithm 1's centroid-distance ordering applies unchanged. The CSR
+// accumulation skips only exact-zero cells; a skipped x += 0 cannot change x
+// (accumulators never hold -0: sums starting at +0 stay +0 under zero
+// addends), so the means are bit-identical to a dense accumulation.
 func dbscanCentroidsMatrix(m interval.Matrix, labels []int, k int) [][]float64 {
 	if k == 0 {
 		return nil
@@ -351,15 +333,9 @@ func dbscanCentroidsMatrix(m interval.Matrix, labels []int, k int) [][]float64 {
 			continue
 		}
 		counts[l]++
-		if m.Sparse != nil {
-			vals, cols := m.Sparse.Row(i)
-			for t, d := range cols {
-				cents[l][d] += vals[t]
-			}
-		} else {
-			for d, v := range m.Rows[i] {
-				cents[l][d] += v
-			}
+		vals, cols := m.Sparse.Row(i)
+		for t, d := range cols {
+			cents[l][d] += vals[t]
 		}
 	}
 	for c := range cents {

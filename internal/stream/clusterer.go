@@ -1,6 +1,6 @@
 // clusterer.go holds the incremental clustering state of the engine: a
 // mini-batch k-means model nudged by every arriving interval, which in turn
-// warm-starts the periodic full cluster.Sweep refreshes.
+// warm-starts the periodic full cluster.SweepCSR refreshes.
 package stream
 
 import (
@@ -35,36 +35,14 @@ func newMiniBatch(centroids [][]float64, sizes []int) *miniBatch {
 	return m
 }
 
-// update assigns v to its nearest centroid, drifts that centroid toward v,
-// and returns the assignment. The feature space may have grown since the
-// centroids were computed; missing trailing dimensions read as zero and the
-// centroid is padded on first touch.
-func (m *miniBatch) update(v []float64) int {
-	best, bestD := 0, xmath.SquaredEuclideanPadded(v, m.centroids[0])
-	for c := 1; c < len(m.centroids); c++ {
-		if d := xmath.SquaredEuclideanPadded(v, m.centroids[c]); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	m.counts[best]++
-	eta := 1 / float64(m.counts[best])
-	c := m.centroids[best]
-	for len(c) < len(v) {
-		c = append(c, 0)
-	}
-	for i := range v {
-		c[i] += eta * (v[i] - c[i])
-	}
-	m.centroids[best] = c
-	return best
-}
-
-// updatePacked is update on a packed sparse row (vals at sorted column
-// indices cols, logical length dim) — the engine's zero-densify per-interval
-// path. The nearest-centroid scan runs on the packed padded kernel and the
-// drift walks every logical dimension (a zero cell still pulls the centroid
-// coordinate toward zero, exactly as the dense loop does), so the model
-// state after each call is bit-identical to update on the scattered row.
+// updatePacked assigns a packed row (vals at sorted column indices cols,
+// logical length dim) to its nearest centroid, drifts that centroid toward
+// it, and returns the assignment — the engine's zero-densify per-interval
+// path. The feature space may have grown since the centroids were computed:
+// missing trailing centroid dimensions read as zero in the packed padded
+// kernel and the centroid is padded on first touch. The drift walks every
+// logical dimension, since a zero cell still pulls the centroid coordinate
+// toward zero.
 func (m *miniBatch) updatePacked(vals []float64, cols []int32, dim int) int {
 	best, bestD := 0, xmath.SquaredEuclideanPackedPadded(vals, cols, dim, m.centroids[0])
 	for c := 1; c < len(m.centroids); c++ {

@@ -10,7 +10,7 @@
 //	                                              ├─ interval.MatrixBuilder (append-only rows, growing dims)
 //	                                              ├─ online.Tracker         (live labels, reseeded per refresh)
 //	                                              ├─ mini-batch k-means     (warm-start seed for refreshes)
-//	                                              └─ every R intervals: warm-started cluster.Sweep refresh
+//	                                              └─ every R intervals: warm-started cluster.SweepCSR refresh
 //	                                                 + incremental Algorithm 1 (per-phase site cache)
 //
 // The batch path is the same graph driven from a slice: pipeline.Analyze

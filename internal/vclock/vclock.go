@@ -205,9 +205,8 @@ func (c *Clock) StepFunc(d time.Duration, before func(step time.Duration, now Ti
 		panic("vclock: Step with negative duration")
 	}
 	target := c.now.Add(d)
-	c.dropStopped()
-	if len(c.timers) > 0 && c.timers[0].when > c.now && c.timers[0].when < target {
-		target = c.timers[0].when
+	if next, ok := c.nextDeadlineAfter(c.now); ok && next < target {
+		target = next
 	}
 	step := target.Sub(c.now)
 	c.now = target
@@ -216,6 +215,26 @@ func (c *Clock) StepFunc(d time.Duration, before func(step time.Duration, now Ti
 	}
 	c.Fire()
 	return step
+}
+
+// nextDeadlineAfter returns the earliest live deadline strictly after t. The
+// heap root is not enough on its own: a timer due at t may still be queued
+// (scheduled for the current instant, or Step running inside a callback
+// while Fire is guarded), and the next future deadline then sits deeper in
+// the heap.
+func (c *Clock) nextDeadlineAfter(t Time) (Time, bool) {
+	c.dropStopped()
+	if len(c.timers) > 0 && c.timers[0].when > t {
+		return c.timers[0].when, true
+	}
+	var next Time
+	found := false
+	for _, tm := range c.timers {
+		if !tm.stopped && tm.when > t && (!found || tm.when < next) {
+			next, found = tm.when, true
+		}
+	}
+	return next, found
 }
 
 // PendingTimers reports the number of live (unstopped, unfired) timers.

@@ -293,35 +293,65 @@ func TestPropertySplitAdvanceEquivalence(t *testing.T) {
 
 // Property: Step never overshoots its budget and never skips a deadline.
 func TestPropertyStepRespectsDeadlines(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := New()
-		deadlines := make(map[Time]bool)
-		for i := 0; i < 20; i++ {
-			d := time.Duration(rng.Intn(5000)) * time.Millisecond
-			when := c.Now().Add(d)
-			deadlines[when] = true
-			c.AtFunc(when, func(Time) {})
-		}
-		for i := 0; i < 200; i++ {
-			before := c.Now()
-			budget := time.Duration(rng.Intn(700)) * time.Millisecond
-			got := c.Step(budget)
-			if got > budget || got < 0 {
-				return false
-			}
-			// No pending deadline may lie strictly inside the step.
-			for when := range deadlines {
-				if when > before && when < before.Add(got) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(stepRespectsDeadlines, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestStepRespectsDeadlinesRegressionSeed pins a seed that schedules a timer
+// at t=0: with it still queued at the heap root, Step(257ms) used to run
+// past the deadline at 94ms.
+func TestStepRespectsDeadlinesRegressionSeed(t *testing.T) {
+	if !stepRespectsDeadlines(-555191803277121380) {
+		t.Fatal("Step skipped a pending deadline")
+	}
+}
+
+// TestStepInsideCallbackStopsAtNextDeadline covers Step called from a timer
+// callback: the firing timer's instant is the current time and Fire is
+// guarded, so the clamp must look past it to the next future deadline.
+func TestStepInsideCallbackStopsAtNextDeadline(t *testing.T) {
+	c := New()
+	c.AtFunc(10*Time(time.Millisecond), func(Time) {})
+	var got time.Duration
+	c.AtFunc(0, func(Time) { got = c.Step(50 * time.Millisecond) })
+	// Due at the same instant but queued behind the callback, so it is
+	// still the heap root while the callback steps.
+	c.AtFunc(0, func(Time) {})
+	c.Fire()
+	if got != 10*time.Millisecond {
+		t.Fatalf("Step inside callback advanced %v, want 10ms", got)
+	}
+}
+
+// stepRespectsDeadlines schedules random timers and takes random Steps,
+// reporting whether every step stayed within its budget and stopped at or
+// before every pending deadline.
+func stepRespectsDeadlines(seed int64) bool {
+	rng := rand.New(rand.NewSource(seed))
+	c := New()
+	deadlines := make(map[Time]bool)
+	for i := 0; i < 20; i++ {
+		d := time.Duration(rng.Intn(5000)) * time.Millisecond
+		when := c.Now().Add(d)
+		deadlines[when] = true
+		c.AtFunc(when, func(Time) {})
+	}
+	for i := 0; i < 200; i++ {
+		before := c.Now()
+		budget := time.Duration(rng.Intn(700)) * time.Millisecond
+		got := c.Step(budget)
+		if got > budget || got < 0 {
+			return false
+		}
+		// No pending deadline may lie strictly inside the step.
+		for when := range deadlines {
+			if when > before && when < before.Add(got) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func BenchmarkAdvanceWithTicker(b *testing.B) {

@@ -5,14 +5,16 @@
 // feature matrix costs O(nnz) memory with zero per-row slice headers, instead
 // of the n dense rows (plus n slice headers) the [][]float64 form needs.
 //
-// The kernels obey the same bit-identity contract sparse.go documents: every
-// packed kernel returns the EXACT float64 the corresponding dense kernel
-// returns on the scattered (densified) operands. Skipped zero-zero terms add
-// exactly +0 to the partial sum, surviving terms accumulate in ascending
-// column order — the dense loop's order — and a value paired with a zero
-// contributes fl((±v)²), which is bit-equal whichever side the zero is on.
-// That contract is what lets clustering consume CSR directly while its
-// determinism goldens stay byte-identical to the dense path.
+// Bit-identity contract: every packed kernel returns the EXACT float64 the
+// corresponding dense kernel returns on the scattered (densified) operands,
+// not an approximation. Skipped zero-zero terms add exactly +0 to the partial
+// sum (fl(s + 0) == s, and s is never -0 because squared terms are
+// non-negative and the accumulator starts at +0), surviving terms accumulate
+// in ascending column order — the dense loop's order — and a value paired
+// with a zero contributes fl((±v)²), which is bit-equal whichever side the
+// zero is on. That contract is what lets clustering pick the packed or the
+// dense kernel purely on cost while its determinism goldens stay
+// byte-identical.
 package xmath
 
 import "math"

@@ -129,6 +129,39 @@ func SquaredEuclidean(a, b []float64) float64 {
 	return s
 }
 
+// SquaredEuclideanBounded accumulates SquaredEuclidean(a, b) but abandons the
+// scan once the partial sum reaches limit, returning (partial, false). A
+// complete scan returns (exact distance, true).
+//
+// Abandoning is exact, not heuristic: squared terms are non-negative, and
+// adding a non-negative float to a partial sum can never decrease it (the
+// nearest float to s+t with t >= 0 is >= s), so partial >= limit proves the
+// full distance is >= limit. Callers comparing distances against a current
+// best with a strict < therefore make exactly the decisions the full
+// computation would. The limit check runs once per 8-dimension block to keep
+// the inner loop tight; any checkpoint spacing preserves exactness.
+func SquaredEuclideanBounded(a, b []float64, limit float64) (float64, bool) {
+	if len(a) != len(b) {
+		panic("xmath: dimension mismatch")
+	}
+	var s float64
+	i := 0
+	for ; i+8 <= len(a); i += 8 {
+		for j := i; j < i+8; j++ {
+			d := a[j] - b[j]
+			s += d * d
+		}
+		if s >= limit {
+			return s, false
+		}
+	}
+	for ; i < len(a); i++ {
+		d := a[i] - b[i]
+		s += d * d
+	}
+	return s, true
+}
+
 // EuclideanPadded returns the L2 distance between vectors that may differ in
 // length, treating the missing trailing dimensions of the shorter vector as
 // zero. Growing feature spaces (the online tracker, the streaming engine's
