@@ -64,7 +64,7 @@ func main() {
 	selection := flag.String("selection", "elbow", "k selection: elbow or silhouette")
 	algorithm := flag.String("algorithm", "kmeans", "clustering: kmeans or dbscan")
 	seed := flag.Uint64("seed", 1, "clustering seed")
-	parallel := flag.Int("parallel", 0, "worker-pool bound for differencing and the k-means sweep; 0 means GOMAXPROCS, 1 forces serial (results are identical either way)")
+	parallel := flag.Int("parallel", 0, "worker-pool bound for dump load, differencing and the k-means sweep; 0 means GOMAXPROCS, 1 forces serial (results are identical either way)")
 	includeMPI := flag.Bool("include-mpi", false, "keep MPI pseudo-functions in the feature space")
 	fast := flag.Bool("fast", false, "also run fast-phase analysis (call-count loop grouping + periodicity)")
 	onlineFlag := flag.Bool("online", false, "also replay the intervals through the streaming phase tracker")
@@ -338,12 +338,12 @@ func batchDir(dir string, f *profile.Format, opts phase.Options, policy interval
 		st, err = incprof.NewFormatDirStore(dir, f)
 		if err == nil && salvage {
 			var rep incprof.LoadReport
-			snaps, rep, err = st.SnapshotsSalvage()
+			snaps, rep, err = st.SnapshotsSalvageP(parallel)
 			for _, sk := range rep.Skipped {
 				fmt.Printf("salvage: skipped %s (seq %d): %v\n", sk.Name, sk.Seq, sk.Err)
 			}
 		} else if err == nil {
-			snaps, err = st.Snapshots()
+			snaps, err = st.SnapshotsP(parallel)
 		}
 	}
 	fail(err)

@@ -6,10 +6,10 @@ import (
 	"testing"
 	"time"
 
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/incprof"
 	"github.com/incprof/incprof/internal/interval"
 	"github.com/incprof/incprof/internal/ldms"
+	"github.com/incprof/incprof/internal/profile"
 )
 
 // fsnap builds a minimal cumulative snapshot for injector tests.
@@ -189,7 +189,7 @@ func TestStoreTruncateCorruptsDirStoreFiles(t *testing.T) {
 	if _, err := inner.Snapshots(); err == nil {
 		t.Fatal("strict load accepted truncated dumps")
 	}
-	snaps, report, err := inner.SnapshotsSalvage()
+	snaps, report, err := inner.SnapshotsSalvageP(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/interval"
+	"github.com/incprof/incprof/internal/profile"
 )
 
 // fuzzSnapshot builds a small valid snapshot for seeding the corpus.
@@ -54,7 +54,7 @@ func FuzzSnapshotsSalvage(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, "gmon.out.1"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		snaps, rep, err := st.SnapshotsSalvage()
+		snaps, rep, err := st.SnapshotsSalvageP(0)
 		if err != nil {
 			t.Fatalf("salvage must absorb corrupt dumps, got %v", err)
 		}

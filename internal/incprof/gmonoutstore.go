@@ -80,15 +80,9 @@ func (g *GmonOutStore) Snapshots() ([]*profile.Sample, error) {
 	}
 	var seqs []int
 	for _, e := range entries {
-		rest, ok := strings.CutPrefix(e.Name(), "gmon.out.")
-		if !ok {
-			continue
+		if seq, ok := seqOf(e.Name(), "gmon.out."); ok {
+			seqs = append(seqs, seq)
 		}
-		seq, err := strconv.Atoi(rest)
-		if err != nil {
-			continue
-		}
-		seqs = append(seqs, seq)
 	}
 	sort.Ints(seqs)
 	out := make([]*profile.Sample, 0, len(seqs))

@@ -19,15 +19,15 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/incprof/incprof/internal/exec"
 	"github.com/incprof/incprof/internal/gmon"
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/obs"
+	"github.com/incprof/incprof/internal/par"
+	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/profiler"
 	"github.com/incprof/incprof/internal/vclock"
 )
@@ -317,9 +317,19 @@ func (d *DirStore) Put(s *profile.Sample) error {
 
 // Snapshots implements Store, reading back the binary dumps in Seq order.
 // The load is strict: one unreadable or corrupt file fails it. Use
-// SnapshotsSalvage when degraded data should degrade, not abort, the run.
+// SnapshotsSalvageP when degraded data should degrade, not abort, the run.
+// Snapshots decodes on the full GOMAXPROCS worker budget; SnapshotsP takes
+// an explicit one.
 func (d *DirStore) Snapshots() ([]*profile.Sample, error) {
-	snaps, report, err := d.load(false)
+	return d.SnapshotsP(0)
+}
+
+// SnapshotsP is Snapshots with the dumps decoded on a worker pool bounded
+// by parallelism (0 means GOMAXPROCS, 1 decodes serially). The result, and
+// the error naming the lowest-Seq bad file, are the same at any
+// parallelism.
+func (d *DirStore) SnapshotsP(parallelism int) ([]*profile.Sample, error) {
+	snaps, report, err := d.load(false, parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -348,39 +358,80 @@ type LoadReport struct {
 	Skipped []SkippedFile
 }
 
-// SnapshotsSalvage reads back every decodable dump, skipping corrupt or
+// SnapshotsSalvageP reads back every decodable dump, skipping corrupt or
 // truncated files instead of failing the load. The report names each
 // skipped file; the missing Seq numbers surface downstream as
-// interval.Gap records via DifferenceRobust.
-func (d *DirStore) SnapshotsSalvage() ([]*profile.Sample, LoadReport, error) {
-	return d.load(true)
+// interval.Gap records via DifferenceRobust. Parallelism bounds the decode
+// pool as in SnapshotsP; the snapshots, the report and the
+// incprof.salvage.* counters do not depend on it.
+func (d *DirStore) SnapshotsSalvageP(parallelism int) ([]*profile.Sample, LoadReport, error) {
+	return d.load(true, parallelism)
 }
 
-func (d *DirStore) load(salvage bool) ([]*profile.Sample, LoadReport, error) {
+// load decodes every dump on the pool, each into its own slot, then settles
+// the outcomes in Seq order, as a serial loop would: the strict load stops
+// at the lowest-Seq failure, the salvage load skips and counts each one.
+func (d *DirStore) load(salvage bool, parallelism int) ([]*profile.Sample, LoadReport, error) {
 	var report LoadReport
 	dec := formatDecoder(d.format)
 	files, err := listDumps(d.dir, dec.prefix)
 	if err != nil {
 		return nil, report, err
 	}
-	out := make([]*profile.Sample, 0, len(files))
-	for _, f := range files {
-		s, err := dec.decodeDump(filepath.Join(d.dir, f.name), f.seq)
-		if err != nil {
-			report.Skipped = append(report.Skipped, SkippedFile{Name: f.name, Seq: f.seq, Err: err})
+	snaps := make([]*profile.Sample, len(files))
+	errs := make([]error, len(files))
+	syms := symbols{names: map[string]string{}}
+	par.For(len(files), parallelism, func(i int) {
+		snaps[i], errs[i] = dec.decodeDump(filepath.Join(d.dir, files[i].name), files[i].seq)
+		if errs[i] == nil {
+			syms.intern(snaps[i])
+		}
+	})
+	out := snaps[:0]
+	for i, f := range files {
+		if errs[i] != nil {
+			report.Skipped = append(report.Skipped, SkippedFile{Name: f.name, Seq: f.seq, Err: errs[i]})
 			if salvage {
 				obs.C("incprof.salvage.skipped").Inc()
 				continue
 			}
 			return nil, report, nil // strict caller reports Skipped[0]
 		}
-		out = append(out, s)
+		out = append(out, snaps[i])
 	}
 	report.Loaded = len(out)
 	if salvage {
 		obs.C("incprof.salvage.loaded").Add(int64(report.Loaded))
 	}
 	return out, report, nil
+}
+
+// symbols is the one symbol table of a load. Each dump decodes its own copy
+// of every name; interning them as each decode finishes leaves one string
+// per symbol across the load, and the copies garbage right away.
+type symbols struct {
+	mu    sync.Mutex
+	names map[string]string
+}
+
+func (t *symbols) intern(s *profile.Sample) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range s.Funcs {
+		s.Funcs[i].Name = t.canonical(s.Funcs[i].Name)
+	}
+	for i := range s.Arcs {
+		a := &s.Arcs[i]
+		a.Caller, a.Callee = t.canonical(a.Caller), t.canonical(a.Callee)
+	}
+}
+
+func (t *symbols) canonical(name string) string {
+	if c, ok := t.names[name]; ok {
+		return c
+	}
+	t.names[name] = name
+	return name
 }
 
 // decoder binds one frontend's file naming and codec for the dump readers.
@@ -451,15 +502,9 @@ func LoadTextReports(dir string) ([]*profile.Sample, error) {
 	}
 	var files []numbered
 	for _, e := range entries {
-		rest, ok := strings.CutPrefix(e.Name(), "gprof.txt.")
-		if !ok {
-			continue
+		if seq, ok := seqOf(e.Name(), "gprof.txt."); ok {
+			files = append(files, numbered{seq, e.Name()})
 		}
-		seq, err := strconv.Atoi(rest)
-		if err != nil {
-			continue
-		}
-		files = append(files, numbered{seq, e.Name()})
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i].seq < files[j].seq })
 	out := make([]*profile.Sample, 0, len(files))

@@ -9,9 +9,9 @@ import (
 
 	"github.com/incprof/incprof/internal/cluster"
 	"github.com/incprof/incprof/internal/exec"
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/interval"
 	"github.com/incprof/incprof/internal/phase"
+	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/profiler"
 )
 
@@ -384,6 +384,17 @@ func TestDirStoreIgnoresForeignFiles(t *testing.T) {
 	c.Close()
 	for _, junk := range []string{"README", "gmon.out.notanumber", "gmon.out"} {
 		if err := os.WriteFile(filepath.Join(dir, junk), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Stray copies whose names only parse to a dump's number must not alias
+	// that dump.
+	dump, err := os.ReadFile(st.PathFor(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alias := range []string{"gmon.out.01", "gmon.out.+1"} {
+		if err := os.WriteFile(filepath.Join(dir, alias), dump, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

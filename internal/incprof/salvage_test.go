@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"github.com/incprof/incprof/internal/exec"
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/interval"
+	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/profiler"
 	"github.com/incprof/incprof/internal/vclock"
 )
@@ -51,7 +51,7 @@ func TestSalvageSkipsCorruptAndTruncatedDumps(t *testing.T) {
 		t.Fatal("strict load accepted a corrupt dump")
 	}
 
-	snaps, report, err := st.SnapshotsSalvage()
+	snaps, report, err := st.SnapshotsSalvageP(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSalvageSkipsCorruptAndTruncatedDumps(t *testing.T) {
 
 func TestSalvageCleanDirectoryReportsNothing(t *testing.T) {
 	st := fillDirStore(t, 3)
-	snaps, report, err := st.SnapshotsSalvage()
+	snaps, report, err := st.SnapshotsSalvageP(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@ import (
 	"strings"
 	"time"
 
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/obs"
+	"github.com/incprof/incprof/internal/profile"
 )
 
 // TailOptions configures TailDir.
@@ -29,7 +29,7 @@ type TailOptions struct {
 	// long, the run is assumed finished. Default 2s.
 	Idle time.Duration
 	// Salvage skips permanently-undecodable dumps (reported via OnSkip)
-	// instead of failing the tail, mirroring SnapshotsSalvage.
+	// instead of failing the tail, mirroring SnapshotsSalvageP.
 	Salvage bool
 	// OnSkip, if set, is called for each dump skipped in salvage mode.
 	OnSkip func(SkippedFile)
@@ -74,18 +74,27 @@ func listDumps(dir, prefix string) ([]dumpFile, error) {
 		if e.IsDir() {
 			continue
 		}
-		rest, ok := strings.CutPrefix(e.Name(), prefix)
-		if !ok {
-			continue
+		if seq, ok := seqOf(e.Name(), prefix); ok {
+			files = append(files, dumpFile{seq, e.Name()})
 		}
-		seq, err := strconv.Atoi(rest)
-		if err != nil || seq < 0 {
-			continue
-		}
-		files = append(files, dumpFile{seq, e.Name()})
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i].seq < files[j].seq })
 	return files, nil
+}
+
+// seqOf parses the N of a <prefix>N file name. Only the spelling the writers
+// produce counts: gmon.out.07 or gmon.out.+7 would alias dump 7, so such a
+// name is foreign, like any other file.
+func seqOf(name, prefix string) (int, bool) {
+	rest, ok := strings.CutPrefix(name, prefix)
+	if !ok {
+		return 0, false
+	}
+	seq, err := strconv.Atoi(rest)
+	if err != nil || seq < 0 || rest != strconv.Itoa(seq) {
+		return 0, false
+	}
+	return seq, true
 }
 
 // TailDir polls dir for dumps of the configured format (gmon.out.N by

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/incprof"
+	"github.com/incprof/incprof/internal/profile"
 )
 
 func tailSnap(seq int, samples int64) *profile.Sample {
@@ -96,7 +96,7 @@ func TestTailDirStrictFailsOnCorruptDump(t *testing.T) {
 }
 
 // Salvage mode skips the corrupt dump, reports it, and keeps the rest in
-// order — the tail-side twin of SnapshotsSalvage.
+// order — the tail-side twin of SnapshotsSalvageP.
 func TestTailDirSalvageSkipsCorruptDump(t *testing.T) {
 	dir := t.TempDir()
 	st, err := incprof.NewDirStore(dir, false)

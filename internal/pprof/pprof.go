@@ -31,9 +31,10 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
+	"sync"
 	"time"
 
 	"github.com/incprof/incprof/internal/profile"
@@ -100,44 +101,94 @@ func init() {
 
 type valueType struct{ typ, unit uint64 }
 
-type rawSample struct {
-	locs   []uint64
-	values []int64
+// sampleRef is one Sample message in the flat form Decode keeps: its leaf
+// location, if it has any, and the span of its values in decodeState.values.
+type sampleRef struct {
+	loc    uint64
+	hasLoc bool
+	v0, v1 int
 }
+
+// funcAcc sums the leaf samples of one function name, keyed by the name's
+// string-table index.
+type funcAcc struct {
+	name                uint64
+	samples, cpu, calls int64
+}
+
+// decodeState is the scratch one Decode call works in. It is pooled, so a
+// steady stream of dumps reuses its buffers, gzip reader, maps and flat
+// arrays; what a call returns never points into it.
+type decodeState struct {
+	lim      io.LimitedReader
+	src      bytes.Reader
+	gz       gzip.Reader
+	in, raw  bytes.Buffer // payload as read, and decompressed
+	strtab   [][]byte     // sub-slices of the proto payload
+	types    []valueType
+	samples  []sampleRef
+	values   []uint64 // every sample's values, back to back
+	locs     []uint64 // the sample being parsed's location ids
+	comments []uint64
+	slot     []int32 // string index -> 1 + index in accs, 0 if none
+	accs     []funcAcc
+	locFunc  map[uint64]uint64 // location id -> leaf function id
+	funcName map[uint64]uint64 // function id -> name index
+}
+
+var statePool = sync.Pool{New: func() any {
+	return &decodeState{locFunc: map[uint64]uint64{}, funcName: map[uint64]uint64{}}
+}}
+
+// maxPooledBuffer bounds the buffers a decodeState may carry back into the
+// pool, so one huge profile does not pin its memory after the call.
+const maxPooledBuffer = 16 << 20
 
 // Decode reads one pprof profile (gzip-compressed or raw proto) into a
 // cumulative Sample.
 func Decode(r io.Reader) (*profile.Sample, error) {
-	data, err := io.ReadAll(io.LimitReader(r, 1<<28))
-	if err != nil {
+	st := statePool.Get().(*decodeState)
+	s, err := st.decode(r)
+	st.lim = io.LimitedReader{} // let go of the caller's reader
+	if st.in.Cap() <= maxPooledBuffer && st.raw.Cap() <= maxPooledBuffer {
+		statePool.Put(st)
+	}
+	return s, err
+}
+
+func (st *decodeState) decode(r io.Reader) (*profile.Sample, error) {
+	st.in.Reset()
+	st.lim = io.LimitedReader{R: r, N: 1 << 28}
+	if _, err := st.in.ReadFrom(&st.lim); err != nil {
 		return nil, fmt.Errorf("pprof: reading payload: %w", err)
 	}
+	data := st.in.Bytes()
 	if bytes.HasPrefix(data, gzipMagic) {
-		gz, err := gzip.NewReader(bytes.NewReader(data))
-		if err != nil {
+		st.src.Reset(data)
+		if err := st.gz.Reset(&st.src); err != nil {
 			return nil, fmt.Errorf("pprof: opening gzip stream: %w", err)
 		}
-		data, err = io.ReadAll(io.LimitReader(gz, 1<<28))
-		if cerr := gz.Close(); err == nil && cerr != nil {
+		st.raw.Reset()
+		st.lim = io.LimitedReader{R: &st.gz, N: 1 << 28}
+		_, err := st.raw.ReadFrom(&st.lim)
+		if cerr := st.gz.Close(); err == nil && cerr != nil {
 			err = cerr
 		}
 		if err != nil {
 			return nil, fmt.Errorf("pprof: decompressing: %w", err)
 		}
+		data = st.raw.Bytes()
 	}
 
+	st.strtab, st.types, st.samples, st.values, st.comments = st.strtab[:0], st.types[:0], st.samples[:0], st.values[:0], st.comments[:0]
+	clear(st.locFunc)
+	clear(st.funcName)
 	var (
-		strtab      []string
-		sampleTypes []valueType
-		samples     []rawSample
-		locFunc     = map[uint64]uint64{} // location id -> leaf function id
-		funcName    = map[uint64]uint64{} // function id -> name index
-		timeNanos   int64
-		period      int64
-		periodType  valueType
-		comments    []uint64
+		timeNanos  int64
+		period     int64
+		periodType valueType
+		err        error
 	)
-
 	r0 := &wireReader{data: data}
 	for !r0.done() {
 		num, wt, err := r0.tag()
@@ -153,7 +204,7 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 			if err != nil {
 				return nil, err
 			}
-			strtab = append(strtab, string(b))
+			st.strtab = append(st.strtab, b)
 		case fSampleType, fPeriodType:
 			b, err := r0.bytes()
 			if err != nil {
@@ -164,7 +215,7 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 				return nil, err
 			}
 			if num == fSampleType {
-				sampleTypes = append(sampleTypes, vt)
+				st.types = append(st.types, vt)
 			} else {
 				periodType = vt
 			}
@@ -173,11 +224,9 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 			if err != nil {
 				return nil, err
 			}
-			s, err := parseSample(b)
-			if err != nil {
+			if err := st.parseSample(b); err != nil {
 				return nil, err
 			}
-			samples = append(samples, s)
 		case fLocation:
 			b, err := r0.bytes()
 			if err != nil {
@@ -187,7 +236,7 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 			if err != nil {
 				return nil, err
 			}
-			locFunc[id] = fn
+			st.locFunc[id] = fn
 		case fFunction:
 			b, err := r0.bytes()
 			if err != nil {
@@ -197,7 +246,7 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 			if err != nil {
 				return nil, err
 			}
-			funcName[id] = name
+			st.funcName[id] = name
 		case fTimeNanos:
 			v, err := r0.varint()
 			if err != nil {
@@ -211,7 +260,7 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 			}
 			period = int64(v)
 		case fComment:
-			if comments, err = r0.uints(wt, comments); err != nil {
+			if st.comments, err = r0.uints(wt, st.comments); err != nil {
 				return nil, err
 			}
 		default:
@@ -221,21 +270,14 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 		}
 	}
 
-	str := func(idx uint64) (string, error) {
-		if idx >= uint64(len(strtab)) {
-			return "", fmt.Errorf("pprof: string index %d out of table (len %d)", idx, len(strtab))
-		}
-		return strtab[idx], nil
-	}
-
 	// Resolve the value columns by sample_type name.
 	colSamples, colCPU, colCalls := -1, -1, -1
-	for i, vt := range sampleTypes {
-		name, err := str(vt.typ)
+	for i, vt := range st.types {
+		name, err := st.str(vt.typ)
 		if err != nil {
 			return nil, err
 		}
-		switch name {
+		switch string(name) {
 		case "samples":
 			colSamples = i
 		case "cpu":
@@ -244,8 +286,8 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 			colCalls = i
 		}
 	}
-	if colSamples < 0 && colCPU < 0 && len(samples) > 0 {
-		return nil, fmt.Errorf("pprof: no samples/count or cpu/nanoseconds sample type (have %d types)", len(sampleTypes))
+	if colSamples < 0 && colCPU < 0 && len(st.samples) > 0 {
+		return nil, fmt.Errorf("pprof: no samples/count or cpu/nanoseconds sample type (have %d types)", len(st.types))
 	}
 
 	out := &profile.Sample{Seq: profile.SeqUnassigned}
@@ -255,13 +297,13 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 	out.Timestamp = time.Duration(timeNanos)
 	switch {
 	case period > 0:
-		unit := ""
+		var unit []byte
 		if periodType != (valueType{}) {
-			if unit, err = str(periodType.unit); err != nil {
+			if unit, err = st.str(periodType.unit); err != nil {
 				return nil, err
 			}
 		}
-		switch unit {
+		switch string(unit) {
 		case "", "nanoseconds":
 			out.SamplePeriod = time.Duration(period)
 		case "microseconds":
@@ -279,57 +321,15 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 		out.SamplePeriod = DefaultSamplePeriod
 	}
 
-	// Fold stacks to leaf functions, pprof's flat view.
-	type acc struct{ samples, cpu, calls int64 }
-	byName := map[string]*acc{}
-	for _, s := range samples {
-		if len(s.locs) == 0 {
-			continue
-		}
-		fnID, ok := locFunc[s.locs[0]]
-		if !ok {
-			return nil, fmt.Errorf("pprof: sample references unknown location %d", s.locs[0])
-		}
-		nameIdx, ok := funcName[fnID]
-		if !ok {
-			return nil, fmt.Errorf("pprof: location %d references unknown function %d", s.locs[0], fnID)
-		}
-		name, err := str(nameIdx)
-		if err != nil {
-			return nil, err
-		}
-		if name == "" {
-			return nil, fmt.Errorf("pprof: function %d has an empty name", fnID)
-		}
-		a := byName[name]
-		if a == nil {
-			a = &acc{}
-			byName[name] = a
-		}
-		take := func(col int) (int64, error) {
-			if col < 0 || col >= len(s.values) {
-				return 0, nil
-			}
-			if s.values[col] < 0 {
-				return 0, fmt.Errorf("pprof: negative sample value %d for %q", s.values[col], name)
-			}
-			return s.values[col], nil
-		}
-		var v int64
-		if v, err = take(colSamples); err != nil {
-			return nil, err
-		}
-		a.samples += v
-		if v, err = take(colCPU); err != nil {
-			return nil, err
-		}
-		a.cpu += v
-		if v, err = take(colCalls); err != nil {
-			return nil, err
-		}
-		a.calls += v
+	if err := st.fold(colSamples, colCPU, colCalls); err != nil {
+		return nil, err
 	}
-	for name, a := range byName {
+	st.merge()
+	if len(st.accs) > 0 {
+		out.Funcs = make([]profile.FuncRecord, 0, len(st.accs))
+	}
+	for i := range st.accs {
+		a := &st.accs[i]
 		if colSamples < 0 && a.cpu > 0 && out.SamplePeriod > 0 {
 			// Profiles lacking a samples/count column carry only cpu time;
 			// recover the histogram count from the period. Never applied
@@ -340,31 +340,155 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 			continue
 		}
 		out.Funcs = append(out.Funcs, profile.FuncRecord{
-			Name:     name,
+			Name:     string(st.strtab[a.name]),
 			Samples:  a.samples,
 			SelfTime: time.Duration(a.cpu),
 			Calls:    a.calls,
 		})
 	}
+	if len(out.Funcs) == 0 {
+		out.Funcs = nil
+	}
 
 	// The sequence number, if the producer recorded one, rides the comment
 	// table as "seq=N".
-	for _, idx := range comments {
-		c, err := str(idx)
+	for _, idx := range st.comments {
+		c, err := st.str(idx)
 		if err != nil {
 			return nil, err
 		}
-		if v, ok := strings.CutPrefix(c, "seq="); ok {
-			n, err := strconv.Atoi(v)
+		if v, ok := bytes.CutPrefix(c, []byte("seq=")); ok {
+			n, err := strconv.Atoi(string(v))
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("pprof: bad seq comment %q", c)
 			}
 			out.Seq = n
 		}
 	}
-
-	out.Normalize()
 	return out, nil
+}
+
+// str returns string-table entry idx.
+func (st *decodeState) str(idx uint64) ([]byte, error) {
+	if idx >= uint64(len(st.strtab)) {
+		return nil, fmt.Errorf("pprof: string index %d out of table (len %d)", idx, len(st.strtab))
+	}
+	return st.strtab[idx], nil
+}
+
+// parseSample appends one Sample message to the flat sample arrays: only
+// its first location id is kept, as the flat view needs no more.
+func (st *decodeState) parseSample(b []byte) error {
+	r := &wireReader{data: b}
+	st.locs = st.locs[:0]
+	s := sampleRef{v0: len(st.values)}
+	for !r.done() {
+		num, wt, err := r.tag()
+		if err != nil {
+			return err
+		}
+		switch num {
+		case sLocationID:
+			if st.locs, err = r.uints(wt, st.locs); err != nil {
+				return err
+			}
+		case sValue:
+			if st.values, err = r.uints(wt, st.values); err != nil {
+				return err
+			}
+		default:
+			if err := r.skip(wt); err != nil {
+				return err
+			}
+		}
+	}
+	if len(st.locs) > 0 {
+		s.loc, s.hasLoc = st.locs[0], true
+	}
+	s.v1 = len(st.values)
+	st.samples = append(st.samples, s)
+	return nil
+}
+
+// fold sums every sample into its leaf function's accumulator, keyed by
+// the function's name index — pprof's flat view.
+func (st *decodeState) fold(colSamples, colCPU, colCalls int) error {
+	st.slot = slices.Grow(st.slot[:0], len(st.strtab))[:len(st.strtab)]
+	clear(st.slot)
+	st.accs = st.accs[:0]
+	for _, s := range st.samples {
+		if !s.hasLoc {
+			continue
+		}
+		fnID, ok := st.locFunc[s.loc]
+		if !ok {
+			return fmt.Errorf("pprof: sample references unknown location %d", s.loc)
+		}
+		nameIdx, ok := st.funcName[fnID]
+		if !ok {
+			return fmt.Errorf("pprof: location %d references unknown function %d", s.loc, fnID)
+		}
+		name, err := st.str(nameIdx)
+		if err != nil {
+			return err
+		}
+		if len(name) == 0 {
+			return fmt.Errorf("pprof: function %d has an empty name", fnID)
+		}
+		if st.slot[nameIdx] == 0 {
+			st.accs = append(st.accs, funcAcc{name: nameIdx})
+			st.slot[nameIdx] = int32(len(st.accs))
+		}
+		a := &st.accs[st.slot[nameIdx]-1]
+		values := st.values[s.v0:s.v1]
+		var v int64
+		if v, err = take(values, colSamples, name); err != nil {
+			return err
+		}
+		a.samples += v
+		if v, err = take(values, colCPU, name); err != nil {
+			return err
+		}
+		a.cpu += v
+		if v, err = take(values, colCalls, name); err != nil {
+			return err
+		}
+		a.calls += v
+	}
+	return nil
+}
+
+// take returns a sample's value in column col, zero if the column is absent
+// or beyond the values the sample carries.
+func take(values []uint64, col int, name []byte) (int64, error) {
+	if col < 0 || col >= len(values) {
+		return 0, nil
+	}
+	v := int64(values[col])
+	if v < 0 {
+		return 0, fmt.Errorf("pprof: negative sample value %d for %q", v, name)
+	}
+	return v, nil
+}
+
+// merge sorts the accumulators by name and folds together those whose
+// distinct string-table entries spell the same name, leaving one
+// accumulator per name in the order Normalize would give the records.
+func (st *decodeState) merge() {
+	slices.SortFunc(st.accs, func(a, b funcAcc) int { return bytes.Compare(st.strtab[a.name], st.strtab[b.name]) })
+	n := 0
+	for i, a := range st.accs {
+		if i > 0 && bytes.Equal(st.strtab[a.name], st.strtab[st.accs[n-1].name]) {
+			m := &st.accs[n-1]
+			m.samples += a.samples
+			m.cpu += a.cpu
+			m.calls += a.calls
+			continue
+		}
+		st.accs[n] = a
+		n++
+	}
+	st.accs = st.accs[:n]
 }
 
 func parseValueType(b []byte) (valueType, error) {
@@ -391,36 +515,6 @@ func parseValueType(b []byte) (valueType, error) {
 		}
 	}
 	return vt, nil
-}
-
-func parseSample(b []byte) (rawSample, error) {
-	var s rawSample
-	r := &wireReader{data: b}
-	var vals []uint64
-	for !r.done() {
-		num, wt, err := r.tag()
-		if err != nil {
-			return s, err
-		}
-		switch num {
-		case sLocationID:
-			if s.locs, err = r.uints(wt, s.locs); err != nil {
-				return s, err
-			}
-		case sValue:
-			if vals, err = r.uints(wt, vals[:0]); err != nil {
-				return s, err
-			}
-			for _, v := range vals {
-				s.values = append(s.values, int64(v))
-			}
-		default:
-			if err := r.skip(wt); err != nil {
-				return s, err
-			}
-		}
-	}
-	return s, nil
 }
 
 func parseLocation(b []byte) (id, fn uint64, err error) {

@@ -111,14 +111,15 @@ func Sniff(data []byte) *Format {
 
 // SeqFromName parses the sequence number out of a dump file name under the
 // format's naming scheme, reporting whether the name belongs to the format
-// at all.
+// at all. Only the canonical spelling FileName writes belongs: alpha.out.07
+// does not.
 func (f *Format) SeqFromName(name string) (int, bool) {
 	rest, ok := strings.CutPrefix(name, f.FilePrefix)
 	if !ok {
 		return 0, false
 	}
 	seq, err := strconv.Atoi(rest)
-	if err != nil || seq < 0 {
+	if err != nil || seq < 0 || rest != strconv.Itoa(seq) {
 		return 0, false
 	}
 	return seq, true

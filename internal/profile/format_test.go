@@ -81,6 +81,8 @@ func TestSeqFromName(t *testing.T) {
 		{"alpha.out.", 0, false},
 		{"alpha.out.x", 0, false},
 		{"alpha.out.-1", 0, false},
+		{"alpha.out.07", 0, false},
+		{"alpha.out.+7", 0, false},
 		{"beta.out.3", 0, false},
 		{"README", 0, false},
 	}
