@@ -125,3 +125,28 @@ func BenchmarkSelectSilhouetteP(b *testing.B) {
 		_ = SelectSilhouetteCSR(m, results, 1)
 	}
 }
+
+// BenchmarkSweepSelectSilhouette measures the sweep and the silhouette
+// selection as phase detection runs them: one point set whose pairwise
+// matrix seeds every run and then scores every k. It is not in the gated
+// trajectory set.
+func BenchmarkSweepSelectSilhouette(b *testing.B) {
+	m := benchSweepMatrix()
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("parallelism=%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pts, err := NewPoints(m, true)
+				if err != nil {
+					b.Fatal(err)
+				}
+				results, err := pts.Sweep(8, Options{Seed: 1, Parallelism: p})
+				if err != nil {
+					b.Fatal(err)
+				}
+				_ = pts.SelectSilhouette(results, p)
+				pts.Release()
+			}
+		})
+	}
+}

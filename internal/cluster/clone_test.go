@@ -5,43 +5,14 @@ import (
 	"testing"
 )
 
-// Mutation safety for the streaming engine's warm-start path: a Result
-// handed to Clone or CloneCentroids must be fully decoupled from the copy.
+// Mutation safety for the streaming engine's warm-start path: centroids
+// handed to CloneCentroids or WarmStartCSR must be fully decoupled from the
+// copy.
 
 func clusteredPoints() [][]float64 {
 	return [][]float64{
 		{0, 0}, {0.1, 0}, {0, 0.1},
 		{5, 5}, {5.1, 5}, {5, 5.1},
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	r, err := kmeansCSR(csr(clusteredPoints()), 2, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := r.Clone()
-	if !reflect.DeepEqual(r, c) {
-		t.Fatal("clone differs from original")
-	}
-	// Drift the clone the way the mini-batch stage does.
-	c.Centroids[0][0] += 100
-	c.Assign[0] = 99
-	c.Sizes[0] = -1
-	c.WCSS = -1
-	orig, err := kmeansCSR(csr(clusteredPoints()), 2, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r, orig) {
-		t.Fatal("mutating the clone corrupted the original Result")
-	}
-}
-
-func TestCloneNil(t *testing.T) {
-	var r *Result
-	if r.Clone() != nil {
-		t.Fatal("nil Clone should be nil")
 	}
 }
 

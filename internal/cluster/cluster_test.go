@@ -142,16 +142,14 @@ func TestKMeansErrors(t *testing.T) {
 	}
 }
 
-func TestMembersAndDistance(t *testing.T) {
+func TestSingletonCentroidIsItsPoint(t *testing.T) {
 	pts := [][]float64{{0}, {0.1}, {10}}
 	res, err := kmeansCSR(csr(pts), 2, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c0 := res.Assign[0]
-	mem := res.Members(c0)
-	if len(mem) != 2 {
-		t.Fatalf("Members = %v", mem)
+	if res.Assign[0] != res.Assign[1] || res.Assign[0] == res.Assign[2] {
+		t.Fatalf("Assign = %v, want {0, 0.1} together and 10 alone", res.Assign)
 	}
 	d := xmath.Euclidean(pts[2], res.Centroids[res.Assign[2]])
 	if d > 1e-9 {

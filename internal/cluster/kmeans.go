@@ -169,12 +169,13 @@ func kmeansCSR(m *xmath.CSR, k int, opts Options) (*Result, error) {
 	if k < 1 || k > m.NumRows() {
 		return nil, fmt.Errorf("cluster: k=%d out of range [1, %d]", k, m.NumRows())
 	}
-	return kmeansValidated(newPointSet(m), k, opts), nil
+	return kmeansValidated(newPointSet(m), nil, k, opts), nil
 }
 
 // kmeansValidated is kmeansCSR after validation: the restart fan-out over an
-// already-checked, already-packed point set.
-func kmeansValidated(ps *pointSet, k int, opts Options) *Result {
+// already-checked, already-packed point set. pm, when non-nil, is the
+// sweep's squared pairwise matrix, which seeding reads instead of measuring.
+func kmeansValidated(ps *pointSet, pm *pairMatrix, k int, opts Options) *Result {
 	opts = opts.withDefaults()
 	// Derive one seed per restart from the master stream up front, so each
 	// restart owns an independent RNG and the fan-out below is free to run
@@ -186,7 +187,7 @@ func kmeansValidated(ps *pointSet, k int, opts Options) *Result {
 	}
 	results := make([]*Result, opts.Restarts)
 	par.For(opts.Restarts, opts.Parallelism, func(r int) {
-		results[r] = kmeansOnce(ps, k, opts.MaxIterations, xmath.NewRNG(seeds[r]))
+		results[r] = kmeansOnce(ps, pm, k, opts.MaxIterations, xmath.NewRNG(seeds[r]))
 	})
 	// Reduce in restart order; strict < makes the lowest-index restart win
 	// ties, matching what a serial loop over the same seeds would keep.
@@ -199,16 +200,16 @@ func kmeansValidated(ps *pointSet, k int, opts Options) *Result {
 	return best
 }
 
-func kmeansOnce(ps *pointSet, k, maxIter int, rng *xmath.RNG) *Result {
+func kmeansOnce(ps *pointSet, pm *pairMatrix, k, maxIter int, rng *xmath.RNG) *Result {
 	sc := scratchPool.Get().(*lloydScratch)
 	defer scratchPool.Put(sc)
-	centroids := seedPlusPlus(ps, k, rng, sc)
-	return lloydScratched(ps, centroids, maxIter, sc)
+	centroids := seedPlusPlus(ps, pm, k, rng, sc)
+	return lloydScratched(ps, centroids, maxIter, sc, true)
 }
 
 // lloydScratch pools the per-run transient state — Hamerly bounds, previous
-// centroids, drifts, the seeding distance cache, the packed-centroid cache,
-// and the reseat claim bitmap — so a sweep's restarts × k fan-out does not
+// centroids, drifts, the seeding state, the packed-centroid cache, and the
+// reseat claim bitmap — so a sweep's restarts × k fan-out does not
 // churn the allocator, and no Lloyd iteration allocates at all (the batch
 // alloc test in alloc_test.go enforces iteration-independence). Every field
 // is fully overwritten before it is read, so reuse cannot leak state between
@@ -217,9 +218,16 @@ type lloydScratch struct {
 	u, l  []float64 // Hamerly upper/lower bounds per point
 	drift []float64 // per-centroid movement this iteration
 	half  []float64 // half the distance to each centroid's nearest peer
-	dist  []float64 // k-means++ running min-distance cache
 	prev  []float64 // previous centroids, k×dim flat
 	taken []bool    // reseat claim bitmap, one per point
+
+	// Seeding state, one entry per point: the nearest seed and the exact
+	// smallest and second-smallest squared distances over the seeds so
+	// far. dist doubles as the k-means++ weights; once all k seeds are in,
+	// the three are what a first assignScan pass would return.
+	near   []int
+	dist   []float64
+	second []float64
 
 	// Packed form of the current centroids, rebuilt at the top of every
 	// assignment pass on the sparse path: centroid c's non-zeros are
@@ -310,7 +318,7 @@ func (sc *lloydScratch) centSqFull(av []float64, ac []int32, centroids [][]float
 func lloyd(ps *pointSet, centroids [][]float64, maxIter int) *Result {
 	sc := scratchPool.Get().(*lloydScratch)
 	defer scratchPool.Put(sc)
-	return lloydScratched(ps, centroids, maxIter, sc)
+	return lloydScratched(ps, centroids, maxIter, sc, false)
 }
 
 // pruneEps returns the safety margin the Hamerly comparisons keep between a
@@ -325,7 +333,10 @@ func lloyd(ps *pointSet, centroids [][]float64, maxIter int) *Result {
 // bit-identical to the naive one.
 func pruneEps(scale float64) float64 { return 1e-9 * scale }
 
-func lloydScratched(ps *pointSet, centroids [][]float64, maxIter int, sc *lloydScratch) *Result {
+// lloydScratched runs Lloyd from centroids. seeded says they come from
+// seedPlusPlus on this scratch, whose carried state is then the first
+// assignment pass.
+func lloydScratched(ps *pointSet, centroids [][]float64, maxIter int, sc *lloydScratch, seeded bool) *Result {
 	n := ps.n
 	dim := ps.dim
 	k := len(centroids)
@@ -352,10 +363,12 @@ func lloydScratched(ps *pointSet, centroids [][]float64, maxIter int, sc *lloydS
 	var scale float64
 	initialized := false
 
-	// assignPass reassigns every point. The first pass scans fully and
-	// initializes the bounds; later passes skip points whose bounds prove
-	// the assignment cannot change, tighten the upper bound for the rest,
-	// and only fall back to the exact full scan when both tests fail.
+	// assignPass reassigns every point. The first pass scans fully — or,
+	// after seeding, reads the nearest seed and both distances seeding
+	// already measured — and initializes the bounds; later passes skip
+	// points whose bounds prove the assignment cannot change, tighten the
+	// upper bound for the rest, and only fall back to the exact full scan
+	// when both tests fail.
 	assignPass := func() bool {
 		changed := false
 		if ps.sparse {
@@ -364,7 +377,13 @@ func lloydScratched(ps *pointSet, centroids [][]float64, maxIter int, sc *lloydS
 		if !initialized {
 			initialized = true
 			for i := 0; i < n; i++ {
-				best, bd, sd := assignScan(ps, i, centroids, sc)
+				var best int
+				var bd, sd float64
+				if seeded {
+					best, bd, sd = sc.near[i], sc.dist[i], sc.second[i]
+				} else {
+					best, bd, sd = assignScan(ps, i, centroids, sc)
+				}
 				assign[i] = best
 				u[i] = math.Sqrt(bd)
 				l[i] = math.Sqrt(sd)
@@ -618,87 +637,72 @@ func halfDistances(centroids [][]float64, half []float64) {
 	}
 }
 
-// seedPlusPlus picks k initial centroids with k-means++ weighting. Every
-// centroid it returns is a copy of some point, so the min-distance weights
-// are point-to-point distances and run on the packed kernel; the running
-// minimum is folded incrementally (only the newest centroid is measured per
-// round), which is bit-identical to the naive full re-scan because min over
-// the same computed values is order-insensitive with first-index ties.
-func seedPlusPlus(ps *pointSet, k int, rng *xmath.RNG, sc *lloydScratch) [][]float64 {
+// seedPlusPlus picks k initial centroids with k-means++ weighting and leaves
+// each point's nearest seed and its exact best and second-best squared
+// distances over all k seeds in sc.near, sc.dist and sc.second: the state the
+// first Lloyd assignment pass needs, so that pass scans nothing.
+//
+// Every seed is a copy of a point, so these are point-to-point distances:
+// read from pm when the sweep shares silhouette's squared pairwise matrix,
+// measured on the packed kernel otherwise. Seeds are visited in ascending
+// order with assignScan's strict-< updates, and a scan abandoned at the
+// current second-best proves the distance changes neither value, so the
+// carried state is bit-identical to a full first assignScan (for finite
+// features). The running best is the k-means++ weight; folding it per seed
+// equals the naive re-scan because min over the same computed values is
+// order-insensitive with first-index ties.
+func seedPlusPlus(ps *pointSet, pm *pairMatrix, k int, rng *xmath.RNG, sc *lloydScratch) [][]float64 {
 	n := ps.n
-	centroids := make([][]float64, 0, k)
-	src := make([]int, 0, k) // which point each centroid copies
-	first := rng.Intn(n)
-	centroids = append(centroids, ps.copyRow(first))
-	src = append(src, first)
+	sc.near = growInt(sc.near, n)
 	sc.dist = grow(sc.dist, n)
-	dist := sc.dist
-	for len(centroids) < k {
-		newest := len(centroids) - 1
-		s := src[newest]
+	sc.second = grow(sc.second, n)
+	near, best, second := sc.near, sc.dist, sc.second
+	centroids := make([][]float64, 0, k)
+	s := rng.Intn(n)
+	for {
+		c := len(centroids)
+		centroids = append(centroids, ps.copyRow(s))
 		var total float64
-		if newest == 0 {
-			for i := 0; i < n; i++ {
-				dist[i] = ps.sq(i, s)
-				total += dist[i]
+		for i := 0; i < n; i++ {
+			d, full := 0.0, true
+			switch {
+			case pm != nil:
+				d = pm.at(i, s)
+			case c == 0:
+				d = ps.sq(i, s)
+			default:
+				d, full = ps.sqBounded(i, s, second[i])
 			}
-		} else {
-			// Bounded fold: a scan abandoned at dist[i] proves the new
-			// distance cannot lower the running minimum, so the kept
-			// weight — and every output bit downstream — is unchanged.
-			for i := 0; i < n; i++ {
-				if d, full := ps.sqBounded(i, s, dist[i]); full && d < dist[i] {
-					dist[i] = d
-				}
-				total += dist[i]
+			switch {
+			case c == 0:
+				near[i], best[i], second[i] = 0, d, math.Inf(1)
+			case !full:
+			case d < best[i]:
+				near[i], best[i], second[i] = c, d, best[i]
+			case d < second[i]:
+				second[i] = d
 			}
+			total += best[i]
 		}
-		var idx int
+		if len(centroids) == k {
+			return centroids
+		}
 		if total == 0 {
 			// All points coincide with centroids; any choice works.
-			idx = rng.Intn(n)
-		} else {
-			target := rng.Float64() * total
-			var acc float64
-			idx = n - 1
-			for i, d := range dist[:n] {
-				acc += d
-				if acc >= target {
-					idx = i
-					break
-				}
+			s = rng.Intn(n)
+			continue
+		}
+		target := rng.Float64() * total
+		var acc float64
+		s = n - 1
+		for i, d := range best[:n] {
+			acc += d
+			if acc >= target {
+				s = i
+				break
 			}
 		}
-		centroids = append(centroids, ps.copyRow(idx))
-		src = append(src, idx)
 	}
-	return centroids
-}
-
-// Members returns the point indices assigned to cluster c.
-func (r *Result) Members(c int) []int {
-	var out []int
-	for i, a := range r.Assign {
-		if a == c {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Clone returns a deep copy of the result. Callers that refine or drift a
-// clustering (the streaming engine's warm-start path) must work on a clone:
-// the slices inside a Result are the clusterer's own, and mutating them
-// corrupts every other holder of the same Result.
-func (r *Result) Clone() *Result {
-	if r == nil {
-		return nil
-	}
-	c := *r
-	c.Assign = append([]int(nil), r.Assign...)
-	c.Sizes = append([]int(nil), r.Sizes...)
-	c.Centroids = CloneCentroids(r.Centroids)
-	return &c
 }
 
 // CloneCentroids deep-copies a centroid set — the safe way to seed a
@@ -743,6 +747,67 @@ func WarmStartCSR(m *xmath.CSR, centroids [][]float64, opts Options) (*Result, e
 }
 
 // SweepCSR runs k-means for every k in [1, kmax] (clamped to the number of
+// rows) and returns the results indexed by k-1. It is Points.Sweep on a point
+// set prepared for elbow selection.
+func SweepCSR(m *xmath.CSR, kmax int, opts Options) ([]*Result, error) {
+	if kmax < 1 {
+		return nil, fmt.Errorf("cluster: kmax=%d", kmax)
+	}
+	p, err := NewPoints(m, false)
+	if err != nil {
+		return nil, err
+	}
+	return p.Sweep(kmax, opts)
+}
+
+// Points is a feature matrix prepared once for a k sweep and the selection
+// that follows it, so the two share their point-to-point distances. With
+// silhouette selection the sweep fills the triangular pairwise matrix of
+// squared distances before it starts; k-means++ seeding, and through it the
+// first Lloyd pass of every run, reads from it, and SelectSilhouette then
+// roots each cell once to score every k. Neither reuse changes an output
+// bit: SweepCSR followed by SelectSilhouetteCSR returns the same results and
+// the same choice.
+type Points struct {
+	ps         *pointSet
+	silhouette bool        // the pairwise matrix is worth filling
+	pm         *pairMatrix // squared distances until rooted; nil until filled
+	rooted     bool        // pm holds distances, no longer their squares
+}
+
+// NewPoints validates m and prepares it for Sweep; silhouette says the
+// caller will select k with SelectSilhouette. Release returns the pairwise
+// matrix to its pool once the caller is done.
+func NewPoints(m *xmath.CSR, silhouette bool) (*Points, error) {
+	if err := validateCSR(m); err != nil {
+		return nil, err
+	}
+	return &Points{ps: newPointSet(m), silhouette: silhouette}, nil
+}
+
+// Release returns the pairwise matrix, if any, to the shared pool. It may be
+// called more than once; a later Sweep or SelectSilhouette fills the matrix
+// again.
+func (p *Points) Release() {
+	if p.pm != nil {
+		putPairMatrix(p.pm)
+		p.pm, p.rooted = nil, false
+	}
+}
+
+// fill computes the squared pairwise matrix if it is not there yet, under a
+// cluster.pairwise span when parent is set.
+func (p *Points) fill(parallelism int, parent *obs.Span) {
+	if p.pm != nil {
+		return
+	}
+	sp := parent.Child("cluster.pairwise")
+	sp.SetInt("points", int64(p.ps.n))
+	p.pm = pairwiseSquared(p.ps, parallelism)
+	sp.End()
+}
+
+// Sweep runs k-means for every k in [1, kmax] (clamped to the number of
 // rows) and returns the results indexed by k-1. Each k gets a distinct
 // derived seed so restarts do not correlate across k.
 //
@@ -751,19 +816,21 @@ func WarmStartCSR(m *xmath.CSR, centroids [][]float64, opts Options) (*Result, e
 // a seed-derived RNG and writes only its own slot, the output is identical
 // to the serial sweep for any Parallelism value.
 //
-// Validation and the point set happen once here, at the sweep boundary —
-// not once per k times once per restart.
-func SweepCSR(m *xmath.CSR, kmax int, opts Options) ([]*Result, error) {
+// A silhouette point set fills its pairwise matrix first, when some k >= 2
+// will be scored, so seeding measures nothing.
+func (p *Points) Sweep(kmax int, opts Options) ([]*Result, error) {
 	if kmax < 1 {
 		return nil, fmt.Errorf("cluster: kmax=%d", kmax)
 	}
-	if err := validateCSR(m); err != nil {
-		return nil, err
+	ps := p.ps
+	if kmax > ps.n {
+		kmax = ps.n
 	}
-	if kmax > m.NumRows() {
-		kmax = m.NumRows()
+	var pm *pairMatrix
+	if p.silhouette && kmax >= 2 && !p.rooted {
+		p.fill(opts.Parallelism, opts.Span)
+		pm = p.pm
 	}
-	ps := newPointSet(m)
 	sweep := obs.Under(opts.Span, "cluster.sweep", 0)
 	sweep.SetInt("kmax", int64(kmax)).SetInt("points", int64(ps.n))
 	defer sweep.End()
@@ -780,7 +847,7 @@ func SweepCSR(m *xmath.CSR, kmax int, opts Options) ([]*Result, error) {
 		if hist != nil {
 			start = time.Now()
 		}
-		res := kmeansValidated(ps, k, o)
+		res := kmeansValidated(ps, pm, k, o)
 		if hist != nil {
 			hist.Observe(time.Since(start))
 		}

@@ -184,23 +184,49 @@ func naiveKMeans(points [][]float64, k int, opts Options) *Result {
 // pruneFixtures is the shared fixture matrix: phase-structured sparse (the
 // real workload shape, where pruning and sparse kernels actually fire), dense
 // uniform (no structure — the bounds' worst case), tight blobs (bounds prune
-// almost everything), and a tiny high-k case (empty clusters, reseating).
+// almost everything), a tiny high-k case (empty clusters, reseating), and
+// the edges of the first Lloyd pass seeding carries: duplicate rows (tied
+// distances, repeated seeds) and all-identical rows (every k-means++ weight
+// zero, the total == 0 branch).
 func pruneFixtures() map[string][][]float64 {
 	blobPts, _ := blobs([][]float64{{0, 0, 0}, {8, 0, 4}, {0, 9, 1}}, 25, 0.4, 5)
+	distinct := phaseMatrix(6, 12, 2, 3, 13)
+	var dups [][]float64
+	for r := 0; r < 3; r++ {
+		dups = append(dups, distinct...)
+	}
+	same := make([][]float64, 10)
+	for i := range same {
+		same[i] = []float64{0.5, 0, 2, 1}
+	}
 	return map[string][][]float64{
 		"sparse-phased": phaseMatrix(120, 60, 4, 9, 7),
 		"dense-uniform": randomMatrix(80, 24, 3),
 		"blobs":         blobPts,
 		"tiny":          randomMatrix(9, 4, 11),
+		"duplicates":    dups,
+		"identical":     same,
 	}
+}
+
+// fixtureKs is the k set the single-k oracle test runs on pts: a spread of
+// small k plus k = n on the fixtures small enough for the naive oracle.
+func fixtureKs(pts [][]float64) []int {
+	var ks []int
+	for _, k := range []int{1, 2, 4, 8} {
+		if k <= len(pts) {
+			ks = append(ks, k)
+		}
+	}
+	if n := len(pts); n > 8 && n <= 20 {
+		ks = append(ks, n)
+	}
+	return ks
 }
 
 func TestPrunedKMeansMatchesNaiveBitForBit(t *testing.T) {
 	for name, pts := range pruneFixtures() {
-		for _, k := range []int{1, 2, 4, 8} {
-			if k > len(pts) {
-				continue
-			}
+		for _, k := range fixtureKs(pts) {
 			for _, parallelism := range []int{1, 8} {
 				opts := Options{Seed: 42, Parallelism: parallelism}
 				want := naiveKMeans(pts, k, opts)
@@ -214,18 +240,30 @@ func TestPrunedKMeansMatchesNaiveBitForBit(t *testing.T) {
 	}
 }
 
+// The sweep is held to the oracle on both seeding sources: measured on the
+// kernels (elbow) and read from the shared pairwise matrix (silhouette).
 func TestPrunedSweepMatchesNaiveBitForBit(t *testing.T) {
 	for name, pts := range pruneFixtures() {
-		for _, parallelism := range []int{1, 8} {
-			results, err := SweepCSR(csr(pts), 8, Options{Seed: 1, Parallelism: parallelism})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, r := range results {
-				k := i + 1
-				opts := Options{Seed: 1 + uint64(k)*0x9e3779b97f4a7c15, Parallelism: parallelism}
-				sameResult(t, fmt.Sprintf("%s sweep k=%d p=%d", name, k, parallelism),
-					naiveKMeans(pts, k, opts), r)
+		for _, shared := range []bool{false, true} {
+			for _, parallelism := range []int{1, 8} {
+				p, err := NewPoints(csr(pts), shared)
+				if err != nil {
+					t.Fatal(err)
+				}
+				results, err := p.Sweep(8, Options{Seed: 1, Parallelism: parallelism})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if shared != (p.pm != nil) {
+					t.Fatalf("%s shared=%v: pairwise matrix filled = %v", name, shared, p.pm != nil)
+				}
+				p.Release()
+				for i, r := range results {
+					k := i + 1
+					opts := Options{Seed: 1 + uint64(k)*0x9e3779b97f4a7c15, Parallelism: parallelism}
+					sameResult(t, fmt.Sprintf("%s sweep k=%d p=%d shared=%v", name, k, parallelism, shared),
+						naiveKMeans(pts, k, opts), r)
+				}
 			}
 		}
 	}

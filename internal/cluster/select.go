@@ -122,8 +122,9 @@ func SilhouetteCSR(m *xmath.CSR, assign []int, k, parallelism int) float64 {
 	if k <= 1 || m.NumRows() < 2 {
 		return 0
 	}
-	pm := pairwiseDistances(newPointSet(m), parallelism)
+	pm := pairwiseSquared(newPointSet(m), parallelism)
 	defer putPairMatrix(pm)
+	pm.root(parallelism)
 	return silhouetteFromPairs(pm, assign, k, parallelism)
 }
 
@@ -131,18 +132,22 @@ func SilhouetteCSR(m *xmath.CSR, assign []int, k, parallelism int) float64 {
 // cells above the diagonal are stored, halving the silhouette stage's peak
 // memory versus the square form. Cell (i, j) with i < j lives at
 // i*(2n-i-1)/2 + (j-i-1) — row i's upper triangle is contiguous, so filling
-// and the dominant j > i read pattern both stream linearly.
+// and the dominant j > i read pattern both stream linearly. It is filled
+// with squared distances, which k-means++ seeding reads, and rooted in place
+// before silhouette scoring.
 type pairMatrix struct {
 	n int
 	d []float64
 }
 
-// at returns the distance between points i and j (i != j, either order).
+// at returns the cell of points i and j in either order, 0 when i == j.
 func (pm *pairMatrix) at(i, j int) float64 {
 	if i > j {
 		i, j = j, i
+	} else if i == j {
+		return 0
 	}
-	return pm.d[i*(2*pm.n-i-1)/2+(j-i-1)]
+	return pm.d[pm.rowOff(i)+(j-i-1)]
 }
 
 // rowOff returns the offset of cell (i, i+1), the start of row i's packed
@@ -160,7 +165,7 @@ func getPairMatrix(n int) *pairMatrix {
 	if cap(pm.d) < need {
 		pm.d = make([]float64, need)
 	}
-	// No zeroing: every cell is written by pairwiseDistances before any read.
+	// No zeroing: every cell is written by pairwiseSquared before any read.
 	pm.d = pm.d[:need]
 	return pm
 }
@@ -173,37 +178,58 @@ func putPairMatrix(pm *pairMatrix) { pairPool.Put(pm) }
 // O(n²) loop.
 const pairBlock = 32
 
-// pairwiseDistances fills a pooled triangular matrix with all pairwise
-// Euclidean distances. On the sparse path distances run on the packed kernel
-// over each row's non-zero structure — bit-identical to the dense kernel
-// (see xmath csr.go), just skipping the zero-zero dimensions that dominate
-// interval feature matrices. Each row tile is written by exactly one worker, so the fill is
-// race-free and the contents are independent of parallelism.
-func pairwiseDistances(ps *pointSet, parallelism int) *pairMatrix {
-	n := ps.n
-	pm := getPairMatrix(n)
+// forRowBlocks runs fn over the matrix's row tiles [lo, hi) on the pool.
+// Each tile is handled by exactly one worker, so a tile-wise fill is
+// race-free and its result independent of parallelism.
+func (pm *pairMatrix) forRowBlocks(parallelism int, fn func(lo, hi int)) {
+	n := pm.n
 	blocks := (n + pairBlock - 1) / pairBlock
 	par.For(blocks, parallelism, func(b int) {
 		lo, hi := b*pairBlock, (b+1)*pairBlock
 		if hi > n {
 			hi = n
 		}
+		fn(lo, hi)
+	})
+}
+
+// pairwiseSquared fills a pooled triangular matrix with all pairwise squared
+// Euclidean distances. On the sparse path distances run on the packed
+// kernel over each row's non-zero structure — bit-identical to the dense
+// kernel (see xmath csr.go), just skipping the zero-zero dimensions that
+// dominate interval feature matrices.
+func pairwiseSquared(ps *pointSet, parallelism int) *pairMatrix {
+	n := ps.n
+	pm := getPairMatrix(n)
+	pm.forRowBlocks(parallelism, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := pm.d[pm.rowOff(i):pm.rowOff(i+1)]
 			if ps.sparse {
 				av, ac := ps.row(i)
 				for j := i + 1; j < n; j++ {
 					bv, bc := ps.row(j)
-					row[j-i-1] = xmath.EuclideanPacked(av, ac, bv, bc)
+					row[j-i-1] = xmath.SquaredEuclideanPacked(av, ac, bv, bc)
 				}
 			} else {
 				for j := i + 1; j < n; j++ {
-					row[j-i-1] = xmath.Euclidean(ps.rows[i], ps.rows[j])
+					row[j-i-1] = xmath.SquaredEuclidean(ps.rows[i], ps.rows[j])
 				}
 			}
 		}
 	})
 	return pm
+}
+
+// root replaces every squared cell with its square root, in place. Euclidean
+// distance is defined as math.Sqrt of the squared kernel (xmath stats.go), so
+// the rooted matrix equals a Euclidean fill bit for bit.
+func (pm *pairMatrix) root(parallelism int) {
+	pm.forRowBlocks(parallelism, func(lo, hi int) {
+		cells := pm.d[pm.rowOff(lo):pm.rowOff(hi)]
+		for i, v := range cells {
+			cells[i] = math.Sqrt(v)
+		}
+	})
 }
 
 // silhouetteFromPairs scores one clustering over a precomputed triangular
@@ -264,30 +290,45 @@ func silhouetteFromPairs(pm *pairMatrix, assign []int, k, parallelism int) float
 // silhouette over the rows of m; if no k >= 2 result exists, or the best
 // silhouette is not positive (no structure), it falls back to k = 1. This is
 // the alternative selection method the paper also experimented with (§V-A).
-// parallelism bounds the per-k scoring pool (0 means GOMAXPROCS).
-//
-// The O(n²) triangular pairwise matrix depends only on the points, not the
-// clustering, so it is computed once — lazily, on the first scorable k, so a
-// kmax=1 sweep never pays for it — shared by every k, and returned to the
-// shared pool on exit. Scores are bit-identical to per-k SilhouetteCSR calls.
+// parallelism bounds the per-k scoring pool (0 means GOMAXPROCS). It is
+// Points.SelectSilhouette on a point set of its own.
 func SelectSilhouetteCSR(m *xmath.CSR, results []*Result, parallelism int) *Result {
 	if len(results) == 0 {
 		return nil
 	}
-	n := m.NumRows()
+	p, err := NewPoints(m, true)
+	if err != nil {
+		return results[0]
+	}
+	defer p.Release()
+	return p.SelectSilhouette(results, parallelism)
+}
+
+// SelectSilhouette is SelectSilhouetteCSR over the prepared point set.
+//
+// The O(n²) triangular pairwise matrix depends only on the points, not the
+// clustering, so it is shared by every k: reused from the sweep when Sweep
+// filled it, else computed lazily on the first scorable k, so a kmax=1
+// sweep never pays for it. Its cells are rooted once, on first use. Scores
+// are bit-identical to per-k SilhouetteCSR calls.
+func (p *Points) SelectSilhouette(results []*Result, parallelism int) *Result {
+	if len(results) == 0 {
+		return nil
+	}
+	n := p.ps.n
 	best := results[0]
 	bestScore := 0.0
-	var pm *pairMatrix
 	for _, r := range results {
 		if r.K < 2 || n < 2 {
 			continue
 		}
 		obs.C("cluster.silhouette").Inc()
-		if pm == nil {
-			pm = pairwiseDistances(newPointSet(m), parallelism)
-			defer putPairMatrix(pm)
+		if !p.rooted {
+			p.fill(parallelism, nil)
+			p.pm.root(parallelism)
+			p.rooted = true
 		}
-		if s := silhouetteFromPairs(pm, r.Assign, r.K, parallelism); s > bestScore {
+		if s := silhouetteFromPairs(p.pm, r.Assign, r.K, parallelism); s > bestScore {
 			best, bestScore = r, s
 		}
 	}

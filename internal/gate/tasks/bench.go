@@ -22,9 +22,11 @@ import (
 // stable across PRs for the regression gate to bite. sweepAllocsBench is the
 // headline benchmark whose allocs/op becomes the sweep/allocs_per_op metric;
 // the reported name is bare on a single-CPU runner and carries a "-N"
-// GOMAXPROCS suffix otherwise, so isAllocsBench matches both forms.
+// GOMAXPROCS suffix otherwise, so isAllocsBench matches both forms. The set
+// is anchored, so a benchmark that only shares a prefix with it
+// (BenchmarkSweepSelectSilhouette) stays ungated.
 const (
-	sweepBench       = "BenchmarkSweep|BenchmarkSilhouetteP|BenchmarkSelectSilhouetteP"
+	sweepBench       = "^(BenchmarkSweep|BenchmarkSweepDense|BenchmarkSilhouetteP|BenchmarkSelectSilhouetteP)$"
 	sweepAllocsBench = "BenchmarkSweep/parallelism=1"
 )
 

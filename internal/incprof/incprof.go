@@ -374,7 +374,7 @@ func (d *DirStore) SnapshotsSalvageP(parallelism int) ([]*profile.Sample, LoadRe
 func (d *DirStore) load(salvage bool, parallelism int) ([]*profile.Sample, LoadReport, error) {
 	var report LoadReport
 	dec := formatDecoder(d.format)
-	files, err := listDumps(d.dir, dec.prefix)
+	files, err := listDumps(d.dir, dec.prefix, nil)
 	if err != nil {
 		return nil, report, err
 	}

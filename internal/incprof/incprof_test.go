@@ -2,8 +2,11 @@ package incprof
 
 import (
 	"fmt"
+	"math"
+	"math/big"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
@@ -404,6 +407,39 @@ func TestDirStoreIgnoresForeignFiles(t *testing.T) {
 	}
 	if len(snaps) != 2 {
 		t.Fatalf("foreign files changed the snapshot set: %d", len(snaps))
+	}
+}
+
+// seqOf accepts exactly the spelling the writers produce: decimal digits, no
+// sign, no leading zero, a value that fits in int.
+func TestSeqOfAcceptsOnlyCanonicalSpelling(t *testing.T) {
+	maxInt := strconv.Itoa(math.MaxInt)
+	onePast := new(big.Int).Add(big.NewInt(math.MaxInt), big.NewInt(1)).String()
+	for _, tc := range []struct {
+		rest string
+		seq  int
+		ok   bool
+	}{
+		{"0", 0, true},
+		{"7", 7, true},
+		{"1234", 1234, true},
+		{"00", 0, false},
+		{"07", 0, false},
+		{"+7", 0, false},
+		{"-1", 0, false},
+		{"", 0, false},
+		{"1a", 0, false},
+		{" 1", 0, false},
+		{maxInt, math.MaxInt, true},
+		{onePast, 0, false},
+	} {
+		seq, ok := seqOf("gmon.out."+tc.rest, "gmon.out.")
+		if seq != tc.seq || ok != tc.ok {
+			t.Errorf("seqOf(%q) = %d, %v; want %d, %v", tc.rest, seq, ok, tc.seq, tc.ok)
+		}
+	}
+	if _, ok := seqOf("pprof.out.1", "gmon.out."); ok {
+		t.Error("seqOf accepted a foreign prefix")
 	}
 }
 

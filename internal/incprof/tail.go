@@ -7,10 +7,10 @@ package incprof
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -63,9 +63,17 @@ type dumpFile struct {
 	name string
 }
 
-// listDumps returns the <prefix>N entries under dir in Seq order.
-func listDumps(dir, prefix string) ([]dumpFile, error) {
-	entries, err := os.ReadDir(dir)
+// listDumps returns the <prefix>N entries under dir in Seq order, leaving
+// out the Seqs skip reports (nil skips none). Entries are read unsorted: the
+// Seq sort is the only order that matters, so the name sort os.ReadDir does
+// would be wasted work on every poll of a long tail.
+func listDumps(dir, prefix string, skip func(seq int) bool) ([]dumpFile, error) {
+	f, err := os.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	entries, err := f.ReadDir(-1)
+	f.Close()
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +82,7 @@ func listDumps(dir, prefix string) ([]dumpFile, error) {
 		if e.IsDir() {
 			continue
 		}
-		if seq, ok := seqOf(e.Name(), prefix); ok {
+		if seq, ok := seqOf(e.Name(), prefix); ok && (skip == nil || !skip(seq)) {
 			files = append(files, dumpFile{seq, e.Name()})
 		}
 	}
@@ -83,16 +91,25 @@ func listDumps(dir, prefix string) ([]dumpFile, error) {
 }
 
 // seqOf parses the N of a <prefix>N file name. Only the spelling the writers
-// produce counts: gmon.out.07 or gmon.out.+7 would alias dump 7, so such a
+// produce counts — decimal digits, no sign, no leading zero, a value that
+// fits in int: gmon.out.07 or gmon.out.+7 would alias dump 7, so such a
 // name is foreign, like any other file.
 func seqOf(name, prefix string) (int, bool) {
 	rest, ok := strings.CutPrefix(name, prefix)
-	if !ok {
+	if !ok || rest == "" || (rest[0] == '0' && len(rest) > 1) {
 		return 0, false
 	}
-	seq, err := strconv.Atoi(rest)
-	if err != nil || seq < 0 || rest != strconv.Itoa(seq) {
-		return 0, false
+	seq := 0
+	for i := 0; i < len(rest); i++ {
+		c := rest[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		d := int(c - '0')
+		if seq > (math.MaxInt-d)/10 {
+			return 0, false
+		}
+		seq = seq*10 + d
 	}
 	return seq, true
 }
@@ -100,7 +117,8 @@ func seqOf(name, prefix string) (int, bool) {
 // TailDir polls dir for dumps of the configured format (gmon.out.N by
 // default) and emits each decoded snapshot to
 // sink in sequence order as it appears, returning once no new dump has
-// arrived for opts.Idle. A file that fails to decode is assumed to be
+// arrived for opts.Idle of wall time, however long each directory scan
+// takes. A file that fails to decode is assumed to be
 // mid-write and blocks emission (order is preserved, never skipped around)
 // until the idle window expires; at that point it is either skipped
 // (salvage) or fails the tail. The sink's Flush is NOT called — the caller
@@ -137,20 +155,18 @@ func TailDir(dir string, sink Sink, opts TailOptions) (TailResult, error) {
 			return false
 		}
 	}
-	idle := time.Duration(0)
+	isDone := func(seq int) bool { return done[seq] }
+	last := time.Now() // the last emit, or the start
 	for {
 		if stopped() {
 			return res, nil
 		}
-		files, err := listDumps(dir, dec.prefix)
+		files, err := listDumps(dir, dec.prefix, isDone)
 		if err != nil {
 			return res, err
 		}
 		progress := false
 		for _, f := range files {
-			if done[f.seq] {
-				continue
-			}
 			if opts.Seen != nil && opts.Seen(f.seq) {
 				done[f.seq] = true
 				continue
@@ -170,12 +186,9 @@ func TailDir(dir string, sink Sink, opts TailOptions) (TailResult, error) {
 			progress = true
 		}
 		if progress {
-			idle = 0
-		} else {
-			idle += opts.Poll
-			if idle >= opts.Idle {
-				break
-			}
+			last = time.Now()
+		} else if time.Since(last) >= opts.Idle {
+			break
 		}
 		if opts.Stop != nil {
 			select {
@@ -190,12 +203,12 @@ func TailDir(dir string, sink Sink, opts TailOptions) (TailResult, error) {
 	}
 	// The run is over; whatever still fails to decode is corrupt, not
 	// mid-write. Sweep the remainder in order, skipping or failing.
-	files, err := listDumps(dir, dec.prefix)
+	files, err := listDumps(dir, dec.prefix, isDone)
 	if err != nil {
 		return res, err
 	}
 	for _, f := range files {
-		if done[f.seq] || (opts.Seen != nil && opts.Seen(f.seq)) {
+		if opts.Seen != nil && opts.Seen(f.seq) {
 			continue
 		}
 		s, err := dec.decodeDump(filepath.Join(dir, f.name), f.seq)

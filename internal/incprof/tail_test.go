@@ -1,7 +1,10 @@
 package incprof_test
 
 import (
+	"errors"
+	"io"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -133,5 +136,51 @@ func TestTailDirSalvageSkipsCorruptDump(t *testing.T) {
 	}
 	if len(skips) != 1 || skips[0].Seq != 2 || len(res.Skipped) != 1 {
 		t.Fatalf("skips = %+v, res.Skipped = %+v", skips, res.Skipped)
+	}
+}
+
+// The idle window is wall time since the last emit: a tail whose every
+// directory scan outlasts Poll still ends within Idle plus one poll and one
+// scan, plus the terminal sweep's own decode of the stuck dump. Counting
+// nominal Poll steps instead would run this tail for about
+// Idle/Poll × (Poll + scan) ≈ 1.8 s.
+func TestTailDirIdleWindowIsWallTime(t *testing.T) {
+	const (
+		poll = 5 * time.Millisecond
+		scan = 40 * time.Millisecond
+		idle = 200 * time.Millisecond
+	)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "slow.0"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A dump that never finishes decoding, slowly: every poll pays scan.
+	slow := &profile.Format{
+		Name:       "slow",
+		FilePrefix: "slow.",
+		Decode: func(io.Reader) (*profile.Sample, error) {
+			time.Sleep(scan)
+			return nil, errors.New("still being written")
+		},
+	}
+	start := time.Now()
+	res, err := incprof.TailDir(dir, &recordingSink{}, incprof.TailOptions{
+		Format:  slow,
+		Poll:    poll,
+		Idle:    idle,
+		Salvage: true,
+	})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Skipped) != 1 {
+		t.Fatalf("skipped %+v, want the one stuck dump", res.Skipped)
+	}
+	// Scheduling slack on a loaded host; still far below the ~1.8 s the
+	// poll-counting window takes.
+	const slack = 150 * time.Millisecond
+	if limit := idle + poll + 2*scan + slack; elapsed > limit {
+		t.Fatalf("tail took %v, want <= %v", elapsed, limit)
 	}
 }

@@ -263,7 +263,14 @@ func detectMatrix(profiles []interval.Profile, m interval.Matrix, opts Options, 
 		if copts.Span == nil {
 			copts.Span = sp
 		}
-		results, err := cluster.SweepCSR(m.Sparse, opts.KMax, copts)
+		// Under silhouette selection the sweep and the selection share one
+		// pairwise matrix (cluster.Points).
+		pts, err := cluster.NewPoints(m.Sparse, opts.Selection == Silhouette)
+		if err != nil {
+			return nil, err
+		}
+		defer pts.Release()
+		results, err := pts.Sweep(opts.KMax, copts)
 		if err != nil {
 			return nil, err
 		}
@@ -274,10 +281,11 @@ func detectMatrix(profiles []interval.Profile, m interval.Matrix, opts Options, 
 		sel := sp.Child("phase.select")
 		var best *cluster.Result
 		if opts.Selection == Silhouette {
-			best = cluster.SelectSilhouetteCSR(m.Sparse, results, opts.Cluster.Parallelism)
+			best = pts.SelectSilhouette(results, opts.Cluster.Parallelism)
 		} else {
 			best = cluster.SelectElbow(results)
 		}
+		pts.Release() // early: Algorithm 1 below has no use for the matrix
 		sel.SetStr("method", opts.Selection.String()).SetInt("k", int64(best.K)).End()
 		det.K = best.K
 		assign = best.Assign

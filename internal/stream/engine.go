@@ -15,11 +15,11 @@ import (
 	"fmt"
 
 	"github.com/incprof/incprof/internal/cluster"
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/interval"
 	"github.com/incprof/incprof/internal/obs"
 	"github.com/incprof/incprof/internal/online"
 	"github.com/incprof/incprof/internal/phase"
+	"github.com/incprof/incprof/internal/profile"
 )
 
 // Options configures an Engine.
@@ -288,7 +288,12 @@ func (e *Engine) refreshIncremental(m interval.Matrix) (*phase.Detection, refres
 
 	copts := popts.Cluster
 	copts.Span = rsp
-	results, err := cluster.SweepCSR(m.Sparse, popts.KMax, copts)
+	pts, err := cluster.NewPoints(m.Sparse, popts.Selection == phase.Silhouette)
+	if err != nil {
+		return nil, stats, err
+	}
+	defer pts.Release()
+	results, err := pts.Sweep(popts.KMax, copts)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -319,10 +324,11 @@ func (e *Engine) refreshIncremental(m interval.Matrix) (*phase.Detection, refres
 	}
 	var best *cluster.Result
 	if popts.Selection == phase.Silhouette {
-		best = cluster.SelectSilhouetteCSR(m.Sparse, results, copts.Parallelism)
+		best = pts.SelectSilhouette(results, copts.Parallelism)
 	} else {
 		best = cluster.SelectElbow(results)
 	}
+	pts.Release() // early: phase assembly and sites have no use for the matrix
 	det.K = best.K
 	det.Phases = phase.BuildPhases(e.profiles, best.Assign, best.Centroids, best.K)
 	for i := range det.Phases {

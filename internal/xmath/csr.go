@@ -140,11 +140,6 @@ func SquaredEuclideanPacked(av []float64, ac []int32, bv []float64, bc []int32) 
 	return s
 }
 
-// EuclideanPacked is the L2 form of SquaredEuclideanPacked.
-func EuclideanPacked(av []float64, ac []int32, bv []float64, bc []int32) float64 {
-	return math.Sqrt(SquaredEuclideanPacked(av, ac, bv, bc))
-}
-
 // SquaredEuclideanPackedBounded is SquaredEuclideanPacked with the partial-sum
 // early exit of SquaredEuclideanBounded: once the accumulated sum reaches
 // limit the scan is abandoned, returning (partial, false); a complete scan

@@ -37,9 +37,6 @@ func TestPackedKernelsBitIdenticalToDense(t *testing.T) {
 		if got := SquaredEuclideanPackedDense(av, ac, db); got != want {
 			t.Fatalf("trial %d: packed-dense %v != dense %v", trial, got, want)
 		}
-		if got := EuclideanPacked(av, ac, bv, bc); got != math.Sqrt(want) {
-			t.Fatalf("trial %d: EuclideanPacked %v != %v", trial, got, math.Sqrt(want))
-		}
 		if got := EuclideanPackedDense(av, ac, db); got != math.Sqrt(want) {
 			t.Fatalf("trial %d: EuclideanPackedDense %v != %v", trial, got, math.Sqrt(want))
 		}
