@@ -41,7 +41,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "clustering seed")
 	parallel := flag.Int("parallel", 0, "worker-pool bound for analysis and per-app experiments; 0 means GOMAXPROCS, 1 forces serial (results are identical either way)")
 	csvDir := flag.String("csvdir", "", "export figure series as CSV files into this directory")
-	obsFlags := obsflag.Register()
+	obsFlags := obsflag.Register(flag.CommandLine)
 	flag.Parse()
 
 	cfg := harness.Config{Scale: *scale, Width: *width, Seed: *seed, Parallelism: *parallel, CSVDir: *csvDir}
@@ -53,7 +53,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	obsRun, err := obsFlags.Setup(*seed)
+	obsRun, err := obsFlags.Setup(*seed, os.Stdout)
 	run(err)
 
 	switch {

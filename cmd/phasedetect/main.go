@@ -7,7 +7,8 @@
 // writing, streaming each new snapshot through the incremental engine:
 // live phase labels and periodic model refreshes print as "live:"-prefixed
 // lines, and the final report is identical to a batch run over the finished
-// directory (filter with `grep -v '^live:'` to compare).
+// directory (filter with `grep -v '^live:'` to compare). Both modes run the
+// same pipeline.Run; a batch run is a stream that ends.
 //
 // Input arrives through the profile.Format registry: gmon.out.N canonical
 // dumps, pprof.out.N Go pprof protobufs, or perf.out.N folded stacks, chosen
@@ -28,9 +29,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -48,6 +51,7 @@ import (
 	"github.com/incprof/incprof/internal/online"
 	_ "github.com/incprof/incprof/internal/perfscript" // register the perf frontend
 	"github.com/incprof/incprof/internal/phase"
+	"github.com/incprof/incprof/internal/pipeline"
 	_ "github.com/incprof/incprof/internal/pprof" // register the pprof frontend
 	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/report"
@@ -55,191 +59,507 @@ import (
 )
 
 func main() {
-	dir := flag.String("dir", "", "directory holding profile dumps for one rank (gmon.out.N, pprof.out.N, or perf.out.N)")
-	formatFlag := flag.String("format", "auto", "dump format: auto, "+strings.Join(profile.Names(), ", ")+" (auto detects from the file names in -dir)")
-	text := flag.Bool("text", false, "ingest gprof.txt.N flat-profile text instead of binary dumps")
-	gmonout := flag.Bool("gmonout", false, "ingest real-format gmon.out.N dumps (with symbols.out.N sidecars)")
-	kmax := flag.Int("kmax", 8, "maximum k for the k-means sweep")
-	threshold := flag.Float64("threshold", 0.95, "Algorithm 1 coverage threshold")
-	selection := flag.String("selection", "elbow", "k selection: elbow or silhouette")
-	algorithm := flag.String("algorithm", "kmeans", "clustering: kmeans or dbscan")
-	seed := flag.Uint64("seed", 1, "clustering seed")
-	parallel := flag.Int("parallel", 0, "worker-pool bound for dump load, differencing and the k-means sweep; 0 means GOMAXPROCS, 1 forces serial (results are identical either way)")
-	includeMPI := flag.Bool("include-mpi", false, "keep MPI pseudo-functions in the feature space")
-	fast := flag.Bool("fast", false, "also run fast-phase analysis (call-count loop grouping + periodicity)")
-	onlineFlag := flag.Bool("online", false, "also replay the intervals through the streaming phase tracker")
-	promote := flag.Bool("promote", false, "apply call-graph site promotion to the selected sites")
-	merge := flag.Bool("merge", false, "merge phases with identical site sets")
-	salvage := flag.Bool("salvage", false, "degraded mode: skip corrupt/truncated dumps and absorb missing, duplicate, late, or regressed dumps as gaps instead of failing")
-	gapPolicy := flag.String("gap", "split", "missing-dump repair policy in salvage mode: split, drop, or scale")
-	follow := flag.Bool("follow", false, "tail -dir while the collector is writing: stream dumps through the incremental engine, print live: lines, report when the stream goes idle")
-	followPoll := flag.Duration("follow-poll", 200*time.Millisecond, "directory poll interval in -follow mode")
-	followIdle := flag.Duration("follow-idle", 2*time.Second, "end -follow mode after this long without a new dump")
-	refreshEvery := flag.Int("refresh", 10, "full model refresh cadence (intervals) in -follow mode")
-	reorder := flag.Int("reorder", 0, "bounded reorder window for out-of-order dumps in -follow mode; 0 requires in-order arrival")
-	ckptDir := flag.String("checkpoint-dir", "", "durable state directory for -follow: every accepted dump is write-ahead logged and the engine state snapshots every -checkpoint-every dumps, so a killed run resumes with -resume")
-	ckptEvery := flag.Int("checkpoint-every", 25, "snapshot cadence in accepted dumps for -checkpoint-dir")
-	ckptNoSync := flag.Bool("checkpoint-nosync", false, "disable fsync in the checkpoint layer (tests and benchmarks only; crash safety requires sync)")
-	resume := flag.Bool("resume", false, "resume from existing state in -checkpoint-dir (refused without this flag, to catch accidental directory reuse)")
-	maxPending := flag.Int("max-pending", 0, "bound the queue between the tailer and the engine; 0 feeds the engine directly with no queue")
-	shedFlag := flag.String("shed", "block", "full-queue policy with -max-pending: block (backpressure) or drop-oldest (shed dumps become repaired gaps; requires -salvage)")
-	stall := flag.Duration("stall", 0, "watchdog: halt the live pipeline instead of hanging when one engine step exceeds this; 0 disables")
-	obsFlags := obsflag.Register()
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *dir == "" {
-		fmt.Fprintln(os.Stderr, "phasedetect: -dir is required")
-		os.Exit(2)
+// run is the whole command: parse and validate args, analyze, print the
+// report to stdout. It returns the exit code: 0 on success, 1 when the
+// analysis fails, and parseConfig's code for a rejected command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	c, code := parseConfig(args, stderr)
+	if c == nil {
+		return code
 	}
-	if *follow && (*text || *gmonout) {
-		fail(fmt.Errorf("-follow tails registry-format dumps only (no -text / -gmonout)"))
+	// Live lines print from the engine's goroutine when an admission queue
+	// runs it, while the tail prints skips and sheds.
+	stdout = &syncWriter{w: stdout}
+	obsRun, err := c.obs.Setup(c.seed, stdout)
+	if err == nil {
+		err = c.analyze(stdout, stderr)
+		if ferr := obsRun.Finish(); err == nil {
+			err = ferr
+		}
 	}
-	var ffmt *profile.Format
-	switch {
-	case *text || *gmonout:
-		if *formatFlag != "auto" && *formatFlag != "gmon" {
-			fail(fmt.Errorf("-text and -gmonout are gprof-family inputs and cannot combine with -format %s", *formatFlag))
-		}
-	case *formatFlag == "auto":
-		// Batch mode detects now; -follow detects lazily inside followDir,
-		// because the directory may still be empty when the tail starts.
-		if !*follow {
-			f, derr := profile.DetectDir(*dir)
-			fail(derr)
-			ffmt = f
-		}
-	default:
-		f, ok := profile.Lookup(*formatFlag)
-		if !ok {
-			fail(fmt.Errorf("unknown format %q (have auto, %s)", *formatFlag, strings.Join(profile.Names(), ", ")))
-		}
-		ffmt = f
+	if err != nil {
+		fmt.Fprintln(stderr, "phasedetect:", err)
+		return 1
 	}
-	if !*follow {
-		for name, set := range map[string]bool{
-			"-checkpoint-dir": *ckptDir != "",
-			"-resume":         *resume,
-			"-max-pending":    *maxPending > 0,
-			"-stall":          *stall > 0,
-			"-reorder":        *reorder > 0,
+	return 0
+}
+
+// config is one phasedetect command line.
+type config struct {
+	dir        string
+	format     string
+	text       bool
+	gmonout    bool
+	kmax       int
+	threshold  float64
+	selection  string
+	algorithm  string
+	seed       uint64
+	parallel   int
+	includeMPI bool
+	fast       bool
+	online     bool
+	promote    bool
+	merge      bool
+	salvage    bool
+	gap        string
+	follow     bool
+	followPoll time.Duration
+	followIdle time.Duration
+	refresh    int
+	reorder    int
+	ckptDir    string
+	ckptEvery  int
+	ckptNoSync bool
+	resume     bool
+	maxPending int
+	shed       string
+	stall      time.Duration
+	obs        *obsflag.Flags
+}
+
+var (
+	gapPolicies  = map[string]interval.GapPolicy{"split": interval.GapSplit, "drop": interval.GapDrop, "scale": interval.GapScale}
+	shedPolicies = map[string]stream.ShedPolicy{"block": stream.ShedBlock, "drop-oldest": stream.ShedDropOldest}
+	selections   = map[string]phase.Selection{"elbow": phase.Elbow, "silhouette": phase.Silhouette}
+	algorithms   = map[string]phase.Algorithm{"kmeans": phase.KMeansAlg, "dbscan": phase.DBSCANAlg}
+)
+
+// parseConfig parses and validates args. A rejected command line is
+// reported on stderr and returns a nil config with the exit code: 0 after
+// -h, 2 for a malformed command line or an out-of-range value, 1 for flags
+// that do not go together.
+func parseConfig(args []string, stderr io.Writer) (*config, int) {
+	c := &config{}
+	fs := flag.NewFlagSet("phasedetect", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&c.dir, "dir", "", "directory holding profile dumps for one rank (gmon.out.N, pprof.out.N, or perf.out.N)")
+	fs.StringVar(&c.format, "format", "auto", "dump format: auto, "+strings.Join(profile.Names(), ", ")+" (auto detects from the file names in -dir)")
+	fs.BoolVar(&c.text, "text", false, "ingest gprof.txt.N flat-profile text instead of binary dumps")
+	fs.BoolVar(&c.gmonout, "gmonout", false, "ingest real-format gmon.out.N dumps (with symbols.out.N sidecars)")
+	fs.IntVar(&c.kmax, "kmax", 8, "maximum k for the k-means sweep (at least 1)")
+	fs.Float64Var(&c.threshold, "threshold", 0.95, "Algorithm 1 coverage threshold, in (0, 1]")
+	fs.StringVar(&c.selection, "selection", "elbow", "k selection: elbow or silhouette")
+	fs.StringVar(&c.algorithm, "algorithm", "kmeans", "clustering: kmeans or dbscan")
+	fs.Uint64Var(&c.seed, "seed", 1, "clustering seed")
+	fs.IntVar(&c.parallel, "parallel", 0, "worker-pool bound for dump decode (batch and -follow) and the k-means sweep; 0 means GOMAXPROCS, 1 forces serial (results are identical either way)")
+	fs.BoolVar(&c.includeMPI, "include-mpi", false, "keep MPI pseudo-functions in the feature space")
+	fs.BoolVar(&c.fast, "fast", false, "also run fast-phase analysis (call-count loop grouping + periodicity)")
+	fs.BoolVar(&c.online, "online", false, "also replay the intervals through the streaming phase tracker")
+	fs.BoolVar(&c.promote, "promote", false, "apply call-graph site promotion to the selected sites")
+	fs.BoolVar(&c.merge, "merge", false, "merge phases with identical site sets")
+	fs.BoolVar(&c.salvage, "salvage", false, "degraded mode: skip corrupt/truncated dumps and absorb missing, duplicate, late, or regressed dumps as gaps instead of failing")
+	fs.StringVar(&c.gap, "gap", "split", "missing-dump repair policy in salvage mode: split, drop, or scale")
+	fs.BoolVar(&c.follow, "follow", false, "tail -dir while the collector is writing: stream dumps through the incremental engine, print live: lines, report when the stream goes idle")
+	fs.DurationVar(&c.followPoll, "follow-poll", 200*time.Millisecond, "directory poll interval in -follow mode (positive)")
+	fs.DurationVar(&c.followIdle, "follow-idle", 2*time.Second, "end -follow mode after this long without a new dump (positive)")
+	fs.IntVar(&c.refresh, "refresh", 10, "full model refresh cadence (intervals) in -follow mode; 0 refreshes only at the end")
+	fs.IntVar(&c.reorder, "reorder", 0, "bounded reorder window for out-of-order dumps in -follow mode; 0 requires in-order arrival")
+	fs.StringVar(&c.ckptDir, "checkpoint-dir", "", "durable state directory for -follow: every accepted dump is write-ahead logged and the engine state snapshots every -checkpoint-every dumps, so a killed run resumes with -resume")
+	fs.IntVar(&c.ckptEvery, "checkpoint-every", 25, "snapshot cadence in accepted dumps for -checkpoint-dir; 0 takes no periodic snapshot (the WAL alone carries durability)")
+	fs.BoolVar(&c.ckptNoSync, "checkpoint-nosync", false, "disable fsync in the checkpoint layer (tests and benchmarks only; crash safety requires sync)")
+	fs.BoolVar(&c.resume, "resume", false, "resume from existing state in -checkpoint-dir (refused without this flag, to catch accidental directory reuse)")
+	fs.IntVar(&c.maxPending, "max-pending", 0, "bound the queue between the tailer and the engine; 0 feeds the engine directly with no queue")
+	fs.StringVar(&c.shed, "shed", "block", "full-queue policy with -max-pending: block (backpressure) or drop-oldest (shed dumps become repaired gaps; requires -salvage)")
+	fs.DurationVar(&c.stall, "stall", 0, "watchdog: halt the live pipeline instead of hanging when one engine step exceeds this; 0 disables")
+	c.obs = obsflag.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, 0
+		}
+		return nil, 2
+	}
+	if code, err := c.validate(); err != nil {
+		fmt.Fprintln(stderr, "phasedetect:", err)
+		return nil, code
+	}
+	return c, 0
+}
+
+// validate checks the command line without touching the file system. It
+// returns exit code 2 for a missing -dir or a value out of range, 1 for
+// flags that do not go together, and 0 with a nil error when c is valid.
+func (c *config) validate() (int, error) {
+	if c.dir == "" {
+		return 2, errors.New("-dir is required")
+	}
+	if c.kmax < 1 {
+		return 2, fmt.Errorf("-kmax must be at least 1 (got %d)", c.kmax)
+	}
+	if !(c.threshold > 0 && c.threshold <= 1) {
+		return 2, fmt.Errorf("-threshold must be in (0, 1] (got %v)", c.threshold)
+	}
+	for _, f := range []struct {
+		name  string
+		value int
+	}{
+		{"-parallel", c.parallel},
+		{"-refresh", c.refresh},
+		{"-reorder", c.reorder},
+		{"-checkpoint-every", c.ckptEvery},
+		{"-max-pending", c.maxPending},
+	} {
+		if f.value < 0 {
+			return 2, fmt.Errorf("%s must not be negative (got %d)", f.name, f.value)
+		}
+	}
+	if c.stall < 0 {
+		return 2, fmt.Errorf("-stall must not be negative (got %v)", c.stall)
+	}
+	if c.followPoll <= 0 {
+		return 2, fmt.Errorf("-follow-poll must be positive (got %v)", c.followPoll)
+	}
+	if c.followIdle <= 0 {
+		return 2, fmt.Errorf("-follow-idle must be positive (got %v)", c.followIdle)
+	}
+
+	if c.follow && (c.text || c.gmonout) {
+		return 1, errors.New("-follow tails registry-format dumps only (no -text / -gmonout)")
+	}
+	if c.text || c.gmonout {
+		if c.format != "auto" && c.format != "gmon" {
+			return 1, fmt.Errorf("-text and -gmonout are gprof-family inputs and cannot combine with -format %s", c.format)
+		}
+	} else if _, ok := profile.Lookup(c.format); !ok && c.format != "auto" {
+		return 1, fmt.Errorf("unknown format %q (have auto, %s)", c.format, strings.Join(profile.Names(), ", "))
+	}
+	if !c.follow {
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"-reorder", c.reorder > 0},
+			{"-checkpoint-dir", c.ckptDir != ""},
+			{"-resume", c.resume},
+			{"-max-pending", c.maxPending > 0},
+			{"-stall", c.stall > 0},
 		} {
-			if set {
-				fail(fmt.Errorf("%s only applies with -follow", name))
+			if f.set {
+				return 1, fmt.Errorf("%s only applies with -follow", f.name)
 			}
 		}
 	}
-	var shed stream.ShedPolicy
-	switch *shedFlag {
-	case "block":
-		shed = stream.ShedBlock
-	case "drop-oldest":
-		shed = stream.ShedDropOldest
-		if !*salvage {
-			fail(fmt.Errorf("-shed drop-oldest requires -salvage: a shed dump surfaces as a gap only the robust differencer can repair"))
-		}
-	default:
-		fail(fmt.Errorf("unknown shed policy %q (have block, drop-oldest)", *shedFlag))
+	shed, ok := shedPolicies[c.shed]
+	if !ok {
+		return 1, fmt.Errorf("unknown shed policy %q (have block, drop-oldest)", c.shed)
 	}
-	if *resume && *ckptDir == "" {
-		fail(fmt.Errorf("-resume requires -checkpoint-dir"))
+	if shed == stream.ShedDropOldest && !c.salvage {
+		return 1, errors.New("-shed drop-oldest requires -salvage: a shed dump surfaces as a gap only the robust differencer can repair")
 	}
-	obsRun, err := obsFlags.Setup(*seed)
-	fail(err)
-	var policy interval.GapPolicy
-	switch *gapPolicy {
-	case "split":
-		policy = interval.GapSplit
-	case "drop":
-		policy = interval.GapDrop
-	case "scale":
-		policy = interval.GapScale
-	default:
-		fail(fmt.Errorf("unknown gap policy %q (have split, drop, scale)", *gapPolicy))
+	if c.resume && c.ckptDir == "" {
+		return 1, errors.New("-resume requires -checkpoint-dir")
 	}
+	if _, ok := gapPolicies[c.gap]; !ok {
+		return 1, fmt.Errorf("unknown gap policy %q (have split, drop, scale)", c.gap)
+	}
+	if _, ok := selections[c.selection]; !ok {
+		return 1, fmt.Errorf("unknown selection %q", c.selection)
+	}
+	if _, ok := algorithms[c.algorithm]; !ok {
+		return 1, fmt.Errorf("unknown algorithm %q", c.algorithm)
+	}
+	return 0, nil
+}
 
-	root := obs.Start("phasedetect")
+// phaseOptions is the detection configuration every mode shares.
+func (c *config) phaseOptions(span *obs.Span) phase.Options {
 	opts := phase.Options{
-		KMax:              *kmax,
-		CoverageThreshold: *threshold,
-		Cluster:           cluster.Options{Seed: *seed, Parallelism: *parallel},
-		Span:              root,
+		KMax:              c.kmax,
+		CoverageThreshold: c.threshold,
+		Selection:         selections[c.selection],
+		Algorithm:         algorithms[c.algorithm],
+		Cluster:           cluster.Options{Seed: c.seed, Parallelism: c.parallel},
+		Span:              span,
 	}
-	if !*includeMPI {
+	if !c.includeMPI {
 		opts.Features.Exclude = mpi.IsMPIFunc
 	}
-	switch *selection {
-	case "elbow":
-		opts.Selection = phase.Elbow
-	case "silhouette":
-		opts.Selection = phase.Silhouette
-	default:
-		fail(fmt.Errorf("unknown selection %q", *selection))
+	return opts
+}
+
+// checkpointConfig fingerprints the analysis options for the checkpoint
+// layer: a resume under any differing value would produce a report matching
+// neither the old run nor a fresh one, so recovery refuses it.
+func (c *config) checkpointConfig(opts phase.Options) checkpoint.Config {
+	return checkpoint.Config{
+		Seed:              c.seed,
+		KMax:              opts.KMax,
+		CoverageThreshold: opts.CoverageThreshold,
+		Selection:         c.selection,
+		Algorithm:         c.algorithm,
+		FeatureKind:       opts.Features.Kind.String(),
+		ExcludeMPI:        opts.Features.Exclude != nil,
+		Robust:            c.salvage,
+		GapPolicy:         c.gap,
+		Reorder:           c.reorder,
+		RefreshEvery:      c.refresh,
 	}
-	switch *algorithm {
-	case "kmeans":
-		opts.Algorithm = phase.KMeansAlg
-	case "dbscan":
-		opts.Algorithm = phase.DBSCANAlg
-	default:
-		fail(fmt.Errorf("unknown algorithm %q", *algorithm))
+}
+
+// analyze runs the analysis through pipeline.Run and prints the report.
+func (c *config) analyze(stdout, stderr io.Writer) error {
+	root := obs.Start("phasedetect")
+	defer root.End()
+	popts := c.phaseOptions(root)
+	policy := gapPolicies[c.gap]
+	printSkip := func(sk incprof.SkippedFile) {
+		fmt.Fprintf(stdout, "salvage: skipped %s (seq %d): %v\n", sk.Name, sk.Seq, sk.Err)
 	}
 
-	var (
-		det      *phase.Detection
-		profiles []interval.Profile
-		lastSnap *profile.Sample
-	)
-	if *follow {
-		det, profiles, lastSnap = followDir(*dir, opts, policy, followConfig{
-			format:     ffmt,
-			poll:       *followPoll,
-			idle:       *followIdle,
-			refresh:    *refreshEvery,
-			reorder:    *reorder,
-			salvage:    *salvage,
-			ckptDir:    *ckptDir,
-			ckptEvery:  *ckptEvery,
-			ckptNoSync: *ckptNoSync,
-			resume:     *resume,
-			maxPending: *maxPending,
-			shed:       shed,
-			stall:      *stall,
-			seed:       *seed,
-			selection:  *selection,
-			algorithm:  *algorithm,
-			span:       root,
-		})
-	} else {
-		det, profiles, lastSnap = batchDir(*dir, ffmt, opts, policy, *text, *gmonout, *salvage, *parallel, root)
+	ropts := pipeline.RunOptions{Engine: stream.Options{Robust: c.salvage, Gap: policy, Phase: popts, Span: root}}
+	var src pipeline.Source
+	switch {
+	case c.text || c.gmonout:
+		snaps, err := c.loadGprof()
+		if err != nil {
+			return err
+		}
+		src = pipeline.Snapshots(snaps)
+	case c.follow:
+		stop, release := stopOnSignal()
+		defer release()
+		c.live(&ropts, stdout)
+		src = func(sink incprof.Sink, seen func(int) bool) (incprof.TailResult, error) {
+			f, _ := profile.Lookup(c.format)
+			if c.format == "auto" {
+				var err error
+				if f, err = waitDetect(c.dir, c.followPoll, c.followIdle, stop); err != nil {
+					return incprof.TailResult{}, err
+				}
+			}
+			res, err := incprof.TailDir(c.dir, sink, incprof.TailOptions{
+				Format:      f, // nil if the dir stayed empty: tail the canonical layout
+				Poll:        c.followPoll,
+				Idle:        c.followIdle,
+				Salvage:     c.salvage,
+				OnSkip:      printSkip,
+				Seen:        seen,
+				Stop:        stop,
+				Parallelism: c.parallel,
+			})
+			if err == nil && res.Stopped {
+				fmt.Fprintln(stdout, "live: stop signal received; finishing with what has been accepted")
+			}
+			return res, err
+		}
+	default:
+		f, ok := profile.Lookup(c.format)
+		if !ok {
+			var err error
+			if f, err = profile.DetectDir(c.dir); err != nil {
+				return err
+			}
+		}
+		src = func(sink incprof.Sink, seen func(int) bool) (incprof.TailResult, error) {
+			return incprof.ReadDir(c.dir, sink, incprof.TailOptions{
+				Format:      f,
+				Salvage:     c.salvage,
+				OnSkip:      printSkip,
+				Seen:        seen,
+				Parallelism: c.parallel,
+			})
+		}
 	}
 
-	if *promote && lastSnap == nil {
-		// A resumed follow that saw no new dumps has no snapshot in hand.
-		fmt.Println("call-graph promotion skipped: no snapshot ingested this run")
-		*promote = false
+	r, err := pipeline.Run(src, ropts)
+	switch {
+	case errors.Is(err, stream.ErrStalled) && c.ckptDir != "":
+		return fmt.Errorf("%w; durable state in %s is current through the WAL, resume with -resume", err, c.ckptDir)
+	case errors.Is(err, pipeline.ErrNoSnapshots):
+		return fmt.Errorf("no snapshots found in %s", c.dir)
+	case err != nil:
+		return err
 	}
-	if *promote {
-		g := callgraph.FromSnapshot(lastSnap)
+	if c.salvage {
+		repaired := 0
+		for _, p := range r.Profiles {
+			if p.Repaired {
+				repaired++
+			}
+		}
+		reportGaps(stdout, r.Gaps, repaired, policy)
+	}
+	return c.report(stdout, r.Detection, r.Profiles, r.Fed.Last)
+}
+
+// loadGprof reads the gprof-family inputs, -text reports or real-format
+// -gmonout dumps, which arrive as one finished list.
+func (c *config) loadGprof() ([]*profile.Sample, error) {
+	if c.text {
+		return incprof.LoadTextReports(c.dir)
+	}
+	st, err := incprof.NewGmonOutStore(c.dir)
+	if err != nil {
+		return nil, err
+	}
+	return st.Snapshots()
+}
+
+// live configures the -follow stack: live: lines from the engine's
+// callbacks, the checkpoint layer with -checkpoint-dir, and the admission
+// queue with -max-pending or -stall.
+func (c *config) live(ropts *pipeline.RunOptions, stdout io.Writer) {
+	e := &ropts.Engine
+	e.Reorder = c.reorder
+	e.RefreshEvery = c.refresh
+	e.OnLabel = func(ev online.Event) {
+		mark := ""
+		if ev.NewPhase {
+			mark = " (new phase)"
+		} else if ev.Transition {
+			mark = " (transition)"
+		}
+		if ev.LowConfidence {
+			mark += " (low confidence)"
+		}
+		fmt.Fprintf(stdout, "live: interval %d -> phase %d%s\n", ev.Interval, ev.Phase, mark)
+	}
+	e.OnRefresh = func(r stream.Refresh) {
+		if r.Final {
+			return
+		}
+		warm := ""
+		if r.WarmAccepted {
+			warm = ", warm start accepted"
+		}
+		fmt.Fprintf(stdout, "live: refresh %d: k=%d over %d intervals (%d sites reused, %d recomputed%s)\n",
+			r.Index, r.K, r.Intervals, r.SitesReused, r.SitesRecomputed, warm)
+	}
+	e.OnGap = func(g interval.Gap) {
+		fmt.Fprintf(stdout, "live: gap %s seq %d..%d (%d missing)\n", g.Kind, g.FromSeq, g.ToSeq, g.Missing)
+	}
+	if c.ckptDir != "" {
+		ropts.Durable = &pipeline.Durable{
+			Dir:    c.ckptDir,
+			Every:  c.ckptEvery,
+			NoSync: c.ckptNoSync,
+			Resume: c.resume,
+			Config: c.checkpointConfig(e.Phase),
+			OnRecover: func(rec *checkpoint.Recovery, replayed int) {
+				for _, skip := range rec.Skipped {
+					fmt.Fprintf(stdout, "live: resume: skipped invalid snapshot: %s\n", skip)
+				}
+				if rec.TornWAL {
+					fmt.Fprintln(stdout, "live: resume: WAL tail was torn; truncated to the last valid record")
+				}
+				if c.resume {
+					from := 0
+					if rec.Snapshot != nil {
+						from = rec.Snapshot.Accepted
+					}
+					fmt.Fprintf(stdout, "live: resume: snapshot at %d accepted dumps, %d WAL records replayed\n", from, replayed)
+				}
+			},
+		}
+	}
+	shed := shedPolicies[c.shed]
+	if c.maxPending > 0 || c.stall > 0 {
+		ropts.Admission = &stream.AdmissionOptions{MaxPending: c.maxPending, Policy: shed, Stall: c.stall,
+			OnShed: func(s *profile.Sample) {
+				fmt.Fprintf(stdout, "live: shed seq %d (queue full)\n", s.Seq)
+			}}
+	}
+	ropts.OnDrained = func(fed incprof.TailResult, n int) {
+		if n > 0 {
+			fmt.Fprintf(stdout, "live: %d dumps shed under overload (%s policy)\n", n, shed)
+		}
+		if fed.Stopped && c.ckptDir != "" {
+			fmt.Fprintf(stdout, "live: state saved to %s; resume with -resume\n", c.ckptDir)
+		}
+	}
+}
+
+// stopOnSignal turns the first SIGTERM or SIGINT into a closed stop channel,
+// so -follow ends gracefully: stop ingesting, snapshot the engine state,
+// flush the report. A second signal kills as usual. release uninstalls the
+// handler.
+func stopOnSignal() (stop <-chan struct{}, release func()) {
+	ch := make(chan struct{})
+	sig := make(chan os.Signal, 1)
+	done := make(chan struct{})
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		select {
+		case <-sig:
+			close(ch)
+		case <-done:
+		}
+		signal.Stop(sig)
+	}()
+	return ch, func() { close(done) }
+}
+
+// waitDetect resolves -format auto under -follow: poll the directory until
+// the first dump appears and names its format. A directory that stays empty
+// through the idle window or a stop signal yields (nil, nil) — the tail then
+// runs against the canonical layout and the normal no-snapshots / resumed-
+// idle handling applies. A mixed-format directory fails immediately.
+func waitDetect(dir string, poll, idle time.Duration, stop <-chan struct{}) (*profile.Format, error) {
+	deadline := time.Now().Add(idle)
+	for {
+		f, err := profile.DetectDir(dir)
+		if err == nil {
+			return f, nil
+		}
+		if !errors.Is(err, profile.ErrNoDumps) {
+			return nil, err
+		}
+		if time.Now().After(deadline) {
+			return nil, nil
+		}
+		select {
+		case <-stop:
+			return nil, nil
+		case <-time.After(poll):
+		}
+	}
+}
+
+// reportGaps prints the salvage-mode gap summary.
+func reportGaps(w io.Writer, gaps []interval.Gap, repaired int, policy interval.GapPolicy) {
+	for _, g := range gaps {
+		fmt.Fprintf(w, "gap: %s seq %d..%d (%d missing)\n", g.Kind, g.FromSeq, g.ToSeq, g.Missing)
+	}
+	if repaired > 0 {
+		fmt.Fprintf(w, "salvage: %d gaps, %d repaired intervals (%s policy)\n", len(gaps), repaired, policy)
+	}
+}
+
+// report prints the detection: optional promotion and merging, the phase
+// and site table, the timeline, and the optional fast-phase and streaming
+// tracker sections. last is the final snapshot ingested, nil when a resumed
+// run saw no new dump.
+func (c *config) report(w io.Writer, det *phase.Detection, profiles []interval.Profile, last *profile.Sample) error {
+	promote := c.promote
+	if promote && last == nil {
+		fmt.Fprintln(w, "call-graph promotion skipped: no snapshot ingested this run")
+		promote = false
+	}
+	if promote {
+		g := callgraph.FromSnapshot(last)
 		n := callgraph.PromoteDetection(det, g, callgraph.PromoteOptions{Exclude: mpi.IsMPIFunc})
-		fmt.Printf("call-graph promotion changed %d sites\n", n)
+		fmt.Fprintf(w, "call-graph promotion changed %d sites\n", n)
 	}
-	if *merge {
+	if c.merge {
 		if n := det.MergeDuplicatePhases(); n > 0 {
-			fmt.Printf("merged %d duplicate phases\n", n)
+			fmt.Fprintf(w, "merged %d duplicate phases\n", n)
 		}
 	}
 
-	fmt.Printf("%d intervals, %d feature dimensions, %d phases (%s/%s)\n",
-		len(profiles), det.Matrix.Dims(), len(det.Phases), *algorithm, *selection)
+	fmt.Fprintf(w, "%d intervals, %d feature dimensions, %d phases (%s/%s)\n",
+		len(profiles), det.Matrix.Dims(), len(det.Phases), c.algorithm, c.selection)
 	if len(det.WCSS) > 0 {
-		fmt.Print("WCSS sweep:")
-		for k, w := range det.WCSS {
-			fmt.Printf(" k%d=%.3g", k+1, w)
+		fmt.Fprint(w, "WCSS sweep:")
+		for k, wcss := range det.WCSS {
+			fmt.Fprintf(w, " k%d=%.3g", k+1, wcss)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if len(det.NoiseIntervals) > 0 {
-		fmt.Printf("DBSCAN noise intervals: %v\n", det.NoiseIntervals)
+		fmt.Fprintf(w, "DBSCAN noise intervals: %v\n", det.NoiseIntervals)
 	}
 
 	tb := report.NewTable("Phases and instrumentation sites (Algorithm 1)",
@@ -265,7 +585,9 @@ func main() {
 			tb.AddRow(fmt.Sprint(p.ID), fmt.Sprint(len(p.Intervals)), span, "(none)", "", "", "")
 		}
 	}
-	fail(tb.Render(os.Stdout))
+	if err := tb.Render(w); err != nil {
+		return err
+	}
 	assign := make([]int, len(profiles))
 	for i := range assign {
 		assign[i] = -1
@@ -275,12 +597,14 @@ func main() {
 			assign[idx] = p.ID
 		}
 	}
-	fmt.Println()
-	fail(report.RenderPhaseTimeline(os.Stdout, "Phase timeline:", assign, 100))
+	fmt.Fprintln(w)
+	if err := report.RenderPhaseTimeline(w, "Phase timeline:", assign, 100); err != nil {
+		return err
+	}
 
-	if *fast {
+	if c.fast {
 		res := fastphase.Analyze(profiles, fastphase.Options{Exclude: mpi.IsMPIFunc})
-		fmt.Println()
+		fmt.Fprintln(w)
 		ft := report.NewTable("Fast-phase analysis (call-count loop groups)",
 			"Group", "Function", "Loop rate (iters/interval)")
 		for i, g := range res.Groups {
@@ -293,364 +617,42 @@ func main() {
 				ft.AddRow(id, fn, rate)
 			}
 		}
-		fail(ft.Render(os.Stdout))
+		if err := ft.Render(w); err != nil {
+			return err
+		}
 		pt := report.NewTable("Periodicities (autocorrelation peaks)",
 			"Function", "Period (intervals)", "Strength")
 		for _, p := range res.Periodicities {
 			pt.AddRow(p.Function, fmt.Sprint(p.Period), fmt.Sprintf("%.2f", p.Strength))
 		}
-		fmt.Println()
-		fail(pt.Render(os.Stdout))
+		fmt.Fprintln(w)
+		if err := pt.Render(w); err != nil {
+			return err
+		}
 	}
 
-	if *onlineFlag {
+	if c.online {
 		tr := online.New(online.Options{Exclude: mpi.IsMPIFunc})
 		events := tr.ObserveAll(profiles)
-		fmt.Printf("\nstreaming tracker: %d phases, transitions at %v\n",
+		fmt.Fprintf(w, "\nstreaming tracker: %d phases, transitions at %v\n",
 			tr.Phases(), tr.Transitions())
 		for _, ev := range events {
 			if ev.NewPhase {
-				fmt.Printf("  interval %d founds phase %d\n", ev.Interval, ev.Phase)
+				fmt.Fprintf(w, "  interval %d founds phase %d\n", ev.Interval, ev.Phase)
 			}
 		}
 	}
-
-	root.End()
-	fail(obsRun.Finish())
+	return nil
 }
 
-// batchDir is the original one-shot path: load every stored dump, difference
-// them, detect phases.
-func batchDir(dir string, f *profile.Format, opts phase.Options, policy interval.GapPolicy, text, gmonout, salvage bool, parallel int, root *obs.Span) (*phase.Detection, []interval.Profile, *profile.Sample) {
-	var snaps []*profile.Sample
-	var err error
-	switch {
-	case text:
-		snaps, err = incprof.LoadTextReports(dir)
-	case gmonout:
-		var st *incprof.GmonOutStore
-		st, err = incprof.NewGmonOutStore(dir)
-		if err == nil {
-			snaps, err = st.Snapshots()
-		}
-	default:
-		var st *incprof.DirStore
-		st, err = incprof.NewFormatDirStore(dir, f)
-		if err == nil && salvage {
-			var rep incprof.LoadReport
-			snaps, rep, err = st.SnapshotsSalvageP(parallel)
-			for _, sk := range rep.Skipped {
-				fmt.Printf("salvage: skipped %s (seq %d): %v\n", sk.Name, sk.Seq, sk.Err)
-			}
-		} else if err == nil {
-			snaps, err = st.SnapshotsP(parallel)
-		}
-	}
-	fail(err)
-	if len(snaps) == 0 {
-		fail(fmt.Errorf("no snapshots found in %s", dir))
-	}
-
-	var profiles []interval.Profile
-	if salvage {
-		res, rerr := interval.DifferenceRobust(snaps, interval.RobustOptions{Policy: policy, Parallelism: parallel, Span: root})
-		fail(rerr)
-		profiles = res.Profiles
-		reportGaps(res.Gaps, res.Repaired(), policy)
-	} else {
-		diff := root.Child("interval.difference")
-		profiles, err = interval.DifferenceP(snaps, parallel)
-		fail(err)
-		diff.SetInt("profiles", int64(len(profiles))).End()
-	}
-
-	det, err := phase.Detect(profiles, opts)
-	fail(err)
-	return det, profiles, snaps[len(snaps)-1]
+// syncWriter serializes writes to w.
+type syncWriter struct {
+	mu sync.Mutex
+	w  io.Writer
 }
 
-type followConfig struct {
-	format     *profile.Format // nil = auto-detect once the first dump lands
-	poll       time.Duration
-	idle       time.Duration
-	refresh    int
-	reorder    int
-	salvage    bool
-	ckptDir    string
-	ckptEvery  int
-	ckptNoSync bool
-	resume     bool
-	maxPending int
-	shed       stream.ShedPolicy
-	stall      time.Duration
-	seed       uint64
-	selection  string
-	algorithm  string
-	span       *obs.Span
-}
-
-// followDir tails the dump directory through the streaming engine. Live
-// progress prints with a "live:" prefix; everything else matches the batch
-// path's output for the same final directory contents. With a checkpoint
-// directory the engine runs behind the durability layer — WAL per dump,
-// periodic snapshots, resumable after a kill — and with -max-pending or
-// -stall a bounded admission queue sits between the tailer and the engine.
-func followDir(dir string, opts phase.Options, policy interval.GapPolicy, cfg followConfig) (*phase.Detection, []interval.Profile, *profile.Sample) {
-	// Engine callbacks print live lines; the replaying flag mutes them while
-	// recovery re-feeds WAL'd dumps the previous process already reported.
-	replaying := false
-	engOpts := stream.Options{
-		Robust:       cfg.salvage,
-		Gap:          policy,
-		Reorder:      cfg.reorder,
-		Phase:        opts,
-		RefreshEvery: cfg.refresh,
-		Span:         cfg.span,
-		OnLabel: func(ev online.Event) {
-			if replaying {
-				return
-			}
-			mark := ""
-			if ev.NewPhase {
-				mark = " (new phase)"
-			} else if ev.Transition {
-				mark = " (transition)"
-			}
-			if ev.LowConfidence {
-				mark += " (low confidence)"
-			}
-			fmt.Printf("live: interval %d -> phase %d%s\n", ev.Interval, ev.Phase, mark)
-		},
-		OnRefresh: func(r stream.Refresh) {
-			if replaying || r.Final {
-				return
-			}
-			warm := ""
-			if r.WarmAccepted {
-				warm = ", warm start accepted"
-			}
-			fmt.Printf("live: refresh %d: k=%d over %d intervals (%d sites reused, %d recomputed%s)\n",
-				r.Index, r.K, r.Intervals, r.SitesReused, r.SitesRecomputed, warm)
-		},
-		OnGap: func(g interval.Gap) {
-			if replaying {
-				return
-			}
-			fmt.Printf("live: gap %s seq %d..%d (%d missing)\n", g.Kind, g.FromSeq, g.ToSeq, g.Missing)
-		},
-	}
-
-	// The sink stack, innermost out: engine, optional checkpoint runner,
-	// optional admission queue.
-	var (
-		eng    *stream.Engine
-		runner *checkpoint.Runner
-		inner  stream.Sink[*profile.Sample] // runner when durable, engine otherwise
-	)
-	if cfg.ckptDir != "" {
-		if !cfg.resume {
-			if entries, err := os.ReadDir(cfg.ckptDir); err == nil && len(entries) > 0 {
-				fail(fmt.Errorf("%s already holds checkpoint state; pass -resume to continue that run or clear the directory", cfg.ckptDir))
-			}
-		}
-		mgr, err := checkpoint.Open(cfg.ckptDir, checkpoint.ManagerOptions{NoSync: cfg.ckptNoSync})
-		fail(err)
-		replaying = true
-		var rec *checkpoint.Recovery
-		runner, rec, err = checkpoint.Start(mgr, checkpoint.RunnerOptions{
-			Config: ckptConfig(opts, policy, cfg),
-			Engine: engOpts,
-			Every:  cfg.ckptEvery,
-		})
-		fail(err)
-		replaying = false
-		for _, skip := range rec.Skipped {
-			fmt.Printf("live: resume: skipped invalid snapshot: %s\n", skip)
-		}
-		if rec.TornWAL {
-			fmt.Println("live: resume: WAL tail was torn; truncated to the last valid record")
-		}
-		if cfg.resume {
-			from := 0
-			if rec.Snapshot != nil {
-				from = rec.Snapshot.Accepted
-			}
-			fmt.Printf("live: resume: snapshot at %d accepted dumps, %d WAL records replayed\n", from, runner.Replayed())
-		}
-		eng = runner.Engine()
-		inner = runner
-	} else {
-		eng = stream.New(engOpts)
-		inner = eng
-	}
-
-	var adm *stream.Admission
-	var head incprof.Sink = inner
-	if cfg.maxPending > 0 || cfg.stall > 0 {
-		adm = stream.NewAdmission(inner, stream.AdmissionOptions{
-			MaxPending: cfg.maxPending,
-			Policy:     cfg.shed,
-			Stall:      cfg.stall,
-			OnShed: func(s *profile.Sample) {
-				if runner != nil {
-					if err := runner.RecordShed(s); err != nil {
-						fmt.Fprintln(os.Stderr, "phasedetect: recording shed dump:", err)
-					}
-				}
-				fmt.Printf("live: shed seq %d (queue full)\n", s.Seq)
-			},
-		})
-		head = adm
-	}
-
-	// SIGTERM/SIGINT end the tail gracefully: stop ingesting, snapshot the
-	// engine state, flush the report. A second signal kills as usual.
-	stop := make(chan struct{})
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigCh
-		signal.Stop(sigCh)
-		close(stop)
-	}()
-
-	ffmt := cfg.format
-	if ffmt == nil {
-		f, derr := waitDetect(dir, cfg.poll, cfg.idle, stop)
-		fail(derr)
-		ffmt = f // still nil if the dir stayed empty: tail the canonical layout
-	}
-
-	topts := incprof.TailOptions{
-		Format:  ffmt,
-		Poll:    cfg.poll,
-		Idle:    cfg.idle,
-		Salvage: cfg.salvage,
-		Stop:    stop,
-		OnSkip: func(sk incprof.SkippedFile) {
-			fmt.Printf("salvage: skipped %s (seq %d): %v\n", sk.Name, sk.Seq, sk.Err)
-		},
-	}
-	if runner != nil {
-		topts.Seen = runner.Seen
-	}
-	res, err := incprof.TailDir(dir, head, topts)
-	if err == stream.ErrStalled || (adm != nil && adm.Halted()) {
-		if runner != nil {
-			fmt.Fprintf(os.Stderr, "phasedetect: %v; durable state in %s is current through the WAL, resume with -resume\n", stream.ErrStalled, cfg.ckptDir)
-		} else {
-			fmt.Fprintln(os.Stderr, "phasedetect:", stream.ErrStalled)
-		}
-		os.Exit(1)
-	}
-	fail(err)
-	if res.Stopped {
-		fmt.Println("live: stop signal received; finishing with what has been accepted")
-		if runner != nil {
-			runner.SetSaveOnFlush(true)
-		}
-	}
-	if res.Emitted == 0 && (runner == nil || runner.Accepted() == 0) {
-		fail(fmt.Errorf("no snapshots found in %s", dir))
-	}
-	if adm != nil {
-		if err := adm.Flush(); err == stream.ErrStalled {
-			fmt.Fprintln(os.Stderr, "phasedetect:", err)
-			os.Exit(1)
-		} else {
-			fail(err)
-		}
-		if n := adm.Shed(); n > 0 {
-			fmt.Printf("live: %d dumps shed under overload (%s policy)\n", n, cfg.shed)
-		}
-	}
-	var r *stream.Result
-	if runner != nil {
-		if res.Stopped {
-			fmt.Printf("live: state saved to %s; resume with -resume\n", cfg.ckptDir)
-		}
-		r, err = runner.Finish()
-	} else {
-		r, err = eng.Finish()
-	}
-	fail(err)
-	if cfg.salvage {
-		repaired := 0
-		for _, p := range r.Profiles {
-			if p.Repaired {
-				repaired++
-			}
-		}
-		reportGaps(r.Gaps, repaired, policy)
-	}
-	return r.Detection, r.Profiles, res.Last
-}
-
-// waitDetect resolves -format auto under -follow: poll the directory until
-// the first dump appears and names its format. A directory that stays empty
-// through the idle window or a stop signal yields (nil, nil) — the tail then
-// runs against the canonical layout and the normal no-snapshots / resumed-
-// idle handling applies. A mixed-format directory fails immediately.
-func waitDetect(dir string, poll, idle time.Duration, stop <-chan struct{}) (*profile.Format, error) {
-	if poll <= 0 {
-		poll = 200 * time.Millisecond
-	}
-	if idle <= 0 {
-		idle = 2 * time.Second
-	}
-	deadline := time.Now().Add(idle)
-	for {
-		f, err := profile.DetectDir(dir)
-		if err == nil {
-			return f, nil
-		}
-		if !errors.Is(err, profile.ErrNoDumps) {
-			return nil, err
-		}
-		if time.Now().After(deadline) {
-			return nil, nil
-		}
-		select {
-		case <-stop:
-			return nil, nil
-		case <-time.After(poll):
-		}
-	}
-}
-
-// ckptConfig fingerprints the analysis options for the checkpoint layer: a
-// resume under any differing value would produce a report matching neither
-// the old run nor a fresh one, so Recover refuses it.
-func ckptConfig(opts phase.Options, policy interval.GapPolicy, cfg followConfig) checkpoint.Config {
-	return checkpoint.Config{
-		Seed:              cfg.seed,
-		KMax:              opts.KMax,
-		CoverageThreshold: opts.CoverageThreshold,
-		Selection:         cfg.selection,
-		Algorithm:         cfg.algorithm,
-		FeatureKind:       opts.Features.Kind.String(),
-		ExcludeMPI:        opts.Features.Exclude != nil,
-		Robust:            cfg.salvage,
-		GapPolicy:         policy.String(),
-		Reorder:           cfg.reorder,
-		RefreshEvery:      cfg.refresh,
-	}
-}
-
-// reportGaps prints the salvage-mode gap summary, shared verbatim by the
-// batch and follow paths so their reports diff clean.
-func reportGaps(gaps []interval.Gap, repaired int, policy interval.GapPolicy) {
-	for _, g := range gaps {
-		fmt.Printf("gap: %s seq %d..%d (%d missing)\n", g.Kind, g.FromSeq, g.ToSeq, g.Missing)
-	}
-	if repaired > 0 {
-		fmt.Printf("salvage: %d gaps, %d repaired intervals (%s policy)\n", len(gaps), repaired, policy)
-	}
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "phasedetect:", err)
-		os.Exit(1)
-	}
+func (s *syncWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Write(p)
 }

@@ -2,35 +2,11 @@ package cluster
 
 import "fmt"
 
-// RandIndex measures agreement between two labelings of the same points:
-// the fraction of point pairs on which they agree about co-membership.
-// 1.0 means identical clusterings (up to label permutation). It panics on
-// length mismatch and returns 1 for fewer than two points.
-func RandIndex(a, b []int) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("cluster: RandIndex length mismatch %d vs %d", len(a), len(b)))
-	}
-	n := len(a)
-	if n < 2 {
-		return 1
-	}
-	var agree, total float64
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			total++
-			if (a[i] == a[j]) == (b[i] == b[j]) {
-				agree++
-			}
-		}
-	}
-	return agree / total
-}
-
 // AdjustedRandIndex is the chance-corrected Rand index (Hubert & Arabie):
-// 0 expected for random labelings, 1 for identical clusterings. Degenerate
-// cases where the expected and maximum index coincide (e.g. both labelings
-// put everything in one cluster) return 1 when the labelings agree on all
-// pairs and 0 otherwise.
+// 0 expected for random labelings, 1 for identical clusterings. The
+// degenerate cases where the expected and maximum index coincide (both
+// labelings put everything in one cluster, or both in singletons) agree on
+// every pair and return 1.
 func AdjustedRandIndex(a, b []int) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("cluster: AdjustedRandIndex length mismatch %d vs %d", len(a), len(b)))
@@ -64,10 +40,10 @@ func AdjustedRandIndex(a, b []int) float64 {
 	expected := sumRows * sumCols / totalPairs
 	maxIndex := (sumRows + sumCols) / 2
 	if maxIndex == expected {
-		if RandIndex(a, b) == 1 {
-			return 1
-		}
-		return 0
+		// Only when sumRows and sumCols are both 0 (both labelings all
+		// singletons) or both totalPairs (both one cluster): either way the
+		// labelings agree on every pair.
+		return 1
 	}
 	return (sumCont - expected) / (maxIndex - expected)
 }

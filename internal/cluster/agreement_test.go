@@ -8,41 +8,6 @@ import (
 	"github.com/incprof/incprof/internal/xmath"
 )
 
-func TestRandIndexIdentical(t *testing.T) {
-	a := []int{0, 0, 1, 1, 2}
-	if got := RandIndex(a, a); got != 1 {
-		t.Fatalf("RandIndex(a,a) = %v", got)
-	}
-	// Label permutation does not matter.
-	b := []int{5, 5, 9, 9, 7}
-	if got := RandIndex(a, b); got != 1 {
-		t.Fatalf("permuted labels = %v", got)
-	}
-}
-
-func TestRandIndexDisagreement(t *testing.T) {
-	a := []int{0, 0, 1, 1}
-	b := []int{0, 1, 0, 1}
-	// Pairs: (0,1) same-a diff-b, (2,3) same-a diff-b, (0,2) diff-a
-	// diff-b? a: 0 vs 1 diff; b: 0 vs 0 same -> disagree. Compute: of 6
-	// pairs, agreements are (0,3) and (1,2): diff in both.
-	if got := RandIndex(a, b); math.Abs(got-2.0/6.0) > 1e-12 {
-		t.Fatalf("RandIndex = %v, want 1/3", got)
-	}
-}
-
-func TestRandIndexDegenerate(t *testing.T) {
-	if got := RandIndex([]int{1}, []int{2}); got != 1 {
-		t.Fatalf("single point = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on mismatch")
-		}
-	}()
-	RandIndex([]int{1, 2}, []int{1})
-}
-
 func TestAdjustedRandIdentical(t *testing.T) {
 	a := []int{0, 0, 1, 1, 2, 2}
 	if got := AdjustedRandIndex(a, a); math.Abs(got-1) > 1e-12 {
@@ -62,11 +27,6 @@ func TestAdjustedRandRandomNearZero(t *testing.T) {
 	if got := AdjustedRandIndex(a, b); math.Abs(got) > 0.03 {
 		t.Fatalf("ARI of independent labelings = %v, want ~0", got)
 	}
-	// Plain Rand index is NOT near zero for random labelings — that is
-	// why ARI exists.
-	if got := RandIndex(a, b); got < 0.4 {
-		t.Fatalf("Rand of random labelings = %v", got)
-	}
 }
 
 func TestAdjustedRandSingleClusterBoth(t *testing.T) {
@@ -77,7 +37,7 @@ func TestAdjustedRandSingleClusterBoth(t *testing.T) {
 	}
 }
 
-// Property: both indices are symmetric and invariant under label renaming.
+// Property: the index is symmetric and invariant under label renaming.
 func TestPropertyAgreementSymmetry(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xmath.NewRNG(seed)
@@ -88,9 +48,6 @@ func TestPropertyAgreementSymmetry(t *testing.T) {
 			a[i] = rng.Intn(4)
 			b[i] = rng.Intn(4)
 		}
-		if math.Abs(RandIndex(a, b)-RandIndex(b, a)) > 1e-12 {
-			return false
-		}
 		if math.Abs(AdjustedRandIndex(a, b)-AdjustedRandIndex(b, a)) > 1e-12 {
 			return false
 		}
@@ -99,8 +56,7 @@ func TestPropertyAgreementSymmetry(t *testing.T) {
 		for i := range a {
 			renamed[i] = 100 - a[i]
 		}
-		return math.Abs(RandIndex(a, b)-RandIndex(renamed, b)) < 1e-12 &&
-			math.Abs(AdjustedRandIndex(a, b)-AdjustedRandIndex(renamed, b)) < 1e-12
+		return math.Abs(AdjustedRandIndex(a, b)-AdjustedRandIndex(renamed, b)) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,10 @@
 // Package faults is a seedable, deterministic fault injector for the
 // collection path: it wraps the boundaries where real profile data gets
 // lost — the dump store (lost, duplicated, truncated files), the metric
-// transport (errors, stalls, garbage bytes on the wire), and the rank
-// itself (a collector that dies mid-run) — so the analysis pipeline's
-// degraded-mode behavior can be exercised and measured.
+// transport (errors, stalls, garbage bytes on the wire; the package's tests
+// hold its injectors), and the rank itself (a collector that dies mid-run)
+// — so the analysis pipeline's degraded-mode behavior can be exercised and
+// measured.
 //
 // Every fault decision is a pure function of (Plan.Seed, fault kind, rank,
 // sequence number): a fresh RNG is seeded per decision rather than shared
@@ -15,13 +16,11 @@ package faults
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"time"
 
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/incprof"
-	"github.com/incprof/incprof/internal/ldms"
+	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/xmath"
 )
 
@@ -240,72 +239,3 @@ func (s *Store) Truncated() int { return s.truncated }
 
 // Stopped reports whether the rank-stop fault has fired.
 func (s *Store) Stopped() bool { return s.stopped }
-
-// Sampler wraps an ldms.Sampler and injects per-call transport faults:
-// outright errors and stalls. Calls are numbered from 0; the call number is
-// the decision coordinate.
-type Sampler struct {
-	inner ldms.Sampler
-	plan  Plan
-	rank  int
-	calls int
-}
-
-// NewSampler wraps inner with fault injection for the given rank.
-func NewSampler(inner ldms.Sampler, plan Plan, rank int) *Sampler {
-	return &Sampler{inner: inner, plan: plan.withDefaults(), rank: rank}
-}
-
-// Sample implements ldms.Sampler.
-func (f *Sampler) Sample() (ldms.MetricSet, error) {
-	seq := f.calls
-	f.calls++
-	if f.plan.decide(KindSampleStall, f.rank, seq, f.plan.SampleStall) {
-		f.plan.sleep(f.plan.StallFor)
-	}
-	if f.plan.decide(KindSampleError, f.rank, seq, f.plan.SampleError) {
-		return ldms.MetricSet{}, fmt.Errorf("faults: injected sample error (rank %d, call %d)", f.rank, seq)
-	}
-	return f.inner.Sample()
-}
-
-// Conn wraps a net.Conn and corrupts the read side: responses are replaced
-// with garbage bytes, fail outright, or stall before delivery. Reads are
-// numbered from 0 per connection. Writes pass through untouched so the
-// request still reaches the server.
-type Conn struct {
-	net.Conn
-	plan  Plan
-	rank  int
-	reads int
-}
-
-// NewConn wraps conn with read-side fault injection for the given rank.
-func NewConn(conn net.Conn, plan Plan, rank int) *Conn {
-	return &Conn{Conn: conn, plan: plan.withDefaults(), rank: rank}
-}
-
-// Read implements net.Conn. Garbage responses end in '\n' so that a
-// line-oriented reader terminates and fails in the JSON decoder rather
-// than blocking for more bytes.
-func (c *Conn) Read(b []byte) (int, error) {
-	seq := c.reads
-	c.reads++
-	if c.plan.decide(KindSampleStall, c.rank, seq, c.plan.SampleStall) {
-		c.plan.sleep(c.plan.StallFor)
-	}
-	if c.plan.decide(KindSampleError, c.rank, seq, c.plan.SampleError) {
-		return 0, fmt.Errorf("faults: injected read error (rank %d, read %d)", c.rank, seq)
-	}
-	if c.plan.decide(KindGarbage, c.rank, seq, c.plan.Garbage) {
-		// Consume the real response so the stream stays aligned for the
-		// next request, then hand back undecodable bytes.
-		if _, err := c.Conn.Read(b); err != nil {
-			return 0, err
-		}
-		garbage := []byte("\x00\xff\xfenot json\n")
-		n := copy(b, garbage)
-		return n, nil
-	}
-	return c.Conn.Read(b)
-}

@@ -10,6 +10,7 @@ import (
 	"github.com/incprof/incprof/internal/interval"
 	"github.com/incprof/incprof/internal/ldms"
 	"github.com/incprof/incprof/internal/profile"
+	"github.com/incprof/incprof/internal/stream"
 )
 
 // fsnap builds a minimal cumulative snapshot for injector tests.
@@ -189,12 +190,12 @@ func TestStoreTruncateCorruptsDirStoreFiles(t *testing.T) {
 	if _, err := inner.Snapshots(); err == nil {
 		t.Fatal("strict load accepted truncated dumps")
 	}
-	snaps, report, err := inner.SnapshotsSalvageP(0)
+	res, err := incprof.ReadDir(inner.Dir(), stream.Discard[*profile.Sample]{}, incprof.TailOptions{Salvage: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) != 0 || len(report.Skipped) != 4 {
-		t.Fatalf("salvage: loaded=%d skipped=%d, want 0/4", len(snaps), len(report.Skipped))
+	if res.Emitted != 0 || len(res.Skipped) != 4 {
+		t.Fatalf("salvage: loaded=%d skipped=%d, want 0/4", res.Emitted, len(res.Skipped))
 	}
 }
 
@@ -238,7 +239,7 @@ func TestSamplerInjectsErrorsAndStalls(t *testing.T) {
 	var stalls []time.Duration
 	plan := Plan{Seed: 2, SampleError: 0.5, SampleStall: 0.5, StallFor: 123 * time.Millisecond}
 	plan.sleep = func(d time.Duration) { stalls = append(stalls, d) }
-	fsamp := NewSampler(inner, plan, 0)
+	fsamp := newFaultSampler(inner, plan, 0)
 	errs := 0
 	for i := 0; i < 100; i++ {
 		if _, err := fsamp.Sample(); err != nil {
@@ -273,7 +274,7 @@ func TestConnGarbageFailsDecodeNotHang(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	sampler := ldms.NewConnSampler(NewConn(conn, Plan{Seed: 4, Garbage: 1}, 0), ldms.DialOptions{
+	sampler := ldms.NewConnSampler(newFaultConn(conn, Plan{Seed: 4, Garbage: 1}, 0), ldms.DialOptions{
 		SampleTimeout: 2 * time.Second,
 	})
 	_, err = sampler.Sample()
@@ -302,7 +303,7 @@ func TestConnGarbageAbsorbedByRetry(t *testing.T) {
 	defer conn.Close()
 	// Garbage fires per read decision; with p=0.5 and several retries the
 	// hardened transport should eventually pull a clean response.
-	fc := NewConn(conn, Plan{Seed: 6, Garbage: 0.5}, 0)
+	fc := newFaultConn(conn, Plan{Seed: 6, Garbage: 0.5}, 0)
 	sampler := ldms.NewConnSampler(fc, ldms.DialOptions{
 		SampleTimeout: 2 * time.Second,
 		Retries:       10,

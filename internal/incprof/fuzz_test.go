@@ -26,10 +26,10 @@ func fuzzSnapshot(seq int) *profile.Sample {
 	return s
 }
 
-// FuzzSnapshotsSalvage hardens the salvage loader end to end: a dump file
-// holding arbitrary bytes must never panic the load — it is either decoded or
-// reported in the LoadReport — and whatever survives must be safe to feed to
-// the robust differencing path.
+// FuzzSnapshotsSalvage hardens the salvage read end to end: a dump file
+// holding arbitrary bytes must never panic the read — it is either emitted or
+// reported in TailResult.Skipped — and whatever survives must be safe to feed
+// to the robust differencing path.
 func FuzzSnapshotsSalvage(f *testing.F) {
 	var valid bytes.Buffer
 	if err := fuzzSnapshot(1).Encode(&valid); err != nil {
@@ -54,15 +54,15 @@ func FuzzSnapshotsSalvage(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, "gmon.out.1"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		snaps, rep, err := st.SnapshotsSalvageP(0)
+		snaps, rep, err := salvageRead(st)
 		if err != nil {
 			t.Fatalf("salvage must absorb corrupt dumps, got %v", err)
 		}
-		if rep.Loaded+len(rep.Skipped) != 2 {
-			t.Fatalf("loaded %d + skipped %d != 2 files", rep.Loaded, len(rep.Skipped))
+		if rep.Emitted+len(rep.Skipped) != 2 {
+			t.Fatalf("emitted %d + skipped %d != 2 files", rep.Emitted, len(rep.Skipped))
 		}
-		if len(snaps) != rep.Loaded {
-			t.Fatalf("len(snaps)=%d but report.Loaded=%d", len(snaps), rep.Loaded)
+		if len(snaps) != rep.Emitted {
+			t.Fatalf("len(snaps)=%d but result.Emitted=%d", len(snaps), rep.Emitted)
 		}
 		// The survivors feed the repair path without panicking; at least
 		// the known-good dump is always there.

@@ -26,7 +26,6 @@ import (
 	"github.com/incprof/incprof/internal/exec"
 	"github.com/incprof/incprof/internal/gmon"
 	"github.com/incprof/incprof/internal/obs"
-	"github.com/incprof/incprof/internal/par"
 	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/profiler"
 	"github.com/incprof/incprof/internal/vclock"
@@ -315,100 +314,29 @@ func (d *DirStore) Put(s *profile.Sample) error {
 	return nil
 }
 
-// Snapshots implements Store, reading back the binary dumps in Seq order.
-// The load is strict: one unreadable or corrupt file fails it. Use
-// SnapshotsSalvageP when degraded data should degrade, not abort, the run.
-// Snapshots decodes on the full GOMAXPROCS worker budget; SnapshotsP takes
-// an explicit one.
+// Snapshots implements Store, reading back the binary dumps in Seq order
+// (ReadDir, strict, on the full GOMAXPROCS decode budget). One unreadable
+// or corrupt file fails it; read with ReadDir and Salvage set when degraded
+// data should degrade, not abort, the run.
 func (d *DirStore) Snapshots() ([]*profile.Sample, error) {
-	return d.SnapshotsP(0)
-}
-
-// SnapshotsP is Snapshots with the dumps decoded on a worker pool bounded
-// by parallelism (0 means GOMAXPROCS, 1 decodes serially). The result, and
-// the error naming the lowest-Seq bad file, are the same at any
-// parallelism.
-func (d *DirStore) SnapshotsP(parallelism int) ([]*profile.Sample, error) {
-	snaps, report, err := d.load(false, parallelism)
-	if err != nil {
+	out := collect{}
+	if _, err := ReadDir(d.dir, &out, TailOptions{Format: d.format}); err != nil {
 		return nil, err
 	}
-	if len(report.Skipped) > 0 {
-		s := report.Skipped[0]
-		return nil, fmt.Errorf("incprof: decoding %s: %w", s.Name, s.Err)
-	}
-	return snaps, nil
+	return out, nil
 }
 
-// SkippedFile records one dump a salvage load could not use.
-type SkippedFile struct {
-	// Name is the file's base name (gmon.out.N).
-	Name string
-	// Seq is the sequence number parsed from the name.
-	Seq int
-	// Err is the open or decode failure.
-	Err error
+// collect is a Sink that keeps every snapshot in arrival order.
+type collect []*profile.Sample
+
+func (c *collect) Emit(s *profile.Sample) error {
+	*c = append(*c, s)
+	return nil
 }
 
-// LoadReport summarizes a salvage load.
-type LoadReport struct {
-	// Loaded counts the snapshots recovered.
-	Loaded int
-	// Skipped lists the corrupt or unreadable dumps, in Seq order.
-	Skipped []SkippedFile
-}
-
-// SnapshotsSalvageP reads back every decodable dump, skipping corrupt or
-// truncated files instead of failing the load. The report names each
-// skipped file; the missing Seq numbers surface downstream as
-// interval.Gap records via DifferenceRobust. Parallelism bounds the decode
-// pool as in SnapshotsP; the snapshots, the report and the
-// incprof.salvage.* counters do not depend on it.
-func (d *DirStore) SnapshotsSalvageP(parallelism int) ([]*profile.Sample, LoadReport, error) {
-	return d.load(true, parallelism)
-}
-
-// load decodes every dump on the pool, each into its own slot, then settles
-// the outcomes in Seq order, as a serial loop would: the strict load stops
-// at the lowest-Seq failure, the salvage load skips and counts each one.
-func (d *DirStore) load(salvage bool, parallelism int) ([]*profile.Sample, LoadReport, error) {
-	var report LoadReport
-	dec := formatDecoder(d.format)
-	files, err := listDumps(d.dir, dec.prefix, nil)
-	if err != nil {
-		return nil, report, err
-	}
-	snaps := make([]*profile.Sample, len(files))
-	errs := make([]error, len(files))
-	syms := symbols{names: map[string]string{}}
-	par.For(len(files), parallelism, func(i int) {
-		snaps[i], errs[i] = dec.decodeDump(filepath.Join(d.dir, files[i].name), files[i].seq)
-		if errs[i] == nil {
-			syms.intern(snaps[i])
-		}
-	})
-	out := snaps[:0]
-	for i, f := range files {
-		if errs[i] != nil {
-			report.Skipped = append(report.Skipped, SkippedFile{Name: f.name, Seq: f.seq, Err: errs[i]})
-			if salvage {
-				obs.C("incprof.salvage.skipped").Inc()
-				continue
-			}
-			return nil, report, nil // strict caller reports Skipped[0]
-		}
-		out = append(out, snaps[i])
-	}
-	report.Loaded = len(out)
-	if salvage {
-		obs.C("incprof.salvage.loaded").Add(int64(report.Loaded))
-	}
-	return out, report, nil
-}
-
-// symbols is the one symbol table of a load. Each dump decodes its own copy
+// symbols is the one symbol table of a read. Each dump decodes its own copy
 // of every name; interning them as each decode finishes leaves one string
-// per symbol across the load, and the copies garbage right away.
+// per symbol across the read, and the copies garbage right away.
 type symbols struct {
 	mu    sync.Mutex
 	names map[string]string

@@ -46,60 +46,122 @@ func pprofStore(t *testing.T, n int) *incprof.DirStore {
 	return st
 }
 
+// read reads st's directory once at the given decode parallelism and
+// returns what it emitted.
+func read(st *incprof.DirStore, f *profile.Format, salvage bool, p int) ([]*profile.Sample, incprof.TailResult, error) {
+	sink := &recordingSink{}
+	res, err := incprof.ReadDir(st.Dir(), sink, incprof.TailOptions{Format: f, Salvage: salvage, Parallelism: p})
+	return sink.snaps, res, err
+}
+
 // TestParallelLoadMatchesSerial damages two dumps, one torn and one with a
-// flipped tail byte, and loads the directory serially and on eight workers:
-// the strict error must name the lower Seq, and the salvage load must give
-// the same snapshots, report and counters either way.
+// flipped tail byte, and reads the directory serially and on eight workers:
+// the strict error must name the lower Seq, and the strict and salvage
+// reads must give the same snapshots, result and counters either way. The
+// directory spans two decode chunks, so a strict read that stops in the
+// first must not start decoding the second at any parallelism.
 func TestParallelLoadMatchesSerial(t *testing.T) {
-	st := pprofStore(t, 12)
+	const n = 76
+	st := pprofStore(t, n)
+	pf, _ := profile.Lookup("pprof")
 	if err := faults.TearFile(st.PathFor(3), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := faults.CorruptTail(st.PathFor(8), 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	type salvaged struct {
-		snaps           []*profile.Sample
-		report          incprof.LoadReport
-		skipped, loaded int64
+	type counters struct{ skipped, emitted, calls, tasks int64 }
+	count := func() counters {
+		return counters{
+			obs.C("incprof.read.skipped").Value(), obs.C("incprof.read.emitted").Value(),
+			obs.C("par.for.calls").Value(), obs.C("par.for.tasks").Value(),
+		}
 	}
-	load := func(p int) salvaged {
+	type loaded struct {
+		strict, salvage counters
+		snaps           []*profile.Sample
+		res             incprof.TailResult
+	}
+	load := func(p int) loaded {
+		var l loaded
 		obs.Enable(obs.Config{Seed: 1})
 		defer obs.Disable()
-		_, err := st.SnapshotsP(p)
+		snaps, _, err := read(st, pf, false, p)
 		if err == nil || !strings.Contains(err.Error(), "pprof.out.3:") {
-			t.Fatalf("parallelism %d: strict load error %v, want one naming pprof.out.3", p, err)
+			t.Fatalf("parallelism %d: strict read error %v, want one naming pprof.out.3", p, err)
 		}
-		var s salvaged
-		if s.snaps, s.report, err = st.SnapshotsSalvageP(p); err != nil {
+		if len(snaps) != 3 {
+			t.Fatalf("parallelism %d: strict read emitted %d dumps before failing, want seqs 0-2", p, len(snaps))
+		}
+		l.strict = count()
+		obs.Enable(obs.Config{Seed: 1})
+		if l.snaps, l.res, err = read(st, pf, true, p); err != nil {
 			t.Fatal(err)
 		}
-		s.skipped = obs.C("incprof.salvage.skipped").Value()
-		s.loaded = obs.C("incprof.salvage.loaded").Value()
-		return s
+		l.salvage = count()
+		return l
 	}
 	serial, parallel := load(1), load(8)
-	if len(serial.report.Skipped) != 2 || serial.report.Skipped[0].Seq != 3 || serial.report.Skipped[1].Seq != 8 || serial.report.Loaded != 10 {
-		t.Fatalf("serial salvage report %+v, want 10 loaded and seqs 3, 8 skipped", serial.report)
+	if len(serial.res.Skipped) != 2 || serial.res.Skipped[0].Seq != 3 || serial.res.Skipped[1].Seq != 8 || serial.res.Emitted != n-2 {
+		t.Fatalf("serial salvage result %+v, want %d emitted and seqs 3, 8 skipped", serial.res, n-2)
 	}
 	if !reflect.DeepEqual(serial.snaps, parallel.snaps) {
-		t.Fatal("parallel salvage load decoded different snapshots")
+		t.Fatal("parallel salvage read decoded different snapshots")
 	}
-	if !reflect.DeepEqual(serial.report, parallel.report) {
-		t.Fatalf("salvage reports differ:\n serial   %+v\n parallel %+v", serial.report, parallel.report)
+	if !reflect.DeepEqual(serial.res, parallel.res) {
+		t.Fatalf("salvage results differ:\n serial   %+v\n parallel %+v", serial.res, parallel.res)
 	}
-	if serial.skipped != parallel.skipped || serial.loaded != parallel.loaded {
-		t.Fatalf("salvage counters differ: serial skipped %d loaded %d, parallel skipped %d loaded %d",
-			serial.skipped, serial.loaded, parallel.skipped, parallel.loaded)
+	if want := (counters{emitted: 3, calls: 1, tasks: 64}); serial.strict != want || parallel.strict != want {
+		t.Fatalf("strict counters: serial %+v, parallel %+v; want %+v", serial.strict, parallel.strict, want)
+	}
+	if want := (counters{2, n - 2, 2, n}); serial.salvage != want || parallel.salvage != want {
+		t.Fatalf("salvage counters: serial %+v, parallel %+v; want %+v", serial.salvage, parallel.salvage, want)
 	}
 }
 
-// TestLoadSharesSymbolNames checks a load keeps one string per symbol: the
-// same name in every dump points at the same bytes.
+// TestReadOrderAcrossChunks reads more dumps than one decode chunk holds,
+// with a corrupt dump past the first chunk boundary: at every parallelism
+// the emitted Seqs are the listing's, in order, and the skip lands between
+// the right neighbours.
+func TestReadOrderAcrossChunks(t *testing.T) {
+	const n = 150
+	st := pprofStore(t, n)
+	pf, _ := profile.Lookup("pprof")
+	if err := faults.TearFile(st.PathFor(70), 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2, 8} {
+		snaps, res, err := read(st, pf, true, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Emitted != n-1 || len(snaps) != n-1 || len(res.Skipped) != 1 || res.Skipped[0].Seq != 70 {
+			t.Fatalf("parallelism %d: emitted %d, skipped %+v; want %d and seq 70", p, res.Emitted, res.Skipped, n-1)
+		}
+		want := 0
+		for _, s := range snaps {
+			if want == 70 {
+				want++
+			}
+			if s.Seq != want {
+				t.Fatalf("parallelism %d: emitted seq %d where %d belongs", p, s.Seq, want)
+			}
+			want++
+		}
+		if res.Last != snaps[len(snaps)-1] {
+			t.Fatalf("parallelism %d: Last is not the final emitted snapshot", p)
+		}
+	}
+}
+
+// TestLoadSharesSymbolNames checks a read keeps one string per symbol: the
+// same name in every dump points at the same bytes, across decode chunks
+// too.
 func TestLoadSharesSymbolNames(t *testing.T) {
-	st := pprofStore(t, 6)
+	st := pprofStore(t, 70)
+	pf, _ := profile.Lookup("pprof")
 	for _, p := range []int{1, 4} {
-		snaps, err := st.SnapshotsP(p)
+		snaps, _, err := read(st, pf, false, p)
 		if err != nil {
 			t.Fatal(err)
 		}

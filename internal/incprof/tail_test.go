@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -99,7 +100,7 @@ func TestTailDirStrictFailsOnCorruptDump(t *testing.T) {
 }
 
 // Salvage mode skips the corrupt dump, reports it, and keeps the rest in
-// order — the tail-side twin of SnapshotsSalvageP.
+// order — the tail-side twin of a salvage ReadDir.
 func TestTailDirSalvageSkipsCorruptDump(t *testing.T) {
 	dir := t.TempDir()
 	st, err := incprof.NewDirStore(dir, false)
@@ -182,5 +183,98 @@ func TestTailDirIdleWindowIsWallTime(t *testing.T) {
 	const slack = 150 * time.Millisecond
 	if limit := idle + poll + 2*scan + slack; elapsed > limit {
 		t.Fatalf("tail took %v, want <= %v", elapsed, limit)
+	}
+}
+
+// lockedSink records emitted Seqs for a test that reads them while the tail
+// is still running.
+type lockedSink struct {
+	mu   sync.Mutex
+	seqs []int
+}
+
+func (l *lockedSink) Emit(s *profile.Sample) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.seqs = append(l.seqs, s.Seq)
+	return nil
+}
+
+func (l *lockedSink) snapshot() []int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]int(nil), l.seqs...)
+}
+
+// A dump still being written in the middle of a decode chunk holds back
+// everything after it until it decodes, and the tail keeps Seq order across
+// chunk boundaries, serial or on the pool.
+func TestTailDirHoldsBackBehindPartialDumpMidChunk(t *testing.T) {
+	const n, partial = 150, 40
+	src, err := incprof.NewDirStore(t.TempDir(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := src.Put(tailSnap(i, int64(100*(i+1)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copyDump := func(dst string, seq int, whole bool) {
+		data, err := os.ReadFile(src.PathFor(seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !whole {
+			data = data[:len(data)/2]
+		}
+		if err := os.WriteFile(filepath.Join(dst, filepath.Base(src.PathFor(seq))), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []int{1, 4} {
+		dir := t.TempDir()
+		for i := 0; i < 100; i++ {
+			copyDump(dir, i, i != partial)
+		}
+		sink := &lockedSink{}
+		type outcome struct {
+			res incprof.TailResult
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := incprof.TailDir(dir, sink, incprof.TailOptions{
+				Poll:        5 * time.Millisecond,
+				Idle:        500 * time.Millisecond,
+				Parallelism: p,
+			})
+			done <- outcome{res, err}
+		}()
+		deadline := time.Now().Add(5 * time.Second)
+		for len(sink.snapshot()) < partial && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		time.Sleep(60 * time.Millisecond) // a dozen polls past the partial dump
+		if got := sink.snapshot(); len(got) != partial {
+			t.Fatalf("parallelism %d: emitted %d dumps around a partial seq %d, want exactly the %d before it", p, len(got), partial, partial)
+		}
+		copyDump(dir, partial, true) // the write completes
+		for i := 100; i < n; i++ {
+			copyDump(dir, i, true)
+		}
+		o := <-done
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		got := sink.snapshot()
+		if o.res.Emitted != n || len(got) != n {
+			t.Fatalf("parallelism %d: emitted %d (%d recorded), want %d", p, o.res.Emitted, len(got), n)
+		}
+		for i, seq := range got {
+			if seq != i {
+				t.Fatalf("parallelism %d: emit %d carried seq %d", p, i, seq)
+			}
+		}
 	}
 }

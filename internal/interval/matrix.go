@@ -25,23 +25,43 @@ import (
 type MatrixBuilder struct {
 	opts FeatureOptions
 
-	// seen is the set of functions that have qualified as a dimension —
-	// positive feature value in at least one row, not excluded. sorted
-	// caches the name-sorted order and is invalidated on growth.
-	seen   map[string]bool
-	sorted []string
+	// ids numbers every function that has had a stored cell, in
+	// first-seen order, and fns maps the number back. dim marks the ones
+	// that have qualified as a dimension — positive feature value in at
+	// least one row, not excluded — and ndims counts them. cols caches the
+	// dimension ids in name order and is invalidated on growth.
+	ids   map[string]int32
+	fns   []string
+	dim   []bool
+	ndims int
+	cols  []int32
 
-	// rows and callRows hold each interval's non-zero cells by function
-	// name. Values are keyed by name, not column index, so a dimension
-	// that appears late needs no backfill pass over old rows: their cells
-	// are simply absent, i.e. zero.
-	rows     []map[string]float64
-	callRows []map[string]int64
+	// Each row's non-zero cells, by function id, flat across rows: row i's
+	// time cells are cells[rowEnd[i-1]:rowEnd[i]] (from 0 for row 0), its
+	// call-count cells (SelfPlusCalls only) calls[callEnd[i-1]:callEnd[i]].
+	// Cells are keyed by function, not column, so a dimension that appears
+	// late needs no backfill pass over old rows: their cells are simply
+	// absent, i.e. zero. The flat arrays hold no pointers, so they cost the
+	// garbage collector nothing to scan however long the run.
+	cells   []cell
+	rowEnd  []int
+	calls   []cell
+	callEnd []int
+
+	// scratch is one row scattered by function id; it is all zeros
+	// between appendRow calls.
+	scratch []float64
+}
+
+// cell is one stored non-zero value of function id.
+type cell struct {
+	id int32
+	v  float64
 }
 
 // NewMatrixBuilder returns an empty builder for the given feature options.
 func NewMatrixBuilder(opts FeatureOptions) *MatrixBuilder {
-	return &MatrixBuilder{opts: opts, seen: make(map[string]bool)}
+	return &MatrixBuilder{opts: opts, ids: make(map[string]int32)}
 }
 
 // pick selects the per-function duration map the configured feature kind
@@ -57,69 +77,71 @@ func (b *MatrixBuilder) pick(p *Profile) map[string]time.Duration {
 // here grows the feature space; rows added earlier read as zero in the new
 // dimension.
 func (b *MatrixBuilder) Add(p *Profile) {
-	sel := b.pick(p)
-	row := make(map[string]float64, len(sel))
-	for fn, d := range sel {
-		if d > 0 && !b.excluded(fn) {
-			b.grow(fn)
+	for fn, d := range b.pick(p) {
+		if d == 0 || b.excluded(fn) {
+			continue
 		}
-		if d != 0 && !b.excluded(fn) {
-			// Non-zero cells are stored even when the function has not
-			// (yet) qualified as a dimension: the matrix carries the
-			// stored value for every row once the function qualifies in
-			// any row, including rows where it was negative.
-			row[fn] = d.Seconds()
-		}
+		// Non-zero cells are stored even when the function has not (yet)
+		// qualified as a dimension: the matrix carries the stored value
+		// for every row once the function qualifies in any row, including
+		// rows where it was negative.
+		id := b.id(fn, d > 0)
+		b.cells = append(b.cells, cell{id, d.Seconds()})
 	}
-	b.rows = append(b.rows, row)
+	b.rowEnd = append(b.rowEnd, len(b.cells))
 	if b.opts.Kind == SelfPlusCalls {
-		calls := make(map[string]int64, len(p.Calls))
 		for fn, n := range p.Calls {
-			if b.excluded(fn) {
+			if n == 0 || b.excluded(fn) {
 				continue
 			}
-			if n > 0 {
-				b.grow(fn)
-			}
-			if n != 0 {
-				calls[fn] = n
-			}
+			id := b.id(fn, n > 0)
+			b.calls = append(b.calls, cell{id, float64(n)})
 		}
-		b.callRows = append(b.callRows, calls)
-	} else {
-		b.callRows = append(b.callRows, nil)
 	}
+	b.callEnd = append(b.callEnd, len(b.calls))
 }
 
 func (b *MatrixBuilder) excluded(fn string) bool {
 	return b.opts.Exclude != nil && b.opts.Exclude(fn)
 }
 
-// grow registers fn as a dimension on first qualification.
-func (b *MatrixBuilder) grow(fn string) {
-	if !b.seen[fn] {
-		b.seen[fn] = true
-		b.sorted = nil
+// id returns fn's function number, assigning the next one on first sight,
+// and registers fn as a dimension the first time qualifies is set.
+func (b *MatrixBuilder) id(fn string, qualifies bool) int32 {
+	id, ok := b.ids[fn]
+	if !ok {
+		id = int32(len(b.fns))
+		b.ids[fn] = id
+		b.fns = append(b.fns, fn)
+		b.dim = append(b.dim, false)
 	}
+	if qualifies && !b.dim[id] {
+		b.dim[id] = true
+		b.ndims++
+		b.cols = nil
+	}
+	return id
 }
 
 // NumRows returns the number of intervals added so far.
-func (b *MatrixBuilder) NumRows() int { return len(b.rows) }
+func (b *MatrixBuilder) NumRows() int { return len(b.rowEnd) }
 
 // NumFuncs returns the number of function dimensions observed so far (before
 // the SelfPlusCalls doubling).
-func (b *MatrixBuilder) NumFuncs() int { return len(b.seen) }
+func (b *MatrixBuilder) NumFuncs() int { return b.ndims }
 
-// names returns the dimension names in canonical (sorted) order.
-func (b *MatrixBuilder) names() []string {
-	if b.sorted == nil {
-		b.sorted = make([]string, 0, len(b.seen))
-		for fn := range b.seen {
-			b.sorted = append(b.sorted, fn)
+// columns returns the dimension ids in canonical (name-sorted) order.
+func (b *MatrixBuilder) columns() []int32 {
+	if b.cols == nil {
+		b.cols = make([]int32, 0, b.ndims)
+		for id, ok := range b.dim {
+			if ok {
+				b.cols = append(b.cols, int32(id))
+			}
 		}
-		sort.Strings(b.sorted)
+		sort.Slice(b.cols, func(i, j int) bool { return b.fns[b.cols[i]] < b.fns[b.cols[j]] })
 	}
-	return b.sorted
+	return b.cols
 }
 
 // CSRMatrix materializes the canonical clustering matrix over everything
@@ -129,27 +151,26 @@ func (b *MatrixBuilder) names() []string {
 // that appeared after the row was added. The result shares no storage with
 // the builder, so callers may hold it across further Add calls.
 func (b *MatrixBuilder) CSRMatrix() Matrix {
-	names := b.names()
-	cols := names
+	cols := b.columns()
+	names := make([]string, len(cols), b.Dims())
+	for j, id := range cols {
+		names[j] = b.fns[id]
+	}
 	if b.opts.Kind == SelfPlusCalls {
-		cols = make([]string, 0, 2*len(names))
-		cols = append(cols, names...)
-		for _, n := range names {
-			cols = append(cols, "#calls:"+n)
+		for _, n := range names[:len(cols)] {
+			names = append(names, "#calls:"+n)
 		}
 	}
-	csr := &xmath.CSR{NumCols: len(cols), RowPtr: make([]int, len(b.rows)+1)}
-	nnz := 0
-	for _, sparse := range b.rows {
-		nnz += len(sparse)
-	}
+	rows := b.NumRows()
+	csr := &xmath.CSR{NumCols: len(names), RowPtr: make([]int, rows+1)}
+	nnz := len(b.cells) + len(b.calls)
 	csr.Vals = make([]float64, 0, nnz)
 	csr.Cols = make([]int32, 0, nnz)
-	for i := range b.rows {
-		csr.Cols, csr.Vals = b.appendRow(i, names, csr.Cols, csr.Vals)
+	for i := 0; i < rows; i++ {
+		csr.Cols, csr.Vals = b.appendRow(i, cols, csr.Cols, csr.Vals)
 		csr.RowPtr[i+1] = len(csr.Vals)
 	}
-	return Matrix{FuncNames: append([]string(nil), cols...), Sparse: csr}
+	return Matrix{FuncNames: names, Sparse: csr}
 }
 
 // SparseRow returns the i-th row's non-zero cells as parallel (sorted column
@@ -157,27 +178,42 @@ func (b *MatrixBuilder) CSRMatrix() Matrix {
 // sparse representation exposed without densifying. idx and vals are reused
 // when their capacity allows. The cells are exactly row i of CSRMatrix.
 func (b *MatrixBuilder) SparseRow(i int, idx []int32, vals []float64) ([]int32, []float64) {
-	return b.appendRow(i, b.names(), idx[:0], vals[:0])
+	return b.appendRow(i, b.columns(), idx[:0], vals[:0])
 }
 
 // appendRow appends row i's non-zero cells over the given name-sorted
-// dimensions to idx and vals in ascending column order: the time columns,
-// then (under SelfPlusCalls) the call-count columns.
-func (b *MatrixBuilder) appendRow(i int, names []string, idx []int32, vals []float64) ([]int32, []float64) {
-	for j, fn := range names {
-		if v := b.rows[i][fn]; v != 0 {
-			idx = append(idx, int32(j))
+// dimension ids to idx and vals in ascending column order: the time
+// columns, then (under SelfPlusCalls) the call-count columns.
+func (b *MatrixBuilder) appendRow(i int, cols []int32, idx []int32, vals []float64) ([]int32, []float64) {
+	idx, vals = b.appendCells(b.cells, b.rowEnd, i, cols, 0, idx, vals)
+	if b.opts.Kind == SelfPlusCalls {
+		idx, vals = b.appendCells(b.calls, b.callEnd, i, cols, len(cols), idx, vals)
+	}
+	return idx, vals
+}
+
+// appendCells scatters row i of one flat cell array by function id, then
+// gathers it in column order, offsetting column numbers by off.
+func (b *MatrixBuilder) appendCells(cells []cell, end []int, i int, cols []int32, off int, idx []int32, vals []float64) ([]int32, []float64) {
+	from := 0
+	if i > 0 {
+		from = end[i-1]
+	}
+	row := cells[from:end[i]]
+	if len(b.scratch) < len(b.fns) {
+		b.scratch = make([]float64, len(b.fns))
+	}
+	for _, c := range row {
+		b.scratch[c.id] = c.v
+	}
+	for j, id := range cols {
+		if v := b.scratch[id]; v != 0 {
+			idx = append(idx, int32(off+j))
 			vals = append(vals, v)
 		}
 	}
-	if b.opts.Kind == SelfPlusCalls {
-		off := len(names)
-		for j, fn := range names {
-			if n := b.callRows[i][fn]; n != 0 {
-				idx = append(idx, int32(off+j))
-				vals = append(vals, float64(n))
-			}
-		}
+	for _, c := range row {
+		b.scratch[c.id] = 0
 	}
 	return idx, vals
 }
@@ -186,7 +222,7 @@ func (b *MatrixBuilder) appendRow(i int, names []string, idx []int32, vals []flo
 // doubled under SelfPlusCalls).
 func (b *MatrixBuilder) Dims() int {
 	if b.opts.Kind == SelfPlusCalls {
-		return 2 * len(b.seen)
+		return 2 * b.ndims
 	}
-	return len(b.seen)
+	return b.ndims
 }

@@ -34,15 +34,15 @@ type Flags struct {
 	MemProfile string
 }
 
-// Register adds the observability flags to the default flag set.
-func Register() *Flags {
+// Register adds the observability flags to fs.
+func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	flag.StringVar(&f.Trace, "trace", "", `write the span tree as text to this path ("-" for stdout)`)
-	flag.StringVar(&f.TraceJSON, "trace-json", "", `write the span tree as JSON to this path ("-" for stdout)`)
-	flag.StringVar(&f.Metrics, "metrics", "", `write the metrics registry as JSON to this path ("-" for stdout)`)
-	flag.BoolVar(&f.Full, "obs-full", false, "include volatile metrics, wall-clock timings, and a runtime snapshot in the exports (non-deterministic)")
-	flag.StringVar(&f.CPUProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this path")
-	flag.StringVar(&f.MemProfile, "memprofile", "", "write a pprof heap profile at exit to this path")
+	fs.StringVar(&f.Trace, "trace", "", `write the span tree as text to this path ("-" for stdout)`)
+	fs.StringVar(&f.TraceJSON, "trace-json", "", `write the span tree as JSON to this path ("-" for stdout)`)
+	fs.StringVar(&f.Metrics, "metrics", "", `write the metrics registry as JSON to this path ("-" for stdout)`)
+	fs.BoolVar(&f.Full, "obs-full", false, "include volatile metrics, wall-clock timings, and a runtime snapshot in the exports (non-deterministic)")
+	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this path")
+	fs.StringVar(&f.MemProfile, "memprofile", "", "write a pprof heap profile at exit to this path")
 	return f
 }
 
@@ -55,13 +55,14 @@ func (f *Flags) wantsObs() bool {
 type Run struct {
 	flags   *Flags
 	capture *obs.ProfileCapture
+	stdout  io.Writer
 }
 
 // Setup enables collection (seeded like the clustering, so traces are
-// reproducible) and starts any requested pprof capture. Call Finish when the
-// instrumented work is done. A nil *Run is returned when no flag asked for
-// anything; Finish on it is a no-op.
-func (f *Flags) Setup(seed uint64) (*Run, error) {
+// reproducible) and starts any requested pprof capture. Exports to "-" go
+// to stdout. Call Finish when the instrumented work is done. A nil *Run is
+// returned when no flag asked for anything; Finish on it is a no-op.
+func (f *Flags) Setup(seed uint64, stdout io.Writer) (*Run, error) {
 	if !f.wantsObs() && f.CPUProfile == "" && f.MemProfile == "" {
 		return nil, nil
 	}
@@ -72,29 +73,33 @@ func (f *Flags) Setup(seed uint64) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Run{flags: f, capture: capture}, nil
+	return &Run{flags: f, capture: capture, stdout: stdout}, nil
 }
 
-// Finish stops profiling and writes every requested export. Nil-safe.
+// Finish stops profiling, writes every requested export and turns
+// collection off again. Nil-safe.
 func (r *Run) Finish() error {
 	if r == nil {
 		return nil
+	}
+	if r.flags.wantsObs() {
+		defer obs.Disable()
 	}
 	if err := r.capture.Stop(); err != nil {
 		return err
 	}
 	opts := obs.ExportOptions{Timings: r.flags.Full, Volatile: r.flags.Full}
-	if err := writeTo(r.flags.Trace, func(w io.Writer) error {
+	if err := r.writeTo(r.flags.Trace, func(w io.Writer) error {
 		return obs.WriteTraceTree(w, opts)
 	}); err != nil {
 		return err
 	}
-	if err := writeTo(r.flags.TraceJSON, func(w io.Writer) error {
+	if err := r.writeTo(r.flags.TraceJSON, func(w io.Writer) error {
 		return obs.WriteTraceJSON(w, opts)
 	}); err != nil {
 		return err
 	}
-	return writeTo(r.flags.Metrics, func(w io.Writer) error {
+	return r.writeTo(r.flags.Metrics, func(w io.Writer) error {
 		if err := obs.WriteMetricsJSON(w, opts); err != nil {
 			return err
 		}
@@ -105,13 +110,13 @@ func (r *Run) Finish() error {
 	})
 }
 
-// writeTo runs emit against path ("" skips, "-" means stdout).
-func writeTo(path string, emit func(io.Writer) error) error {
+// writeTo runs emit against path ("" skips, "-" means the run's stdout).
+func (r *Run) writeTo(path string, emit func(io.Writer) error) error {
 	if path == "" {
 		return nil
 	}
 	if path == "-" {
-		return emit(os.Stdout)
+		return emit(r.stdout)
 	}
 	fh, err := os.Create(path)
 	if err != nil {

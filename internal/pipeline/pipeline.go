@@ -22,13 +22,13 @@ import (
 	"github.com/incprof/incprof/internal/apps"
 	"github.com/incprof/incprof/internal/callgraph"
 	"github.com/incprof/incprof/internal/faults"
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/heartbeat"
 	"github.com/incprof/incprof/internal/incprof"
 	"github.com/incprof/incprof/internal/interval"
 	"github.com/incprof/incprof/internal/mpi"
 	"github.com/incprof/incprof/internal/obs"
 	"github.com/incprof/incprof/internal/phase"
+	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/profiler"
 	"github.com/incprof/incprof/internal/stream"
 )
@@ -212,19 +212,15 @@ func Analyze(res *CollectionResult, opts AnalyzeOptions) (*Analysis, error) {
 	if !opts.IncludeMPI && popts.Features.Exclude == nil {
 		popts.Features.Exclude = mpi.IsMPIFunc
 	}
-	// Analyze is the batch driver of the streaming engine: the snapshots
-	// replay through the same differencer, feature builder, and terminal
-	// detection a live feed uses, so batch and live analysis cannot diverge.
-	eng := stream.New(stream.Options{
+	// Analyze is Run over the snapshot list: the same differencer, feature
+	// builder, and terminal detection a live feed uses, so batch and live
+	// analysis cannot diverge.
+	r, err := Run(Snapshots(snaps), RunOptions{Engine: stream.Options{
 		Robust: opts.Robust,
 		Gap:    opts.Gap,
 		Phase:  popts,
 		Span:   sp,
-	})
-	if err := (stream.SliceSource[*profile.Sample]{Items: snaps}).Run(eng); err != nil {
-		return nil, err
-	}
-	r, err := eng.Finish()
+	}})
 	if err != nil {
 		return nil, err
 	}

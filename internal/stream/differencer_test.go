@@ -36,7 +36,12 @@ func runDifferencer(t *testing.T, opts stream.DifferencerOptions, snaps []*profi
 	d := stream.NewDifferencer(opts)
 	var got collector[interval.Profile]
 	head := stream.Pipe[*profile.Sample, interval.Profile](d, &got)
-	err := (stream.SliceSource[*profile.Sample]{Items: snaps}).Run(head)
+	for _, s := range snaps {
+		if err := head.Emit(s); err != nil {
+			return got.items, d.Gaps(), err
+		}
+	}
+	err := head.Flush()
 	return got.items, d.Gaps(), err
 }
 

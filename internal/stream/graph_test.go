@@ -28,63 +28,18 @@ func (d *doubler) Emit(v int) error {
 }
 func (d *doubler) Flush() error { return d.down.Flush() }
 
-func TestSliceSourceReplaysInOrderAndFlushesOnce(t *testing.T) {
-	var c collector[int]
-	if err := (stream.SliceSource[int]{Items: []int{3, 1, 2}}).Run(&c); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(c.items) != "[3 1 2]" {
-		t.Fatalf("items = %v", c.items)
-	}
-	if c.flushes != 1 {
-		t.Fatalf("flushes = %d, want 1", c.flushes)
-	}
-}
-
-func TestSliceSourceStopsOnEmitError(t *testing.T) {
-	boom := fmt.Errorf("boom")
-	n := 0
-	sink := stream.SinkFunc[int]{OnEmit: func(v int) error {
-		n++
-		if v == 2 {
-			return boom
-		}
-		return nil
-	}}
-	err := (stream.SliceSource[int]{Items: []int{1, 2, 3}}).Run(sink)
-	if err != boom {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if n != 2 {
-		t.Fatalf("sink saw %d items after error, want 2", n)
-	}
-}
-
 func TestPipeBindsStageToDownstream(t *testing.T) {
 	var c collector[int]
 	head := stream.Pipe[int, int](&doubler{}, &c)
-	if err := (stream.SliceSource[int]{Items: []int{1, 2}}).Run(head); err != nil {
+	for _, v := range []int{1, 2} {
+		if err := head.Emit(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := head.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(c.items) != "[1 10 2 20]" {
-		t.Fatalf("items = %v", c.items)
-	}
-	if c.flushes != 1 {
-		t.Fatalf("flushes = %d, want 1", c.flushes)
-	}
-}
-
-func TestChanSourceDrainsUntilClose(t *testing.T) {
-	ch := make(chan int, 4)
-	for i := 0; i < 4; i++ {
-		ch <- i
-	}
-	close(ch)
-	var c collector[int]
-	if err := (stream.ChanSource[int]{C: ch}).Run(&c); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(c.items) != "[0 1 2 3]" {
 		t.Fatalf("items = %v", c.items)
 	}
 	if c.flushes != 1 {

@@ -3,8 +3,7 @@
 // available while the application still runs, yet the original pipeline was
 // strictly batch — every layer demanded the complete snapshot list up front.
 // This package restructures those layers as stages of a typed stream graph
-// (Source[T] → Stage → Sink) through which cumulative snapshots flow one at
-// a time:
+// (Stage → Sink) through which cumulative snapshots flow one at a time:
 //
 //	snapshots → Differencer → interval.Profile → Engine
 //	                                              ├─ interval.MatrixBuilder (append-only rows, growing dims)
@@ -13,13 +12,14 @@
 //	                                              └─ every R intervals: warm-started cluster.SweepCSR refresh
 //	                                                 + incremental Algorithm 1 (per-phase site cache)
 //
-// The batch path is the same graph driven from a slice: pipeline.Analyze
-// feeds an Engine from its snapshot list and the terminal refresh runs the
-// identical phase.DetectMatrix call a batch phase.Detect performs, so for a
-// fixed seed the streaming result is byte-identical to the batch result.
-// The live path (cmd/phasedetect -follow, a collector Sink) feeds the same
-// engine one dump at a time and additionally surfaces labels, transitions,
-// gaps, and site updates as they happen.
+// pipeline.Run drives the graph from a snapshot source. A batch source is
+// finite: pipeline.Analyze feeds an Engine from its snapshot list and the
+// terminal refresh runs the identical phase.DetectMatrix call a batch
+// phase.Detect performs, so for a fixed seed the streaming result is
+// byte-identical to the batch result. A live source (cmd/phasedetect
+// -follow, a collector Sink) feeds the same engine one dump at a time and
+// additionally surfaces labels, transitions, gaps, and site updates as they
+// happen.
 package stream
 
 import (
@@ -46,11 +46,6 @@ type Stage[In, Out any] interface {
 	// Emit.
 	Start(down Sink[Out])
 	Sink[In]
-}
-
-// A Source produces a stream into a sink, flushing it when the stream ends.
-type Source[T any] interface {
-	Run(down Sink[T]) error
 }
 
 // Pipe binds a stage to its downstream sink and returns the stage as the
@@ -89,41 +84,6 @@ func (Discard[T]) Emit(T) error { return nil }
 
 // Flush implements Sink.
 func (Discard[T]) Flush() error { return nil }
-
-// SliceSource replays a slice into the graph — the batch driver. Emit
-// errors abort the replay; the sink is flushed only when every item was
-// accepted.
-type SliceSource[T any] struct{ Items []T }
-
-// Run implements Source.
-func (s SliceSource[T]) Run(down Sink[T]) error {
-	for _, v := range s.Items {
-		if err := down.Emit(v); err != nil {
-			return err
-		}
-	}
-	return down.Flush()
-}
-
-// ChanSource drains a channel into the graph until it closes — the live
-// driver. The channel's backlog is exported as the stream.source.queue
-// gauge (volatile: its value is timing-dependent, so it stays out of
-// deterministic metric exports) so a consumer that falls behind its
-// producer is visible.
-type ChanSource[T any] struct{ C <-chan T }
-
-// Run implements Source.
-func (s ChanSource[T]) Run(down Sink[T]) error {
-	depth := obs.GV("stream.source.queue")
-	for v := range s.C {
-		depth.Set(int64(len(s.C)))
-		if err := down.Emit(v); err != nil {
-			return err
-		}
-	}
-	depth.Set(0)
-	return down.Flush()
-}
 
 // instrumented wraps a sink with per-stage observability: an item counter
 // and a latency histogram (stream.<name>.items / stream.<name>.latency).
