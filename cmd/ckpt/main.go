@@ -1,11 +1,12 @@
 // Command ckpt validates and inspects a phasedetect checkpoint directory:
-// every snapshot file's magic, version, and checksum, every WAL's record
-// chain and tail integrity, and what a resume would actually do — which
-// generation it loads and how many WAL records it replays. Exit status 0
-// means the state recovery would use is fully intact; 1 means recovery
-// would have to fall back or truncate something (it still succeeds — the
-// layer is built to — but the operator should know); 2 is a usage or I/O
-// error.
+// every snapshot file's magic, version, checksum and the profile-segment
+// prefix it names, the segment's records, every WAL's record chain and tail
+// integrity, and what a resume would actually do — which generation it
+// loads and how many WAL records it replays, or why it would refuse. Exit
+// status 0 means the state recovery would use is fully intact; 1 means
+// recovery would have to fall back or truncate something (it still
+// succeeds — the layer is built to — but the operator should know) or would
+// refuse to resume; 2 is a usage or I/O error.
 //
 // Usage:
 //
@@ -81,6 +82,22 @@ func render(w io.Writer, rep *checkpoint.FsckReport) error {
 	}
 
 	fmt.Fprintln(w)
+	sg := report.NewTable("Segments", "File", "Profiles", "Valid Bytes", "Bytes", "Status")
+	for _, seg := range rep.Segments {
+		status := "ok"
+		if seg.Err != "" {
+			status = "INVALID: " + seg.Err
+		}
+		sg.AddRow(seg.File, fmt.Sprint(seg.Profiles), fmt.Sprint(seg.ValidBytes), fmt.Sprint(seg.Bytes), status)
+	}
+	if len(rep.Segments) == 0 {
+		sg.AddRow("(none)", "", "", "", "")
+	}
+	if err := sg.Render(w); err != nil {
+		return err
+	}
+
+	fmt.Fprintln(w)
 	wt := report.NewTable("WALs", "File", "Records", "Shed", "Seq Range", "Tail", "Bytes")
 	for _, wal := range rep.WALs {
 		tail := "ok"
@@ -104,6 +121,11 @@ func render(w io.Writer, rep *checkpoint.FsckReport) error {
 	}
 
 	fmt.Fprintln(w)
+	if rep.Refusal != "" {
+		fmt.Fprintf(w, "recovery: REFUSED: %s\n", rep.Refusal)
+		fmt.Fprintln(w, "status: REFUSED (resume will fail until the directory is repaired or cleared)")
+		return nil
+	}
 	if rep.RecoverGeneration < 0 {
 		fmt.Fprintf(w, "recovery: fresh start, %d WAL records to replay\n", rep.RecoverRecords)
 	} else {

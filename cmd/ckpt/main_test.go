@@ -16,10 +16,10 @@ import (
 	"github.com/incprof/incprof/internal/checkpoint"
 	"github.com/incprof/incprof/internal/cluster"
 	"github.com/incprof/incprof/internal/faults"
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/interval"
 	"github.com/incprof/incprof/internal/mpi"
 	"github.com/incprof/incprof/internal/phase"
+	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/stream"
 )
 
@@ -88,7 +88,8 @@ func TestExitZeroOnHealthyDir(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("healthy dir exited %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
 	}
-	for _, want := range []string{"status: healthy", "resume from generation 10", "Snapshots", "WALs"} {
+	for _, want := range []string{"status: healthy", "resume from generation 10", "Snapshots", "WALs",
+		"Segments", "profiles.seg"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
@@ -99,6 +100,11 @@ func TestExitOneOnDegradedDir(t *testing.T) {
 	cases := map[string]func(t *testing.T, dir string){
 		"torn newest snapshot": func(t *testing.T, dir string) {
 			if err := faults.TearFile(filepath.Join(dir, fmt.Sprintf("ckpt-%016d.snap", 10)), 1); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"torn segment": func(t *testing.T, dir string) {
+			if err := faults.CorruptTail(filepath.Join(dir, "profiles.seg"), 1, 8); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -121,6 +127,20 @@ func TestExitOneOnDegradedDir(t *testing.T) {
 				t.Errorf("report does not flag degradation:\n%s", out)
 			}
 		})
+	}
+}
+
+// A directory written by the version-1 snapshot format: resume refuses it,
+// so ckpt must say so and exit 1 without touching it.
+func TestExitOneOnRefusedDir(t *testing.T) {
+	code, out, errOut := runCkpt(t, filepath.Join("..", "..", "internal", "checkpoint", "testdata", "v1"), false)
+	if code != 1 {
+		t.Fatalf("version-1 dir exited %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
+	}
+	for _, want := range []string{"status: REFUSED", "unsupported version 1"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
 	}
 }
 

@@ -11,6 +11,11 @@
 //	ckpt-<accepted>.snap — engine state after <accepted> accepted dumps
 //	wal-<accepted>.log   — dumps accepted after that snapshot
 //
+// plus one profiles.seg, the append-only profile segment: the engine's
+// interval profiles, each written once by the save that first covers it.
+// A snapshot names the prefix of the segment its state needs, so its own
+// size does not grow with the run's history.
+//
 // Snapshots are written to a temp file, fsynced, and renamed into place, so
 // a crash mid-write leaves the previous generation intact; each file carries
 // a magic, a format version, and a CRC-32C over the payload, so a torn or
@@ -22,12 +27,10 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -37,9 +40,14 @@ import (
 const (
 	// snapMagic opens every snapshot file.
 	snapMagic = "INCPCKPT"
-	// snapVersion is the snapshot format version this package writes.
-	snapVersion = 1
+	// snapVersion is the snapshot format version this package reads and
+	// writes. Version 1 carried the interval profiles in the snapshot's
+	// JSON; version 2 keeps them in the profile segment.
+	snapVersion = 2
 )
+
+// snapHeaderLen is the magic, version, payload length and payload CRC.
+const snapHeaderLen = len(snapMagic) + 4 + 8 + 4
 
 // castagnoli is the CRC-32C table shared by snapshots and WAL records.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -105,33 +113,49 @@ func walPath(dir string, accepted int) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%016d.log", accepted))
 }
 
-// writeSnapshot writes snap atomically to path: temp file in the same
-// directory, payload + header + checksum, fsync, rename, fsync directory.
-func writeSnapshot(path string, snap *Snapshot) (int64, error) {
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		return 0, fmt.Errorf("checkpoint: encoding snapshot: %w", err)
-	}
-	var hdr bytes.Buffer
-	hdr.WriteString(snapMagic)
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[:4], snapVersion)
-	hdr.Write(b[:4])
-	binary.LittleEndian.PutUint64(b[:], uint64(len(payload)))
-	hdr.Write(b[:])
-	binary.LittleEndian.PutUint32(b[:4], crc32.Checksum(payload, castagnoli))
-	hdr.Write(b[:4])
+// snapPayload is a snapshot file's JSON payload: the snapshot without its
+// interval profiles, and the segment prefix that holds them.
+type snapPayload struct {
+	*Snapshot
+	Segment segIndex
+}
 
+// corruptError is a state file that fails validation — torn, checksum
+// mismatch, undecodable. Recovery falls back past it.
+type corruptError struct{ file, reason string }
+
+func (e *corruptError) Error() string { return "checkpoint: " + e.file + ": " + e.reason }
+
+func corrupt(file, format string, args ...any) error {
+	return &corruptError{file: file, reason: fmt.Sprintf(format, args...)}
+}
+
+// versionError is a snapshot written in another format version. Recovery
+// refuses it instead of falling back past it: the file is intact, only this
+// build cannot read it.
+type versionError struct {
+	file string
+	got  uint32
+}
+
+func (e *versionError) Error() string {
+	return fmt.Sprintf("checkpoint: %s: unsupported version %d (this build reads and writes snapshot format version %d)", e.file, e.got, snapVersion)
+}
+
+// writeSnapshot writes snap atomically to path — temp file in the same
+// directory, header + payload, fsync, rename, fsync directory — naming seg
+// as the segment prefix that holds its interval profiles.
+func writeSnapshot(path string, snap *Snapshot, seg segIndex) (int64, error) {
+	payload, err := encodeSnapshot(snap, seg)
+	if err != nil {
+		return 0, err
+	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*.tmp")
 	if err != nil {
 		return 0, err
 	}
 	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if _, err := tmp.Write(hdr.Bytes()); err != nil {
-		tmp.Close()
-		return 0, err
-	}
 	if _, err := tmp.Write(payload); err != nil {
 		tmp.Close()
 		return 0, err
@@ -147,48 +171,75 @@ func writeSnapshot(path string, snap *Snapshot) (int64, error) {
 		return 0, err
 	}
 	syncDir(dir)
-	return int64(len(hdr.Bytes()) + len(payload)), nil
+	return int64(len(payload)), nil
 }
 
-// readSnapshot loads and validates one snapshot file.
-func readSnapshot(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
+// encodeSnapshot returns a snapshot file's bytes: header, then the JSON
+// payload with the engine's profiles left out.
+func encodeSnapshot(snap *Snapshot, seg segIndex) ([]byte, error) {
+	stored := *snap
+	if snap.Engine != nil {
+		eng := *snap.Engine
+		eng.Profiles = nil
+		stored.Engine = &eng
+	}
+	payload, err := json.Marshal(snapPayload{Snapshot: &stored, Segment: seg})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("checkpoint: encoding snapshot: %w", err)
 	}
-	defer f.Close()
-	hdr := make([]byte, len(snapMagic)+4+8+4)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return nil, fmt.Errorf("checkpoint: %s: short header: %w", filepath.Base(path), err)
+	out := make([]byte, snapHeaderLen, snapHeaderLen+len(payload))
+	copy(out, snapMagic)
+	off := len(snapMagic)
+	binary.LittleEndian.PutUint32(out[off:], snapVersion)
+	binary.LittleEndian.PutUint64(out[off+4:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(out[off+12:], crc32.Checksum(payload, castagnoli))
+	return append(out, payload...), nil
+}
+
+// readSnapshot loads and validates one snapshot file, returning the segment
+// prefix that holds its interval profiles (its Engine.Profiles is empty).
+func readSnapshot(path string) (*Snapshot, segIndex, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, segIndex{}, err
 	}
-	if string(hdr[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("checkpoint: %s: bad magic", filepath.Base(path))
+	return decodeSnapshot(filepath.Base(path), data)
+}
+
+// decodeSnapshot validates and decodes a snapshot file's bytes. The payload
+// length field is checked against the bytes present, never trusted for an
+// allocation.
+func decodeSnapshot(name string, data []byte) (*Snapshot, segIndex, error) {
+	if len(data) < snapHeaderLen {
+		return nil, segIndex{}, corrupt(name, "short header")
+	}
+	if string(data[:len(snapMagic)]) != snapMagic {
+		return nil, segIndex{}, corrupt(name, "bad magic")
 	}
 	off := len(snapMagic)
-	version := binary.LittleEndian.Uint32(hdr[off : off+4])
-	if version != snapVersion {
-		return nil, fmt.Errorf("checkpoint: %s: unsupported version %d (want %d)", filepath.Base(path), version, snapVersion)
+	if v := binary.LittleEndian.Uint32(data[off:]); v != snapVersion {
+		return nil, segIndex{}, &versionError{file: name, got: v}
 	}
-	off += 4
-	plen := binary.LittleEndian.Uint64(hdr[off : off+8])
-	off += 8
-	want := binary.LittleEndian.Uint32(hdr[off : off+4])
-	const maxSnapshot = 1 << 32
-	if plen > maxSnapshot {
-		return nil, fmt.Errorf("checkpoint: %s: implausible payload length %d", filepath.Base(path), plen)
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(f, payload); err != nil {
-		return nil, fmt.Errorf("checkpoint: %s: torn payload: %w", filepath.Base(path), err)
+	plen := binary.LittleEndian.Uint64(data[off+4:])
+	want := binary.LittleEndian.Uint32(data[off+12:])
+	payload := data[snapHeaderLen:]
+	if plen != uint64(len(payload)) {
+		return nil, segIndex{}, corrupt(name, "torn payload: header says %d bytes, file holds %d", plen, len(payload))
 	}
 	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, fmt.Errorf("checkpoint: %s: checksum mismatch (%08x != %08x)", filepath.Base(path), got, want)
+		return nil, segIndex{}, corrupt(name, "checksum mismatch (%08x != %08x)", got, want)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		return nil, fmt.Errorf("checkpoint: %s: decoding payload: %w", filepath.Base(path), err)
+	var p snapPayload
+	if err := json.Unmarshal(payload, &p); err != nil {
+		return nil, segIndex{}, corrupt(name, "decoding payload: %v", err)
 	}
-	return &snap, nil
+	if p.Snapshot == nil {
+		return nil, segIndex{}, corrupt(name, "empty payload")
+	}
+	if p.Engine != nil && p.Engine.Profiles != nil {
+		return nil, segIndex{}, corrupt(name, "payload carries interval profiles; version %d keeps them in the segment", snapVersion)
+	}
+	return p.Snapshot, p.Segment, nil
 }
 
 // syncDir fsyncs a directory so a rename is durable; errors are ignored —

@@ -34,10 +34,10 @@ func dump(seq int) *profile.Sample {
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt-0000000000000005.snap")
 	want := testSnap(5)
-	if _, err := writeSnapshot(path, want); err != nil {
+	if _, err := writeSnapshot(path, want, segIndex{}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readSnapshot(path)
+	got, _, err := readSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 func TestSnapshotFileRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt-0000000000000001.snap")
-	if _, err := writeSnapshot(path, testSnap(1)); err != nil {
+	if _, err := writeSnapshot(path, testSnap(1), segIndex{}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -86,7 +86,7 @@ func TestSnapshotFileRejectsCorruption(t *testing.T) {
 			if err := os.WriteFile(p, tc.mutate(data), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := readSnapshot(p)
+			_, _, err := readSnapshot(p)
 			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("err = %v, want mention of %q", err, tc.wantSub)
 			}
@@ -119,8 +119,8 @@ func TestWALRoundTripAndShedMarkers(t *testing.T) {
 	if torn {
 		t.Fatal("clean WAL reported torn")
 	}
-	if validLen != walSize(path) {
-		t.Fatalf("validLen %d != file size %d", validLen, walSize(path))
+	if validLen != fileSize(path) {
+		t.Fatalf("validLen %d != file size %d", validLen, fileSize(path))
 	}
 	if len(recs) != 5 {
 		t.Fatalf("replayed %d records, want 5", len(recs))
@@ -149,7 +149,7 @@ func TestWALTornTailTruncatesToLastValidRecord(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	clean := walSize(path)
+	clean := fileSize(path)
 
 	// A crash mid-append leaves a partial frame.
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
@@ -204,7 +204,7 @@ func TestWALCorruptMidRecordStopsReplay(t *testing.T) {
 	if err := w.AppendSnapshot(dump(0)); err != nil {
 		t.Fatal(err)
 	}
-	afterFirst := walSize(path)
+	afterFirst := fileSize(path)
 	if err := w.AppendSnapshot(dump(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestWALCorruptMidRecordStopsReplay(t *testing.T) {
 
 func TestManagerConfigMismatchRefusesResume(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := writeSnapshot(snapPath(dir, 3), testSnap(3)); err != nil {
+	if _, err := writeSnapshot(snapPath(dir, 3), testSnap(3), segIndex{}); err != nil {
 		t.Fatal(err)
 	}
 	m, err := Open(dir, ManagerOptions{NoSync: true})

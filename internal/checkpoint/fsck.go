@@ -1,6 +1,7 @@
 // fsck.go inspects a state directory without touching it: every snapshot
-// file is validated (magic, version, checksum, config decode) and every WAL
-// is replayed read-only, so an operator can answer "what would recovery do
+// file is validated (magic, version, checksum, config decode, the segment
+// prefix it names), the profile segment is decoded, and every WAL is
+// replayed read-only, so an operator can answer "what would recovery do
 // here?" before resuming — or diagnose why a resume refused.
 package checkpoint
 
@@ -53,18 +54,39 @@ type WALInfo struct {
 	Err        string
 }
 
+// SegInfo describes the profile segment as fsck saw it.
+type SegInfo struct {
+	// File is the base name of the segment file.
+	File string
+	// Profiles counts the valid records; ValidBytes is where they end and
+	// Bytes the raw file size.
+	Profiles   int
+	ValidBytes int64
+	Bytes      int64
+	// Err describes the first invalid byte, empty when the whole file
+	// decodes. Bytes past what the newest generation names are harmless:
+	// the next save truncates them.
+	Err string
+}
+
 // FsckReport is the full read-only inspection of a state directory.
 type FsckReport struct {
-	Dir   string
-	Snaps []SnapInfo
-	WALs  []WALInfo
+	Dir      string
+	Snaps    []SnapInfo
+	Segments []SegInfo
+	WALs     []WALInfo
 	// RecoverGeneration is the generation recovery would resume from, -1
-	// for a fresh start (no valid snapshot).
+	// for a fresh start (no valid snapshot) or a refusal.
 	RecoverGeneration int
 	// RecoverRecords is how many WAL records that recovery would replay.
 	RecoverRecords int
-	// Healthy is true when the newest snapshot is valid and its WAL is
-	// not torn — the state recovery would use is fully intact.
+	// Refusal is why recovery would refuse to resume (a snapshot of
+	// another format version, or a WAL chain that starts mid-stream),
+	// empty when it would proceed.
+	Refusal string
+	// Healthy is true when recovery would proceed, the newest snapshot is
+	// valid, and its WAL is not torn — the state recovery would use is
+	// fully intact.
 	Healthy bool
 }
 
@@ -78,7 +100,7 @@ func Fsck(dir string) (*FsckReport, error) {
 	for _, g := range gens {
 		path := snapPath(dir, g)
 		info := SnapInfo{File: filepath.Base(path), Generation: g, Bytes: fileSize(path)}
-		snap, err := readSnapshot(path)
+		snap, _, _, err := loadGeneration(dir, g)
 		if err != nil {
 			info.Err = err.Error()
 		} else {
@@ -88,17 +110,28 @@ func Fsck(dir string) (*FsckReport, error) {
 			info.Seen = len(snap.SeenSeqs)
 			info.Meta = snap.Meta
 			info.Config = snap.Config
-			if snap.Accepted >= rep.RecoverGeneration {
-				rep.RecoverGeneration = snap.Accepted
-			}
 		}
 		rep.Snaps = append(rep.Snaps, info)
+	}
+
+	if data, err := os.ReadFile(segPath(dir)); err == nil || !os.IsNotExist(err) {
+		info := SegInfo{File: segFile, Bytes: int64(len(data))}
+		if err != nil {
+			info.Err = err.Error()
+		} else {
+			profiles, _, valid, err := decodeSegment(segFile, data)
+			info.Profiles, info.ValidBytes = len(profiles), int64(valid)
+			if err != nil {
+				info.Err = err.Error()
+			}
+		}
+		rep.Segments = append(rep.Segments, info)
 	}
 
 	walGens := listWALs(dir)
 	for _, g := range walGens {
 		path := walPath(dir, g)
-		info := WALInfo{File: filepath.Base(path), Generation: g, FirstSeq: -1, LastSeq: -1, Bytes: walSize(path)}
+		info := WALInfo{File: filepath.Base(path), Generation: g, FirstSeq: -1, LastSeq: -1, Bytes: fileSize(path)}
 		recs, validLen, torn, err := replayWAL(path)
 		if err != nil {
 			info.Err = err.Error()
@@ -119,12 +152,17 @@ func Fsck(dir string) (*FsckReport, error) {
 		rep.WALs = append(rep.WALs, info)
 	}
 
+	c, err := choose(dir, nil)
+	if err != nil {
+		rep.Refusal = err.Error()
+		return rep, nil
+	}
+	recoverGen := c.gen()
+	if c.snap != nil {
+		rep.RecoverGeneration = recoverGen
+	}
 	// Recovery replays the WAL chain from the chosen generation forward,
 	// stopping at the first torn log (walGens is ascending).
-	recoverGen := rep.RecoverGeneration
-	if recoverGen < 0 {
-		recoverGen = 0
-	}
 	for _, w := range rep.WALs {
 		if w.Generation < recoverGen {
 			continue

@@ -6,7 +6,10 @@ package checkpoint_test
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -127,6 +130,15 @@ func TestFsckVerdicts(t *testing.T) {
 			healthy: false, recoverGen: 10, records: 1,
 		},
 		{
+			// The newest generation's segment records torn off (disk
+			// damage; a crash mid-append leaves the snapshot unrenamed):
+			// that generation is invalid, the previous one's shorter
+			// prefix still reads, and the WAL chain covers the distance.
+			name:    "torn segment falls back a generation",
+			damage:  tearSegment,
+			healthy: false, recoverGen: 5, records: 7,
+		},
+		{
 			// Damage strictly BEFORE the recovery generation is history:
 			// recovery never reads WAL 0 once generation 10 is valid, so
 			// the directory still counts as fully intact.
@@ -174,38 +186,121 @@ func TestFsckEmptyDirIsFreshStart(t *testing.T) {
 	}
 }
 
-// TestFsckMatchesRecovery pins that the prediction Fsck prints is what
-// Recover actually does after the newest snapshot is torn: the fallback
-// generation loads and every surviving WAL record replays.
-func TestFsckMatchesRecovery(t *testing.T) {
-	dir := t.TempDir()
-	buildFsckState(t, dir, 12, 5)
-	if err := faults.TearFile(newestSnap(t, dir), 3); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := checkpoint.Fsck(dir)
+// tearSegment cuts the last few bytes off the profile segment, tearing the
+// newest generation's last record.
+func tearSegment(t *testing.T, dir string) {
+	t.Helper()
+	path := filepath.Join(dir, "profiles.seg")
+	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := os.Truncate(path, info.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	mgr, err := checkpoint.Open(dir, checkpoint.ManagerOptions{NoSync: true})
+// dirFiles maps every file in dir to its contents.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mgr.Close()
-	cfg := testConfig(false)
-	rec, err := mgr.Recover(&cfg)
-	if err != nil {
-		t.Fatal(err)
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
 	}
-	gotGen := -1
-	if rec.Snapshot != nil {
-		gotGen = rec.Snapshot.Accepted
+	return files
+}
+
+// TestFsckMatchesRecovery pins that the prediction Fsck prints is what
+// Recover actually does: after the newest snapshot or the segment is torn
+// the fallback generation loads and every surviving WAL record replays, and
+// when no snapshot is usable and GC has removed wal-0 both refuse — the
+// WAL chain would start mid-stream — and the directory is left as it was.
+func TestFsckMatchesRecovery(t *testing.T) {
+	cases := []struct {
+		name   string
+		dumps  int
+		damage func(t *testing.T, dir string)
+		refuse string
+	}{
+		{name: "torn newest snapshot", dumps: 12, damage: func(t *testing.T, dir string) {
+			if err := faults.TearFile(newestSnap(t, dir), 3); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "torn segment", dumps: 12, damage: tearSegment},
+		{
+			// 17 dumps at cadence 5: GC has kept generations 10 and 15
+			// and removed wal-0 and wal-5.
+			name: "no usable snapshot and wal-0 gone", dumps: 17,
+			damage: func(t *testing.T, dir string) {
+				matches, err := filepath.Glob(filepath.Join(dir, "ckpt-*.snap"))
+				if err != nil || len(matches) != 2 {
+					t.Fatalf("want 2 snapshots, have %v (%v)", matches, err)
+				}
+				for _, m := range matches {
+					if err := faults.CorruptTail(m, 1, 16); err != nil {
+						t.Fatal(err)
+					}
+				}
+			},
+			refuse: "first surviving WAL is generation 10",
+		},
 	}
-	if gotGen != rep.RecoverGeneration {
-		t.Errorf("Recover used generation %d, fsck predicted %d", gotGen, rep.RecoverGeneration)
-	}
-	if len(rec.Records) != rep.RecoverRecords {
-		t.Errorf("Recover replayed %d records, fsck predicted %d", len(rec.Records), rep.RecoverRecords)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			buildFsckState(t, dir, tc.dumps, 5)
+			tc.damage(t, dir)
+			rep, err := checkpoint.Fsck(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := dirFiles(t, dir)
+
+			mgr, err := checkpoint.Open(dir, checkpoint.ManagerOptions{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mgr.Close()
+			cfg := testConfig(false)
+			rec, err := mgr.Recover(&cfg)
+			if tc.refuse != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.refuse) {
+					t.Fatalf("Recover = %v, want a refusal mentioning %q", err, tc.refuse)
+				}
+				if rep.Refusal != err.Error() || rep.Healthy || rep.RecoverGeneration != -1 {
+					t.Errorf("fsck: refusal %q healthy=%v generation %d; Recover refused with %q",
+						rep.Refusal, rep.Healthy, rep.RecoverGeneration, err)
+				}
+				if !reflect.DeepEqual(dirFiles(t, dir), before) {
+					t.Error("a refused recovery changed the state directory")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Refusal != "" {
+				t.Errorf("fsck predicted a refusal: %s", rep.Refusal)
+			}
+			gotGen := -1
+			if rec.Snapshot != nil {
+				gotGen = rec.Snapshot.Accepted
+			}
+			if gotGen != rep.RecoverGeneration {
+				t.Errorf("Recover used generation %d, fsck predicted %d", gotGen, rep.RecoverGeneration)
+			}
+			if len(rec.Records) != rep.RecoverRecords {
+				t.Errorf("Recover replayed %d records, fsck predicted %d", len(rec.Records), rep.RecoverRecords)
+			}
+		})
 	}
 }

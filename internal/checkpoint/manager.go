@@ -4,13 +4,17 @@
 package checkpoint
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"time"
 
-	"github.com/incprof/incprof/internal/profile"
+	"github.com/incprof/incprof/internal/interval"
 	"github.com/incprof/incprof/internal/obs"
+	"github.com/incprof/incprof/internal/profile"
 )
 
 // keepGenerations is how many snapshot generations survive GC. Two: the
@@ -32,6 +36,7 @@ type Manager struct {
 	sync bool
 	gen  int // generation (accepted count) of the current snapshot/WAL
 	wal  *WAL
+	seg  *segment
 }
 
 // Open creates (if needed) and opens a state directory. The manager starts
@@ -41,7 +46,7 @@ func Open(dir string, opts ManagerOptions) (*Manager, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Manager{dir: dir, sync: !opts.NoSync}, nil
+	return &Manager{dir: dir, sync: !opts.NoSync, seg: newSegment(segPath(dir), segIndex{}, nil)}, nil
 }
 
 // Recovery is the result of Recover: the newest valid snapshot (nil when
@@ -60,6 +65,107 @@ type Recovery struct {
 	Skipped []string
 }
 
+// choice is what recovery decides for a state directory, worked out
+// without touching it: Recover acts on it and Fsck reports it, so the two
+// cannot disagree.
+type choice struct {
+	// snap is the generation to resume from, its Engine.Profiles filled
+	// from the segment; nil for a fresh start.
+	snap *Snapshot
+	// seg is the segment prefix snap names, and names its name table.
+	seg   segIndex
+	names []string
+	// invalid lists the newer generations passed over, newest first, and
+	// skipped why.
+	invalid []int
+	skipped []string
+	// chain is the WAL generations to replay, ascending; empty when none
+	// exists yet.
+	chain []int
+}
+
+// choose picks the newest generation whose snapshot and segment prefix both
+// validate and whose config matches expect (nil skips that check), and the
+// WAL chain that replays on top of it. It refuses — an error, the directory
+// untouched — rather than resume from state that would silently change the
+// report: a snapshot of another format version (this build cannot read it,
+// and falling back past it would discard good state), a config mismatch, or
+// a chain that does not start at the chosen generation (with no usable
+// snapshot and wal-0 gone, the engine would start fresh in mid-stream).
+func choose(dir string, expect *Config) (*choice, error) {
+	gens, err := listGenerations(dir)
+	if err != nil {
+		return nil, err
+	}
+	c := &choice{}
+	for i := len(gens) - 1; i >= 0; i-- {
+		path := snapPath(dir, gens[i])
+		snap, seg, names, err := loadGeneration(dir, gens[i])
+		var verr *versionError
+		if errors.As(err, &verr) {
+			return nil, fmt.Errorf("%w; refusing to resume, the state directory is left as it is", err)
+		}
+		if err != nil {
+			c.invalid = append(c.invalid, gens[i])
+			c.skipped = append(c.skipped, err.Error())
+			continue
+		}
+		if expect != nil && !reflect.DeepEqual(snap.Config, *expect) {
+			return nil, fmt.Errorf("checkpoint: %s was written under different analysis options; refusing to resume (stored %+v, expected %+v)",
+				path, snap.Config, *expect)
+		}
+		c.snap, c.seg, c.names = snap, seg, names
+		break
+	}
+	gen := c.gen()
+	for _, g := range listWALs(dir) {
+		if g >= gen {
+			c.chain = append(c.chain, g)
+		}
+	}
+	if len(c.chain) > 0 && c.chain[0] != gen {
+		from := fmt.Sprintf("generation %d", gen)
+		if c.snap == nil {
+			from = "no usable snapshot, so a fresh start"
+		}
+		err := fmt.Errorf("checkpoint: %s: recovery needs %s (%s), but the first surviving WAL is generation %d; refusing to resume mid-stream",
+			dir, filepath.Base(walPath(dir, gen)), from, c.chain[0])
+		if len(c.skipped) > 0 {
+			err = fmt.Errorf("%w (snapshots passed over: %s)", err, strings.Join(c.skipped, "; "))
+		}
+		return nil, err
+	}
+	return c, nil
+}
+
+// gen is the generation recovery resumes from, 0 for a fresh start.
+func (c *choice) gen() int {
+	if c.snap == nil {
+		return 0
+	}
+	return c.snap.Accepted
+}
+
+// loadGeneration reads one generation's snapshot and the segment prefix it
+// names, filling the snapshot's interval profiles.
+func loadGeneration(dir string, gen int) (*Snapshot, segIndex, []string, error) {
+	snap, seg, err := readSnapshot(snapPath(dir, gen))
+	if err != nil {
+		return nil, seg, nil, err
+	}
+	if snap.Engine == nil && seg.Profiles > 0 {
+		return nil, seg, nil, corrupt(filepath.Base(snapPath(dir, gen)), "names %d segment profiles but holds no engine state", seg.Profiles)
+	}
+	profiles, names, err := readSegment(segPath(dir), seg)
+	if err != nil {
+		return nil, seg, nil, fmt.Errorf("%w, named by %s", err, filepath.Base(snapPath(dir, gen)))
+	}
+	if snap.Engine != nil {
+		snap.Engine.Profiles = profiles
+	}
+	return snap, seg, names, nil
+}
+
 // Recover loads the newest valid snapshot whose config matches expect (nil
 // skips the check), replays the WAL chain from that generation forward,
 // truncates any torn tail, and leaves the manager appending to the last WAL
@@ -67,49 +173,35 @@ type Recovery struct {
 // directory; on an empty directory it yields a fresh start whose WAL is
 // wal-0.
 //
-// The chain matters when falling back: if the newest snapshot is corrupt,
-// the previous generation's snapshot restores older state, but the dumps
-// accepted after the newer (corrupt) snapshot live in the newer WAL — both
-// WALs replay, in generation order. A torn WAL ends the chain: the records
-// it lost have no durable copy, but their Seqs are therefore absent from
-// the seen set, so a resuming tailer re-ingests them from the dump
+// A generation is valid when its snapshot file and the segment prefix it
+// names both validate; segment bytes past the chosen prefix are truncated
+// by the next save. The chain matters when falling back: if the newest
+// generation is corrupt, the previous one restores older state, but the
+// dumps accepted after the newer (corrupt) snapshot live in the newer WAL —
+// both WALs replay, in generation order. A torn WAL ends the chain: the
+// records it lost have no durable copy, but their Seqs are therefore absent
+// from the seen set, so a resuming tailer re-ingests them from the dump
 // directory itself — nothing diverges, the dumps just travel through the
 // pipeline again. WALs past a tear (only possible under external
 // corruption, never a pure crash) are removed along with invalid snapshot
 // files, so the directory recovery leaves behind is self-consistent.
+// Recover refuses, touching nothing, in the cases choose lists.
 func (m *Manager) Recover(expect *Config) (*Recovery, error) {
 	if m.wal != nil {
 		return nil, fmt.Errorf("checkpoint: Recover after Append")
 	}
-	gens, err := listGenerations(m.dir)
+	c, err := choose(m.dir, expect)
 	if err != nil {
 		return nil, err
 	}
-	rec := &Recovery{}
-	m.gen = 0
-	for i := len(gens) - 1; i >= 0; i-- {
-		snap, err := readSnapshot(snapPath(m.dir, gens[i]))
-		if err != nil {
-			rec.Skipped = append(rec.Skipped, err.Error())
-			obs.C("ckpt.recover.skipped").Inc()
-			os.Remove(snapPath(m.dir, gens[i]))
-			continue
-		}
-		if expect != nil && !reflect.DeepEqual(snap.Config, *expect) {
-			return nil, fmt.Errorf("checkpoint: %s was written under different analysis options; refusing to resume (stored %+v, expected %+v)",
-				snapPath(m.dir, gens[i]), snap.Config, *expect)
-		}
-		rec.Snapshot = snap
-		m.gen = snap.Accepted
-		break
+	rec := &Recovery{Snapshot: c.snap, Skipped: c.skipped}
+	for _, g := range c.invalid {
+		obs.C("ckpt.recover.skipped").Inc()
+		os.Remove(snapPath(m.dir, g))
 	}
-	// Replay every WAL from the chosen generation forward, in order.
-	var chain []int
-	for _, g := range listWALs(m.dir) {
-		if g >= m.gen {
-			chain = append(chain, g)
-		}
-	}
+	m.seg = newSegment(segPath(m.dir), c.seg, c.names)
+	m.gen = c.gen()
+	chain := c.chain
 	if len(chain) == 0 {
 		chain = []int{m.gen}
 	}
@@ -180,11 +272,22 @@ func (m *Manager) AppendShed(seq int) error {
 	return nil
 }
 
-// Save atomically writes snap as the new current generation, rotates the
-// WAL to the new generation, and garbage-collects old generations.
+// Save makes snap the new current generation: the interval profiles
+// accepted since the previous save are appended to the profile segment and
+// fsynced, then the snapshot, naming the segment prefix, is written
+// atomically; the WAL rotates to the new generation and old generations are
+// garbage-collected.
 func (m *Manager) Save(snap *Snapshot) error {
 	start := time.Now()
-	n, err := writeSnapshot(snapPath(m.dir, snap.Accepted), snap)
+	var profiles []interval.Profile
+	if snap.Engine != nil {
+		profiles = snap.Engine.Profiles
+	}
+	segBytes, err := m.seg.append(profiles, m.sync)
+	if err != nil {
+		return err
+	}
+	n, err := writeSnapshot(snapPath(m.dir, snap.Accepted), snap, m.seg.index)
 	if err != nil {
 		return err
 	}
@@ -201,14 +304,16 @@ func (m *Manager) Save(snap *Snapshot) error {
 	}
 	m.wal = wal
 	obs.C("ckpt.saves").Inc()
-	obs.C("ckpt.save.bytes").Add(n)
+	// Bytes this save wrote: the snapshot plus the segment records.
+	obs.C("ckpt.save.bytes").Add(n + segBytes)
 	obs.H("ckpt.save.latency").Observe(time.Since(start))
 	return m.gc()
 }
 
 // gc removes generations older than the keepGenerations newest. WALs at or
 // above the cutoff survive even without a matching snapshot file — they are
-// links in the replay chain a fallback recovery needs.
+// links in the replay chain a fallback recovery needs. The profile segment
+// is never shortened here: every kept generation names a prefix of it.
 func (m *Manager) gc() error {
 	gens, err := listGenerations(m.dir)
 	if err != nil {

@@ -29,8 +29,39 @@ const (
 	recShed byte = 'G'
 )
 
-// walHeaderLen is kind + payload length + payload CRC.
+// walHeaderLen is the record frame header — kind, payload length, payload
+// CRC-32C — shared by WAL and profile-segment records.
 const walHeaderLen = 1 + 4 + 4
+
+// putFrameHeader fills hdr (walHeaderLen bytes) with the frame header for
+// payload.
+func putFrameHeader(hdr []byte, kind byte, payload []byte) {
+	hdr[0] = kind
+	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[5:9], crc32.Checksum(payload, castagnoli))
+}
+
+// nextFrame reads the record frame at data[off:]. ok is false when the
+// frame is torn (its header or payload runs past the data) or its payload
+// fails the checksum; a reader stops there. The length field is trusted
+// only after it is checked against the bytes actually present.
+func nextFrame(data []byte, off int) (kind byte, payload []byte, next int, ok bool) {
+	if len(data)-off < walHeaderLen {
+		return 0, nil, off, false
+	}
+	kind = data[off]
+	plen := binary.LittleEndian.Uint32(data[off+1 : off+5])
+	want := binary.LittleEndian.Uint32(data[off+5 : off+9])
+	if uint64(plen) > uint64(len(data)-off-walHeaderLen) {
+		return 0, nil, off, false
+	}
+	next = off + walHeaderLen + int(plen)
+	payload = data[off+walHeaderLen : next]
+	if crc32.Checksum(payload, castagnoli) != want {
+		return 0, nil, off, false
+	}
+	return kind, payload, next, true
+}
 
 // WALRecord is one replayed record: exactly one of Snap or Shed is set.
 type WALRecord struct {
@@ -69,9 +100,7 @@ func openWAL(path string, validLen int64, sync bool) (*WAL, error) {
 // append frames and writes one record.
 func (w *WAL) append(kind byte, payload []byte) error {
 	var hdr [walHeaderLen]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:9], crc32.Checksum(payload, castagnoli))
+	putFrameHeader(hdr[:], kind, payload)
 	if _, err := w.f.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -125,47 +154,39 @@ func replayWAL(path string) (recs []WALRecord, validLen int64, torn bool, err er
 	if err != nil {
 		return nil, 0, false, err
 	}
-	off := int64(0)
-	for int64(len(data))-off >= walHeaderLen {
-		kind := data[off]
-		plen := int64(binary.LittleEndian.Uint32(data[off+1 : off+5]))
-		want := binary.LittleEndian.Uint32(data[off+5 : off+9])
-		if kind != recSnapshot && kind != recShed {
-			return recs, off, true, nil
-		}
-		if off+walHeaderLen+plen > int64(len(data)) {
-			return recs, off, true, nil // torn mid-payload
-		}
-		payload := data[off+walHeaderLen : off+walHeaderLen+plen]
-		if crc32.Checksum(payload, castagnoli) != want {
-			return recs, off, true, nil
+	recs, validLen, torn = decodeWAL(data)
+	return recs, validLen, torn, nil
+}
+
+// decodeWAL is replayWAL over a log's bytes: it never fails, it stops at the
+// first record that is torn, fails its checksum, or does not decode.
+func decodeWAL(data []byte) (recs []WALRecord, validLen int64, torn bool) {
+	off := 0
+	for off < len(data) {
+		kind, payload, next, ok := nextFrame(data, off)
+		if !ok {
+			return recs, int64(off), true
 		}
 		switch kind {
 		case recSnapshot:
-			s, derr := profile.Decode(bytes.NewReader(payload))
-			if derr != nil {
+			s, err := profile.Decode(bytes.NewReader(payload))
+			if err != nil {
 				// The frame checksum passed but the payload does not
 				// decode: treat as corruption, stop here.
-				return recs, off, true, nil
+				return recs, int64(off), true
 			}
 			recs = append(recs, WALRecord{Snap: s})
 		case recShed:
-			if plen != 8 {
-				return recs, off, true, nil
+			if len(payload) != 8 {
+				return recs, int64(off), true
 			}
-			recs = append(recs, WALRecord{Snap: nil, Shed: int(int64(binary.LittleEndian.Uint64(payload)))})
+			recs = append(recs, WALRecord{Shed: int(int64(binary.LittleEndian.Uint64(payload)))})
+		default:
+			return recs, int64(off), true
 		}
-		off += walHeaderLen + plen
+		off = next
 	}
-	return recs, off, off != int64(len(data)), nil
-}
-
-// walInfoPath is replayWAL plus the file's raw size, for fsck.
-func walSize(path string) int64 {
-	if info, err := os.Stat(path); err == nil {
-		return info.Size()
-	}
-	return 0
+	return recs, int64(off), false
 }
 
 // listGenerations returns the snapshot generations present in dir, sorted

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"time"
 )
 
@@ -24,6 +25,12 @@ const Version = 1
 // maxCount caps name/record counts while decoding, guarding against
 // corrupted length prefixes.
 const maxCount = 1 << 22
+
+// maxPrealloc caps what Decode allocates on the word of a count or length
+// prefix alone; past it, buffers grow with the bytes actually read, so a
+// corrupt prefix costs memory in proportion to the input, not to the
+// prefix.
+const maxPrealloc = 1 << 10
 
 // Encode writes the sample in the canonical binary format. The sample
 // should be normalized first for deterministic output.
@@ -116,6 +123,13 @@ func Decode(r io.Reader) (*Sample, error) {
 		if n > maxCount {
 			return "", fmt.Errorf("profile: string length %d too large", n)
 		}
+		if n > maxPrealloc {
+			var sb strings.Builder
+			if _, err := io.CopyN(&sb, br, int64(n)); err != nil {
+				return "", err
+			}
+			return sb.String(), nil
+		}
 		b := make([]byte, n)
 		if _, err := io.ReadFull(br, b); err != nil {
 			return "", err
@@ -167,9 +181,10 @@ func Decode(r io.Reader) (*Sample, error) {
 		return nil, fmt.Errorf("profile: function count %d too large", nf)
 	}
 	if nf > 0 {
-		s.Funcs = make([]FuncRecord, nf)
+		s.Funcs = make([]FuncRecord, 0, min(nf, maxPrealloc))
 	}
-	for i := range s.Funcs {
+	for i := uint64(0); i < nf; i++ {
+		s.Funcs = append(s.Funcs, FuncRecord{})
 		f := &s.Funcs[i]
 		if f.Name, err = getString(); err != nil {
 			return nil, err
@@ -197,9 +212,10 @@ func Decode(r io.Reader) (*Sample, error) {
 		return nil, fmt.Errorf("profile: arc count %d too large", na)
 	}
 	if na > 0 {
-		s.Arcs = make([]Arc, na)
+		s.Arcs = make([]Arc, 0, min(na, maxPrealloc))
 	}
-	for i := range s.Arcs {
+	for i := uint64(0); i < na; i++ {
+		s.Arcs = append(s.Arcs, Arc{})
 		a := &s.Arcs[i]
 		if a.Caller, err = getString(); err != nil {
 			return nil, err
