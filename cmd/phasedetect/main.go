@@ -10,17 +10,19 @@
 // directory (filter with `grep -v '^live:'` to compare). Both modes run the
 // same pipeline.Run; a batch run is a stream that ends.
 //
-// Input arrives through the profile.Format registry: gmon.out.N canonical
-// dumps, pprof.out.N Go pprof protobufs, or perf.out.N folded stacks, chosen
-// with -format or auto-detected from the file names in -dir. All formats
-// flow through the same differencer and analysis core, so the same logical
-// run produces the same report whichever profiler captured it.
+// Input arrives through the profile.Format registry: gmon.out.N dumps
+// (canonical, or real GNU gmon.out with symbols.out.N sidecars), gprof.txt.N
+// flat profiles, pprof.out.N Go pprof protobufs, or perf.out.N folded
+// stacks, chosen with -format or auto-detected from the file names in -dir.
+// All formats flow through the same reader, differencer and analysis core,
+// in every mode, so the same logical run produces the same report whichever
+// profiler captured it.
 //
 // Usage:
 //
 //	phasedetect -dir profiles/rank0
 //	phasedetect -dir profiles/rank0 -format pprof  # Go pprof protobuf dumps
-//	phasedetect -dir profiles/rank0 -text          # parse gprof.txt.N instead
+//	phasedetect -dir profiles/rank0 -format gprof  # parse gprof.txt.N instead
 //	phasedetect -dir profiles/rank0 -selection silhouette -threshold 0.9
 //	phasedetect -dir profiles/rank0 -follow        # live mode
 package main
@@ -91,8 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 type config struct {
 	dir        string
 	format     string
-	text       bool
-	gmonout    bool
 	kmax       int
 	threshold  float64
 	selection  string
@@ -136,10 +136,8 @@ func parseConfig(args []string, stderr io.Writer) (*config, int) {
 	c := &config{}
 	fs := flag.NewFlagSet("phasedetect", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.StringVar(&c.dir, "dir", "", "directory holding profile dumps for one rank (gmon.out.N, pprof.out.N, or perf.out.N)")
+	fs.StringVar(&c.dir, "dir", "", "directory holding profile dumps for one rank (gmon.out.N, gprof.txt.N, pprof.out.N, perf.out.N, ...)")
 	fs.StringVar(&c.format, "format", "auto", "dump format: auto, "+strings.Join(profile.Names(), ", ")+" (auto detects from the file names in -dir)")
-	fs.BoolVar(&c.text, "text", false, "ingest gprof.txt.N flat-profile text instead of binary dumps")
-	fs.BoolVar(&c.gmonout, "gmonout", false, "ingest real-format gmon.out.N dumps (with symbols.out.N sidecars)")
 	fs.IntVar(&c.kmax, "kmax", 8, "maximum k for the k-means sweep (at least 1)")
 	fs.Float64Var(&c.threshold, "threshold", 0.95, "Algorithm 1 coverage threshold, in (0, 1]")
 	fs.StringVar(&c.selection, "selection", "elbow", "k selection: elbow or silhouette")
@@ -215,15 +213,7 @@ func (c *config) validate() (int, error) {
 	if c.followIdle <= 0 {
 		return 2, fmt.Errorf("-follow-idle must be positive (got %v)", c.followIdle)
 	}
-
-	if c.follow && (c.text || c.gmonout) {
-		return 1, errors.New("-follow tails registry-format dumps only (no -text / -gmonout)")
-	}
-	if c.text || c.gmonout {
-		if c.format != "auto" && c.format != "gmon" {
-			return 1, fmt.Errorf("-text and -gmonout are gprof-family inputs and cannot combine with -format %s", c.format)
-		}
-	} else if _, ok := profile.Lookup(c.format); !ok && c.format != "auto" {
+	if _, ok := profile.Lookup(c.format); !ok && c.format != "auto" {
 		return 1, fmt.Errorf("unknown format %q (have auto, %s)", c.format, strings.Join(profile.Names(), ", "))
 	}
 	if !c.follow {
@@ -311,14 +301,7 @@ func (c *config) analyze(stdout, stderr io.Writer) error {
 
 	ropts := pipeline.RunOptions{Engine: stream.Options{Robust: c.salvage, Gap: policy, Phase: popts, Span: root}}
 	var src pipeline.Source
-	switch {
-	case c.text || c.gmonout:
-		snaps, err := c.loadGprof()
-		if err != nil {
-			return err
-		}
-		src = pipeline.Snapshots(snaps)
-	case c.follow:
+	if c.follow {
 		stop, release := stopOnSignal()
 		defer release()
 		c.live(&ropts, stdout)
@@ -345,7 +328,7 @@ func (c *config) analyze(stdout, stderr io.Writer) error {
 			}
 			return res, err
 		}
-	default:
+	} else {
 		f, ok := profile.Lookup(c.format)
 		if !ok {
 			var err error
@@ -383,19 +366,6 @@ func (c *config) analyze(stdout, stderr io.Writer) error {
 		reportGaps(stdout, r.Gaps, repaired, policy)
 	}
 	return c.report(stdout, r.Detection, r.Profiles, r.Fed.Last)
-}
-
-// loadGprof reads the gprof-family inputs, -text reports or real-format
-// -gmonout dumps, which arrive as one finished list.
-func (c *config) loadGprof() ([]*profile.Sample, error) {
-	if c.text {
-		return incprof.LoadTextReports(c.dir)
-	}
-	st, err := incprof.NewGmonOutStore(c.dir)
-	if err != nil {
-		return nil, err
-	}
-	return st.Snapshots()
 }
 
 // live configures the -follow stack: live: lines from the engine's

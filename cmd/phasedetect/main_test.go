@@ -108,8 +108,9 @@ func stripLive(s string) (string, int) {
 // TestReports runs every input mode in process over the same small run and
 // checks each against its golden report: batch at -parallel 1 and 8, gmon
 // and pprof dumps, -salvage over clean and damaged directories, -follow
-// with its live: lines stripped, -text reports and real-format -gmonout
-// dumps.
+// with its live: lines stripped, gprof.txt.N reports (-format gprof) and
+// real-format gmon.out.N dumps with symbols.out.N sidecars, in batch,
+// -salvage and -follow.
 func TestReports(t *testing.T) {
 	root := t.TempDir()
 	gmonDir := filepath.Join(root, "gmon")
@@ -204,8 +205,28 @@ func TestReports(t *testing.T) {
 		t.Fatalf("-salvage -follow differs from the batch salvage report:\n%s\n--- want\n%s", follow, salvage)
 	}
 
-	golden(t, "report_text.golden", report("-dir", textDir, "-text"))
-	golden(t, "report_gmonout.golden", report("-dir", gmonoutDir, "-gmonout"))
+	// A text directory holds gmon.out.N too, and auto-detects as gmon: the
+	// flat profiles are a rendering of those dumps.
+	if got := report("-dir", textDir); got != batch {
+		t.Fatalf("-dir %s (auto) differs from the batch report:\n%s\n--- batch\n%s", textDir, got, batch)
+	}
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"report_text.golden", []string{"-dir", textDir, "-format", "gprof"}},
+		{"report_gmonout.golden", []string{"-dir", gmonoutDir}},
+	} {
+		want := report(tc.args...)
+		golden(t, tc.golden, want)
+		if got := report(append(tc.args, "-salvage")...); got != want {
+			t.Fatalf("%s -salvage differs from %s:\n%s", strings.Join(tc.args, " "), tc.golden, got)
+		}
+		got, live := stripLive(report(append(tc.args, "-follow", "-follow-poll", "5ms", "-follow-idle", "150ms")...))
+		if live == 0 || got != want {
+			t.Fatalf("%s -follow (%d live: lines) differs from %s:\n%s", strings.Join(tc.args, " "), live, tc.golden, got)
+		}
+	}
 }
 
 // TestRunExitCodes pins the exit code and the diagnostic of every way a
@@ -261,8 +282,7 @@ func TestRunExitCodes(t *testing.T) {
 		{[]string{"-dir", dumps, "-follow-idle", "0"}, 2, "phasedetect: -follow-idle must be positive (got 0s)"},
 		{[]string{"-dir", dumps, "-nosuch"}, 2, "flag provided but not defined: -nosuch…"},
 		{[]string{"-dir", dumps, "-kmax", "many"}, 2, `invalid value "many" for flag -kmax…`},
-		{[]string{"-dir", dumps, "-follow", "-text"}, 1, "phasedetect: -follow tails registry-format dumps only (no -text / -gmonout)"},
-		{[]string{"-dir", dumps, "-gmonout", "-format", "pprof"}, 1, "phasedetect: -text and -gmonout are gprof-family inputs and cannot combine with -format pprof"},
+		{[]string{"-dir", dumps, "-text"}, 2, "flag provided but not defined: -text…"},
 		{[]string{"-dir", dumps, "-format", "nope"}, 1, `phasedetect: unknown format "nope" (have auto, ` + strings.Join(profile.Names(), ", ") + ")"},
 		{[]string{"-dir", dumps, "-reorder", "2"}, 1, "phasedetect: -reorder only applies with -follow"},
 		{[]string{"-dir", dumps, "-checkpoint-dir", state}, 1, "phasedetect: -checkpoint-dir only applies with -follow"},
@@ -283,7 +303,7 @@ func TestRunExitCodes(t *testing.T) {
 		{[]string{"-dir", filepath.Join(root, "missing")}, 1, "phasedetect: …"},
 		{[]string{"-dir", corrupt, "-format", "gmon"}, 1, `phasedetect: incprof: decoding gmon.out.0: profile: bad magic "garb"`},
 		{[]string{"-dir", corrupt, "-format", "gmon", "-salvage"}, 1, "phasedetect: no snapshots found in " + corrupt},
-		{[]string{"-dir", empty, "-text"}, 1, "phasedetect: no snapshots found in " + empty},
+		{[]string{"-dir", empty, "-format", "gprof"}, 1, "phasedetect: no snapshots found in " + empty},
 		{[]string{"-h"}, 0, "Usage of phasedetect:…"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
@@ -328,7 +348,7 @@ func FuzzParseConfig(f *testing.F) {
 		"-dir\x00d\x00-threshold\x001.5",
 		"-dir\x00d\x00-kmax\x000\x00-stall\x00-1s",
 		"-dir=d\x00-follow\x00-shed\x00drop-oldest\x00-salvage\x00-max-pending\x003",
-		"-dir\x00d\x00-text\x00-format\x00gmon",
+		"-dir\x00d\x00-format\x00gprof\x00-follow",
 		"-h",
 		"--dir\x00d\x00extra\x00args",
 	} {

@@ -12,9 +12,12 @@
 //     binary sample encoding (profile.Encode/Decode), registered with the
 //     format registry under the name "gmon";
 //   - the real GNU gmon.out wire format (WriteGmonOut / ReadGmonOut), with
-//     exactly a real gprof pipeline's information loss; and
+//     exactly a real gprof pipeline's information loss. Its dumps share the
+//     gmon.out.N names, so the "gmon" format decodes them too, against the
+//     symbols.out.N sidecar written beside each; and
 //   - the gprof-like textual reports (FlatProfile / ParseFlatProfile and
-//     CallGraphReport).
+//     CallGraphReport). The flat profiles, gprof.txt.N, are registered as
+//     the "gprof" format, a rendering of "gmon".
 package gmon
 
 import (
@@ -37,11 +40,35 @@ func init() {
 		Name:       "gmon",
 		FilePrefix: "gmon.out.",
 		Detect: func(data []byte) bool {
-			return bytes.HasPrefix(data, []byte(profile.Magic))
+			return bytes.HasPrefix(data, []byte(profile.Magic)) || bytes.HasPrefix(data, gmonMagic[:])
 		},
-		Decode: profile.Decode,
+		Decode: decode,
 		Encode: func(w io.Writer, s *profile.Sample) error { return s.Encode(w) },
 	})
+	profile.Register(&profile.Format{
+		Name:       "gprof",
+		FilePrefix: "gprof.txt.",
+		Detect: func(data []byte) bool {
+			return bytes.HasPrefix(data, []byte(flatHeader))
+		},
+		Decode:   ParseFlatProfile,
+		Encode:   FlatProfile,
+		RenderOf: "gmon",
+	})
+}
+
+// flatHeader opens every flat profile.
+const flatHeader = "Flat profile:"
+
+// duration converts a count of seconds read from text to a Duration,
+// reporting false unless it is finite, non-negative and in range: the rule
+// profile.Decode applies to the canonical encoding's time fields.
+func duration(sec float64) (time.Duration, bool) {
+	ns := sec * float64(time.Second)
+	if !(ns >= 0 && ns < 1<<63) {
+		return 0, false
+	}
+	return time.Duration(ns), true
 }
 
 // FlatProfile renders the sample as a gprof-style flat profile. Functions
@@ -73,7 +100,7 @@ func FlatProfile(w io.Writer, s *profile.Sample) error {
 		return rows[i].rec.Name < rows[j].rec.Name
 	})
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "Flat profile: seq=%d t=%.3f\n\n", s.Seq, s.Timestamp.Seconds())
+	fmt.Fprintf(bw, flatHeader+" seq=%d t=%.3f\n\n", s.Seq, s.Timestamp.Seconds())
 	fmt.Fprintf(bw, "Each sample counts as %g seconds.\n", s.SamplePeriod.Seconds())
 	fmt.Fprintf(bw, "  %%   cumulative   self              self\n")
 	fmt.Fprintf(bw, " time   seconds   seconds    calls  ms/call  name\n")
@@ -98,31 +125,34 @@ func FlatProfile(w io.Writer, s *profile.Sample) error {
 // Only the data the paper's analysis consumes — per-function self time and
 // call counts — is recovered; arcs and exact self time are not present in a
 // flat profile. Sample counts are reconstructed from self seconds and the
-// sample period in the header.
+// sample period in the header. A header without seq= leaves Seq
+// unassigned. Negative, non-finite and out-of-range values are corruption,
+// as in the canonical encoding, and fail the parse.
 func ParseFlatProfile(r io.Reader) (*profile.Sample, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	s := &profile.Sample{}
+	s := &profile.Sample{Seq: profile.SeqUnassigned}
 	sawHeader := false
 	for sc.Scan() {
 		line := sc.Text()
 		switch {
-		case strings.HasPrefix(line, "Flat profile:"):
+		case strings.HasPrefix(line, flatHeader):
 			fields := strings.Fields(line)
 			for _, f := range fields {
 				if v, ok := strings.CutPrefix(f, "seq="); ok {
 					n, err := strconv.Atoi(v)
-					if err != nil {
+					if err != nil || n < 0 || n > math.MaxInt32 {
 						return nil, fmt.Errorf("gmon: bad seq %q", v)
 					}
 					s.Seq = n
 				}
 				if v, ok := strings.CutPrefix(f, "t="); ok {
 					sec, err := strconv.ParseFloat(v, 64)
-					if err != nil {
+					ts, ok := duration(sec)
+					if err != nil || !ok {
 						return nil, fmt.Errorf("gmon: bad timestamp %q", v)
 					}
-					s.Timestamp = time.Duration(sec * float64(time.Second))
+					s.Timestamp = ts
 				}
 			}
 			sawHeader = true
@@ -130,10 +160,11 @@ func ParseFlatProfile(r io.Reader) (*profile.Sample, error) {
 			rest := strings.TrimPrefix(line, "Each sample counts as ")
 			rest = strings.TrimSuffix(rest, " seconds.")
 			sec, err := strconv.ParseFloat(rest, 64)
-			if err != nil {
+			period, ok := duration(sec)
+			if err != nil || !ok {
 				return nil, fmt.Errorf("gmon: bad sample period in %q", line)
 			}
-			s.SamplePeriod = time.Duration(sec * float64(time.Second))
+			s.SamplePeriod = period
 		case strings.HasPrefix(strings.TrimSpace(line), "%") ||
 			strings.HasPrefix(strings.TrimSpace(line), "time") ||
 			strings.TrimSpace(line) == "":
@@ -144,19 +175,21 @@ func ParseFlatProfile(r io.Reader) (*profile.Sample, error) {
 				return nil, fmt.Errorf("gmon: malformed profile row %q", line)
 			}
 			self, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil {
+			selfTime, ok := duration(self)
+			if err != nil || !ok {
 				return nil, fmt.Errorf("gmon: bad self seconds in %q", line)
 			}
 			calls, err := strconv.ParseInt(fields[3], 10, 64)
-			if err != nil {
+			if err != nil || calls < 0 {
 				return nil, fmt.Errorf("gmon: bad call count in %q", line)
 			}
 			name := strings.Join(fields[5:], " ")
-			rec := profile.FuncRecord{Name: name, Calls: calls}
+			rec := profile.FuncRecord{Name: name, Calls: calls, SelfTime: selfTime}
 			if s.SamplePeriod > 0 {
+				// self fits a Duration and the period is at least 1ns, so
+				// the count fits an int64.
 				rec.Samples = int64(math.Round(self / s.SamplePeriod.Seconds()))
 			}
-			rec.SelfTime = time.Duration(self * float64(time.Second))
 			s.Funcs = append(s.Funcs, rec)
 		}
 	}

@@ -29,7 +29,7 @@ func sample() *profile.Sample {
 }
 
 // The package's init must contribute the gmon frontend to the registry, and
-// its Detect must accept exactly the canonical magic.
+// its Detect must accept exactly the canonical and the GNU magic.
 func TestFormatRegistration(t *testing.T) {
 	f, ok := profile.Lookup("gmon")
 	if !ok {
@@ -41,8 +41,11 @@ func TestFormatRegistration(t *testing.T) {
 	if !f.Detect([]byte(profile.Magic + "anything")) {
 		t.Fatal("Detect rejects the canonical magic")
 	}
-	if f.Detect([]byte("gmon")) {
-		t.Fatal("Detect accepts the real gmon.out magic (that is the -gmonout path, not this frontend)")
+	if !f.Detect([]byte("gmon\x01\x00\x00\x00")) {
+		t.Fatal("Detect rejects the GNU gmon.out magic")
+	}
+	if f.Detect([]byte("Flat profile:")) || f.Detect([]byte("garb")) {
+		t.Fatal("Detect accepts a foreign magic")
 	}
 	s := sample()
 	var buf bytes.Buffer
@@ -144,5 +147,73 @@ func TestParseFlatProfileFunctionNameWithSpaces(t *testing.T) {
 	}
 	if _, ok := got.Func("operator new [abi:cxx11]"); !ok {
 		t.Fatalf("name with spaces not recovered: %+v", got.Funcs)
+	}
+}
+
+// The flat profiles register as "gprof", a rendering of "gmon" under
+// gprof.txt.N, and round-trip through the registry.
+func TestGprofFormatRegistration(t *testing.T) {
+	f, ok := profile.Lookup("gprof")
+	if !ok {
+		t.Fatal("gprof format not registered")
+	}
+	if f.FilePrefix != "gprof.txt." || f.RenderOf != "gmon" {
+		t.Fatalf("prefix %q, renders %q", f.FilePrefix, f.RenderOf)
+	}
+	s := sample()
+	var buf bytes.Buffer
+	if err := f.Encode(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	if g := profile.Sniff(buf.Bytes()); g != f {
+		t.Fatalf("Sniff(flat profile) = %v", g)
+	}
+	got, err := f.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Seq != s.Seq || len(got.Funcs) != len(s.Funcs) {
+		t.Fatalf("registry round trip: %+v", got)
+	}
+	// A header without seq= leaves the number to the file name.
+	got, err = f.Decode(strings.NewReader("Flat profile: t=1.000\n"))
+	if err != nil || got.Seq != profile.SeqUnassigned {
+		t.Fatalf("seq-less header: %+v, %v", got, err)
+	}
+}
+
+// A flat profile carrying a value the canonical codec would reject — a
+// negative, non-finite or out-of-range number — is corruption, not data.
+func TestParseFlatProfileRejectsCorruptValues(t *testing.T) {
+	row := func(self, calls string) string {
+		return "Flat profile: seq=1 t=2.000\n\nEach sample counts as 0.01 seconds.\n" +
+			"100.00 1.00 " + self + " " + calls + " 0.00  solve\n"
+	}
+	for _, tc := range []struct {
+		name, text string
+	}{
+		{"negative seq", "Flat profile: seq=-4 t=1.000\n"},
+		{"seq past int32", "Flat profile: seq=2147483648 t=1.000\n"},
+		{"negative timestamp", "Flat profile: seq=0 t=-2.5\n"},
+		{"NaN timestamp", "Flat profile: seq=0 t=NaN\n"},
+		{"infinite timestamp", "Flat profile: seq=0 t=+Inf\n"},
+		{"timestamp past Duration", "Flat profile: seq=0 t=1e300\n"},
+		{"negative period", "Flat profile: seq=0 t=1.000\nEach sample counts as -0.01 seconds.\n"},
+		{"NaN period", "Flat profile: seq=0 t=1.000\nEach sample counts as NaN seconds.\n"},
+		{"period past Duration", "Flat profile: seq=0 t=1.000\nEach sample counts as 1e10 seconds.\n"},
+		{"negative self", row("-5.00", "3")},
+		{"NaN self", row("NaN", "3")},
+		{"self past Duration", row("1e300", "3")},
+		{"negative calls", row("1.00", "-3")},
+		{"calls past int64", row("1.00", "9223372036854775808")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if s, err := ParseFlatProfile(strings.NewReader(tc.text)); err == nil {
+				t.Fatalf("parsed %q as %+v", tc.text, s)
+			}
+		})
+	}
+	if _, err := ParseFlatProfile(strings.NewReader(row("0.50", "3"))); err != nil {
+		t.Fatalf("the valid row of the table fails: %v", err)
 	}
 }

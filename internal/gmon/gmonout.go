@@ -2,10 +2,14 @@ package gmon
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"github.com/incprof/incprof/internal/profile"
@@ -24,6 +28,12 @@ import (
 // range and its calls at its entry address; ReadGmonOut maps addresses back
 // through the layout. Round-tripping through this format is exactly the
 // information loss a real gprof pipeline has.
+//
+// On disk the layout travels as a sidecar, symbols.out.N beside each
+// gmon.out.N (WriteSymbols): a "# t=<seconds> seq=<N>" header carrying the
+// dump's timestamp, which the real pipeline recovers from file metadata,
+// then one function name per line. The registered "gmon" format decodes a
+// GNU dump against its sidecar, read as a companion file (profile.Dump).
 
 // gmonMagic and gmonVersion follow GNU gmon_out.h ("gmon" + version 1).
 var gmonMagic = [4]byte{'g', 'm', 'o', 'n'}
@@ -310,5 +320,75 @@ func ReadGmonOut(r io.Reader, l *SymbolLayout) (*profile.Sample, error) {
 		s.Funcs = append(s.Funcs, profile.FuncRecord{Name: n, Samples: samples[n], Calls: calls[n]})
 	}
 	s.Normalize()
+	return s, nil
+}
+
+// SymbolsPrefix names the sidecar written beside each GNU gmon.out.N.
+const SymbolsPrefix = "symbols.out."
+
+// WriteSymbols writes the sidecar of dump s laid out by l.
+func WriteSymbols(w io.Writer, s *profile.Sample, l *SymbolLayout) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "# t=%.6f seq=%d\n", s.Timestamp.Seconds(), s.Seq)
+	for _, name := range l.names {
+		fmt.Fprintln(bw, name)
+	}
+	return bw.Flush()
+}
+
+// parseSymbols reads a sidecar back: the function names and the dump's
+// timestamp.
+func parseSymbols(data []byte) ([]string, time.Duration, error) {
+	header, body, _ := strings.Cut(string(data), "\n")
+	fields, ok := strings.CutPrefix(header, "# ")
+	if !ok {
+		return nil, 0, errors.New("gmon: symbol sidecar has no header")
+	}
+	var ts time.Duration
+	for _, f := range strings.Fields(fields) {
+		if v, ok := strings.CutPrefix(f, "t="); ok {
+			sec, err := strconv.ParseFloat(v, 64)
+			d, ok := duration(sec)
+			if err != nil || !ok {
+				return nil, 0, fmt.Errorf("gmon: bad sidecar timestamp %q", v)
+			}
+			ts = d
+		}
+	}
+	var names []string
+	for _, name := range strings.Split(body, "\n") {
+		if name != "" {
+			names = append(names, name)
+		}
+	}
+	return names, ts, nil
+}
+
+// decode is the "gmon" format's Decode. A canonical dump goes to
+// profile.Decode. A GNU gmon.out dump is keyed by address, so it decodes
+// against the layout and timestamp in its sidecar, which r must offer as a
+// companion file (a *profile.Dump does); its Seq is left to the file name.
+func decode(r io.Reader) (*profile.Sample, error) {
+	br := bufio.NewReader(r)
+	if head, _ := br.Peek(len(gmonMagic)); !bytes.Equal(head, gmonMagic[:]) {
+		return profile.Decode(br)
+	}
+	dump, ok := r.(*profile.Dump)
+	if !ok {
+		return nil, errors.New("gmon: a GNU gmon.out dump needs its " + SymbolsPrefix + "N sidecar")
+	}
+	side, err := dump.Companion(SymbolsPrefix)
+	if err != nil {
+		return nil, fmt.Errorf("gmon: reading the symbol sidecar: %w", err)
+	}
+	names, ts, err := parseSymbols(side)
+	if err != nil {
+		return nil, err
+	}
+	s, err := ReadGmonOut(br, NewSymbolLayout(names))
+	if err != nil {
+		return nil, err
+	}
+	s.Seq, s.Timestamp = profile.SeqUnassigned, ts
 	return s, nil
 }

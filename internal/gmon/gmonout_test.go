@@ -2,6 +2,10 @@ package gmon
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -174,4 +178,93 @@ func snap(seq int, ts time.Duration, recs ...profile.FuncRecord) *profile.Sample
 	s := &profile.Sample{Seq: seq, Timestamp: ts, SamplePeriod: 10 * time.Millisecond, Funcs: recs}
 	s.Normalize()
 	return s
+}
+
+// writeGNU files s under dir as GNU gmon.out.N plus its symbols.out.N
+// sidecar, and returns the dump's bytes.
+func writeGNU(t testing.TB, dir string, s *profile.Sample) []byte {
+	t.Helper()
+	l := LayoutForSample(s)
+	var side, dump bytes.Buffer
+	if err := WriteSymbols(&side, s, l); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteGmonOut(&dump, s, l); err != nil {
+		t.Fatal(err)
+	}
+	seq := strconv.Itoa(s.Seq)
+	if err := os.WriteFile(filepath.Join(dir, SymbolsPrefix+seq), side.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "gmon.out."+seq), dump.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dump.Bytes()
+}
+
+// The registered "gmon" format decodes a GNU gmon.out dump against the
+// sidecar beside it, read as a companion file, and a canonical one as
+// before.
+func TestGmonFormatDecodesGNUDumps(t *testing.T) {
+	f, _ := profile.Lookup("gmon")
+	dir := t.TempDir()
+	s := sample()
+	data := writeGNU(t, dir, s)
+	got, err := f.Decode(profile.NewDump(data, dir, s.Seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Seq != profile.SeqUnassigned || got.Timestamp != s.Timestamp || got.SamplePeriod != s.SamplePeriod {
+		t.Fatalf("header seq %d, t %v, period %v", got.Seq, got.Timestamp, got.SamplePeriod)
+	}
+	for _, want := range s.Funcs {
+		rec, ok := got.Func(want.Name)
+		if !ok || rec.Samples != want.Samples {
+			t.Fatalf("%s: %+v, want %d samples", want.Name, rec, want.Samples)
+		}
+	}
+	if rec, _ := got.Func("run_bfs"); rec.Calls != 7 {
+		t.Fatalf("run_bfs calls %d, want 7 from its incoming arc", rec.Calls)
+	}
+
+	var canon bytes.Buffer
+	if err := s.Encode(&canon); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := f.Decode(profile.NewDump(canon.Bytes(), dir, s.Seq)); err != nil || got.Seq != s.Seq {
+		t.Fatalf("canonical dump: %+v, %v", got, err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		dump []byte
+		bare bool   // decode from a bytes.Reader, which has no companions
+		side string // the sidecar's contents; "" writes none
+		want string
+	}{
+		{"no companion reader", data, true, "", "needs its symbols.out.N sidecar"},
+		{"sidecar missing", data, false, "", "reading the symbol sidecar"},
+		{"sidecar without header", data, false, "run_bfs\n", "no header"},
+		{"negative sidecar timestamp", data, false, "# t=-1 seq=3\nrun_bfs\n", "bad sidecar timestamp"},
+		{"NaN sidecar timestamp", data, false, "# t=NaN seq=3\nrun_bfs\n", "bad sidecar timestamp"},
+		{"sidecar timestamp past Duration", data, false, "# t=1e300 seq=3\nrun_bfs\n", "bad sidecar timestamp"},
+		{"not GNU magic", []byte("garbage"), false, "", `profile: bad magic "garb"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if tc.side != "" {
+				if err := os.WriteFile(filepath.Join(dir, SymbolsPrefix+"3"), []byte(tc.side), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var r io.Reader = profile.NewDump(tc.dump, dir, 3)
+			if tc.bare {
+				r = bytes.NewReader(tc.dump)
+			}
+			_, err := f.Decode(r)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err %v, want it to contain %q", err, tc.want)
+			}
+		})
+	}
 }

@@ -1,14 +1,10 @@
 package incprof
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
-	"strings"
-	"time"
 
 	"github.com/incprof/incprof/internal/gmon"
 	"github.com/incprof/incprof/internal/profile"
@@ -42,17 +38,11 @@ func (g *GmonOutStore) Dir() string { return g.dir }
 // Put implements Store.
 func (g *GmonOutStore) Put(s *profile.Sample) error {
 	layout := gmon.LayoutForSample(s)
-
-	sf, err := os.Create(filepath.Join(g.dir, fmt.Sprintf("symbols.out.%d", s.Seq)))
+	sf, err := os.Create(filepath.Join(g.dir, gmon.SymbolsPrefix+strconv.Itoa(s.Seq)))
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(sf)
-	fmt.Fprintf(bw, "# t=%.6f seq=%d\n", s.Timestamp.Seconds(), s.Seq)
-	for _, name := range layout.Names() {
-		fmt.Fprintln(bw, name)
-	}
-	if err := bw.Flush(); err != nil {
+	if err := gmon.WriteSymbols(sf, s, layout); err != nil {
 		sf.Close()
 		return err
 	}
@@ -60,7 +50,7 @@ func (g *GmonOutStore) Put(s *profile.Sample) error {
 		return err
 	}
 
-	f, err := os.Create(filepath.Join(g.dir, fmt.Sprintf("gmon.out.%d", s.Seq)))
+	f, err := os.Create(filepath.Join(g.dir, "gmon.out."+strconv.Itoa(s.Seq)))
 	if err != nil {
 		return err
 	}
@@ -71,76 +61,8 @@ func (g *GmonOutStore) Put(s *profile.Sample) error {
 	return f.Close()
 }
 
-// Snapshots implements Store, decoding the real-format dumps against their
-// sidecar symbol tables.
+// Snapshots implements Store: the "gmon" format decodes real-format dumps
+// against their sidecar symbol tables.
 func (g *GmonOutStore) Snapshots() ([]*profile.Sample, error) {
-	entries, err := os.ReadDir(g.dir)
-	if err != nil {
-		return nil, err
-	}
-	var seqs []int
-	for _, e := range entries {
-		if seq, ok := seqOf(e.Name(), "gmon.out."); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Ints(seqs)
-	out := make([]*profile.Sample, 0, len(seqs))
-	for _, seq := range seqs {
-		names, ts, err := g.readSymbols(seq)
-		if err != nil {
-			return nil, err
-		}
-		layout := gmon.NewSymbolLayout(names)
-		f, err := os.Open(filepath.Join(g.dir, fmt.Sprintf("gmon.out.%d", seq)))
-		if err != nil {
-			return nil, err
-		}
-		s, err := gmon.ReadGmonOut(f, layout)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("incprof: decoding gmon.out.%d: %w", seq, err)
-		}
-		s.Seq = seq
-		s.Timestamp = ts
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-// readSymbols loads one sidecar file: the header carries the timestamp, the
-// body the symbol names in address order.
-func (g *GmonOutStore) readSymbols(seq int) ([]string, time.Duration, error) {
-	f, err := os.Open(filepath.Join(g.dir, fmt.Sprintf("symbols.out.%d", seq)))
-	if err != nil {
-		return nil, 0, fmt.Errorf("incprof: missing symbol sidecar for dump %d: %w", seq, err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	var names []string
-	var ts time.Duration
-	first := true
-	for sc.Scan() {
-		line := sc.Text()
-		if first {
-			first = false
-			if !strings.HasPrefix(line, "# ") {
-				return nil, 0, fmt.Errorf("incprof: symbols.out.%d missing header", seq)
-			}
-			for _, field := range strings.Fields(line[2:]) {
-				if v, ok := strings.CutPrefix(field, "t="); ok {
-					sec, err := strconv.ParseFloat(v, 64)
-					if err != nil {
-						return nil, 0, fmt.Errorf("incprof: bad timestamp in symbols.out.%d", seq)
-					}
-					ts = time.Duration(sec * float64(time.Second))
-				}
-			}
-			continue
-		}
-		if line != "" {
-			names = append(names, line)
-		}
-	}
-	return names, ts, sc.Err()
+	return readAll(g.dir, nil)
 }

@@ -12,19 +12,15 @@
 package incprof
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/incprof/incprof/internal/exec"
-	"github.com/incprof/incprof/internal/gmon"
 	"github.com/incprof/incprof/internal/obs"
 	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/profiler"
@@ -253,7 +249,7 @@ func (m *MemStore) Snapshots() ([]*profile.Sample, error) {
 type DirStore struct {
 	dir         string
 	textReports bool
-	format      *profile.Format // nil: canonical gmon.out.N
+	format      *profile.Format
 }
 
 // NewDirStore returns a store writing under dir, creating it if necessary.
@@ -261,10 +257,12 @@ type DirStore struct {
 // binary dump, mirroring the paper's "invoke the gprof command line tool"
 // post-processing step.
 func NewDirStore(dir string, textReports bool) (*DirStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("incprof: creating store dir: %w", err)
+	d, err := NewFormatDirStore(dir, nil)
+	if err != nil {
+		return nil, err
 	}
-	return &DirStore{dir: dir, textReports: textReports}, nil
+	d.textReports = textReports
+	return d, nil
 }
 
 // NewFormatDirStore returns a store reading and writing dumps under dir in
@@ -274,7 +272,15 @@ func NewFormatDirStore(dir string, f *profile.Format) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("incprof: creating store dir: %w", err)
 	}
-	return &DirStore{dir: dir, format: f}, nil
+	return &DirStore{dir: dir, format: formatOr(f)}, nil
+}
+
+// formatOr returns f, or the canonical "gmon" format when f is nil.
+func formatOr(f *profile.Format) *profile.Format {
+	if f == nil {
+		f, _ = profile.Lookup("gmon")
+	}
+	return f
 }
 
 // Dir returns the directory the store writes into.
@@ -283,35 +289,35 @@ func (d *DirStore) Dir() string { return d.dir }
 // PathFor returns the path of the binary dump for the given sequence
 // number; the fault injector uses it to corrupt files after they land.
 func (d *DirStore) PathFor(seq int) string {
-	return filepath.Join(d.dir, formatDecoder(d.format).fileName(seq))
+	return filepath.Join(d.dir, d.format.FileName(seq))
 }
 
 // Put implements Store.
 func (d *DirStore) Put(s *profile.Sample) error {
-	path := d.PathFor(s.Seq)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := formatDecoder(d.format).encode(f, s); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeDump(d.dir, d.format, s); err != nil {
 		return err
 	}
 	if d.textReports {
-		tf, err := os.Create(filepath.Join(d.dir, fmt.Sprintf("gprof.txt.%d", s.Seq)))
-		if err != nil {
-			return err
-		}
-		if err := gmon.FlatProfile(tf, s); err != nil {
-			tf.Close()
-			return err
-		}
-		return tf.Close()
+		text, _ := profile.Lookup("gprof")
+		return writeDump(d.dir, text, s)
 	}
 	return nil
+}
+
+// writeDump files s under dir in format f.
+func writeDump(dir string, f *profile.Format, s *profile.Sample) error {
+	if f.Encode == nil {
+		return fmt.Errorf("incprof: format %q has no encoder", f.Name)
+	}
+	out, err := os.Create(filepath.Join(dir, f.FileName(s.Seq)))
+	if err != nil {
+		return err
+	}
+	if err := f.Encode(out, s); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
 }
 
 // Snapshots implements Store, reading back the binary dumps in Seq order
@@ -319,8 +325,13 @@ func (d *DirStore) Put(s *profile.Sample) error {
 // or corrupt file fails it; read with ReadDir and Salvage set when degraded
 // data should degrade, not abort, the run.
 func (d *DirStore) Snapshots() ([]*profile.Sample, error) {
+	return readAll(d.dir, d.format)
+}
+
+// readAll reads every dump of format f under dir, strictly, in Seq order.
+func readAll(dir string, f *profile.Format) ([]*profile.Sample, error) {
 	out := collect{}
-	if _, err := ReadDir(d.dir, &out, TailOptions{Format: d.format}); err != nil {
+	if _, err := ReadDir(dir, &out, TailOptions{Format: f}); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -360,93 +371,4 @@ func (t *symbols) canonical(name string) string {
 	}
 	t.names[name] = name
 	return name
-}
-
-// decoder binds one frontend's file naming and codec for the dump readers.
-// The nil-format fallback is the canonical encoding under gmon.out.N, so the
-// historical entry points keep working without any format registered.
-type decoder struct {
-	name   string
-	prefix string
-	dec    func(r io.Reader) (*profile.Sample, error)
-	enc    func(w io.Writer, s *profile.Sample) error
-}
-
-func formatDecoder(f *profile.Format) decoder {
-	if f == nil {
-		return decoder{
-			name:   "gmon",
-			prefix: "gmon.out.",
-			dec:    profile.Decode,
-			enc:    func(w io.Writer, s *profile.Sample) error { return s.Encode(w) },
-		}
-	}
-	return decoder{name: f.Name, prefix: f.FilePrefix, dec: f.Decode, enc: f.Encode}
-}
-
-func (d decoder) fileName(seq int) string { return d.prefix + strconv.Itoa(seq) }
-
-func (d decoder) encode(w io.Writer, s *profile.Sample) error {
-	if d.enc == nil {
-		return fmt.Errorf("incprof: format %q has no encoder", d.name)
-	}
-	return d.enc(w, s)
-}
-
-// decodeDump reads and decodes one dump file. A decoder whose container has
-// no sequence number of its own gets the number parsed from the file name.
-// On a decode failure the leading bytes are sniffed against the format
-// registry so a dump of the wrong format fails with a clear cross-format
-// diagnostic instead of a corruption error deep in salvage.
-func (d decoder) decodeDump(path string, seq int) (*profile.Sample, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := d.dec(bytes.NewReader(data))
-	if err != nil {
-		if f := profile.Sniff(data); f != nil && f.Name != d.name {
-			return nil, fmt.Errorf("incprof: %s has %s-format magic bytes, not %s (mixed dump dir? pass -format %s): %w",
-				filepath.Base(path), f.Name, d.name, f.Name, err)
-		}
-		return nil, err
-	}
-	if s.Seq == profile.SeqUnassigned {
-		s.Seq = seq
-	}
-	return s, nil
-}
-
-// LoadTextReports parses gprof-style text reports (gprof.txt.N) from dir in
-// sequence order — the paper's actual ingestion path, provided for parity.
-func LoadTextReports(dir string) ([]*profile.Sample, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	type numbered struct {
-		seq  int
-		name string
-	}
-	var files []numbered
-	for _, e := range entries {
-		if seq, ok := seqOf(e.Name(), "gprof.txt."); ok {
-			files = append(files, numbered{seq, e.Name()})
-		}
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].seq < files[j].seq })
-	out := make([]*profile.Sample, 0, len(files))
-	for _, f := range files {
-		fh, err := os.Open(filepath.Join(dir, f.name))
-		if err != nil {
-			return nil, err
-		}
-		s, err := gmon.ParseFlatProfile(fh)
-		fh.Close()
-		if err != nil {
-			return nil, fmt.Errorf("incprof: parsing %s: %w", f.name, err)
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }

@@ -2,11 +2,8 @@ package incprof
 
 import (
 	"fmt"
-	"math"
-	"math/big"
 	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
 	"time"
 
@@ -160,13 +157,18 @@ func TestDirStoreRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The text-report ingestion path recovers the same self times.
-	text, err := LoadTextReports(dir)
+	// The text reports, read through the registry's gprof format, recover
+	// the same self times.
+	gprof, ok := profile.Lookup("gprof")
+	if !ok {
+		t.Fatal("gprof format not registered")
+	}
+	text, err := readAll(dir, gprof)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(text) != 3 {
-		t.Fatalf("LoadTextReports found %d reports, want 3", len(text))
+		t.Fatalf("read %d gprof reports, want 3", len(text))
 	}
 	for i := range text {
 		binRec, _ := snaps[i].Func("work")
@@ -407,39 +409,6 @@ func TestDirStoreIgnoresForeignFiles(t *testing.T) {
 	}
 	if len(snaps) != 2 {
 		t.Fatalf("foreign files changed the snapshot set: %d", len(snaps))
-	}
-}
-
-// seqOf accepts exactly the spelling the writers produce: decimal digits, no
-// sign, no leading zero, a value that fits in int.
-func TestSeqOfAcceptsOnlyCanonicalSpelling(t *testing.T) {
-	maxInt := strconv.Itoa(math.MaxInt)
-	onePast := new(big.Int).Add(big.NewInt(math.MaxInt), big.NewInt(1)).String()
-	for _, tc := range []struct {
-		rest string
-		seq  int
-		ok   bool
-	}{
-		{"0", 0, true},
-		{"7", 7, true},
-		{"1234", 1234, true},
-		{"00", 0, false},
-		{"07", 0, false},
-		{"+7", 0, false},
-		{"-1", 0, false},
-		{"", 0, false},
-		{"1a", 0, false},
-		{" 1", 0, false},
-		{maxInt, math.MaxInt, true},
-		{onePast, 0, false},
-	} {
-		seq, ok := seqOf("gmon.out."+tc.rest, "gmon.out.")
-		if seq != tc.seq || ok != tc.ok {
-			t.Errorf("seqOf(%q) = %d, %v; want %d, %v", tc.rest, seq, ok, tc.seq, tc.ok)
-		}
-	}
-	if _, ok := seqOf("pprof.out.1", "gmon.out."); ok {
-		t.Error("seqOf accepted a foreign prefix")
 	}
 }
 

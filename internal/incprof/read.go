@@ -9,11 +9,9 @@ package incprof
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"github.com/incprof/incprof/internal/obs"
@@ -23,8 +21,8 @@ import (
 
 // TailOptions configures ReadDir and TailDir.
 type TailOptions struct {
-	// Format selects the frontend whose dumps are read; nil reads the
-	// canonical gmon.out.N layout.
+	// Format selects the frontend whose dumps are read; nil reads
+	// gmon.out.N (the "gmon" format).
 	Format *profile.Format
 	// Poll is the directory re-scan interval. Default 200ms. TailDir only.
 	Poll time.Duration
@@ -146,7 +144,7 @@ type reader struct {
 	dir  string
 	sink Sink
 	opts TailOptions
-	dec  decoder
+	f    *profile.Format
 	syms symbols
 	done map[int]bool // Seqs emitted, or seen by the pipeline
 	res  TailResult
@@ -155,7 +153,7 @@ type reader struct {
 func newReader(dir string, sink Sink, opts TailOptions) *reader {
 	return &reader{
 		dir: dir, sink: sink, opts: opts,
-		dec:  formatDecoder(opts.Format),
+		f:    formatOr(opts.Format),
 		syms: symbols{names: map[string]string{}},
 		done: make(map[int]bool),
 	}
@@ -211,7 +209,7 @@ func (c chunk) decoded() bool {
 func (r *reader) decode(files []dumpFile) chunk {
 	c := chunk{files: files, snaps: make([]*profile.Sample, len(files)), errs: make([]error, len(files))}
 	par.For(len(files), r.opts.Parallelism, func(i int) {
-		c.snaps[i], c.errs[i] = r.dec.decodeDump(filepath.Join(r.dir, files[i].name), files[i].seq)
+		c.snaps[i], c.errs[i] = r.decodeDump(files[i])
 		if c.errs[i] == nil {
 			r.syms.intern(c.snaps[i])
 		}
@@ -228,7 +226,7 @@ func (r *reader) decode(files []dumpFile) chunk {
 // directory as finished: it skips the dump (salvage) or fails on it.
 // progress reports whether anything was emitted.
 func (r *reader) pass(final bool) (progress bool, err error) {
-	files, err := listDumps(r.dir, r.dec.prefix, r.skip)
+	files, err := listDumps(r.dir, r.f, r.skip)
 	if err != nil {
 		return false, err
 	}
@@ -294,17 +292,17 @@ type dumpFile struct {
 	name string
 }
 
-// listDumps returns the <prefix>N entries under dir in Seq order, leaving
+// listDumps returns the dumps of format f under dir in Seq order, leaving
 // out the Seqs skip reports (nil skips none). Entries are read unsorted: the
 // Seq sort is the only order that matters, so the name sort os.ReadDir does
 // would be wasted work on every poll of a long tail.
-func listDumps(dir, prefix string, skip func(seq int) bool) ([]dumpFile, error) {
-	f, err := os.Open(dir)
+func listDumps(dir string, f *profile.Format, skip func(seq int) bool) ([]dumpFile, error) {
+	d, err := os.Open(dir)
 	if err != nil {
 		return nil, err
 	}
-	entries, err := f.ReadDir(-1)
-	f.Close()
+	entries, err := d.ReadDir(-1)
+	d.Close()
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +311,7 @@ func listDumps(dir, prefix string, skip func(seq int) bool) ([]dumpFile, error) 
 		if e.IsDir() {
 			continue
 		}
-		if seq, ok := seqOf(e.Name(), prefix); ok && (skip == nil || !skip(seq)) {
+		if seq, ok := f.SeqFromName(e.Name()); ok && (skip == nil || !skip(seq)) {
 			files = append(files, dumpFile{seq, e.Name()})
 		}
 	}
@@ -321,26 +319,26 @@ func listDumps(dir, prefix string, skip func(seq int) bool) ([]dumpFile, error) 
 	return files, nil
 }
 
-// seqOf parses the N of a <prefix>N file name. Only the spelling the writers
-// produce counts — decimal digits, no sign, no leading zero, a value that
-// fits in int: gmon.out.07 or gmon.out.+7 would alias dump 7, so such a
-// name is foreign, like any other file.
-func seqOf(name, prefix string) (int, bool) {
-	rest, ok := strings.CutPrefix(name, prefix)
-	if !ok || rest == "" || (rest[0] == '0' && len(rest) > 1) {
-		return 0, false
+// decodeDump reads and decodes one dump. A decoder whose container has no
+// sequence number of its own gets the number parsed from the file name. On
+// a decode failure the leading bytes are sniffed against the format
+// registry so a dump of the wrong format fails with a clear cross-format
+// diagnostic instead of a corruption error deep in salvage.
+func (r *reader) decodeDump(file dumpFile) (*profile.Sample, error) {
+	data, err := os.ReadFile(filepath.Join(r.dir, file.name))
+	if err != nil {
+		return nil, err
 	}
-	seq := 0
-	for i := 0; i < len(rest); i++ {
-		c := rest[i]
-		if c < '0' || c > '9' {
-			return 0, false
+	s, err := r.f.Decode(profile.NewDump(data, r.dir, file.seq))
+	if err != nil {
+		if g := profile.Sniff(data); g != nil && g.Name != r.f.Name {
+			return nil, fmt.Errorf("incprof: %s has %s-format magic bytes, not %s (mixed dump dir? pass -format %s): %w",
+				file.name, g.Name, r.f.Name, g.Name, err)
 		}
-		d := int(c - '0')
-		if seq > (math.MaxInt-d)/10 {
-			return 0, false
-		}
-		seq = seq*10 + d
+		return nil, err
 	}
-	return seq, true
+	if s.Seq == profile.SeqUnassigned {
+		s.Seq = file.seq
+	}
+	return s, nil
 }

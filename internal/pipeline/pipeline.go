@@ -215,7 +215,7 @@ func Analyze(res *CollectionResult, opts AnalyzeOptions) (*Analysis, error) {
 	// Analyze is Run over the snapshot list: the same differencer, feature
 	// builder, and terminal detection a live feed uses, so batch and live
 	// analysis cannot diverge.
-	r, err := Run(Snapshots(snaps), RunOptions{Engine: stream.Options{
+	r, err := Run(snapshots(snaps), RunOptions{Engine: stream.Options{
 		Robust: opts.Robust,
 		Gap:    opts.Gap,
 		Phase:  popts,

@@ -17,9 +17,9 @@ import (
 // finite; a live one ends when its stream goes idle or is stopped.
 type Source func(sink incprof.Sink, seen func(seq int) bool) (incprof.TailResult, error)
 
-// Snapshots is the source of an in-memory snapshot list: every item not
-// yet seen, in order.
-func Snapshots(snaps []*profile.Sample) Source {
+// snapshots is the source of an in-memory snapshot list, Analyze's: every
+// item not yet seen, in order.
+func snapshots(snaps []*profile.Sample) Source {
 	return func(sink incprof.Sink, seen func(int) bool) (incprof.TailResult, error) {
 		var res incprof.TailResult
 		for _, s := range snaps {

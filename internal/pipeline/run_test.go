@@ -50,7 +50,7 @@ func TestRunStacksAgree(t *testing.T) {
 	}
 	snaps := res.Snapshots[0]
 	eopts := stream.Options{Phase: phase.Options{Cluster: cluster.Options{Seed: 3}}}
-	bare, err := Run(Snapshots(snaps), RunOptions{Engine: eopts})
+	bare, err := Run(snapshots(snaps), RunOptions{Engine: eopts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRunStacksAgree(t *testing.T) {
 	live.OnLabel = func(online.Event) { labels++ }
 	durable := &Durable{Dir: t.TempDir(), Every: 7, NoSync: true}
 	drained := false
-	layered, err := Run(Snapshots(snaps), RunOptions{
+	layered, err := Run(snapshots(snaps), RunOptions{
 		Engine:    live,
 		Durable:   durable,
 		Admission: &stream.AdmissionOptions{MaxPending: 2},
@@ -85,7 +85,7 @@ func TestRunStacksAgree(t *testing.T) {
 	replayed := -1
 	durable.Resume = true
 	durable.OnRecover = func(_ *checkpoint.Recovery, n int) { replayed = n }
-	resumed, err := Run(Snapshots(snaps), RunOptions{Engine: live, Durable: durable})
+	resumed, err := Run(snapshots(snaps), RunOptions{Engine: live, Durable: durable})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRunStacksAgree(t *testing.T) {
 }
 
 func TestRunWithNothingToAnalyze(t *testing.T) {
-	_, err := Run(Snapshots(nil), RunOptions{})
+	_, err := Run(snapshots(nil), RunOptions{})
 	if !errors.Is(err, ErrNoSnapshots) {
 		t.Fatalf("err = %v, want ErrNoSnapshots", err)
 	}
@@ -124,7 +124,7 @@ func TestRunRecordsShedDumps(t *testing.T) {
 	// producer then never waits on the runner's lock and outruns the
 	// consumer, which writes the WAL and updates the engine for each dump.
 	fresh := func(sink incprof.Sink, _ func(int) bool) (incprof.TailResult, error) {
-		return Snapshots(snaps)(sink, nil)
+		return snapshots(snaps)(sink, nil)
 	}
 	var hooked []int
 	drained := -1
@@ -145,7 +145,7 @@ func TestRunRecordsShedDumps(t *testing.T) {
 		t.Fatalf("OnShed saw %v, queue reported %d shed; want at least one, and the same count", hooked, drained)
 	}
 	durable.Resume = true
-	resumed, err := Run(Snapshots(snaps), RunOptions{Engine: eopts, Durable: durable})
+	resumed, err := Run(snapshots(snaps), RunOptions{Engine: eopts, Durable: durable})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func seqSnaps(n int) []*profile.Sample {
 func TestSnapshotsFeedsUnseenInOrder(t *testing.T) {
 	snaps := seqSnaps(5)
 	var r recorder
-	fed, err := Snapshots(snaps)(&r, func(seq int) bool { return seq == 1 || seq == 3 })
+	fed, err := snapshots(snaps)(&r, func(seq int) bool { return seq == 1 || seq == 3 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestSnapshotsFeedsUnseenInOrder(t *testing.T) {
 func TestSnapshotsStopsOnEmitError(t *testing.T) {
 	snaps := seqSnaps(5)
 	r := recorder{failAt: 2}
-	fed, err := Snapshots(snaps)(&r, nil)
+	fed, err := snapshots(snaps)(&r, nil)
 	if err == nil || err.Error() != "boom" {
 		t.Fatalf("err = %v, want boom", err)
 	}

@@ -7,10 +7,13 @@
 package profile
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,13 +39,40 @@ type Format struct {
 	Detect func(data []byte) bool
 	// Decode reads one cumulative dump. Decoders whose container carries
 	// no sequence number return Seq = SeqUnassigned and let the caller
-	// assign it from context (the file name).
+	// assign it from context (the file name). The dump readers pass a
+	// *Dump, so a decoder whose dumps need a file written beside them can
+	// type-assert r to *Dump and read it with Companion.
 	Decode func(r io.Reader) (*Sample, error)
 	// Encode writes one dump in this format, for stores and fixtures.
 	// Lossy formats drop what they cannot represent (a perf stream has no
 	// exact self time or call counts); decoding back yields the honest
 	// degraded sample, never an error.
 	Encode func(w io.Writer, s *Sample) error
+	// RenderOf names the format this one is a rendering of, written
+	// beside that format's dumps (gprof text beside gmon dumps). DetectDir
+	// ignores a rendering when the format it renders is present.
+	RenderOf string
+}
+
+// Dump is the reader the dump readers hand Format.Decode: one dump file's
+// bytes, plus the companion files its frontend writes beside it.
+type Dump struct {
+	bytes.Reader
+	dir string
+	seq int
+}
+
+// NewDump returns the reader of dump seq under dir, whose bytes are data.
+func NewDump(data []byte, dir string, seq int) *Dump {
+	d := &Dump{dir: dir, seq: seq}
+	d.Reset(data)
+	return d
+}
+
+// Companion reads the file prefix+N beside the dump, N being the dump's
+// sequence number (symbols.out.7 beside gmon.out.7).
+func (d *Dump) Companion(prefix string) ([]byte, error) {
+	return os.ReadFile(filepath.Join(d.dir, prefix+strconv.Itoa(d.seq)))
 }
 
 var (
@@ -111,16 +141,27 @@ func Sniff(data []byte) *Format {
 
 // SeqFromName parses the sequence number out of a dump file name under the
 // format's naming scheme, reporting whether the name belongs to the format
-// at all. Only the canonical spelling FileName writes belongs: alpha.out.07
-// does not.
+// at all. Only the spelling FileName writes belongs — decimal digits, no
+// sign, no leading zero, a value that fits in int: alpha.out.07 or
+// alpha.out.+7 would alias dump 7, so such a name is foreign, like any
+// other file. It allocates nothing; a tail calls it for every entry of
+// every poll.
 func (f *Format) SeqFromName(name string) (int, bool) {
 	rest, ok := strings.CutPrefix(name, f.FilePrefix)
-	if !ok {
+	if !ok || rest == "" || (rest[0] == '0' && len(rest) > 1) {
 		return 0, false
 	}
-	seq, err := strconv.Atoi(rest)
-	if err != nil || seq < 0 || rest != strconv.Itoa(seq) {
-		return 0, false
+	seq := 0
+	for i := 0; i < len(rest); i++ {
+		c := rest[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		d := int(c - '0')
+		if seq > (math.MaxInt-d)/10 {
+			return 0, false
+		}
+		seq = seq*10 + d
 	}
 	return seq, true
 }
@@ -131,8 +172,9 @@ func (f *Format) FileName(seq int) string {
 }
 
 // DetectDir inspects the file names under dir and returns the single
-// registered format whose dumps live there. A directory holding dumps of
-// more than one format is an error naming each family and its file count —
+// registered format whose dumps live there, not counting renderings of a
+// format that is present (RenderOf). A directory holding dumps of more
+// than one format is an error naming each family and its file count —
 // the operator picked the wrong directory or merged two runs, and silently
 // analyzing one family would misreport the run. A directory with no
 // recognizable dumps is likewise an error listing the known schemes.
@@ -151,6 +193,11 @@ func DetectDir(dir string) (*Format, error) {
 				counts[f.Name]++
 				break
 			}
+		}
+	}
+	for name := range counts {
+		if f, _ := Lookup(name); counts[f.RenderOf] > 0 {
+			delete(counts, name)
 		}
 	}
 	switch len(counts) {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"math/big"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 )
 
@@ -69,27 +72,39 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 	}
 }
 
+// SeqFromName accepts exactly the spelling FileName writes: decimal digits
+// after the prefix, no sign, no leading zero, a value that fits in int.
 func TestSeqFromName(t *testing.T) {
 	f, _ := Lookup("alpha")
+	maxInt := strconv.Itoa(math.MaxInt)
+	onePast := new(big.Int).Add(big.NewInt(math.MaxInt), big.NewInt(1)).String()
 	cases := []struct {
 		name string
 		seq  int
 		ok   bool
 	}{
 		{"alpha.out.0", 0, true},
+		{"alpha.out.7", 7, true},
 		{"alpha.out.12", 12, true},
+		{"alpha.out.1234", 1234, true},
+		{"alpha.out." + maxInt, math.MaxInt, true},
+		{"alpha.out." + onePast, 0, false},
 		{"alpha.out.", 0, false},
 		{"alpha.out.x", 0, false},
+		{"alpha.out.1a", 0, false},
+		{"alpha.out. 1", 0, false},
 		{"alpha.out.-1", 0, false},
+		{"alpha.out.00", 0, false},
 		{"alpha.out.07", 0, false},
 		{"alpha.out.+7", 0, false},
+		{"alpha.out", 0, false},
 		{"beta.out.3", 0, false},
 		{"README", 0, false},
 	}
 	for _, c := range cases {
 		seq, ok := f.SeqFromName(c.name)
-		if ok != c.ok || (ok && seq != c.seq) {
-			t.Fatalf("SeqFromName(%q) = %d, %v; want %d, %v", c.name, seq, ok, c.seq, c.ok)
+		if ok != c.ok || seq != c.seq {
+			t.Errorf("SeqFromName(%q) = %d, %v; want %d, %v", c.name, seq, ok, c.seq, c.ok)
 		}
 	}
 	if got := f.FileName(7); got != "alpha.out.7" {
