@@ -391,12 +391,7 @@ func (c *config) live(ropts *pipeline.RunOptions, stdout io.Writer) {
 		if r.Final {
 			return
 		}
-		warm := ""
-		if r.WarmAccepted {
-			warm = ", warm start accepted"
-		}
-		fmt.Fprintf(stdout, "live: refresh %d: k=%d over %d intervals (%d sites reused, %d recomputed%s)\n",
-			r.Index, r.K, r.Intervals, r.SitesReused, r.SitesRecomputed, warm)
+		fmt.Fprintf(stdout, "live: refresh %d: k=%d over %d intervals\n", r.Index, r.K, r.Intervals)
 	}
 	e.OnGap = func(g interval.Gap) {
 		fmt.Fprintf(stdout, "live: gap %s seq %d..%d (%d missing)\n", g.Kind, g.FromSeq, g.ToSeq, g.Missing)

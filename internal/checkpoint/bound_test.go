@@ -6,6 +6,7 @@ package checkpoint_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,43 +28,49 @@ func sizeOf(t *testing.T, path string) int64 {
 // TestSaveBytesGrowWithStateNotHistory drives 451 dumps through a durable
 // runner (live labels on, as phasedetect -follow runs) and measures what
 // each save writes: the new snapshot file plus the segment's growth. From
-// the second save (99 intervals) to the last (449) that may grow by at most
-// 64 bytes per interval of history; with the profiles in the snapshot it
-// grew by about 2,000.
+// the second save to the last that may grow by at most 16 bytes per
+// interval of history, at the CLI's default refresh cadence and at a sparse
+// one. With the profiles in the snapshot it grew by about 2,000; with a
+// per-phase site-selection memo in the engine state, by 92 at a refresh
+// every 10 intervals.
 func TestSaveBytesGrowWithStateNotHistory(t *testing.T) {
 	const every = 50
-	dir := t.TempDir()
-	opts := engOpts(false, 1)
-	opts.RefreshEvery = every
-	opts.OnLabel = func(online.Event) {}
-	mgr, err := checkpoint.Open(dir, checkpoint.ManagerOptions{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Close()
-	runner, _, err := checkpoint.Start(mgr, checkpoint.RunnerOptions{Config: testConfig(false), Engine: opts, Every: every})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var written []int64
-	var segBefore int64
-	for i, s := range fsckSnaps(451, 8) {
-		if err := runner.Emit(s); err != nil {
-			t.Fatal(err)
-		}
-		if (i+1)%every != 0 {
-			continue
-		}
-		seg := sizeOf(t, filepath.Join(dir, "profiles.seg"))
-		written = append(written, sizeOf(t, newestSnap(t, dir))+seg-segBefore)
-		segBefore = seg
-	}
-	first, last := written[1], written[len(written)-1]
-	intervals := float64((len(written) - 2) * every)
-	perInterval := float64(last-first) / intervals
-	t.Logf("save writes %d bytes at 99 intervals, %d at 449: %.1f B per interval of history", first, last, perInterval)
-	if perInterval > 64 {
-		t.Fatalf("save size grows by %.1f B per interval of history, want at most 64", perInterval)
+	for _, refresh := range []int{50, 10} {
+		t.Run(fmt.Sprintf("refresh=%d", refresh), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := engOpts(false, 1)
+			opts.RefreshEvery = refresh
+			opts.OnLabel = func(online.Event) {}
+			mgr, err := checkpoint.Open(dir, checkpoint.ManagerOptions{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mgr.Close()
+			runner, _, err := checkpoint.Start(mgr, checkpoint.RunnerOptions{Config: testConfig(false), Engine: opts, Every: every})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var written []int64
+			var segBefore int64
+			for i, s := range fsckSnaps(451, 8) {
+				if err := runner.Emit(s); err != nil {
+					t.Fatal(err)
+				}
+				if (i+1)%every != 0 {
+					continue
+				}
+				seg := sizeOf(t, filepath.Join(dir, "profiles.seg"))
+				written = append(written, sizeOf(t, newestSnap(t, dir))+seg-segBefore)
+				segBefore = seg
+			}
+			first, last := written[1], written[len(written)-1]
+			intervals := float64((len(written) - 2) * every)
+			perInterval := float64(last-first) / intervals
+			t.Logf("save writes %d bytes at 99 intervals, %d at 449: %.1f B per interval of history", first, last, perInterval)
+			if perInterval > 16 {
+				t.Fatalf("save size grows by %.1f B per interval of history, want at most 16", perInterval)
+			}
+		})
 	}
 }
 

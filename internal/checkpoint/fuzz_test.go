@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"github.com/incprof/incprof/internal/interval"
-	"github.com/incprof/incprof/internal/stream"
 )
 
 // allocLimit is what a decoder may allocate for an n-byte input: a fixed
@@ -71,12 +70,24 @@ func fixSnapshot(data []byte) []byte {
 	return out
 }
 
+// seedPayload is a snapshot payload in the shape the engine state had while
+// it carried a mini-batch model: MiniBatch and Sites are fields this build
+// no longer declares, kept as raw JSON so the fuzzer starts from a snapshot
+// whose unknown fields the decoder must ignore.
+const seedPayload = `{"Config":{"Seed":7,"KMax":8,"CoverageThreshold":0.95,"Selection":"elbow","Algorithm":"kmeans","FeatureKind":"","ExcludeMPI":false,"Robust":true,"GapPolicy":"split","Reorder":0,"RefreshEvery":0},` +
+	`"Accepted":5,"LastSeq":4,"SeenSeqs":[0,1,2],"Meta":{"Intervals":5,"Dims":3,"K":2,"Gaps":0,"LateDrops":0},` +
+	`"Engine":{"Snaps":5,"SinceRefresh":0,"Refreshes":1,"Profiles":null,` +
+	`"Differencer":{"N":4,"Prev":null,"Robust":null,"Gaps":null,"Window":null,"Released":3,"LateDrops":0},` +
+	`"Tracker":null,"MiniBatch":{"Centroids":[[1,2],[3,4]],"Counts":[2,3]},"Sites":null},` +
+	`"Segment":{"Profiles":4,"Bytes":120}}`
+
 func validSnapshotFile(t testing.TB) []byte {
-	snap := testSnap(5)
-	snap.Engine = &stream.EngineState{Snaps: 5, Refreshes: 1, Differencer: stream.DifferencerState{N: 4, Released: 3},
-		MiniBatch: &stream.MiniBatchState{Centroids: [][]float64{{1, 2}, {3, 4}}, Counts: []int64{2, 3}}}
-	data, err := encodeSnapshot(snap, segIndex{Profiles: 4, Bytes: 120})
-	if err != nil {
+	data := make([]byte, snapHeaderLen, snapHeaderLen+len(seedPayload))
+	copy(data, snapMagic)
+	binary.LittleEndian.PutUint32(data[len(snapMagic):], snapVersion)
+	binary.LittleEndian.PutUint64(data[len(snapMagic)+4:], uint64(len(seedPayload)))
+	data = fixSnapshot(append(data, seedPayload...))
+	if _, _, err := decodeSnapshot("seed.snap", data); err != nil {
 		t.Fatal(err)
 	}
 	return data

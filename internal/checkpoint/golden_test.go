@@ -2,7 +2,10 @@
 // does with files earlier builds wrote. testdata/v1 was written by the
 // version-1 snapshot writer (profiles inside the snapshot JSON) and can no
 // longer be regenerated; testdata/v2 is the current format, regenerated with
-// -update only when the format changes on purpose.
+// -update only when the format changes on purpose. testdata/v2-live is the
+// current format as written by an engine whose state still carried a
+// mini-batch model and a site-selection cache; it cannot be regenerated
+// either.
 package checkpoint_test
 
 import (
@@ -16,6 +19,7 @@ import (
 	"testing"
 
 	"github.com/incprof/incprof/internal/checkpoint"
+	"github.com/incprof/incprof/internal/online"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/v2 and its expected report")
@@ -94,30 +98,70 @@ func TestGoldenV2RecoversByteIdentically(t *testing.T) {
 	if !bytes.Equal(got, golden(t, snaps, opts)) {
 		t.Fatal("resuming the committed v2 directory diverged from the uninterrupted run")
 	}
+	report := reportOf(t, got)
+	if *update {
+		if err := os.WriteFile(reportPath, report, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkReport(t, report, reportPath)
+}
+
+// TestGoldenV2LiveResumesFromOlderEngineState resumes testdata/v2-live: the
+// minife fixture with live labels, a refresh every 5 intervals and a
+// snapshot every 10, killed after 35 accepted dumps by a build whose
+// snapshots also held the engine's mini-batch model (MiniBatch) and its
+// Algorithm 1 cache (Sites). This build ignores those fields; only
+// intermediate refreshes ever read them, so the resumed report must still
+// be the uninterrupted run's and the committed one, byte for byte.
+func TestGoldenV2LiveResumesFromOlderEngineState(t *testing.T) {
+	snaps := collect(t, "minife")
+	opts := engOpts(false, 1)
+	opts.RefreshEvery = 5
+	opts.OnLabel = func(online.Event) {}
+	dir := copyState(t, filepath.Join("testdata", "v2-live"))
+	rep, err := checkpoint.Fsck(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Healthy || rep.RecoverGeneration != 30 || rep.RecoverRecords != 5 {
+		t.Fatalf("fsck: healthy=%v generation %d with %d records, want generation 30 with 5", rep.Healthy, rep.RecoverGeneration, rep.RecoverRecords)
+	}
+	got := resumeAndFinish(t, dir, false, opts, 10, snaps)
+	if !bytes.Equal(got, golden(t, snaps, opts)) {
+		t.Fatal("resuming the committed v2-live directory diverged from the uninterrupted run")
+	}
+	checkReport(t, reportOf(t, got), filepath.Join("testdata", "v2-live.report.json"))
+}
+
+// reportOf reduces a flattened detection to the committed report form: k,
+// the WCSS curve, the phases and the gaps, indented.
+func reportOf(t *testing.T, flat []byte) []byte {
+	t.Helper()
 	var full struct {
 		K      int
 		WCSS   []float64
 		Phases json.RawMessage
 		Gaps   json.RawMessage
 	}
-	if err := json.Unmarshal(got, &full); err != nil {
+	if err := json.Unmarshal(flat, &full); err != nil {
 		t.Fatal(err)
 	}
 	report, err := json.MarshalIndent(full, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	report = append(report, '\n')
-	if *update {
-		if err := os.WriteFile(reportPath, report, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(reportPath)
+	return append(report, '\n')
+}
+
+// checkReport demands that report equal the committed file at path.
+func checkReport(t *testing.T, report []byte, path string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(report, want) {
-		t.Fatalf("report from the committed v2 directory differs from %s:\n%s", reportPath, report)
+		t.Fatalf("report from the committed state directory differs from %s:\n%s", path, report)
 	}
 }

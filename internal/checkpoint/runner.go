@@ -22,13 +22,9 @@ type RunnerOptions struct {
 	Config Config
 	// Engine constructs (or restores) the underlying stream engine.
 	Engine stream.Options
-	// Every takes a snapshot after that many accepted dumps; 0 means
-	// only explicit Save calls (and the WAL alone carries durability).
+	// Every takes a snapshot after that many accepted dumps; 0 takes no
+	// periodic snapshot (the WAL alone carries durability).
 	Every int
-	// OnReplay, when non-nil, observes each WAL record as recovery
-	// replays it — before the engine's own callbacks fire for it — so a
-	// caller can mute live output during replay.
-	OnReplay func(rec WALRecord)
 }
 
 // Runner is a durable engine: every accepted dump is WAL-logged before the
@@ -79,9 +75,6 @@ func Start(mgr *Manager, opts RunnerOptions) (*Runner, *Recovery, error) {
 	// previous process after its last snapshot, so the engine must see
 	// them again, in order, before any new dump.
 	for _, wr := range rec.Records {
-		if opts.OnReplay != nil {
-			opts.OnReplay(wr)
-		}
 		if wr.Snap == nil {
 			r.seen[wr.Shed] = true
 			continue
@@ -136,13 +129,6 @@ func (r *Runner) RecordShed(s *profile.Sample) error {
 	r.seen[s.Seq] = true
 	obs.C("ckpt.shed").Inc()
 	return r.mgr.AppendShed(s.Seq)
-}
-
-// Save takes a snapshot of the engine state now and rotates the WAL.
-func (r *Runner) Save() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.save()
 }
 
 func (r *Runner) save() error {
@@ -233,13 +219,6 @@ func (r *Runner) Seen(seq int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.seen[seq]
-}
-
-// SeenSeqs returns the sorted seen set.
-func (r *Runner) SeenSeqs() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return sortedSeqs(r.seen)
 }
 
 func sortedSeqs(m map[int]bool) []int {

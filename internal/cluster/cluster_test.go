@@ -511,6 +511,25 @@ func TestSilhouetteParallelismInvariant(t *testing.T) {
 	}
 }
 
+// lloydFrom runs Lloyd from arbitrary starting centroids, filling the
+// nearest-seed state k-means++ seeding would leave in the scratch by a plain
+// scan, so the reseat tests can place centroids where seeding never would.
+func lloydFrom(ps *pointSet, centroids [][]float64, maxIter int) *Result {
+	sc := &lloydScratch{near: make([]int, ps.n), dist: make([]float64, ps.n), second: make([]float64, ps.n)}
+	for i := 0; i < ps.n; i++ {
+		sc.dist[i], sc.second[i] = math.Inf(1), math.Inf(1)
+		for c, cent := range centroids {
+			switch d := ps.sqToDense(i, cent); {
+			case d < sc.dist[i]:
+				sc.near[i], sc.dist[i], sc.second[i] = c, d, sc.dist[i]
+			case d < sc.second[i]:
+				sc.second[i] = d
+			}
+		}
+	}
+	return lloydScratched(ps, centroids, maxIter, sc)
+}
+
 // TestLloydReseatsEmptyClusterAgainstNormalizedCentroids forces an empty
 // cluster whose index precedes the populated one. The reseat must measure
 // distances against the populated cluster's *mean*, not its in-progress
@@ -520,7 +539,7 @@ func TestSilhouetteParallelismInvariant(t *testing.T) {
 func TestLloydReseatsEmptyClusterAgainstNormalizedCentroids(t *testing.T) {
 	pts := [][]float64{{0}, {1}, {10}}
 	centroids := [][]float64{{100}, {0.5}}
-	res := lloyd(newPointSet(csr(pts)), centroids, 1)
+	res := lloydFrom(newPointSet(csr(pts)), centroids, 1)
 	if res.Centroids[0][0] != 10 {
 		t.Fatalf("empty cluster reseated on %v, want the true farthest point {10}", res.Centroids[0])
 	}
@@ -530,7 +549,7 @@ func TestLloydReseatsEmptyClusterAgainstNormalizedCentroids(t *testing.T) {
 func TestLloydReseatsMultipleEmptyClustersDistinctly(t *testing.T) {
 	pts := [][]float64{{0}, {1}, {10}}
 	centroids := [][]float64{{100}, {200}, {0.5}}
-	res := lloyd(newPointSet(csr(pts)), centroids, 1)
+	res := lloydFrom(newPointSet(csr(pts)), centroids, 1)
 	if res.Centroids[0][0] == res.Centroids[1][0] {
 		t.Fatalf("two empty clusters reseated on the same point: %v", res.Centroids)
 	}

@@ -204,7 +204,7 @@ func kmeansOnce(ps *pointSet, pm *pairMatrix, k, maxIter int, rng *xmath.RNG) *R
 	sc := scratchPool.Get().(*lloydScratch)
 	defer scratchPool.Put(sc)
 	centroids := seedPlusPlus(ps, pm, k, rng, sc)
-	return lloydScratched(ps, centroids, maxIter, sc, true)
+	return lloydScratched(ps, centroids, maxIter, sc)
 }
 
 // lloydScratch pools the per-run transient state — Hamerly bounds, previous
@@ -313,14 +313,6 @@ func (sc *lloydScratch) centSqFull(av []float64, ac []int32, centroids [][]float
 	return xmath.SquaredEuclideanPacked(av, ac, sc.cv[lo:hi], sc.cc[lo:hi])
 }
 
-// lloyd iterates assignment and centroid updates to convergence from the
-// given initial centroids (which it owns and mutates).
-func lloyd(ps *pointSet, centroids [][]float64, maxIter int) *Result {
-	sc := scratchPool.Get().(*lloydScratch)
-	defer scratchPool.Put(sc)
-	return lloydScratched(ps, centroids, maxIter, sc, false)
-}
-
 // pruneEps returns the safety margin the Hamerly comparisons keep between a
 // bound and the threshold it is tested against. scale is the largest
 // distance-domain magnitude the run has touched; any floating-point error the
@@ -333,10 +325,11 @@ func lloyd(ps *pointSet, centroids [][]float64, maxIter int) *Result {
 // bit-identical to the naive one.
 func pruneEps(scale float64) float64 { return 1e-9 * scale }
 
-// lloydScratched runs Lloyd from centroids. seeded says they come from
-// seedPlusPlus on this scratch, whose carried state is then the first
+// lloydScratched iterates assignment and centroid updates to convergence
+// from centroids (which it owns and mutates). They come from seedPlusPlus
+// on this scratch, whose carried nearest-seed state is the first
 // assignment pass.
-func lloydScratched(ps *pointSet, centroids [][]float64, maxIter int, sc *lloydScratch, seeded bool) *Result {
+func lloydScratched(ps *pointSet, centroids [][]float64, maxIter int, sc *lloydScratch) *Result {
 	n := ps.n
 	dim := ps.dim
 	k := len(centroids)
@@ -363,12 +356,11 @@ func lloydScratched(ps *pointSet, centroids [][]float64, maxIter int, sc *lloydS
 	var scale float64
 	initialized := false
 
-	// assignPass reassigns every point. The first pass scans fully — or,
-	// after seeding, reads the nearest seed and both distances seeding
-	// already measured — and initializes the bounds; later passes skip
-	// points whose bounds prove the assignment cannot change, tighten the
-	// upper bound for the rest, and only fall back to the exact full scan
-	// when both tests fail.
+	// assignPass reassigns every point. The first pass reads the nearest
+	// seed and both distances seeding already measured and initializes the
+	// bounds; later passes skip points whose bounds prove the assignment
+	// cannot change, tighten the upper bound for the rest, and only fall
+	// back to the exact full scan when both tests fail.
 	assignPass := func() bool {
 		changed := false
 		if ps.sparse {
@@ -377,13 +369,7 @@ func lloydScratched(ps *pointSet, centroids [][]float64, maxIter int, sc *lloydS
 		if !initialized {
 			initialized = true
 			for i := 0; i < n; i++ {
-				var best int
-				var bd, sd float64
-				if seeded {
-					best, bd, sd = sc.near[i], sc.dist[i], sc.second[i]
-				} else {
-					best, bd, sd = assignScan(ps, i, centroids, sc)
-				}
+				best, bd, sd := sc.near[i], sc.dist[i], sc.second[i]
 				assign[i] = best
 				u[i] = math.Sqrt(bd)
 				l[i] = math.Sqrt(sd)
@@ -443,9 +429,7 @@ func lloydScratched(ps *pointSet, centroids [][]float64, maxIter int, sc *lloydS
 			break
 		}
 		// Recompute centroids, remembering the previous positions: the
-		// Hamerly bounds need each centroid's drift, and a cluster that
-		// empties with no reseatable point falls back to its previous
-		// mean.
+		// Hamerly bounds need each centroid's drift.
 		for c := range centroids {
 			copy(sc.prev[c*dim:(c+1)*dim], centroids[c])
 			for d := 0; d < dim; d++ {
@@ -495,7 +479,9 @@ func lloydScratched(ps *pointSet, centroids [][]float64, maxIter int, sc *lloydS
 			// are skipped so two empties never collapse onto one. The
 			// claim bitmap lives in the pooled scratch and is cleared
 			// lazily — only iterations that actually reseat pay for it,
-			// and none of them allocate.
+			// and none of them allocate. An unclaimed point always
+			// remains: k ≤ n and some cluster is non-empty, so at most
+			// k−1 < n empties claim one each.
 			if !takenReset {
 				takenReset = true
 				for i := range sc.taken[:n] {
@@ -511,16 +497,6 @@ func lloydScratched(ps *pointSet, centroids [][]float64, maxIter int, sc *lloydS
 				if d > dist {
 					far, dist = i, d
 				}
-			}
-			if far < 0 {
-				// Every point is already claimed (possible when the
-				// centroid count exceeds the point count, e.g. a warm
-				// start from a richer model). Restore the previous
-				// mean instead of leaving the centroid zeroed at the
-				// origin, where it would silently attract near-zero
-				// points on the next iteration.
-				copy(centroids[c], sc.prev[c*dim:(c+1)*dim])
-				continue
 			}
 			ps.scatter(far, centroids[c])
 			sc.taken[far] = true
@@ -703,47 +679,6 @@ func seedPlusPlus(ps *pointSet, pm *pairMatrix, k int, rng *xmath.RNG, sc *lloyd
 			}
 		}
 	}
-}
-
-// CloneCentroids deep-copies a centroid set — the safe way to seed a
-// warm start or an online tracker from a Result without aliasing it.
-func CloneCentroids(centroids [][]float64) [][]float64 {
-	if centroids == nil {
-		return nil
-	}
-	out := make([][]float64, len(centroids))
-	for i, c := range centroids {
-		out[i] = append([]float64(nil), c...)
-	}
-	return out
-}
-
-// WarmStartCSR runs Lloyd iterations from an externally-supplied centroid
-// set (the incremental clusterer's previous model) instead of k-means++
-// seeding. The given centroids are cloned, never mutated, and may be shorter
-// than the point dimensionality — a feature space that grew since they were
-// computed — in which case they are zero-padded. Only MaxIterations is
-// honored from opts; there is no restart loop (a warm start IS the restart).
-func WarmStartCSR(m *xmath.CSR, centroids [][]float64, opts Options) (*Result, error) {
-	if err := validateCSR(m); err != nil {
-		return nil, err
-	}
-	if len(centroids) == 0 {
-		return nil, fmt.Errorf("cluster: no warm-start centroids")
-	}
-	ps := newPointSet(m)
-	dim := ps.dim
-	opts = opts.withDefaults()
-	seed := make([][]float64, len(centroids))
-	for i, c := range centroids {
-		if len(c) > dim {
-			return nil, fmt.Errorf("cluster: warm-start centroid %d has dimension %d, want <= %d", i, len(c), dim)
-		}
-		v := make([]float64, dim)
-		copy(v, c)
-		seed[i] = v
-	}
-	return lloyd(ps, seed, opts.MaxIterations), nil
 }
 
 // SweepCSR runs k-means for every k in [1, kmax] (clamped to the number of

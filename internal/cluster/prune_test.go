@@ -269,59 +269,6 @@ func TestPrunedSweepMatchesNaiveBitForBit(t *testing.T) {
 	}
 }
 
-// TestWarmStartLloydMatchesNaive covers the non-seeded entry: Lloyd from
-// externally supplied centroids, where the pruned path starts from arbitrary
-// (non-point) positions.
-func TestWarmStartLloydMatchesNaive(t *testing.T) {
-	for name, pts := range pruneFixtures() {
-		dim := len(pts[0])
-		rng := xmath.NewRNG(99)
-		seed := make([][]float64, 3)
-		for i := range seed {
-			seed[i] = make([]float64, dim)
-			for d := range seed[i] {
-				seed[i][d] = rng.Float64() * 3
-			}
-		}
-		got, err := WarmStartCSR(csr(pts), seed, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := naiveLloyd(pts, CloneCentroids(seed), 100)
-		sameResult(t, name+" warm", want, got)
-	}
-}
-
-// TestWarmStartEmptyClusterKeepsPreviousMean is the regression test for the
-// unreachable-point reseat: when every point has already been claimed by
-// another empty cluster (possible only when centroids outnumber points, i.e.
-// a warm start from a richer model), the leftover empty centroid must be
-// restored to its previous mean — not left zeroed at the origin, where it
-// would silently attract near-zero points on the next refresh.
-func TestWarmStartEmptyClusterKeepsPreviousMean(t *testing.T) {
-	points := [][]float64{{1, 0}, {2, 0}}
-	seed := [][]float64{{1, 0}, {2, 0}, {5, 5}, {6, 6}, {7, 7}}
-	res, err := WarmStartCSR(csr(points), seed, Options{MaxIterations: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Points 0 and 1 sit exactly on centroids 0 and 1; centroids 2..4 empty.
-	// Two of the empties reseat onto the two points; the third has nobody
-	// left and must keep its warm-start position.
-	restored := 0
-	for c := 2; c < 5; c++ {
-		if res.Centroids[c][0] == 0 && res.Centroids[c][1] == 0 {
-			t.Fatalf("empty cluster %d left at origin: centroids=%v", c, res.Centroids)
-		}
-		if res.Centroids[c][0] == seed[c][0] && res.Centroids[c][1] == seed[c][1] {
-			restored++
-		}
-	}
-	if restored != 1 {
-		t.Fatalf("want exactly 1 empty centroid restored to its previous mean, got %d (centroids=%v)", restored, res.Centroids)
-	}
-}
-
 // naiveSilhouette is the mean silhouette over a square dense-kernel distance
 // scan, each point's neighbors summed in ascending index order.
 func naiveSilhouette(points [][]float64, assign []int, k int) float64 {

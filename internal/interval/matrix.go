@@ -173,14 +173,6 @@ func (b *MatrixBuilder) CSRMatrix() Matrix {
 	return Matrix{FuncNames: names, Sparse: csr}
 }
 
-// SparseRow returns the i-th row's non-zero cells as parallel (sorted column
-// index, value) slices in the current canonical space — the builder's native
-// sparse representation exposed without densifying. idx and vals are reused
-// when their capacity allows. The cells are exactly row i of CSRMatrix.
-func (b *MatrixBuilder) SparseRow(i int, idx []int32, vals []float64) ([]int32, []float64) {
-	return b.appendRow(i, b.columns(), idx[:0], vals[:0])
-}
-
 // appendRow appends row i's non-zero cells over the given name-sorted
 // dimension ids to idx and vals in ascending column order: the time
 // columns, then (under SelfPlusCalls) the call-count columns.

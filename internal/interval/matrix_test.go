@@ -149,27 +149,26 @@ func TestBuilderMatchesBatchUnderDimensionGrowth(t *testing.T) {
 	}
 }
 
-// SparseRow(i) equals the i-th row of the materialized matrix at every point
-// in the stream — the live stage's cheap path agrees with the canonical form
-// even while dimensions are still appearing.
+// The builder's CSRMatrix equals the batch FeaturesCSR over the same prefix
+// at every point in the stream — the live stage's incremental form agrees
+// with the canonical one even while dimensions are still appearing.
 func TestBuilderRowMatchesMatrixMidGrowth(t *testing.T) {
 	profiles := growthProfiles(12)
 	for _, kind := range []FeatureKind{SampledSelf, ExactSelf, SelfPlusCalls} {
 		kind := kind
 		t.Run(fmt.Sprintf("kind=%d", kind), func(t *testing.T) {
 			t.Parallel()
-			b := NewMatrixBuilder(FeatureOptions{Kind: kind, Exclude: exclude})
-			var idx []int32
-			var vals []float64
+			opts := FeatureOptions{Kind: kind, Exclude: exclude}
+			b := NewMatrixBuilder(opts)
 			for i := range profiles {
 				b.Add(&profiles[i])
-				m := b.CSRMatrix()
+				m, want := b.CSRMatrix(), FeaturesCSR(profiles[:i+1], opts)
 				for r := 0; r <= i; r++ {
-					idx, vals = b.SparseRow(r, idx, vals)
-					wv, wc := m.Sparse.Row(r)
-					if !reflect.DeepEqual(append([]float64{}, vals...), append([]float64{}, wv...)) ||
-						!reflect.DeepEqual(append([]int32{}, idx...), append([]int32{}, wc...)) {
-						t.Fatalf("after %d adds, SparseRow(%d) != CSRMatrix row %d", i+1, r, r)
+					gv, gc := m.Sparse.Row(r)
+					wv, wc := want.Sparse.Row(r)
+					if !reflect.DeepEqual(append([]float64{}, gv...), append([]float64{}, wv...)) ||
+						!reflect.DeepEqual(append([]int32{}, gc...), append([]int32{}, wc...)) {
+						t.Fatalf("after %d adds, CSRMatrix row %d != FeaturesCSR row %d", i+1, r, r)
 					}
 				}
 			}
@@ -202,33 +201,33 @@ func TestBuilderMatrixSnapshotImmutableUnderGrowth(t *testing.T) {
 	}
 }
 
-// SparseRow scattered into a zero vector must reproduce the naive reference
-// row exactly, and the index list must be sorted — the contract the
-// clustering packed kernels assume.
-func TestBuilderSparseRowScattersToRow(t *testing.T) {
+// Every CSRMatrix row scattered into a zero vector must reproduce the naive
+// reference row exactly, with sorted column indices and no stored zeros —
+// the contract the clustering packed kernels assume — at every point in the
+// stream.
+func TestBuilderCSRRowsScatterToRow(t *testing.T) {
 	profiles := growthProfiles(12)
 	for _, kind := range []FeatureKind{SampledSelf, ExactSelf, SelfPlusCalls} {
 		opts := FeatureOptions{Kind: kind, Exclude: exclude}
 		b := NewMatrixBuilder(opts)
-		var idx []int32
-		var vals []float64
 		for i := range profiles {
 			b.Add(&profiles[i])
+			m := b.CSRMatrix()
 			_, want := naiveFeatures(profiles[:i+1], opts)
 			for j := 0; j <= i; j++ {
-				idx, vals = b.SparseRow(j, idx, vals)
+				vals, idx := m.Sparse.Row(j)
 				dense := make([]float64, b.Dims())
-				for m, c := range idx {
-					if m > 0 && idx[m-1] >= c {
-						t.Fatalf("kind=%d SparseRow(%d) indices not sorted: %v", kind, j, idx)
+				for k, c := range idx {
+					if k > 0 && idx[k-1] >= c {
+						t.Fatalf("kind=%d row %d indices not sorted: %v", kind, j, idx)
 					}
-					if vals[m] == 0 {
-						t.Fatalf("kind=%d SparseRow(%d) stored an explicit zero", kind, j)
+					if vals[k] == 0 {
+						t.Fatalf("kind=%d row %d stored an explicit zero", kind, j)
 					}
-					dense[c] = vals[m]
+					dense[c] = vals[k]
 				}
 				if !reflect.DeepEqual(dense, want[j]) {
-					t.Fatalf("kind=%d SparseRow(%d) scatter = %v, want %v", kind, j, dense, want[j])
+					t.Fatalf("kind=%d row %d scatter = %v, want %v", kind, j, dense, want[j])
 				}
 			}
 		}

@@ -6,15 +6,13 @@
 //     phase.Detect performs over the identical matrix and profiles, so the
 //     result is byte-for-byte the batch analysis for a fixed seed.
 //   - Live: feed snapshots as they arrive; every RefreshEvery intervals the
-//     engine re-clusters everything seen so far (warm-started from its
-//     mini-batch model) and re-selects instrumentation sites incrementally,
+//     engine runs that same detection over everything seen so far,
 //     surfacing labels, gaps, and refreshed detections through callbacks.
 package stream
 
 import (
 	"fmt"
 
-	"github.com/incprof/incprof/internal/cluster"
 	"github.com/incprof/incprof/internal/interval"
 	"github.com/incprof/incprof/internal/obs"
 	"github.com/incprof/incprof/internal/online"
@@ -39,9 +37,8 @@ type Options struct {
 	// final result is byte-identical to phase.Detect with these options
 	// over the same profiles.
 	Phase phase.Options
-	// RefreshEvery re-runs full detection every that many intervals,
-	// warm-started from the engine's mini-batch model. 0 (the batch
-	// setting) defers all clustering to Flush.
+	// RefreshEvery re-runs full detection every that many intervals. 0
+	// (the batch setting) defers all clustering to Flush.
 	RefreshEvery int
 	// Online tunes the live label tracker; the tracker exists only when
 	// OnLabel is set. Its Exclude defaults to Phase.Features.Exclude.
@@ -65,12 +62,6 @@ type Refresh struct {
 	Intervals int
 	// K is the selected number of phases.
 	K int
-	// WarmAccepted reports that the warm-started candidate beat the
-	// seeded sweep at its k and entered model selection.
-	WarmAccepted bool
-	// SitesReused and SitesRecomputed count phases whose Algorithm 1
-	// selection was served from the incremental cache vs rerun.
-	SitesReused, SitesRecomputed int
 	// Detection is the full result of this pass.
 	Detection *phase.Detection
 }
@@ -88,14 +79,6 @@ type Engine struct {
 	builder  *interval.MatrixBuilder
 	profiles []interval.Profile
 	tracker  *online.Tracker
-	mb       *miniBatch
-	sites    *siteCache
-
-	// Reused per-interval packed-row scratch for mb.updatePacked: the
-	// builder's SparseRow fills these without densifying, and steady state
-	// (feature space no longer growing) reallocates neither.
-	idxBuf []int32
-	valBuf []float64
 
 	snaps        int
 	sinceRefresh int
@@ -105,15 +88,13 @@ type Engine struct {
 	flushed      bool
 }
 
-// New builds an engine. The differencer, feature builder, tracker, and
-// clustering state are wired as a stage graph behind the returned engine's
-// Emit.
+// New builds an engine. The differencer, feature builder, and tracker are
+// wired as a stage graph behind the returned engine's Emit.
 func New(opts Options) *Engine {
 	e := &Engine{
 		opts:    opts,
 		popts:   opts.Phase.WithDefaults(),
 		builder: interval.NewMatrixBuilder(opts.Phase.Features),
-		sites:   newSiteCache(),
 		span:    obs.Under(opts.Span, "stream.engine", 0),
 	}
 	e.span.SetBool("robust", opts.Robust).SetInt("refresh_every", int64(opts.RefreshEvery))
@@ -145,8 +126,8 @@ func (e *Engine) Emit(s *profile.Sample) error {
 }
 
 // consume is the terminal stage: every completed interval profile lands
-// here, updating the matrix, the live tracker, and the mini-batch model,
-// and triggering periodic refreshes.
+// here, updating the matrix and the live tracker, and triggering periodic
+// refreshes.
 func (e *Engine) consume(p interval.Profile) error {
 	e.profiles = append(e.profiles, p)
 	e.builder.Add(&p)
@@ -154,13 +135,6 @@ func (e *Engine) consume(p interval.Profile) error {
 		if err := e.tracker.Emit(p); err != nil {
 			return err
 		}
-	}
-	if e.mb != nil {
-		// SparseRow reuses idxBuf/valBuf: once the feature space stops
-		// growing, the per-interval live path stops allocating (asserted in
-		// alloc_test.go), and the row is never densified.
-		e.idxBuf, e.valBuf = e.builder.SparseRow(len(e.profiles)-1, e.idxBuf, e.valBuf)
-		e.mb.updatePacked(e.valBuf, e.idxBuf, e.builder.Dims())
 	}
 	if e.opts.RefreshEvery > 0 {
 		e.sinceRefresh++
@@ -195,17 +169,15 @@ func (e *Engine) Flush() error {
 	return nil
 }
 
-// refresh re-runs detection over everything seen so far. The final pass is
-// exactly the batch code path — phase.DetectMatrix with the engine's options
-// over the incrementally-built matrix, no warm candidate, no site cache — so
-// its output is byte-identical to phase.Detect over the same profiles.
-// Intermediate passes keep the same pipeline but may accept a warm-started
-// candidate when it strictly beats the seeded sweep at its k, and serve
-// unchanged phases' site selections from the incremental cache.
+// refresh re-runs detection over everything seen so far: every pass is
+// phase.DetectMatrix with the engine's options over the incrementally-built
+// matrix, so each refresh is the batch analysis of the run's prefix and the
+// final pass is byte-identical to phase.Detect over the same profiles.
+// Intermediate passes trace under their own stream.refresh span; the final
+// pass traces under the engine span.
 func (e *Engine) refresh(final bool) error {
-	// The refresh matrix is built in flat CSR form: every consumer below —
-	// the batch-equivalent DetectMatrix, the incremental sweep, the warm
-	// start, and silhouette selection — runs on it without densifying.
+	// The refresh matrix is built in flat CSR form: the sweep and
+	// silhouette selection run on it without densifying.
 	m := e.builder.CSRMatrix()
 	if !final && (len(e.profiles) == 0 || m.Dims() == 0) {
 		// Too early to cluster (no rows, or no function active yet): a live
@@ -216,37 +188,33 @@ func (e *Engine) refresh(final bool) error {
 		return nil
 	}
 
-	var det *phase.Detection
-	var err error
-	var stats refreshStats
-	if final {
-		popts := e.popts
-		popts.Span = e.span
-		det, err = phase.DetectMatrix(e.profiles, m, popts)
-	} else {
-		det, stats, err = e.refreshIncremental(m)
+	popts := e.popts
+	popts.Span = e.span
+	if !final {
+		rsp := e.span.ChildKey("stream.refresh", uint64(e.refreshes+1))
+		defer rsp.End()
+		rsp.SetInt("intervals", int64(len(e.profiles)))
+		popts.Span = rsp
 	}
+	det, err := phase.DetectMatrix(e.profiles, m, popts)
 	if err != nil {
 		return err
 	}
 
 	e.last = det
-	if det.Options.Algorithm == phase.KMeansAlg {
-		// Reseed the incremental state from the fresh model, in phase-ID
-		// order so live labels line up with reported phase numbers.
+	if e.tracker != nil && det.Options.Algorithm == phase.KMeansAlg && e.popts.Features.Kind == interval.SampledSelf {
+		// Reseed the live tracker from the fresh model, in phase-ID order
+		// so live labels line up with reported phase numbers. The
+		// tracker's feature space is sampled self seconds; only the
+		// SampledSelf matrix shares it, so other feature kinds leave the
+		// tracker's own drifting model in place.
 		cents := make([][]float64, len(det.Phases))
 		sizes := make([]int, len(det.Phases))
 		for i := range det.Phases {
 			cents[i] = det.Phases[i].Centroid
 			sizes[i] = len(det.Phases[i].Intervals)
 		}
-		e.mb = newMiniBatch(cents, sizes)
-		if e.tracker != nil && e.popts.Features.Kind == interval.SampledSelf {
-			// The tracker's feature space is sampled self seconds; only the
-			// SampledSelf matrix shares it, so other feature kinds leave the
-			// tracker's own drifting model in place.
-			e.tracker.Reseed(m.FuncNames, cents, sizes)
-		}
+		e.tracker.Reseed(m.FuncNames, cents, sizes)
 	}
 
 	obs.C("stream.refreshes").Inc()
@@ -255,91 +223,14 @@ func (e *Engine) refresh(final bool) error {
 	e.sinceRefresh = 0
 	if e.opts.OnRefresh != nil {
 		e.opts.OnRefresh(Refresh{
-			Index:           idx,
-			Final:           final,
-			Intervals:       len(e.profiles),
-			K:               det.K,
-			WarmAccepted:    stats.warmAccepted,
-			SitesReused:     stats.sitesReused,
-			SitesRecomputed: stats.sitesRecomputed,
-			Detection:       det,
+			Index:     idx,
+			Final:     final,
+			Intervals: len(e.profiles),
+			K:         det.K,
+			Detection: det,
 		})
 	}
 	return nil
-}
-
-// refreshIncremental is the intermediate-refresh detection: a full seeded
-// sweep plus an optional warm-started challenger, then the batch selection,
-// phase assembly, and cached Algorithm 1.
-func (e *Engine) refreshIncremental(m interval.Matrix) (*phase.Detection, refreshStats, error) {
-	var stats refreshStats
-	rsp := e.span.ChildKey("stream.refresh", uint64(e.refreshes+1))
-	defer rsp.End()
-	rsp.SetInt("intervals", int64(len(e.profiles)))
-
-	popts := e.popts
-	popts.Span = rsp
-	if popts.Algorithm != phase.KMeansAlg {
-		// DBSCAN has no centroids to warm-start and no sweep to challenge;
-		// intermediate refreshes simply rerun the batch detection.
-		det, err := phase.DetectMatrix(e.profiles, m, popts)
-		return det, stats, err
-	}
-
-	copts := popts.Cluster
-	copts.Span = rsp
-	pts, err := cluster.NewPoints(m.Sparse, popts.Selection == phase.Silhouette)
-	if err != nil {
-		return nil, stats, err
-	}
-	defer pts.Release()
-	results, err := pts.Sweep(popts.KMax, copts)
-	if err != nil {
-		return nil, stats, err
-	}
-
-	// Warm-started challenger: Lloyd from the mini-batch model's current
-	// centroids. It replaces the seeded result at its k only when strictly
-	// better, so a degenerate warm model can never worsen the sweep — and
-	// the terminal refresh never runs one, keeping the final model equal to
-	// the batch model.
-	if e.mb != nil {
-		k := len(e.mb.centroids)
-		if k >= 1 && k <= len(results) && k <= m.NumRows() {
-			warm, werr := cluster.WarmStartCSR(m.Sparse, e.mb.centroids, copts)
-			if werr == nil && warm.WCSS < results[k-1].WCSS {
-				results[k-1] = warm
-				stats.warmAccepted = true
-				obs.C("stream.warm.accepted").Inc()
-			} else if werr == nil {
-				obs.C("stream.warm.rejected").Inc()
-			}
-		}
-	}
-
-	det := &phase.Detection{Matrix: m, Profiles: e.profiles, Options: popts}
-	det.WCSS = make([]float64, len(results))
-	for i, r := range results {
-		det.WCSS[i] = r.WCSS
-	}
-	var best *cluster.Result
-	if popts.Selection == phase.Silhouette {
-		best = pts.SelectSilhouette(results, copts.Parallelism)
-	} else {
-		best = cluster.SelectElbow(results)
-	}
-	pts.Release() // early: phase assembly and sites have no use for the matrix
-	det.K = best.K
-	det.Phases = phase.BuildPhases(e.profiles, best.Assign, best.Centroids, best.K)
-	for i := range det.Phases {
-		if e.sites.fill(&det.Phases[i], e.profiles, m, popts.CoverageThreshold, len(e.profiles)) {
-			stats.sitesReused++
-		} else {
-			stats.sitesRecomputed++
-		}
-	}
-	rsp.SetInt("k", int64(det.K)).SetBool("warm", stats.warmAccepted)
-	return det, stats, nil
 }
 
 // Last returns the most recent refresh's detection (nil before the first

@@ -3,6 +3,8 @@ package stream_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -63,8 +65,7 @@ func baseOpts() phase.Options {
 }
 
 // The tentpole contract: an engine fed one snapshot at a time — with live
-// labeling on and periodic warm-started refreshes rebuilding the model
-// mid-run — finishes with a detection byte-identical to the legacy batch
+// labeling on and periodic refreshes rebuilding the model mid-run — finishes with a detection byte-identical to the legacy batch
 // composition (Difference + Detect) for every application.
 func TestEngineFinalMatchesBatchAcrossApps(t *testing.T) {
 	for _, name := range apps.Names() {
@@ -234,17 +235,40 @@ func phaseSnaps(n int) []*profile.Sample {
 	return out
 }
 
-// Incremental Algorithm 1: once a phase's membership and centroid stop
-// changing between refreshes, its site selection is served from the cache
-// instead of being recomputed.
-func TestEngineReusesSiteSelectionsForStablePhases(t *testing.T) {
-	var refreshes []stream.Refresh
+// checkRefreshesMatchDetect feeds snaps through an engine refreshing every
+// `every` intervals and demands that each intermediate refresh's detection
+// equal phase.DetectMatrix over the same prefix of the batch profiles, with
+// the matrix built by the batch FeaturesCSR: a live refresh is the batch
+// analysis of the run so far, nothing else. It returns the number of
+// intermediate refreshes compared.
+func checkRefreshesMatchDetect(t *testing.T, snaps []*profile.Sample, popts phase.Options, every int) int {
+	t.Helper()
+	profs, err := interval.Difference(snaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compared := 0
 	eng := stream.New(stream.Options{
-		Phase:        baseOpts(),
-		RefreshEvery: 10,
-		OnRefresh:    func(r stream.Refresh) { refreshes = append(refreshes, r) },
+		Phase:        popts,
+		RefreshEvery: every,
+		OnLabel:      func(online.Event) {},
+		OnRefresh: func(r stream.Refresh) {
+			if r.Final {
+				return
+			}
+			prefix := profs[:r.Intervals]
+			want, err := phase.DetectMatrix(prefix, interval.FeaturesCSR(prefix, popts.Features), popts)
+			if err != nil {
+				t.Fatalf("refresh %d: %v", r.Index, err)
+			}
+			if r.K != want.K || !bytes.Equal(flatten(t, r.Detection, nil), flatten(t, want, nil)) {
+				t.Fatalf("refresh %d over %d intervals differs from DetectMatrix over the prefix (k=%d, want %d)",
+					r.Index, r.Intervals, r.K, want.K)
+			}
+			compared++
+		},
 	})
-	for _, s := range phaseSnaps(30) {
+	for _, s := range snaps {
 		if err := eng.Emit(s); err != nil {
 			t.Fatal(err)
 		}
@@ -252,13 +276,84 @@ func TestEngineReusesSiteSelectionsForStablePhases(t *testing.T) {
 	if _, err := eng.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	reused := 0
-	for _, r := range refreshes {
-		reused += r.SitesReused
+	return compared
+}
+
+// Every intermediate refresh is DetectMatrix over the prefix it covers, on
+// a synthetic two-phase run and on every fixture application at full scale
+// (the collect fixtures' scale under -short), serial and parallel, under
+// both k-selection methods.
+func TestEngineRefreshesMatchDetectOnPrefix(t *testing.T) {
+	scale := 1.0
+	if testing.Short() {
+		scale = 0.12
 	}
-	if reused == 0 {
-		t.Fatalf("no site selection reuse across refreshes: %+v", refreshes)
+	inputs := map[string][]*profile.Sample{"phaseSnaps": phaseSnaps(30)}
+	for _, name := range apps.Names() {
+		app, err := apps.New(name, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := pipeline.Collect(app, pipeline.CollectOptions{Profile: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs[name] = res.Snapshots[0]
 	}
+	for name, snaps := range inputs {
+		for _, sel := range []phase.Selection{phase.Elbow, phase.Silhouette} {
+			for _, par := range []int{1, 8} {
+				t.Run(fmt.Sprintf("%s/%s/parallel=%d", name, sel, par), func(t *testing.T) {
+					popts := baseOpts()
+					popts.Selection = sel
+					popts.Cluster.Parallelism = par
+					if n := checkRefreshesMatchDetect(t, snaps, popts, 10); n == 0 {
+						t.Fatal("no intermediate refresh ran")
+					}
+				})
+			}
+		}
+	}
+}
+
+// FuzzRefreshMatchesDetect checks the same contract on small random phase
+// streams: a few functions whose per-interval shares switch between random
+// phases, refreshed every 1 to 8 intervals.
+func FuzzRefreshMatchesDetect(f *testing.F) {
+	f.Add(int64(1), uint8(20), uint8(3))
+	f.Add(int64(7), uint8(40), uint8(0))
+	f.Add(int64(42), uint8(9), uint8(7))
+	f.Fuzz(func(t *testing.T, seed int64, n, every uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		names := []string{"init", "solve", "exchange", "io"}
+		phases := 1 + rng.Intn(4)
+		shares := make([][]int64, phases)
+		for p := range shares {
+			shares[p] = make([]int64, len(names))
+			for j := range names {
+				if rng.Intn(2) == 0 {
+					shares[p][j] = int64(rng.Intn(50))
+				}
+			}
+		}
+		period := 10 * time.Millisecond
+		cum := map[string][2]int64{}
+		var snaps []*profile.Sample
+		cur := 0
+		for i := 0; i < 2+int(n)%40; i++ {
+			if rng.Intn(4) == 0 {
+				cur = rng.Intn(phases)
+			}
+			for j, name := range names {
+				c := cum[name]
+				c[0] += shares[cur][j] + int64(rng.Intn(3))
+				c[1]++
+				cum[name] = c
+			}
+			snaps = append(snaps, snap(i, time.Duration(i+1)*time.Second, period, cloneCounters(cum)))
+		}
+		checkRefreshesMatchDetect(t, snaps, baseOpts(), 1+int(every)%8)
+	})
 }
 
 // Last exposes the live model between refreshes, before the stream ends.

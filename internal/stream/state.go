@@ -12,11 +12,10 @@
 //   - the feature matrix builder: it is a pure deterministic function of the
 //     profile list and the engine options, so Restore rebuilds it by replay
 //     instead of persisting a second copy of every row;
-//   - the last intermediate Detection (Engine.Last): it is advisory live
-//     output, recomputed at the next refresh, and the terminal Flush never
-//     reads it;
-//   - the per-interval row scratch buffer and tracing spans: pure
-//     performance/observability state.
+//   - any clustering model, including the last intermediate Detection
+//     (Engine.Last): every refresh recomputes its detection from the
+//     profiles alone, and the terminal Flush never reads the previous one;
+//   - tracing spans: pure observability state.
 package stream
 
 import (
@@ -27,7 +26,6 @@ import (
 	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/interval"
 	"github.com/incprof/incprof/internal/online"
-	"github.com/incprof/incprof/internal/phase"
 )
 
 // EngineState is the full serializable state of an Engine between two
@@ -49,12 +47,6 @@ type EngineState struct {
 	// Tracker is the live label tracker's state, nil when the engine runs
 	// without one (no OnLabel).
 	Tracker *online.TrackerState
-	// MiniBatch is the incremental warm-start model, nil before the first
-	// k-means refresh.
-	MiniBatch *MiniBatchState
-	// Sites is the incremental Algorithm 1 cache, sorted by key so the
-	// serialized form is deterministic.
-	Sites []SiteCacheEntry
 }
 
 // DifferencerState is the serializable state of the snapshot→profile stage.
@@ -76,18 +68,6 @@ type DifferencerState struct {
 	LateDrops int
 }
 
-// MiniBatchState is the serializable warm-start model.
-type MiniBatchState struct {
-	Centroids [][]float64
-	Counts    []int64
-}
-
-// SiteCacheEntry is one memoized Algorithm 1 selection.
-type SiteCacheEntry struct {
-	Key   uint64
-	Sites []phase.Site
-}
-
 // State exports the engine's full state. It must be called between Emit
 // calls (the engine is not safe for concurrent use) and before Flush; a
 // flushed engine has already discarded its incremental state into the
@@ -105,27 +85,6 @@ func (e *Engine) State() (*EngineState, error) {
 	}
 	if e.tracker != nil {
 		st.Tracker = e.tracker.State()
-	}
-	if e.mb != nil {
-		mbs := &MiniBatchState{
-			Centroids: make([][]float64, len(e.mb.centroids)),
-			Counts:    append([]int64(nil), e.mb.counts...),
-		}
-		for i, c := range e.mb.centroids {
-			mbs.Centroids[i] = append([]float64(nil), c...)
-		}
-		st.MiniBatch = mbs
-	}
-	keys := make([]uint64, 0, len(e.sites.entries))
-	for k := range e.sites.entries {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		st.Sites = append(st.Sites, SiteCacheEntry{
-			Key:   k,
-			Sites: append([]phase.Site(nil), e.sites.entries[k]...),
-		})
 	}
 	return st, nil
 }
@@ -158,19 +117,6 @@ func Restore(opts Options, st *EngineState) (*Engine, error) {
 	}
 	if e.tracker != nil && st.Tracker != nil {
 		e.tracker.Restore(st.Tracker)
-	}
-	if st.MiniBatch != nil {
-		mb := &miniBatch{
-			centroids: make([][]float64, len(st.MiniBatch.Centroids)),
-			counts:    append([]int64(nil), st.MiniBatch.Counts...),
-		}
-		for i, c := range st.MiniBatch.Centroids {
-			mb.centroids[i] = append([]float64(nil), c...)
-		}
-		e.mb = mb
-	}
-	for _, ent := range st.Sites {
-		e.sites.entries[ent.Key] = append([]phase.Site(nil), ent.Sites...)
 	}
 	return e, nil
 }

@@ -60,8 +60,7 @@ func jsonRoundTrip(t *testing.T, st *stream.EngineState) *stream.EngineState {
 
 // State/Restore mid-stream: the restored engine finishes byte-identically
 // to the original continuing from the same point, with live labels and
-// warm-started refreshes on so tracker, mini-batch, and site-cache state
-// all matter.
+// periodic refreshes on so tracker and refresh-cadence state both matter.
 func TestEngineStateRestoreMidStreamBitIdentity(t *testing.T) {
 	snaps := collect(t, "graph500")
 	for _, cut := range []int{1, 7, len(snaps) / 2, len(snaps) - 1} {

@@ -8,9 +8,8 @@
 //	snapshots → Differencer → interval.Profile → Engine
 //	                                              ├─ interval.MatrixBuilder (append-only rows, growing dims)
 //	                                              ├─ online.Tracker         (live labels, reseeded per refresh)
-//	                                              ├─ mini-batch k-means     (warm-start seed for refreshes)
-//	                                              └─ every R intervals: warm-started cluster.SweepCSR refresh
-//	                                                 + incremental Algorithm 1 (per-phase site cache)
+//	                                              └─ every R intervals: phase.DetectMatrix over the prefix
+//	                                                 (k sweep, k selection, Algorithm 1)
 //
 // pipeline.Run drives the graph from a snapshot source. A batch source is
 // finite: pipeline.Analyze feeds an Engine from its snapshot list and the

@@ -250,31 +250,3 @@ func SquaredEuclideanPackedDenseBounded(av []float64, ac []int32, b []float64, l
 	}
 	return s, true
 }
-
-// SquaredEuclideanPackedPadded returns the squared L2 distance between a
-// packed sparse vector of logical length dim and a dense vector b that may be
-// shorter or longer, treating missing trailing dimensions of either side as
-// zero — bit-identical to SquaredEuclideanPadded(scatter(a, dim), b).
-func SquaredEuclideanPackedPadded(av []float64, ac []int32, dim int, b []float64) float64 {
-	n := dim
-	if len(b) > n {
-		n = len(b)
-	}
-	var s float64
-	i := 0
-	for d := 0; d < n; d++ {
-		var bv float64
-		if d < len(b) {
-			bv = b[d]
-		}
-		var t float64
-		if i < len(ac) && int(ac[i]) == d {
-			t = av[i] - bv
-			i++
-		} else {
-			t = bv
-		}
-		s += t * t
-	}
-	return s
-}

@@ -73,25 +73,6 @@ func TestPackedBoundedExactness(t *testing.T) {
 	}
 }
 
-func TestPackedPaddedMatchesDensePadded(t *testing.T) {
-	rng := NewRNG(31)
-	for trial := 0; trial < 200; trial++ {
-		dim := 1 + rng.Intn(32)
-		blen := 1 + rng.Intn(48) // shorter, equal, or longer than dim
-		da, av, ac := packedVec(rng, dim, 0.35)
-		db := make([]float64, blen)
-		for d := range db {
-			if rng.Float64() < 0.5 {
-				db[d] = rng.NormFloat64()
-			}
-		}
-		want := SquaredEuclideanPadded(da, db)
-		if got := SquaredEuclideanPackedPadded(av, ac, dim, db); got != want {
-			t.Fatalf("trial %d (dim=%d blen=%d): packed-padded %v != dense %v", trial, dim, blen, got, want)
-		}
-	}
-}
-
 func TestCSRRoundTrip(t *testing.T) {
 	rng := NewRNG(5)
 	rows := make([][]float64, 17)
