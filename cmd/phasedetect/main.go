@@ -154,7 +154,7 @@ func parseConfig(args []string, stderr io.Writer) (*config, int) {
 	fs.BoolVar(&c.follow, "follow", false, "tail -dir while the collector is writing: stream dumps through the incremental engine, print live: lines, report when the stream goes idle")
 	fs.DurationVar(&c.followPoll, "follow-poll", 200*time.Millisecond, "directory poll interval in -follow mode (positive)")
 	fs.DurationVar(&c.followIdle, "follow-idle", 2*time.Second, "end -follow mode after this long without a new dump (positive)")
-	fs.IntVar(&c.refresh, "refresh", 10, "full model refresh cadence (intervals) in -follow mode; 0 refreshes only at the end")
+	fs.IntVar(&c.refresh, "refresh", 10, "model refresh cadence (intervals) in -follow mode; a refresh clusters at most 384 sampled intervals, the final report all of them; 0 refreshes only at the end")
 	fs.IntVar(&c.reorder, "reorder", 0, "bounded reorder window for out-of-order dumps in -follow mode; 0 requires in-order arrival")
 	fs.StringVar(&c.ckptDir, "checkpoint-dir", "", "durable state directory for -follow: every accepted dump is write-ahead logged and the engine state snapshots every -checkpoint-every dumps, so a killed run resumes with -resume")
 	fs.IntVar(&c.ckptEvery, "checkpoint-every", 25, "snapshot cadence in accepted dumps for -checkpoint-dir; 0 takes no periodic snapshot (the WAL alone carries durability)")
@@ -391,7 +391,7 @@ func (c *config) live(ropts *pipeline.RunOptions, stdout io.Writer) {
 		if r.Final {
 			return
 		}
-		fmt.Fprintf(stdout, "live: refresh %d: k=%d over %d intervals\n", r.Index, r.K, r.Intervals)
+		fmt.Fprintf(stdout, "live: refresh %d: k=%d over %d intervals, %d clustered\n", r.Index, r.K, r.Intervals, r.Clustered)
 	}
 	e.OnGap = func(g interval.Gap) {
 		fmt.Fprintf(stdout, "live: gap %s seq %d..%d (%d missing)\n", g.Kind, g.FromSeq, g.ToSeq, g.Missing)

@@ -46,7 +46,8 @@ type Options struct {
 	// MaxIterations bounds Lloyd iterations; 0 means 100.
 	MaxIterations int
 	// Restarts reruns the whole algorithm with fresh seeding and keeps
-	// the lowest-WCSS result; 0 means 4.
+	// the lowest-WCSS result; 0 means 4. k = 1 runs one: its restarts
+	// all converge to the same mean.
 	Restarts int
 	// Seed makes runs reproducible. The same seed always yields the same
 	// clustering.
@@ -177,6 +178,11 @@ func kmeansCSR(m *xmath.CSR, k int, opts Options) (*Result, error) {
 // sweep's squared pairwise matrix, which seeding reads instead of measuring.
 func kmeansValidated(ps *pointSet, pm *pairMatrix, k int, opts Options) *Result {
 	opts = opts.withDefaults()
+	if k == 1 {
+		// Every k=1 restart converges to the one mean after the same
+		// passes, so all tie on WCSS and restart 0 would win: run only it.
+		opts.Restarts = 1
+	}
 	// Derive one seed per restart from the master stream up front, so each
 	// restart owns an independent RNG and the fan-out below is free to run
 	// restarts in any order without perturbing the result.

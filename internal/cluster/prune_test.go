@@ -269,6 +269,40 @@ func TestPrunedSweepMatchesNaiveBitForBit(t *testing.T) {
 	}
 }
 
+// At k = 1 every restart converges to the one mean with the same WCSS and
+// Iterations, so restart 0 wins the tie and the rest are wasted work:
+// kmeansValidated runs one. Each naive restart must equal restart 0 bit for
+// bit, and the clusterer at Restarts 4 and 1 must both equal the naive
+// four-restart reduction.
+func TestKMeansOneRestartAtKOne(t *testing.T) {
+	fx := pruneFixtures()
+	for _, name := range []string{"sparse-phased", "dense-uniform", "duplicates"} {
+		pts := fx[name]
+		for _, seed := range []uint64{1, 42, 0x9e3779b97f4a7c15} {
+			label := fmt.Sprintf("%s seed=%d", name, seed)
+			seedRNG := xmath.NewRNG(seed)
+			var first *Result
+			for r := 0; r < 4; r++ {
+				rng := xmath.NewRNG(seedRNG.Uint64())
+				res := naiveLloyd(pts, naiveSeedPlusPlus(pts, 1, rng), 100)
+				if first == nil {
+					first = res
+					continue
+				}
+				sameResult(t, fmt.Sprintf("%s restart %d vs 0", label, r), first, res)
+			}
+			want := naiveKMeans(pts, 1, Options{Seed: seed, Restarts: 4})
+			for _, restarts := range []int{4, 1} {
+				got, err := kmeansCSR(csr(pts), 1, Options{Seed: seed, Restarts: restarts})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, fmt.Sprintf("%s restarts=%d", label, restarts), want, got)
+			}
+		}
+	}
+}
+
 // naiveSilhouette is the mean silhouette over a square dense-kernel distance
 // scan, each point's neighbors summed in ascending index order.
 func naiveSilhouette(points [][]float64, assign []int, k int) float64 {

@@ -14,12 +14,14 @@ package phase
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
 	"github.com/incprof/incprof/internal/cluster"
 	"github.com/incprof/incprof/internal/interval"
 	"github.com/incprof/incprof/internal/obs"
+	"github.com/incprof/incprof/internal/xmath"
 )
 
 // InstType distinguishes the two instrumentation placements of §V-B.
@@ -222,16 +224,22 @@ func Detect(profiles []interval.Profile, opts Options) (*Detection, error) {
 	// selection consume it natively, so nothing densifies (DESIGN.md §14).
 	m := interval.FeaturesCSR(profiles, opts.Features)
 	feat.SetInt("dims", int64(m.Dims())).End()
-	return detectMatrix(profiles, m, opts, sp)
+	return detectMatrix(profiles, m, nil, opts, sp)
 }
 
 // DetectMatrix is Detect over a prebuilt feature matrix: clustering, k
 // selection, phase assembly, and Algorithm 1 run exactly as in Detect, but
 // the caller supplies the matrix. The streaming engine uses it so that its
 // incrementally-built matrix flows through the one detection code path —
-// fed the matrix FeaturesCSR would have built, DetectMatrix's output is
-// byte-identical to Detect's.
-func DetectMatrix(profiles []interval.Profile, m interval.Matrix, opts Options) (*Detection, error) {
+// fed the matrix FeaturesCSR would have built and nil rows, DetectMatrix's
+// output is byte-identical to Detect's.
+//
+// rows, when non-nil, lists the strictly ascending row indices the k-means
+// sweep and k selection run on; every interval is then labeled with its
+// nearest selected centroid, and phase assembly and Algorithm 1 run over all
+// of them. Passing every index gives the nil-rows output byte for byte.
+// Live refreshes pass RefreshRows; DBSCAN takes only nil rows.
+func DetectMatrix(profiles []interval.Profile, m interval.Matrix, rows []int, opts Options) (*Detection, error) {
 	opts = opts.withDefaults()
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("phase: no interval profiles")
@@ -239,17 +247,82 @@ func DetectMatrix(profiles []interval.Profile, m interval.Matrix, opts Options) 
 	if m.NumRows() != len(profiles) {
 		return nil, fmt.Errorf("phase: matrix has %d rows for %d profiles", m.NumRows(), len(profiles))
 	}
+	if err := checkRows(rows, len(profiles), opts.Algorithm); err != nil {
+		return nil, err
+	}
 	sp := obs.Under(opts.Span, "phase.detect", 0)
 	sp.SetInt("profiles", int64(len(profiles))).
 		SetStr("algorithm", opts.Algorithm.String()).
 		SetStr("selection", opts.Selection.String())
 	defer sp.End()
-	return detectMatrix(profiles, m, opts, sp)
+	return detectMatrix(profiles, m, rows, opts, sp)
+}
+
+// checkRows validates DetectMatrix's row subset against n rows.
+func checkRows(rows []int, n int, alg Algorithm) error {
+	if rows == nil {
+		return nil
+	}
+	if alg != KMeansAlg {
+		return fmt.Errorf("phase: a row subset needs k-means, not %v", alg)
+	}
+	if len(rows) == 0 {
+		return fmt.Errorf("phase: empty row subset")
+	}
+	for i, r := range rows {
+		if r < 0 || r >= n || (i > 0 && r <= rows[i-1]) {
+			return fmt.Errorf("phase: row subset is not strictly ascending within [0, %d) at position %d", n, i)
+		}
+	}
+	return nil
+}
+
+// refreshRowBudget caps the rows an intermediate live refresh clusters.
+const refreshRowBudget = 384
+
+// RefreshRows returns the rows an intermediate live refresh over n
+// intervals clusters: nil (every row) when n <= 384, otherwise one row drawn
+// from each of 384 equal strata of [0, n) by an RNG seeded from (seed, n).
+// The draw depends on nothing else, so a refresh is the same at any
+// parallelism and after a resume. A plain stride would alias with a phase
+// period near n/384; the per-stratum jitter does not.
+func RefreshRows(n int, seed uint64) []int {
+	if n <= refreshRowBudget {
+		return nil
+	}
+	rng := xmath.NewRNG(seed ^ uint64(n)*0xd1b54a32d192ed03)
+	rows := make([]int, refreshRowBudget)
+	for s := range rows {
+		lo, hi := s*n/refreshRowBudget, (s+1)*n/refreshRowBudget
+		rows[s] = lo + rng.Intn(hi-lo)
+	}
+	return rows
+}
+
+// nearestCentroids labels every row of m with its nearest centroid: the
+// ascending strict-< scan on the exact packed kernel, which is the
+// assignment a converged Lloyd pass leaves. A distance is abandoned once its
+// partial sum reaches the best so far; such a centroid could not win, so
+// the labels are those of the full scan.
+func nearestCentroids(m interval.Matrix, centroids [][]float64) []int {
+	assign := make([]int, m.NumRows())
+	for i := range assign {
+		vals, cols := m.Sparse.Row(i)
+		best, bestD := 0, math.Inf(1)
+		for c, cent := range centroids {
+			if d, full := xmath.SquaredEuclideanPackedDenseBounded(vals, cols, cent, bestD); full && d < bestD {
+				best, bestD = c, d
+			}
+		}
+		assign[i] = best
+	}
+	return assign
 }
 
 // detectMatrix is the shared core of Detect and DetectMatrix; opts must have
-// defaults applied and sp is the enclosing phase.detect span.
-func detectMatrix(profiles []interval.Profile, m interval.Matrix, opts Options, sp *obs.Span) (*Detection, error) {
+// defaults applied, rows must have passed checkRows, and sp is the enclosing
+// phase.detect span.
+func detectMatrix(profiles []interval.Profile, m interval.Matrix, rows []int, opts Options, sp *obs.Span) (*Detection, error) {
 	if m.Dims() == 0 {
 		return nil, fmt.Errorf("phase: no active functions in any interval")
 	}
@@ -263,9 +336,13 @@ func detectMatrix(profiles []interval.Profile, m interval.Matrix, opts Options, 
 		if copts.Span == nil {
 			copts.Span = sp
 		}
+		sweep := m.Sparse
+		if rows != nil {
+			sweep = sweep.SelectRows(rows)
+		}
 		// Under silhouette selection the sweep and the selection share one
 		// pairwise matrix (cluster.Points).
-		pts, err := cluster.NewPoints(m.Sparse, opts.Selection == Silhouette)
+		pts, err := cluster.NewPoints(sweep, opts.Selection == Silhouette)
 		if err != nil {
 			return nil, err
 		}
@@ -289,6 +366,9 @@ func detectMatrix(profiles []interval.Profile, m interval.Matrix, opts Options, 
 		sel.SetStr("method", opts.Selection.String()).SetInt("k", int64(best.K)).End()
 		det.K = best.K
 		assign = best.Assign
+		if rows != nil {
+			assign = nearestCentroids(m, best.Centroids)
+		}
 		centroids = best.Centroids
 	case DBSCANAlg:
 		eps := cluster.EstimateEpsCSR(m.Sparse, opts.DBSCANMinPts, 0.9)

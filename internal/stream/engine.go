@@ -6,8 +6,9 @@
 //     phase.Detect performs over the identical matrix and profiles, so the
 //     result is byte-for-byte the batch analysis for a fixed seed.
 //   - Live: feed snapshots as they arrive; every RefreshEvery intervals the
-//     engine runs that same detection over everything seen so far,
-//     surfacing labels, gaps, and refreshed detections through callbacks.
+//     engine runs that same detection over everything seen so far, its k
+//     sweep on a bounded row sample (phase.RefreshRows), surfacing labels,
+//     gaps, and refreshed detections through callbacks.
 package stream
 
 import (
@@ -37,8 +38,9 @@ type Options struct {
 	// final result is byte-identical to phase.Detect with these options
 	// over the same profiles.
 	Phase phase.Options
-	// RefreshEvery re-runs full detection every that many intervals. 0
-	// (the batch setting) defers all clustering to Flush.
+	// RefreshEvery re-runs detection every that many intervals, clustering
+	// at most 384 sampled rows and labeling all of them. 0 (the batch
+	// setting) defers all clustering to Flush.
 	RefreshEvery int
 	// Online tunes the live label tracker; the tracker exists only when
 	// OnLabel is set. Its Exclude defaults to Phase.Features.Exclude.
@@ -60,6 +62,9 @@ type Refresh struct {
 	Final bool
 	// Intervals is the number of profiles the pass covered.
 	Intervals int
+	// Clustered is the number of those the k sweep ran on: all of them in
+	// the final pass, at most 384 in an intermediate one (RefreshRows).
+	Clustered int
 	// K is the selected number of phases.
 	K int
 	// Detection is the full result of this pass.
@@ -171,10 +176,12 @@ func (e *Engine) Flush() error {
 
 // refresh re-runs detection over everything seen so far: every pass is
 // phase.DetectMatrix with the engine's options over the incrementally-built
-// matrix, so each refresh is the batch analysis of the run's prefix and the
-// final pass is byte-identical to phase.Detect over the same profiles.
-// Intermediate passes trace under their own stream.refresh span; the final
-// pass traces under the engine span.
+// matrix. The final pass clusters every row, so it is byte-identical to
+// phase.Detect over the same profiles. An intermediate k-means pass clusters
+// only phase.RefreshRows — at most 384 rows, however long the run — and
+// labels every interval against that model, so its cost stops growing with
+// the run's history. Intermediate passes trace under their own
+// stream.refresh span; the final pass traces under the engine span.
 func (e *Engine) refresh(final bool) error {
 	// The refresh matrix is built in flat CSR form: the sweep and
 	// silhouette selection run on it without densifying.
@@ -190,13 +197,21 @@ func (e *Engine) refresh(final bool) error {
 
 	popts := e.popts
 	popts.Span = e.span
+	var rows []int
+	if !final && popts.Algorithm == phase.KMeansAlg {
+		rows = phase.RefreshRows(len(e.profiles), popts.Cluster.Seed)
+	}
+	clustered := len(e.profiles)
+	if rows != nil {
+		clustered = len(rows)
+	}
 	if !final {
 		rsp := e.span.ChildKey("stream.refresh", uint64(e.refreshes+1))
 		defer rsp.End()
-		rsp.SetInt("intervals", int64(len(e.profiles)))
+		rsp.SetInt("intervals", int64(len(e.profiles))).SetInt("clustered", int64(clustered))
 		popts.Span = rsp
 	}
-	det, err := phase.DetectMatrix(e.profiles, m, popts)
+	det, err := phase.DetectMatrix(e.profiles, m, rows, popts)
 	if err != nil {
 		return err
 	}
@@ -226,6 +241,7 @@ func (e *Engine) refresh(final bool) error {
 			Index:     idx,
 			Final:     final,
 			Intervals: len(e.profiles),
+			Clustered: clustered,
 			K:         det.K,
 			Detection: det,
 		})

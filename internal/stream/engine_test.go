@@ -238,9 +238,10 @@ func phaseSnaps(n int) []*profile.Sample {
 // checkRefreshesMatchDetect feeds snaps through an engine refreshing every
 // `every` intervals and demands that each intermediate refresh's detection
 // equal phase.DetectMatrix over the same prefix of the batch profiles, with
-// the matrix built by the batch FeaturesCSR: a live refresh is the batch
-// analysis of the run so far, nothing else. It returns the number of
-// intermediate refreshes compared.
+// the matrix built by the batch FeaturesCSR and the rows phase.RefreshRows
+// picks for the prefix length: a live refresh is the batch analysis of the
+// run so far on its bounded row sample, nothing else. It returns the number
+// of intermediate refreshes compared.
 func checkRefreshesMatchDetect(t *testing.T, snaps []*profile.Sample, popts phase.Options, every int) int {
 	t.Helper()
 	profs, err := interval.Difference(snaps)
@@ -257,7 +258,8 @@ func checkRefreshesMatchDetect(t *testing.T, snaps []*profile.Sample, popts phas
 				return
 			}
 			prefix := profs[:r.Intervals]
-			want, err := phase.DetectMatrix(prefix, interval.FeaturesCSR(prefix, popts.Features), popts)
+			rows := phase.RefreshRows(r.Intervals, popts.Cluster.Seed)
+			want, err := phase.DetectMatrix(prefix, interval.FeaturesCSR(prefix, popts.Features), rows, popts)
 			if err != nil {
 				t.Fatalf("refresh %d: %v", r.Index, err)
 			}

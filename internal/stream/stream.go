@@ -9,7 +9,7 @@
 //	                                              ├─ interval.MatrixBuilder (append-only rows, growing dims)
 //	                                              ├─ online.Tracker         (live labels, reseeded per refresh)
 //	                                              └─ every R intervals: phase.DetectMatrix over the prefix
-//	                                                 (k sweep, k selection, Algorithm 1)
+//	                                                 (k sweep on ≤ 384 sampled rows, k selection, Algorithm 1)
 //
 // pipeline.Run drives the graph from a snapshot source. A batch source is
 // finite: pipeline.Analyze feeds an Engine from its snapshot list and the

@@ -87,6 +87,28 @@ func (m *CSR) Dense() [][]float64 {
 	return rows
 }
 
+// SelectRows returns the matrix of the given rows, in the given order, at
+// the same width. The cells are copied, so the result owns its arrays.
+func (m *CSR) SelectRows(rows []int) *CSR {
+	nnz := 0
+	for _, i := range rows {
+		nnz += m.RowPtr[i+1] - m.RowPtr[i]
+	}
+	out := &CSR{
+		NumCols: m.NumCols,
+		Vals:    make([]float64, 0, nnz),
+		Cols:    make([]int32, 0, nnz),
+		RowPtr:  make([]int, len(rows)+1),
+	}
+	for r, i := range rows {
+		vals, cols := m.Row(i)
+		out.Vals = append(out.Vals, vals...)
+		out.Cols = append(out.Cols, cols...)
+		out.RowPtr[r+1] = len(out.Vals)
+	}
+	return out
+}
+
 // NewCSRFromDense packs dense rows (which must share one length) into CSR
 // form. The inverse of Dense up to the dropped explicit zeros.
 func NewCSRFromDense(rows [][]float64) *CSR {
