@@ -423,8 +423,9 @@ func (c *config) live(ropts *pipeline.RunOptions, stdout io.Writer) {
 	shed := shedPolicies[c.shed]
 	if c.maxPending > 0 || c.stall > 0 {
 		ropts.Admission = &stream.AdmissionOptions{MaxPending: c.maxPending, Policy: shed, Stall: c.stall,
-			OnShed: func(s *profile.Sample) {
+			OnShed: func(s *profile.Sample) error {
 				fmt.Fprintf(stdout, "live: shed seq %d (queue full)\n", s.Seq)
+				return nil
 			}}
 	}
 	ropts.OnDrained = func(fed incprof.TailResult, n int) {

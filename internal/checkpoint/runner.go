@@ -199,7 +199,7 @@ func (r *Runner) Finish() (*stream.Result, error) {
 	return res, err
 }
 
-// Engine exposes the underlying engine (live label access, Last, Gaps).
+// Engine exposes the underlying engine (Last, Dims, State).
 func (r *Runner) Engine() *stream.Engine { return r.eng }
 
 // Accepted returns the number of dumps accepted into the engine, including

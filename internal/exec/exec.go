@@ -73,10 +73,6 @@ type Runtime struct {
 	byName    map[string]FuncID
 	stack     []FuncID
 	listeners []Listener
-
-	// totalWork accumulates all attributed work, used by overhead
-	// accounting and sanity checks.
-	totalWork time.Duration
 }
 
 // New returns a Runtime driving the given clock. A nil clock allocates a
@@ -154,17 +150,10 @@ func (r *Runtime) Caller() FuncID {
 	return r.stack[len(r.stack)-2]
 }
 
-// Depth returns the current call-stack depth.
-func (r *Runtime) Depth() int { return len(r.stack) }
-
 // Stack returns a copy of the current call stack, outermost first.
 func (r *Runtime) Stack() []FuncID {
 	return append([]FuncID(nil), r.stack...)
 }
-
-// TotalWork returns the total virtual work attributed so far across all
-// functions.
-func (r *Runtime) TotalWork() time.Duration { return r.totalWork }
 
 // AddListener attaches an observer. Listeners receive events in attachment
 // order.
@@ -225,7 +214,6 @@ func (r *Runtime) Work(d time.Duration) {
 	if cur == NoFunc {
 		panic("exec: Work outside of any Call")
 	}
-	r.totalWork += d
 	for d > 0 {
 		step := r.clock.StepFunc(d, func(step time.Duration, now vclock.Time) {
 			for _, l := range r.listeners {

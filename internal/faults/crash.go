@@ -34,8 +34,9 @@ const (
 // is durable, the in-flight dump is not.
 var ErrCrash = errors.New("faults: injected crash")
 
-// SnapshotSink is the sink shape CrashSink wraps — the checkpoint Runner,
-// the stream engine, or an admission queue all satisfy it.
+// SnapshotSink is the sink CrashSink wraps: the snapshot stream's
+// Emit/Flush pair that stream.Sink declares. The checkpoint Runner, the
+// stream engine and the admission queue all satisfy it.
 type SnapshotSink interface {
 	Emit(*profile.Sample) error
 	Flush() error

@@ -10,7 +10,6 @@ import (
 	"github.com/incprof/incprof/internal/interval"
 	"github.com/incprof/incprof/internal/ldms"
 	"github.com/incprof/incprof/internal/profile"
-	"github.com/incprof/incprof/internal/stream"
 )
 
 // fsnap builds a minimal cumulative snapshot for injector tests.
@@ -190,7 +189,7 @@ func TestStoreTruncateCorruptsDirStoreFiles(t *testing.T) {
 	if _, err := inner.Snapshots(); err == nil {
 		t.Fatal("strict load accepted truncated dumps")
 	}
-	res, err := incprof.ReadDir(inner.Dir(), stream.Discard[*profile.Sample]{}, incprof.TailOptions{Salvage: true})
+	res, err := incprof.ReadDir(inner.Dir(), discard{}, incprof.TailOptions{Salvage: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,3 +316,8 @@ func TestConnGarbageAbsorbedByRetry(t *testing.T) {
 		t.Fatalf("set = %+v", set)
 	}
 }
+
+// discard is a sink that drops every snapshot.
+type discard struct{}
+
+func (discard) Emit(*profile.Sample) error { return nil }

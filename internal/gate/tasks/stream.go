@@ -28,9 +28,13 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
+// discard drops a differenced profile: the gates measure the differencer
+// alone.
+func discard(interval.Profile) error { return nil }
+
 // synthStream feeds n synthetic snapshots of funcs functions into sink,
 // seed-deterministically, calling observe(i) after each emit.
-func synthStream(sink stream.Sink[*profile.Sample], n, funcs int, seed int64, observe func(i int)) error {
+func synthStream(sink stream.Sink, n, funcs int, seed int64, observe func(i int)) error {
 	rng := rand.New(rand.NewSource(seed))
 	names := make([]string, funcs)
 	cumSamples := make([]int64, funcs)
@@ -75,13 +79,12 @@ func runStreamHeap(c *gate.Context) error {
 		funcs     = 200
 		threshold = int64(2 << 20)
 	)
-	d := stream.NewDifferencer(stream.DifferencerOptions{Robust: true})
-	head := stream.Pipe[*profile.Sample, interval.Profile](d, stream.Discard[interval.Profile]{})
+	d := stream.NewDifferencer(stream.DifferencerOptions{Robust: true}, discard)
 
 	warmup := n / 4
 	decile := (n - warmup) / 10
 	var baseline uint64
-	err := synthStream(head, n, funcs, 1, func(i int) {
+	err := synthStream(d, n, funcs, 1, func(i int) {
 		if i+1 == warmup {
 			baseline = liveHeap()
 		} else if i+1 > warmup && decile > 0 && (i+1-warmup)%decile == 0 {
@@ -91,7 +94,7 @@ func runStreamHeap(c *gate.Context) error {
 	if err != nil {
 		return err
 	}
-	if err := head.Flush(); err != nil {
+	if err := d.Flush(); err != nil {
 		return err
 	}
 	// The first dump differences against program start, so a clean stream
@@ -112,7 +115,7 @@ func runStreamHeap(c *gate.Context) error {
 // slowSink throttles the consumer side so the producer outruns it and the
 // admission queue actually overloads.
 type slowSink struct {
-	down  stream.Sink[*profile.Sample]
+	down  stream.Sink
 	delay time.Duration
 }
 
@@ -142,9 +145,8 @@ func runOverload(c *gate.Context) error {
 	// collapse into the dump that ends them — so the profile count equals
 	// the admitted count no matter how wide the shed spans happen to be on
 	// this machine.
-	d := stream.NewDifferencer(stream.DifferencerOptions{Robust: true, Policy: interval.GapScale})
-	head := stream.Pipe[*profile.Sample, interval.Profile](d, stream.Discard[interval.Profile]{})
-	adm := stream.NewAdmission(slowSink{down: head, delay: consumerDelay}, stream.AdmissionOptions{
+	d := stream.NewDifferencer(stream.DifferencerOptions{Robust: true, Policy: interval.GapScale}, discard)
+	adm := stream.NewAdmission(slowSink{down: d, delay: consumerDelay}, stream.AdmissionOptions{
 		MaxPending: maxPending,
 		Policy:     stream.ShedDropOldest,
 	})

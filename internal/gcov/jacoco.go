@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/incprof/incprof/internal/interval"
+	"github.com/incprof/incprof/internal/profile"
 )
 
 // The JaCoCo proof of concept (paper §IV footnote 1): JaCoCo's agent
@@ -135,11 +136,17 @@ func ParseJaCoCoXML(r io.Reader) (active map[string]bool, dump int, ts time.Dura
 			}
 		}
 	}
-	var sec float64
+	if rep.Session.Dump < 0 {
+		return nil, 0, 0, fmt.Errorf("gcov: negative session dump %d", rep.Session.Dump)
+	}
 	if rep.Session.TimeS != "" {
-		if _, err := fmt.Sscanf(rep.Session.TimeS, "%f", &sec); err != nil {
+		var sec float64
+		_, err := fmt.Sscanf(rep.Session.TimeS, "%f", &sec)
+		start, ok := profile.FromSeconds(sec)
+		if err != nil || !ok {
 			return nil, 0, 0, fmt.Errorf("gcov: bad session start %q", rep.Session.TimeS)
 		}
+		ts = start
 	}
-	return active, rep.Session.Dump, time.Duration(sec * float64(time.Second)), nil
+	return active, rep.Session.Dump, ts, nil
 }

@@ -90,3 +90,19 @@ func TestParseJaCoCoXMLRejectsGarbage(t *testing.T) {
 		t.Fatal("parsed garbage")
 	}
 }
+
+// A corrupt session header is an error, not a negative Seq or a wrapped
+// Timestamp: a negative dump, and a start that is negative, not a number,
+// or past the Duration range.
+func TestDecodeJaCoCoRejectsCorruptHeaders(t *testing.T) {
+	for _, session := range []string{
+		`<sessioninfo id="x" start="-5" dump="-3"/>`,
+		`<sessioninfo id="x" start="NaN" dump="1"/>`,
+		`<sessioninfo id="x" start="1e300" dump="1"/>`,
+	} {
+		doc := `<report name="x">` + session + `<package name="x"><class><method name="f"><counter type="METHOD" missed="0" covered="1"/></method></class></package></report>`
+		if s, err := DecodeJaCoCo(strings.NewReader(doc)); err == nil {
+			t.Errorf("%s decoded to seq %d, timestamp %v; want an error", session, s.Seq, s.Timestamp)
+		}
+	}
+}

@@ -30,7 +30,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/incprof/incprof/internal/profile"
 )
@@ -59,17 +58,6 @@ func init() {
 
 // flatHeader opens every flat profile.
 const flatHeader = "Flat profile:"
-
-// duration converts a count of seconds read from text to a Duration,
-// reporting false unless it is finite, non-negative and in range: the rule
-// profile.Decode applies to the canonical encoding's time fields.
-func duration(sec float64) (time.Duration, bool) {
-	ns := sec * float64(time.Second)
-	if !(ns >= 0 && ns < 1<<63) {
-		return 0, false
-	}
-	return time.Duration(ns), true
-}
 
 // FlatProfile renders the sample as a gprof-style flat profile. Functions
 // with zero samples and zero calls are omitted, as gprof omits functions
@@ -148,7 +136,7 @@ func ParseFlatProfile(r io.Reader) (*profile.Sample, error) {
 				}
 				if v, ok := strings.CutPrefix(f, "t="); ok {
 					sec, err := strconv.ParseFloat(v, 64)
-					ts, ok := duration(sec)
+					ts, ok := profile.FromSeconds(sec)
 					if err != nil || !ok {
 						return nil, fmt.Errorf("gmon: bad timestamp %q", v)
 					}
@@ -160,7 +148,7 @@ func ParseFlatProfile(r io.Reader) (*profile.Sample, error) {
 			rest := strings.TrimPrefix(line, "Each sample counts as ")
 			rest = strings.TrimSuffix(rest, " seconds.")
 			sec, err := strconv.ParseFloat(rest, 64)
-			period, ok := duration(sec)
+			period, ok := profile.FromSeconds(sec)
 			if err != nil || !ok {
 				return nil, fmt.Errorf("gmon: bad sample period in %q", line)
 			}
@@ -175,7 +163,7 @@ func ParseFlatProfile(r io.Reader) (*profile.Sample, error) {
 				return nil, fmt.Errorf("gmon: malformed profile row %q", line)
 			}
 			self, err := strconv.ParseFloat(fields[2], 64)
-			selfTime, ok := duration(self)
+			selfTime, ok := profile.FromSeconds(self)
 			if err != nil || !ok {
 				return nil, fmt.Errorf("gmon: bad self seconds in %q", line)
 			}

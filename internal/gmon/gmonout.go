@@ -348,7 +348,7 @@ func parseSymbols(data []byte) ([]string, time.Duration, error) {
 	for _, f := range strings.Fields(fields) {
 		if v, ok := strings.CutPrefix(f, "t="); ok {
 			sec, err := strconv.ParseFloat(v, 64)
-			d, ok := duration(sec)
+			d, ok := profile.FromSeconds(sec)
 			if err != nil || !ok {
 				return nil, 0, fmt.Errorf("gmon: bad sidecar timestamp %q", v)
 			}

@@ -44,15 +44,6 @@ type Profile struct {
 // the paper's definition of "active" for rank computation.
 func (p *Profile) Active(fn string) bool { return p.Self[fn] > 0 }
 
-// TotalSelf returns the summed sampled self time across all functions.
-func (p *Profile) TotalSelf() time.Duration {
-	var t time.Duration
-	for _, d := range p.Self {
-		t += d
-	}
-	return t
-}
-
 // Difference converts cumulative snapshots into per-interval profiles by
 // subtracting each snapshot from its successor; the first snapshot is its
 // own interval (cumulative from program start). Snapshots must be in
@@ -102,49 +93,45 @@ func DifferenceP(snaps []*profile.Sample, parallelism int) ([]Profile, error) {
 //
 // StrictPair is the single strict-differencing kernel: the batch pool
 // (DifferenceP) and the streaming engine's incremental differencer both call
-// it, so the two paths cannot diverge.
+// it, so the two paths cannot diverge. It builds the profile with the robust
+// kernel's makeProfile.
 func StrictPair(prev, s *profile.Sample) (Profile, error) {
-	if prev != nil {
-		if s.Timestamp < prev.Timestamp {
-			return Profile{}, fmt.Errorf("interval: snapshot %d at %v precedes snapshot %d at %v",
-				s.Seq, s.Timestamp, prev.Seq, prev.Timestamp)
-		}
-		if s.SamplePeriod != prev.SamplePeriod {
-			return Profile{}, fmt.Errorf("interval: sample period changed between snapshots %d and %d", prev.Seq, s.Seq)
-		}
+	if prev == nil {
+		return makeProfile(s, nil, 0, s.Timestamp), nil
 	}
-	p := Profile{
-		End:       s.Timestamp,
-		Self:      make(map[string]time.Duration),
-		ExactSelf: make(map[string]time.Duration),
-		Calls:     make(map[string]int64),
+	if s.Timestamp < prev.Timestamp {
+		return Profile{}, fmt.Errorf("interval: snapshot %d at %v precedes snapshot %d at %v",
+			s.Seq, s.Timestamp, prev.Seq, prev.Timestamp)
 	}
-	if prev != nil {
-		p.Start = prev.Timestamp
+	if s.SamplePeriod != prev.SamplePeriod {
+		return Profile{}, fmt.Errorf("interval: sample period changed between snapshots %d and %d", prev.Seq, s.Seq)
 	}
+	if fn, ok := regressed(prev, s); ok {
+		return Profile{}, fmt.Errorf("interval: cumulative counter for %q regressed between snapshots %d and %d",
+			fn, prev.Seq, s.Seq)
+	}
+	return makeProfile(s, prev, prev.Timestamp, s.Timestamp), nil
+}
+
+// regressed reports the first function of s whose cumulative samples, self
+// time, or calls fell below its record in prev: the strict kernel's error
+// and the robust kernel's resync trigger. Both Funcs lists are sorted by
+// name, so one merge walk pairs the records.
+func regressed(prev, s *profile.Sample) (string, bool) {
+	j := 0
 	for _, rec := range s.Funcs {
+		for j < len(prev.Funcs) && prev.Funcs[j].Name < rec.Name {
+			j++
+		}
 		var prevRec profile.FuncRecord
-		if prev != nil {
-			prevRec, _ = prev.Func(rec.Name)
+		if j < len(prev.Funcs) && prev.Funcs[j].Name == rec.Name {
+			prevRec = prev.Funcs[j]
 		}
-		dSamples := rec.Samples - prevRec.Samples
-		dExact := rec.SelfTime - prevRec.SelfTime
-		dCalls := rec.Calls - prevRec.Calls
-		if dSamples < 0 || dExact < 0 || dCalls < 0 {
-			return Profile{}, fmt.Errorf("interval: cumulative counter for %q regressed between snapshots %d and %d",
-				rec.Name, prev.Seq, s.Seq)
-		}
-		if dSamples > 0 {
-			p.Self[rec.Name] = time.Duration(dSamples) * s.SamplePeriod
-		}
-		if dExact > 0 {
-			p.ExactSelf[rec.Name] = dExact
-		}
-		if dCalls > 0 {
-			p.Calls[rec.Name] = dCalls
+		if rec.Samples < prevRec.Samples || rec.SelfTime < prevRec.SelfTime || rec.Calls < prevRec.Calls {
+			return rec.Name, true
 		}
 	}
-	return p, nil
+	return "", false
 }
 
 // FeatureKind selects which per-function quantity becomes the clustering

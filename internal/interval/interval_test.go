@@ -93,13 +93,6 @@ func TestDifferenceEmpty(t *testing.T) {
 	}
 }
 
-func TestTotalSelf(t *testing.T) {
-	p := Profile{Self: map[string]time.Duration{"a": time.Second, "b": 2 * time.Second}}
-	if got := p.TotalSelf(); got != 3*time.Second {
-		t.Fatalf("TotalSelf = %v", got)
-	}
-}
-
 func TestFeaturesSampledSelf(t *testing.T) {
 	profs := []Profile{
 		{Index: 0, Self: map[string]time.Duration{"b": time.Second}},

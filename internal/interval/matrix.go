@@ -126,10 +126,6 @@ func (b *MatrixBuilder) id(fn string, qualifies bool) int32 {
 // NumRows returns the number of intervals added so far.
 func (b *MatrixBuilder) NumRows() int { return len(b.rowEnd) }
 
-// NumFuncs returns the number of function dimensions observed so far (before
-// the SelfPlusCalls doubling).
-func (b *MatrixBuilder) NumFuncs() int { return b.ndims }
-
 // columns returns the dimension ids in canonical (name-sorted) order.
 func (b *MatrixBuilder) columns() []int32 {
 	if b.cols == nil {

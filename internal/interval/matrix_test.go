@@ -176,7 +176,7 @@ func TestBuilderRowMatchesMatrixMidGrowth(t *testing.T) {
 	}
 }
 
-// Counters: NumRows/NumFuncs track the stream; the builder's matrix shares
+// Counters: NumRows/Dims track the stream; the builder's matrix shares
 // no storage with it, so a snapshot taken mid-run is immutable under further
 // growth.
 func TestBuilderMatrixSnapshotImmutableUnderGrowth(t *testing.T) {
@@ -187,14 +187,14 @@ func TestBuilderMatrixSnapshotImmutableUnderGrowth(t *testing.T) {
 	}
 	early := b.CSRMatrix()
 	earlyCopy := FeaturesCSR(profiles[:6], FeatureOptions{Exclude: exclude})
-	if b.NumRows() != 6 || b.NumFuncs() != 2 {
-		t.Fatalf("NumRows=%d NumFuncs=%d, want 6 and 2", b.NumRows(), b.NumFuncs())
+	if b.NumRows() != 6 || b.Dims() != 2 {
+		t.Fatalf("NumRows=%d Dims=%d, want 6 and 2", b.NumRows(), b.Dims())
 	}
 	for i := 6; i < 12; i++ {
 		b.Add(&profiles[i])
 	}
-	if b.NumFuncs() != 3 {
-		t.Fatalf("NumFuncs=%d after growth, want 3", b.NumFuncs())
+	if b.Dims() != 3 {
+		t.Fatalf("Dims=%d after growth, want 3", b.Dims())
 	}
 	if !reflect.DeepEqual(early, earlyCopy) {
 		t.Fatal("mid-run matrix snapshot mutated by later growth")

@@ -283,13 +283,7 @@ func robustPair(prev, s *profile.Sample, start, end time.Duration, tsRestart boo
 		kind = GapPeriodChange
 	}
 	if prev != nil && !resync {
-		for _, rec := range s.Funcs {
-			prevRec, _ := prev.Func(rec.Name)
-			if rec.Samples < prevRec.Samples || rec.SelfTime < prevRec.SelfTime || rec.Calls < prevRec.Calls {
-				resync = true
-				break
-			}
-		}
+		_, resync = regressed(prev, s)
 	}
 
 	base := prev
@@ -334,7 +328,8 @@ func robustPair(prev, s *profile.Sample, start, end time.Duration, tsRestart boo
 }
 
 // makeProfile computes one interval profile from a snapshot pair (base may
-// be nil, meaning cumulative-from-zero), mirroring Difference's inner loop.
+// be nil, meaning cumulative-from-zero): the per-function delta loop both
+// differencing kernels share. Deltas that are not positive are left out.
 func makeProfile(s, base *profile.Sample, start, end time.Duration) Profile {
 	p := Profile{
 		Start:     start,
@@ -553,9 +548,6 @@ func RestoreRobustStream(st RobustStreamState) *RobustStream {
 	}
 	return r
 }
-
-// Started reports whether any snapshot has been kept yet.
-func (r *RobustStream) Started() bool { return r.started }
 
 // Err returns the terminal validation error a drained stream would have
 // reported: pushing only nils, duplicates, and late arrivals is the

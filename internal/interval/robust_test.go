@@ -1,6 +1,7 @@
 package interval
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -329,5 +330,73 @@ func TestRobustEmptyAndAllUnusable(t *testing.T) {
 	}
 	if _, err := DifferenceRobust([]*profile.Sample{nil, nil}, RobustOptions{}); err == nil {
 		t.Fatal("expected error for all-nil input")
+	}
+}
+
+func TestEachCounterRegressionFailsStrictAndResyncsRobust(t *testing.T) {
+	// StrictPair and the robust kernel share one regression predicate, so a
+	// fall in any single cumulative counter must be a strict error naming
+	// the function and a robust resync, never one without the other.
+	for _, tc := range []struct {
+		name string
+		fall func(*profile.FuncRecord)
+	}{
+		{"samples", func(r *profile.FuncRecord) { r.Samples-- }},
+		{"self", func(r *profile.FuncRecord) { r.SelfTime-- }},
+		{"calls", func(r *profile.FuncRecord) { r.Calls-- }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prev := snap(0, time.Second,
+				profile.FuncRecord{Name: "a", Samples: 10, SelfTime: 100 * time.Millisecond, Calls: 4},
+				profile.FuncRecord{Name: "b", Samples: 20, SelfTime: 200 * time.Millisecond, Calls: 8},
+			)
+			next := prev.Clone()
+			next.Seq, next.Timestamp = 1, 2*time.Second
+			next.Funcs[0].Samples += 5 // a advances, b regresses
+			tc.fall(&next.Funcs[1])
+
+			_, err := StrictPair(prev, next)
+			if err == nil || !strings.Contains(err.Error(), `"b" regressed`) {
+				t.Fatalf("StrictPair error = %v, want a regression of \"b\"", err)
+			}
+			res, err := DifferenceRobust([]*profile.Sample{prev, next}, RobustOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Gaps) != 1 || res.Gaps[0].Kind != GapRegression || !res.Profiles[1].Repaired {
+				t.Fatalf("gaps = %+v, repaired = %v; want one regression resync", res.Gaps, res.Profiles[1].Repaired)
+			}
+		})
+	}
+}
+
+func TestRegressionCheckPairsRecordsByName(t *testing.T) {
+	// The two name-sorted Funcs lists need not hold the same functions: a
+	// function new in the later dump starts from zero, and one absent from
+	// it is not a regression. Only the function whose own record fell is
+	// reported, whatever its neighbours in either list.
+	prev := snap(0, time.Second,
+		profile.FuncRecord{Name: "b", Samples: 5, Calls: 1},
+		profile.FuncRecord{Name: "d", Samples: 9, Calls: 3},
+		profile.FuncRecord{Name: "f", Samples: 7, Calls: 2},
+	)
+	grown := snap(1, 2*time.Second,
+		profile.FuncRecord{Name: "a", Samples: 1, Calls: 1},
+		profile.FuncRecord{Name: "c", Samples: 2, Calls: 1},
+		profile.FuncRecord{Name: "d", Samples: 9, Calls: 3},
+		profile.FuncRecord{Name: "e", Samples: 4, Calls: 1},
+	)
+	if _, err := StrictPair(prev, grown); err != nil {
+		t.Fatalf("new and vanished functions read as a regression: %v", err)
+	}
+	fell := snap(1, 2*time.Second,
+		profile.FuncRecord{Name: "a", Samples: 1, Calls: 1},
+		profile.FuncRecord{Name: "d", Samples: 9, Calls: 3},
+		profile.FuncRecord{Name: "e", Samples: 4, Calls: 1},
+		profile.FuncRecord{Name: "f", Samples: 6, Calls: 2},
+	)
+	_, err := StrictPair(prev, fell)
+	if err == nil || !strings.Contains(err.Error(), `"f" regressed`) {
+		t.Fatalf("StrictPair error = %v, want a regression of \"f\"", err)
 	}
 }

@@ -39,8 +39,7 @@ type Options struct {
 	// Exclude drops functions from the feature space.
 	Exclude func(name string) bool
 	// OnEvent, when non-nil, receives every assignment event as it is
-	// produced — the tracker's stream-stage output. All ingestion paths
-	// (Observe, ObserveAll, and the Emit stage method) notify it.
+	// produced, from Observe and from ObserveAll alike.
 	OnEvent func(Event)
 }
 
@@ -82,11 +81,10 @@ type Event struct {
 	LowConfidence bool
 }
 
-// Tracker is the streaming phase clusterer, structured as a stream stage: it
-// implements the stream package's Sink[interval.Profile] shape (Emit/Flush)
-// and reports assignments through Options.OnEvent, while the Observe and
-// ObserveAll entry points remain as batch-friendly drivers of the same
-// stage. The feature space grows as new functions appear in the stream.
+// Tracker is the streaming phase clusterer. Observe ingests one interval and
+// returns its assignment, also reporting it through Options.OnEvent; the
+// streaming engine calls it once per interval, and ObserveAll is a loop over
+// it. The feature space grows as new functions appear in the stream.
 type Tracker struct {
 	opts Options
 
@@ -97,10 +95,6 @@ type Tracker struct {
 
 	assignments []int
 	lastPhase   int
-
-	// collect is ObserveAll's transient event capture while it drives the
-	// Emit stage path.
-	collect func(Event)
 }
 
 // New creates a tracker.
@@ -161,26 +155,7 @@ func (t *Tracker) Observe(p interval.Profile) Event {
 	return ev
 }
 
-// Emit implements the stream Sink stage over interval profiles: it ingests
-// one interval and reports the assignment through Options.OnEvent (and
-// ObserveAll's collector when that drives the stage). It never fails; the
-// error return satisfies the stage contract.
-func (t *Tracker) Emit(p interval.Profile) error {
-	ev := t.observe(p)
-	if t.collect != nil {
-		t.collect(ev)
-	}
-	if t.opts.OnEvent != nil {
-		t.opts.OnEvent(ev)
-	}
-	return nil
-}
-
-// Flush implements the stream Sink stage; the tracker holds no buffered
-// state, so it is a no-op.
-func (t *Tracker) Flush() error { return nil }
-
-// observe is the stage core shared by Observe, Emit, and ObserveAll.
+// observe labels one interval, updating the phase model.
 func (t *Tracker) observe(p interval.Profile) Event {
 	v := t.vector(&p)
 	idx := len(t.assignments)
@@ -245,17 +220,13 @@ func record(ev Event) Event {
 	return ev
 }
 
-// ObserveAll ingests a whole run and returns its events. It drives the Emit
-// stage path one profile at a time, so everything a live stream surfaces —
-// including the low-confidence labels repaired intervals carry — flows
-// through identically: the returned events and any Options.OnEvent handler
-// see exactly what per-interval Observe calls would have produced.
+// ObserveAll ingests a whole run and returns its events: one Observe call
+// per profile, so the returned events and any Options.OnEvent handler see
+// exactly what a live stream surfaces, low-confidence labels included.
 func (t *Tracker) ObserveAll(profiles []interval.Profile) []Event {
 	out := make([]Event, 0, len(profiles))
-	t.collect = func(ev Event) { out = append(out, ev) }
-	defer func() { t.collect = nil }()
 	for _, p := range profiles {
-		_ = t.Emit(p)
+		out = append(out, t.Observe(p))
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -167,5 +168,39 @@ func TestZeroThresholdStillDefaults(t *testing.T) {
 	tr := New(Options{})
 	if got := tr.opts.Threshold; got != 0.35 {
 		t.Fatalf("zero-value threshold = %v, want default 0.35", got)
+	}
+}
+
+func TestObserveAllMatchesObserve(t *testing.T) {
+	// ObserveAll is a loop over Observe: the events it returns, and the
+	// ones its OnEvent handler sees, equal those of a tracker fed one
+	// interval at a time, low-confidence labels included.
+	run := []interval.Profile{
+		prof(0, "init", 1.0),
+		prof(1, "init", 0.9, "aux", 0.1),
+		prof(2, "solve", 1.0),
+		prof(3, "solve", 0.8, "init", 0.2),
+		prof(4, "init", 1.0),
+	}
+	run[3].Repaired = true
+
+	var one []Event
+	single := New(Options{OnEvent: func(ev Event) { one = append(one, ev) }})
+	for _, p := range run {
+		single.Observe(p)
+	}
+	var seen []Event
+	all := New(Options{OnEvent: func(ev Event) { seen = append(seen, ev) }})
+	got := all.ObserveAll(run)
+
+	if !reflect.DeepEqual(got, one) || !reflect.DeepEqual(seen, one) {
+		t.Fatalf("ObserveAll events = %+v, handler saw %+v; Observe gave %+v", got, seen, one)
+	}
+	if !one[3].LowConfidence {
+		t.Fatalf("repaired interval event = %+v, want low confidence", one[3])
+	}
+	if !reflect.DeepEqual(all.Assignments(), single.Assignments()) || !reflect.DeepEqual(all.Sizes(), single.Sizes()) {
+		t.Fatalf("models differ: assignments %v vs %v, sizes %v vs %v",
+			all.Assignments(), single.Assignments(), all.Sizes(), single.Sizes())
 	}
 }

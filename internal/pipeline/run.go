@@ -100,7 +100,7 @@ func Run(src Source, opts RunOptions) (*RunResult, error) {
 	var (
 		eng    *stream.Engine
 		runner *checkpoint.Runner
-		inner  stream.Sink[*profile.Sample] // runner when durable, engine otherwise
+		inner  stream.Sink // runner when durable, engine otherwise
 		seen   func(int) bool
 	)
 	if d := opts.Durable; d != nil {
@@ -138,35 +138,25 @@ func Run(src Source, opts RunOptions) (*RunResult, error) {
 
 	var adm *stream.Admission
 	var head incprof.Sink = inner
-	var shedErr error // a durable run's failure to record a shed dump
 	if opts.Admission != nil {
 		aopts := *opts.Admission
 		if runner != nil {
-			// The queue sheds on the producer's goroutine, inside an
-			// Emit, so shedErr needs no lock.
 			onShed := aopts.OnShed
-			aopts.OnShed = func(s *profile.Sample) {
-				if err := runner.RecordShed(s); err != nil && shedErr == nil {
-					shedErr = fmt.Errorf("recording shed dump: %w", err)
+			aopts.OnShed = func(s *profile.Sample) error {
+				if err := runner.RecordShed(s); err != nil {
+					return fmt.Errorf("recording shed dump: %w", err)
 				}
 				if onShed != nil {
-					onShed(s)
+					return onShed(s)
 				}
+				return nil
 			}
 		}
 		adm = stream.NewAdmission(inner, aopts)
-		head = stream.SinkFunc[*profile.Sample]{OnEmit: func(s *profile.Sample) error {
-			if shedErr != nil {
-				return shedErr
-			}
-			return adm.Emit(s)
-		}}
+		head = adm
 	}
 
 	fed, err := src(head, seen)
-	if err == nil {
-		err = shedErr
-	}
 	if errors.Is(err, stream.ErrStalled) || (adm != nil && adm.Halted()) {
 		return nil, stream.ErrStalled
 	}

@@ -133,8 +133,9 @@ func TestRunRecordsShedDumps(t *testing.T) {
 	_, err = Run(fresh, RunOptions{
 		Engine:  eopts,
 		Durable: durable,
-		Admission: &stream.AdmissionOptions{MaxPending: 1, Policy: stream.ShedDropOldest, OnShed: func(s *profile.Sample) {
+		Admission: &stream.AdmissionOptions{MaxPending: 1, Policy: stream.ShedDropOldest, OnShed: func(s *profile.Sample) error {
 			hooked = append(hooked, s.Seq)
+			return nil
 		}},
 		OnDrained: func(_ incprof.TailResult, shed int) { drained = shed },
 	})

@@ -69,6 +69,18 @@ type Sample struct {
 // the file name.
 const SeqUnassigned = -1
 
+// FromSeconds converts a count of seconds read from text to a Duration,
+// reporting false unless it is finite, non-negative and in range: the rule
+// Decode applies to the canonical encoding's time fields, shared by every
+// text frontend.
+func FromSeconds(sec float64) (time.Duration, bool) {
+	ns := sec * float64(time.Second)
+	if !(ns >= 0 && ns < 1<<63) {
+		return 0, false
+	}
+	return time.Duration(ns), true
+}
+
 // Normalize sorts the function records by name and arcs by (caller, callee)
 // so that samples compare and encode deterministically.
 func (s *Sample) Normalize() {

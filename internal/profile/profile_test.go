@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -217,5 +218,29 @@ func BenchmarkDecode(b *testing.B) {
 		if _, err := Decode(bytes.NewReader(raw)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestFromSeconds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sec  float64
+		want time.Duration
+		ok   bool
+	}{
+		{"zero", 0, 0, true},
+		{"fraction", 1.5, 1500 * time.Millisecond, true},
+		{"near-max", 9e9, 9e18, true},
+		{"negative", -5, 0, false},
+		{"nan", math.NaN(), 0, false},
+		{"inf", math.Inf(1), 0, false},
+		{"out-of-range", 1e300, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, ok := FromSeconds(tc.sec)
+			if got != tc.want || ok != tc.ok {
+				t.Fatalf("FromSeconds(%v) = %v, %v; want %v, %v", tc.sec, got, ok, tc.want, tc.ok)
+			}
+		})
 	}
 }

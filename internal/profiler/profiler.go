@@ -121,9 +121,6 @@ func (p *Profiler) Advance(fn exec.FuncID, d time.Duration, _ vclock.Time) {
 	p.selfTime[fn] += d
 }
 
-// IdleSamples reports profiling-clock ticks that found no function running.
-func (p *Profiler) IdleSamples() int64 { return p.idleSamples }
-
 // TotalSamples reports all profiling-clock ticks so far (busy + idle) — the
 // number of SIGPROF-equivalent interrupts the overhead model charges for.
 func (p *Profiler) TotalSamples() int64 {

@@ -88,15 +88,6 @@ func TestShortFunctionsEscapeSampling(t *testing.T) {
 	}
 }
 
-func TestIdleSamples(t *testing.T) {
-	rt := exec.New(nil)
-	p := New(rt, 10*time.Millisecond)
-	rt.Clock().Advance(100 * time.Millisecond) // nothing running
-	if got := p.IdleSamples(); got != 10 {
-		t.Fatalf("IdleSamples = %d, want 10", got)
-	}
-}
-
 func TestArcs(t *testing.T) {
 	rt := exec.New(nil)
 	p := New(rt, 0)
@@ -234,8 +225,7 @@ func TestPropertySampleConservation(t *testing.T) {
 		})
 		elapsed := rt.Now().Duration()
 		wantTicks := int64(elapsed / period)
-		total := p.Samples(fa) + p.Samples(fb) + p.IdleSamples()
-		return total == wantTicks
+		return p.TotalSamples() == wantTicks
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -320,8 +310,9 @@ func TestAccessorsAndTotals(t *testing.T) {
 	if got := p.TotalSamples(); got != 20 {
 		t.Fatalf("TotalSamples = %d, want 20", got)
 	}
-	if got := p.Samples(f) + p.Samples(g) + p.IdleSamples(); got != 20 {
-		t.Fatalf("partition = %d", got)
+	// The 300ms of work took 15 of them; the rest were idle.
+	if got := p.Samples(f) + p.Samples(g); got != 15 {
+		t.Fatalf("busy ticks = %d, want 15", got)
 	}
 	// Out-of-range accessors are zero, not panics.
 	if p.Calls(exec.FuncID(99)) != 0 || p.Samples(exec.FuncID(99)) != 0 || p.SelfTime(exec.FuncID(99)) != 0 {

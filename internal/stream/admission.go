@@ -1,6 +1,6 @@
-// admission.go is the overload-control stage of the live path: a bounded
+// admission.go is the overload control of the live path: a bounded
 // queue between a snapshot source (the directory tailer, a collector) and
-// the analysis engine. Without it, a source faster than the analysis stage
+// the analysis engine. Without it, a source faster than the analysis
 // grows an unbounded backlog; with it, the operator chooses the failure
 // mode explicitly:
 //
@@ -14,7 +14,7 @@
 //     downstream engine; a strict engine fails on the first gap.
 //
 // A stall watchdog bounds the other hazard of a live pipeline: an engine
-// stage that stops returning (a wedged filesystem, a pathological refresh)
+// that stops returning (a wedged filesystem, a pathological refresh)
 // would otherwise hang the source forever. When the in-flight Emit exceeds
 // the stall budget the admission halts — producers get ErrStalled
 // immediately instead of blocking — so the caller can save durable state
@@ -71,18 +71,20 @@ type AdmissionOptions struct {
 	// the watchdog.
 	Stall time.Duration
 	// OnShed, when non-nil, receives every snapshot discarded by
-	// ShedDropOldest, in shed order. It is called without internal locks
-	// held and must not call back into the Admission.
-	OnShed func(*profile.Sample)
+	// ShedDropOldest, in shed order, on the producer's goroutine inside
+	// its Emit. It is called without internal locks held and must not call
+	// back into the Admission. An error it returns fails the stream: that
+	// Emit returns it, and so do every later Emit and Flush.
+	OnShed func(*profile.Sample) error
 }
 
-// Admission is the bounded queue stage. The producer side (Emit/Flush) may
-// be used from one goroutine; a dedicated consumer goroutine drains the
-// queue into the downstream sink serially, preserving arrival order of the
+// Admission is the bounded queue. The producer side (Emit/Flush) may be
+// used from one goroutine; a dedicated consumer goroutine drains the queue
+// into the downstream sink serially, preserving arrival order of the
 // admitted snapshots.
 type Admission struct {
 	opts AdmissionOptions
-	down Sink[*profile.Sample]
+	down Sink
 
 	mu      sync.Mutex
 	notFull *sync.Cond
@@ -103,7 +105,7 @@ type Admission struct {
 
 // NewAdmission starts the consumer (and, when configured, the watchdog) and
 // returns the producer-facing sink.
-func NewAdmission(down Sink[*profile.Sample], opts AdmissionOptions) *Admission {
+func NewAdmission(down Sink, opts AdmissionOptions) *Admission {
 	if opts.MaxPending <= 0 {
 		opts.MaxPending = 64
 	}
@@ -124,8 +126,9 @@ func NewAdmission(down Sink[*profile.Sample], opts AdmissionOptions) *Admission 
 }
 
 // Emit admits one snapshot, applying the shed policy when the queue is
-// full. It returns ErrStalled after a watchdog halt and the downstream
-// error once the consumer has hit one.
+// full. It returns ErrStalled after a watchdog halt, the downstream error
+// once the consumer has hit one, and the OnShed error once a shed record
+// has failed.
 func (a *Admission) Emit(s *profile.Sample) error {
 	var shed *profile.Sample
 	a.mu.Lock()
@@ -160,9 +163,24 @@ func (a *Admission) Emit(s *profile.Sample) error {
 	a.hasWork.Signal()
 	a.mu.Unlock()
 	if shed != nil && a.opts.OnShed != nil {
-		a.opts.OnShed(shed)
+		if err := a.opts.OnShed(shed); err != nil {
+			a.fail(err)
+			return err
+		}
 	}
 	return nil
+}
+
+// fail records err as the stream's terminal error, unless one is already
+// set, and wakes the consumer so it stops.
+func (a *Admission) fail(err error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.err == nil {
+		a.err = err
+	}
+	a.hasWork.Broadcast()
+	a.notFull.Broadcast()
 }
 
 // Flush marks end of stream, waits for the queue to drain and the
@@ -243,10 +261,10 @@ func (a *Admission) consume() {
 
 		a.mu.Lock()
 		a.busyAt = time.Time{}
-		if err != nil {
-			a.err = err
-		} else {
+		if err == nil {
 			a.admitted++
+		} else if a.err == nil { // a failed shed record may have come first
+			a.err = err
 		}
 		a.notFull.Signal()
 		a.mu.Unlock()

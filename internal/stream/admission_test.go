@@ -92,10 +92,11 @@ func TestAdmissionDropOldestConservesAndStaysOrdered(t *testing.T) {
 	adm := stream.NewAdmission(sink, stream.AdmissionOptions{
 		MaxPending: 8,
 		Policy:     stream.ShedDropOldest,
-		OnShed: func(s *profile.Sample) {
+		OnShed: func(s *profile.Sample) error {
 			shedMu.Lock()
 			shed = append(shed, s.Seq)
 			shedMu.Unlock()
+			return nil
 		},
 	})
 	const n = 500
@@ -199,5 +200,37 @@ func TestAdmissionEmitAfterFlushErrors(t *testing.T) {
 	}
 	if err := adm.Emit(admSnap(1)); err == nil {
 		t.Fatal("Emit after Flush did not error")
+	}
+}
+
+// A failed shed record fails the stream: the producer's Emit that shed gets
+// the OnShed error, and so do every later Emit and Flush; the downstream
+// sink is never flushed, so nothing reports the stream complete.
+func TestAdmissionShedErrorReachesProducer(t *testing.T) {
+	errRecord := errors.New("record failed")
+	sink := &recordingSink{block: make(chan struct{})}
+	adm := stream.NewAdmission(sink, stream.AdmissionOptions{
+		MaxPending: 1,
+		Policy:     stream.ShedDropOldest,
+		OnShed:     func(*profile.Sample) error { return errRecord },
+	})
+	// The consumer wedges on its first dump, so with one slot the third
+	// Emit at the latest finds the queue full and sheds.
+	var err error
+	for i := 0; i < 3 && err == nil; i++ {
+		err = adm.Emit(admSnap(i))
+	}
+	if !errors.Is(err, errRecord) {
+		t.Fatalf("shedding Emit returned %v, want the OnShed error", err)
+	}
+	close(sink.block)
+	if err := adm.Emit(admSnap(3)); !errors.Is(err, errRecord) {
+		t.Fatalf("Emit after a failed shed returned %v, want the OnShed error", err)
+	}
+	if err := adm.Flush(); !errors.Is(err, errRecord) {
+		t.Fatalf("Flush after a failed shed returned %v, want the OnShed error", err)
+	}
+	if _, flushed := sink.snapshot(); flushed {
+		t.Fatal("downstream flushed after a failed shed")
 	}
 }

@@ -1,4 +1,4 @@
-// differencer.go is the ingest stage of the streaming engine: cumulative
+// differencer.go is the ingest step of the streaming engine: cumulative
 // profile samples in, per-interval profiles out, retaining only the previous
 // kept snapshot (plus an optional bounded reorder window) instead of the
 // whole dump list — O(1) memory in the run length where the batch
@@ -37,11 +37,12 @@ type DifferencerOptions struct {
 	OnGap func(interval.Gap)
 }
 
-// Differencer is the snapshot→profile stage. It is not safe for concurrent
-// use; a stream is a single logical sequence.
+// Differencer turns cumulative snapshots into interval profiles, handing
+// each completed profile to the function it was built with. It is not safe
+// for concurrent use; a stream is a single logical sequence.
 type Differencer struct {
 	opts DifferencerOptions
-	down Sink[interval.Profile]
+	emit func(interval.Profile) error
 
 	// Strict-mode state: the previous snapshot and the count of profiles
 	// emitted (their Index values).
@@ -64,10 +65,11 @@ type Differencer struct {
 	lateDrops int
 }
 
-// NewDifferencer returns a differencer stage; bind its downstream profile
-// sink with Start before the first Emit.
-func NewDifferencer(opts DifferencerOptions) *Differencer {
-	d := &Differencer{opts: opts, released: -1}
+// NewDifferencer returns a differencer that calls emit with every profile
+// it completes, in stream order; an error from emit fails the Emit (or
+// Flush) that completed the profile.
+func NewDifferencer(opts DifferencerOptions, emit func(interval.Profile) error) *Differencer {
+	d := &Differencer{opts: opts, emit: emit, released: -1}
 	if opts.Reorder > 0 {
 		d.depth = obs.G("stream.differencer.reorder.depth")
 	}
@@ -77,11 +79,8 @@ func NewDifferencer(opts DifferencerOptions) *Differencer {
 	return d
 }
 
-// Start implements Stage.
-func (d *Differencer) Start(down Sink[interval.Profile]) { d.down = down }
-
-// Emit ingests the next cumulative snapshot, forwarding every profile it
-// completes downstream. In robust mode one snapshot may complete several
+// Emit ingests the next cumulative snapshot, handing every profile it
+// completes to emit. In robust mode one snapshot may complete several
 // profiles (a split gap repair) or none (a duplicate); in strict mode any
 // discontinuity is an error, matching interval.Difference.
 func (d *Differencer) Emit(s *profile.Sample) error {
@@ -130,7 +129,7 @@ func (d *Differencer) ingest(s *profile.Sample) error {
 				obs.C("interval.repaired." + d.opts.Policy.String()).Inc()
 			}
 			obs.C("interval.profiles").Inc()
-			if err := d.down.Emit(profiles[i]); err != nil {
+			if err := d.emit(profiles[i]); err != nil {
 				return err
 			}
 		}
@@ -156,12 +155,12 @@ func (d *Differencer) ingest(s *profile.Sample) error {
 	d.n++
 	d.prev = s
 	obs.C("interval.profiles").Inc()
-	return d.down.Emit(p)
+	return d.emit(p)
 }
 
 // Flush drains the reorder window in Seq order through the kernel, then
 // reports the robust stream's terminal validation error (all pushed
-// snapshots unusable), then flushes downstream.
+// snapshots unusable).
 func (d *Differencer) Flush() error {
 	for d.window.Len() > 0 {
 		if err := d.ingest(heap.Pop(&d.window).(*profile.Sample)); err != nil {
@@ -169,11 +168,9 @@ func (d *Differencer) Flush() error {
 		}
 	}
 	if d.rs != nil {
-		if err := d.rs.Err(); err != nil {
-			return err
-		}
+		return d.rs.Err()
 	}
-	return d.down.Flush()
+	return nil
 }
 
 // Profiles returns the number of profiles emitted so far.

@@ -29,20 +29,22 @@ func snap(seq int, ts time.Duration, period time.Duration, funcs map[string][2]i
 	return s
 }
 
-// runDifferencer feeds snaps through a Differencer stage and returns the
-// collected profiles.
+// runDifferencer feeds snaps through a Differencer and returns the profiles
+// it emitted.
 func runDifferencer(t *testing.T, opts stream.DifferencerOptions, snaps []*profile.Sample) ([]interval.Profile, []interval.Gap, error) {
 	t.Helper()
-	d := stream.NewDifferencer(opts)
-	var got collector[interval.Profile]
-	head := stream.Pipe[*profile.Sample, interval.Profile](d, &got)
+	var got []interval.Profile
+	d := stream.NewDifferencer(opts, func(p interval.Profile) error {
+		got = append(got, p)
+		return nil
+	})
 	for _, s := range snaps {
-		if err := head.Emit(s); err != nil {
-			return got.items, d.Gaps(), err
+		if err := d.Emit(s); err != nil {
+			return got, d.Gaps(), err
 		}
 	}
-	err := head.Flush()
-	return got.items, d.Gaps(), err
+	err := d.Flush()
+	return got, d.Gaps(), err
 }
 
 func cleanSnaps() []*profile.Sample {

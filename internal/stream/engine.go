@@ -1,5 +1,5 @@
-// engine.go assembles the stages into the incremental analysis engine. One
-// engine serves both execution modes:
+// engine.go is the incremental analysis engine. One engine serves both
+// execution modes:
 //
 //   - Batch: feed every snapshot, Flush once, read Result. The terminal
 //     refresh runs the identical phase.DetectMatrix call the batch
@@ -13,6 +13,7 @@ package stream
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/incprof/incprof/internal/interval"
 	"github.com/incprof/incprof/internal/obs"
@@ -42,10 +43,9 @@ type Options struct {
 	// at most 384 sampled rows and labeling all of them. 0 (the batch
 	// setting) defers all clustering to Flush.
 	RefreshEvery int
-	// Online tunes the live label tracker; the tracker exists only when
-	// OnLabel is set. Its Exclude defaults to Phase.Features.Exclude.
-	Online online.Options
-	// OnLabel receives a live phase label per interval as it arrives.
+	// OnLabel receives a live phase label per interval as it arrives. The
+	// live label tracker exists only when it is set; the tracker takes its
+	// defaults, excluding the functions Phase.Features.Exclude drops.
 	OnLabel func(online.Event)
 	// OnGap receives each repaired stream discontinuity as it happens.
 	OnGap func(interval.Gap)
@@ -71,15 +71,21 @@ type Refresh struct {
 	Detection *phase.Detection
 }
 
-// Engine is the streaming analysis pipeline. It implements the
-// Sink[*profile.Sample] shape, so a collector (or any snapshot source) can
-// feed it directly. It is not safe for concurrent use.
+// Engine is the streaming analysis pipeline. It is a Sink, so a collector
+// (or any snapshot source) can feed it directly. It is not safe for
+// concurrent use.
 type Engine struct {
 	opts  Options
 	popts phase.Options // Phase with defaults resolved
 
-	head Sink[*profile.Sample]
 	diff *Differencer
+
+	// Item counters and latency histograms per Emit (stream.snapshots.*)
+	// and per consumed profile (stream.intervals.*). Counts are
+	// deterministic for a fixed input; latencies are wall-clock, surface
+	// only in timing-enabled exports, and are nil (untimed) otherwise.
+	snapItems, intervalItems *obs.Counter
+	snapLat, intervalLat     *obs.Histogram
 
 	builder  *interval.MatrixBuilder
 	profiles []interval.Profile
@@ -93,8 +99,9 @@ type Engine struct {
 	flushed      bool
 }
 
-// New builds an engine. The differencer, feature builder, and tracker are
-// wired as a stage graph behind the returned engine's Emit.
+// New builds an engine: Emit calls the differencer, which hands every
+// completed profile to the feature builder, the tracker and the refresh
+// cadence.
 func New(opts Options) *Engine {
 	e := &Engine{
 		opts:    opts,
@@ -104,42 +111,52 @@ func New(opts Options) *Engine {
 	}
 	e.span.SetBool("robust", opts.Robust).SetInt("refresh_every", int64(opts.RefreshEvery))
 	if opts.OnLabel != nil {
-		oopts := opts.Online
-		if oopts.Exclude == nil {
-			oopts.Exclude = opts.Phase.Features.Exclude
-		}
-		oopts.OnEvent = opts.OnLabel
-		e.tracker = online.New(oopts)
+		e.tracker = online.New(online.Options{Exclude: opts.Phase.Features.Exclude, OnEvent: opts.OnLabel})
 	}
 	e.diff = NewDifferencer(DifferencerOptions{
 		Robust:  opts.Robust,
 		Policy:  opts.Gap,
 		Reorder: opts.Reorder,
 		OnGap:   opts.OnGap,
-	})
-	e.head = Instrument("snapshots", Pipe[*profile.Sample, interval.Profile](
-		e.diff,
-		Instrument("intervals", SinkFunc[interval.Profile]{OnEmit: e.consume}),
-	))
+	}, e.consume)
+	e.intervalItems, e.intervalLat = obs.C("stream.intervals.items"), obs.H("stream.intervals.latency")
+	e.snapItems, e.snapLat = obs.C("stream.snapshots.items"), obs.H("stream.snapshots.latency")
 	return e
 }
 
 // Emit ingests the next cumulative snapshot.
 func (e *Engine) Emit(s *profile.Sample) error {
 	e.snaps++
-	return e.head.Emit(s)
+	e.snapItems.Inc()
+	if e.snapLat == nil {
+		return e.diff.Emit(s)
+	}
+	start := time.Now()
+	err := e.diff.Emit(s)
+	e.snapLat.Observe(time.Since(start))
+	return err
 }
 
-// consume is the terminal stage: every completed interval profile lands
-// here, updating the matrix and the live tracker, and triggering periodic
-// refreshes.
+// consume receives every completed interval profile from the differencer,
+// timing the step when latencies are recorded.
 func (e *Engine) consume(p interval.Profile) error {
+	e.intervalItems.Inc()
+	if e.intervalLat == nil {
+		return e.step(p)
+	}
+	start := time.Now()
+	err := e.step(p)
+	e.intervalLat.Observe(time.Since(start))
+	return err
+}
+
+// step updates the matrix and the live tracker with one interval profile
+// and triggers the periodic refresh.
+func (e *Engine) step(p interval.Profile) error {
 	e.profiles = append(e.profiles, p)
 	e.builder.Add(&p)
 	if e.tracker != nil {
-		if err := e.tracker.Emit(p); err != nil {
-			return err
-		}
+		e.tracker.Observe(p)
 	}
 	if e.opts.RefreshEvery > 0 {
 		e.sinceRefresh++
@@ -159,19 +176,13 @@ func (e *Engine) Flush() error {
 	}
 	e.flushed = true
 	defer e.span.End()
-	if err := e.head.Flush(); err != nil {
+	if err := e.diff.Flush(); err != nil {
 		return err
 	}
 	if e.opts.Robust && e.snaps == 0 {
 		return fmt.Errorf("interval: no snapshots")
 	}
-	if err := e.refresh(true); err != nil {
-		return err
-	}
-	if e.tracker != nil {
-		return e.tracker.Flush()
-	}
-	return nil
+	return e.refresh(true)
 }
 
 // refresh re-runs detection over everything seen so far: every pass is
@@ -253,12 +264,6 @@ func (e *Engine) refresh(final bool) error {
 // refresh) — the live view of the run's phase structure.
 func (e *Engine) Last() *phase.Detection { return e.last }
 
-// Profiles returns the interval profiles accumulated so far.
-func (e *Engine) Profiles() []interval.Profile { return e.profiles }
-
-// Gaps returns the stream discontinuities repaired so far.
-func (e *Engine) Gaps() []interval.Gap { return e.diff.Gaps() }
-
 // Dims returns the feature-space dimensionality accumulated so far.
 func (e *Engine) Dims() int { return e.builder.Dims() }
 
@@ -292,7 +297,3 @@ func (e *Engine) Finish() (*Result, error) {
 		LateDrops: e.diff.LateDrops(),
 	}, nil
 }
-
-// LateDrops returns the count of dumps discarded at the bounded reorder
-// window so far (see Differencer.LateDrops).
-func (e *Engine) LateDrops() int { return e.diff.LateDrops() }

@@ -41,7 +41,7 @@ type EngineState struct {
 	// them through a fresh MatrixBuilder, so the matrix needs no separate
 	// representation.
 	Profiles []interval.Profile
-	// Differencer is the ingest stage's state, including the pending
+	// Differencer is the differencer's state, including the pending
 	// reorder window.
 	Differencer DifferencerState
 	// Tracker is the live label tracker's state, nil when the engine runs
@@ -49,7 +49,8 @@ type EngineState struct {
 	Tracker *online.TrackerState
 }
 
-// DifferencerState is the serializable state of the snapshot→profile stage.
+// DifferencerState is the serializable state of the snapshot→profile
+// differencer.
 type DifferencerState struct {
 	// N and Prev are the strict kernel's state (profiles emitted, last
 	// snapshot); Robust replaces them in robust mode.
@@ -147,7 +148,7 @@ func (d *Differencer) state() DifferencerState {
 }
 
 // restore loads an exported state into the differencer in place (the engine
-// graph holds a pointer to it, so it must not be replaced).
+// holds a pointer to it, so it must not be replaced).
 func (d *Differencer) restore(st DifferencerState) error {
 	if (d.rs != nil) != (st.Robust != nil) {
 		return fmt.Errorf("stream: differencer mode mismatch")

@@ -198,8 +198,12 @@ func TestLateDropSurfacing(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "reorder") {
 			t.Fatalf("late arrival error = %v, want mention of the reorder window", err)
 		}
-		if eng.LateDrops() != 1 {
-			t.Fatalf("LateDrops = %d, want 1", eng.LateDrops())
+		st, err := eng.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Differencer.LateDrops != 1 {
+			t.Fatalf("LateDrops = %d, want 1", st.Differencer.LateDrops)
 		}
 	})
 

@@ -59,9 +59,6 @@ type Timer struct {
 	stopped bool
 }
 
-// When returns the deadline the timer is scheduled for.
-func (t *Timer) When() Time { return t.when }
-
 // Stop cancels the timer. It reports whether the timer was still pending.
 // Stopping an already-fired or already-stopped timer is a no-op.
 func (t *Timer) Stop() bool {
@@ -116,18 +113,8 @@ func (c *Clock) AfterFunc(d time.Duration, fn func(now Time)) *Timer {
 	return c.AtFunc(c.now.Add(d), fn)
 }
 
-// NextDeadline returns the earliest pending timer deadline. The second
-// result is false when no timers are pending.
-func (c *Clock) NextDeadline() (Time, bool) {
-	c.dropStopped()
-	if len(c.timers) == 0 {
-		return 0, false
-	}
-	return c.timers[0].when, true
-}
-
-// dropStopped removes cancelled timers sitting at the heap root so that
-// NextDeadline reflects a live deadline.
+// dropStopped removes cancelled timers sitting at the heap root so that the
+// root is a live deadline.
 func (c *Clock) dropStopped() {
 	for len(c.timers) > 0 && c.timers[0].stopped {
 		heap.Pop(&c.timers)
@@ -178,31 +165,18 @@ func (c *Clock) Advance(d time.Duration) {
 	}
 }
 
-// AdvanceTo moves the clock forward to t, firing due timers. It is a no-op
-// if t is not after the current time.
-func (c *Clock) AdvanceTo(t Time) {
-	if t <= c.now {
-		return
-	}
-	c.Advance(t.Sub(c.now))
-}
-
-// Step advances the clock by at most d, stopping early at the next pending
-// timer deadline. It fires the timers due at the new time and returns the
-// duration actually advanced. Step is the primitive the execution runtime
-// uses to attribute work to the running function in pieces that respect
-// timer boundaries (profile samples, snapshot dumps).
-func (c *Clock) Step(d time.Duration) time.Duration {
-	return c.StepFunc(d, nil)
-}
-
-// StepFunc is Step with a hook: before is invoked after the clock has moved
-// but before the timers due at the new instant fire. The execution runtime
-// uses it to deliver work-attribution events ahead of same-instant timer
-// callbacks (a snapshot dump at t=1s must observe all work up to 1s).
+// StepFunc advances the clock by at most d, stopping early at the next
+// pending timer deadline. It fires the timers due at the new time and
+// returns the duration actually advanced. It is the primitive the execution
+// runtime uses to attribute work to the running function in pieces that
+// respect timer boundaries (profile samples, snapshot dumps). before, when
+// non-nil, is invoked after the clock has moved but before the timers due
+// at the new instant fire, so work-attribution events land ahead of
+// same-instant timer callbacks (a snapshot dump at t=1s must observe all
+// work up to 1s).
 func (c *Clock) StepFunc(d time.Duration, before func(step time.Duration, now Time)) time.Duration {
 	if d < 0 {
-		panic("vclock: Step with negative duration")
+		panic("vclock: StepFunc with negative duration")
 	}
 	target := c.now.Add(d)
 	if next, ok := c.nextDeadlineAfter(c.now); ok && next < target {
@@ -219,7 +193,7 @@ func (c *Clock) StepFunc(d time.Duration, before func(step time.Duration, now Ti
 
 // nextDeadlineAfter returns the earliest live deadline strictly after t. The
 // heap root is not enough on its own: a timer due at t may still be queued
-// (scheduled for the current instant, or Step running inside a callback
+// (scheduled for the current instant, or StepFunc running inside a callback
 // while Fire is guarded), and the next future deadline then sits deeper in
 // the heap.
 func (c *Clock) nextDeadlineAfter(t Time) (Time, bool) {
@@ -235,17 +209,6 @@ func (c *Clock) nextDeadlineAfter(t Time) (Time, bool) {
 		}
 	}
 	return next, found
-}
-
-// PendingTimers reports the number of live (unstopped, unfired) timers.
-func (c *Clock) PendingTimers() int {
-	n := 0
-	for _, t := range c.timers {
-		if !t.stopped {
-			n++
-		}
-	}
-	return n
 }
 
 // Ticker repeatedly invokes a callback at a fixed virtual period.

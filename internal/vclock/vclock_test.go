@@ -112,14 +112,14 @@ func TestStepStopsAtDeadline(t *testing.T) {
 	c := New()
 	fired := 0
 	c.AfterFunc(1*time.Second, func(Time) { fired++ })
-	step := c.Step(3 * time.Second)
+	step := c.StepFunc(3*time.Second, nil)
 	if step != 1*time.Second {
 		t.Fatalf("Step = %v, want 1s (stop at deadline)", step)
 	}
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1 after stepping onto deadline", fired)
 	}
-	step = c.Step(3 * time.Second)
+	step = c.StepFunc(3*time.Second, nil)
 	if step != 3*time.Second {
 		t.Fatalf("second Step = %v, want full 3s with no timers pending", step)
 	}
@@ -132,24 +132,11 @@ func TestStepFiresDeadlineAtCurrentInstant(t *testing.T) {
 	c := New()
 	fired := 0
 	c.AtFunc(0, func(Time) { fired++ })
-	if got := c.Step(0); got != 0 {
+	if got := c.StepFunc(0, nil); got != 0 {
 		t.Fatalf("Step(0) = %v, want 0", got)
 	}
 	if fired != 1 {
 		t.Fatalf("due-now timer did not fire on Step; fired = %d", fired)
-	}
-}
-
-func TestAdvanceToIsIdempotentBackwards(t *testing.T) {
-	c := New()
-	c.Advance(5 * time.Second)
-	c.AdvanceTo(Time(3 * time.Second)) // in the past: no-op
-	if c.Now() != Time(5*time.Second) {
-		t.Fatalf("AdvanceTo moved time backwards: %v", c.Now())
-	}
-	c.AdvanceTo(Time(8 * time.Second))
-	if c.Now() != Time(8*time.Second) {
-		t.Fatalf("AdvanceTo(8s) -> %v", c.Now())
 	}
 }
 
@@ -196,39 +183,6 @@ func TestNewTickerBadPeriodPanics(t *testing.T) {
 		}
 	}()
 	New().NewTicker(0, func(Time) {})
-}
-
-func TestNextDeadline(t *testing.T) {
-	c := New()
-	if _, ok := c.NextDeadline(); ok {
-		t.Fatal("empty clock reported a deadline")
-	}
-	tm := c.AfterFunc(4*time.Second, func(Time) {})
-	c.AfterFunc(9*time.Second, func(Time) {})
-	if d, ok := c.NextDeadline(); !ok || d != Time(4*time.Second) {
-		t.Fatalf("NextDeadline = %v,%v want 4s,true", d, ok)
-	}
-	tm.Stop()
-	if d, ok := c.NextDeadline(); !ok || d != Time(9*time.Second) {
-		t.Fatalf("NextDeadline after Stop = %v,%v want 9s,true", d, ok)
-	}
-}
-
-func TestPendingTimers(t *testing.T) {
-	c := New()
-	t1 := c.AfterFunc(time.Second, func(Time) {})
-	c.AfterFunc(2*time.Second, func(Time) {})
-	if got := c.PendingTimers(); got != 2 {
-		t.Fatalf("PendingTimers = %d, want 2", got)
-	}
-	t1.Stop()
-	if got := c.PendingTimers(); got != 1 {
-		t.Fatalf("PendingTimers after stop = %d, want 1", got)
-	}
-	c.Advance(5 * time.Second)
-	if got := c.PendingTimers(); got != 0 {
-		t.Fatalf("PendingTimers after advance = %d, want 0", got)
-	}
 }
 
 func TestTimeHelpers(t *testing.T) {
@@ -314,7 +268,7 @@ func TestStepInsideCallbackStopsAtNextDeadline(t *testing.T) {
 	c := New()
 	c.AtFunc(10*Time(time.Millisecond), func(Time) {})
 	var got time.Duration
-	c.AtFunc(0, func(Time) { got = c.Step(50 * time.Millisecond) })
+	c.AtFunc(0, func(Time) { got = c.StepFunc(50*time.Millisecond, nil) })
 	// Due at the same instant but queued behind the callback, so it is
 	// still the heap root while the callback steps.
 	c.AtFunc(0, func(Time) {})
@@ -340,7 +294,7 @@ func stepRespectsDeadlines(seed int64) bool {
 	for i := 0; i < 200; i++ {
 		before := c.Now()
 		budget := time.Duration(rng.Intn(700)) * time.Millisecond
-		got := c.Step(budget)
+		got := c.StepFunc(budget, nil)
 		if got > budget || got < 0 {
 			return false
 		}

@@ -45,15 +45,6 @@ func (m *CSR) NumRows() int {
 // NNZ returns the number of stored (non-zero) cells.
 func (m *CSR) NNZ() int { return len(m.Vals) }
 
-// Density returns the stored-cell fraction, 0 for an empty matrix.
-func (m *CSR) Density() float64 {
-	cells := m.NumRows() * m.NumCols
-	if cells == 0 {
-		return 0
-	}
-	return float64(len(m.Vals)) / float64(cells)
-}
-
 // Row returns row i's packed values and column indices as views into the
 // backing arrays. Callers must not mutate them.
 func (m *CSR) Row(i int) ([]float64, []int32) {

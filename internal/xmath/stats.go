@@ -59,31 +59,6 @@ func (w *Welford) Max() float64 { return w.max }
 // Sum returns mean*n, the total of the samples.
 func (w *Welford) Sum() float64 { return w.mean * float64(w.n) }
 
-// Merge folds another accumulator into w (parallel-combine form), used to
-// aggregate per-rank statistics.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	mean := w.mean + d*float64(o.n)/float64(n)
-	m2 := w.m2 + o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	min := w.min
-	if o.min < min {
-		min = o.min
-	}
-	max := w.max
-	if o.max > max {
-		max = o.max
-	}
-	*w = Welford{n: n, mean: mean, m2: m2, min: min, max: max}
-}
-
 // Percentile returns the p-quantile (0 <= p <= 1) of xs using linear
 // interpolation between order statistics. It panics on an empty slice and
 // does not modify xs.
@@ -188,36 +163,6 @@ func SquaredEuclideanPadded(a, b []float64) float64 {
 	return s
 }
 
-// ArgMin returns the index of the smallest element, or -1 for empty input.
-// Ties resolve to the first occurrence.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMax returns the index of the largest element, or -1 for empty input.
-// Ties resolve to the first occurrence.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // Sum returns the total of xs.
 func Sum(xs []float64) float64 {
 	var s float64
@@ -233,15 +178,4 @@ func Mean(xs []float64) float64 {
 		return 0
 	}
 	return Sum(xs) / float64(len(xs))
-}
-
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }
