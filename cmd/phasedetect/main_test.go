@@ -27,7 +27,10 @@ func runCapture(args ...string) (int, string, string) {
 // corpus is a small three-phase run: 36 cumulative one-second dumps over a
 // solver, a halo exchange, an I/O phase and an MPI call the default feature
 // space excludes. Phases rotate every six intervals.
-func corpus() []*profile.Sample {
+func corpus() []*profile.Sample { return corpusOf(36) }
+
+// corpusOf is corpus run for n dumps.
+func corpusOf(n int) []*profile.Sample {
 	type rate struct {
 		fn             string
 		samples, calls int64
@@ -39,7 +42,7 @@ func corpus() []*profile.Sample {
 	}
 	cum := map[string]*profile.FuncRecord{}
 	var out []*profile.Sample
-	for seq := 0; seq < 36; seq++ {
+	for seq := 0; seq < n; seq++ {
 		for j, r := range phases[seq/6%3] {
 			f := cum[r.fn]
 			if f == nil {

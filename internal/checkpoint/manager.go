@@ -24,8 +24,8 @@ const keepGenerations = 2
 
 // ManagerOptions configures Open.
 type ManagerOptions struct {
-	// NoSync disables per-record WAL fsync and snapshot fsync — for tests
-	// and benchmarks only; crash safety requires sync.
+	// NoSync disables WAL and snapshot fsync — for tests and benchmarks
+	// only; crash safety requires sync.
 	NoSync bool
 }
 
@@ -245,18 +245,17 @@ func (m *Manager) ensureWAL() error {
 	return err
 }
 
-// Append logs one accepted dump. Call it before handing the dump to the
-// engine — write-ahead, so a crash between the two replays the dump.
-func (m *Manager) Append(s *profile.Sample) error {
+// Append logs accepted dumps, in order, under one fsync. Call it before
+// handing them to the engine — write-ahead, so a crash between the two
+// replays them.
+func (m *Manager) Append(snaps ...*profile.Sample) error {
 	if err := m.ensureWAL(); err != nil {
 		return err
 	}
-	start := time.Now()
-	if err := m.wal.AppendSnapshot(s); err != nil {
+	if err := m.wal.AppendSnapshot(snaps...); err != nil {
 		return err
 	}
-	obs.C("ckpt.wal.records").Inc()
-	obs.H("ckpt.wal.fsync.latency").Observe(time.Since(start))
+	obs.C("ckpt.wal.records").Add(int64(len(snaps)))
 	return nil
 }
 

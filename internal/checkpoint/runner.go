@@ -10,8 +10,8 @@ import (
 	"sort"
 	"sync"
 
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/obs"
+	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/stream"
 )
 
@@ -28,10 +28,11 @@ type RunnerOptions struct {
 }
 
 // Runner is a durable engine: every accepted dump is WAL-logged before the
-// engine sees it, snapshots are taken every Every dumps, and sheds are
-// recorded so a resuming tailer skips them. A mutex serializes the public
-// methods, because an admission queue calls Emit from its consumer goroutine
-// while RecordShed and Seen arrive from the producer side.
+// engine sees it, a batch of dumps under one fsync; snapshots are taken
+// every Every dumps, and sheds are recorded so a resuming tailer skips
+// them. A mutex serializes the public methods, because an admission queue
+// calls Emit from its consumer goroutine while RecordShed and Seen arrive
+// from the producer side.
 type Runner struct {
 	mgr  *Manager
 	eng  *stream.Engine
@@ -73,49 +74,81 @@ func Start(mgr *Manager, opts RunnerOptions) (*Runner, *Recovery, error) {
 	}
 	// Replay the WAL through the engine: the records were accepted by the
 	// previous process after its last snapshot, so the engine must see
-	// them again, in order, before any new dump.
+	// them again, in order, before any new dump. They replay as one batch
+	// whose refresh, if due, runs with the first live batch.
+	var snaps []*profile.Sample
 	for _, wr := range rec.Records {
 		if wr.Snap == nil {
 			r.seen[wr.Shed] = true
 			continue
 		}
-		if err := r.emit(wr.Snap); err != nil {
-			return nil, nil, fmt.Errorf("checkpoint: WAL replay: %w", err)
-		}
-		r.replayed++
+		snaps = append(snaps, wr.Snap)
 	}
+	if err := r.ingest(snaps, false); err != nil {
+		return nil, nil, fmt.Errorf("checkpoint: WAL replay: %w", err)
+	}
+	r.replayed = len(snaps)
 	obs.C("ckpt.replayed").Add(int64(r.replayed))
 	return r, rec, nil
 }
 
-// emit feeds the engine and updates acceptance accounting (shared by replay
-// and live ingestion; replay must not re-append to the WAL).
-func (r *Runner) emit(s *profile.Sample) error {
-	if err := r.eng.Emit(s); err != nil {
+// ingest feeds the engine a run of accepted dumps and updates acceptance
+// accounting (shared by replay and live ingestion; replay must not
+// re-append to the WAL). refresh ends the run with the engine's due
+// refresh (EmitBatch); otherwise the intervals wait for the next one
+// (Ingest).
+func (r *Runner) ingest(snaps []*profile.Sample, refresh bool) error {
+	for _, s := range snaps {
+		r.seen[s.Seq] = true
+		r.lastSeq = max(r.lastSeq, s.Seq)
+	}
+	ingest := r.eng.Ingest
+	if refresh {
+		ingest = r.eng.EmitBatch
+	}
+	if err := ingest(snaps); err != nil {
 		return err
 	}
-	r.accepted++
-	r.sinceSave++
-	r.seen[s.Seq] = true
-	if s.Seq > r.lastSeq {
-		r.lastSeq = s.Seq
-	}
+	r.accepted += len(snaps)
+	r.sinceSave += len(snaps)
 	return nil
 }
 
-// Emit ingests one live dump durably: WAL append first, then the engine,
-// then a snapshot when the cadence is due.
+// Emit ingests one live dump durably: an EmitBatch of one.
 func (r *Runner) Emit(s *profile.Sample) error {
+	batch := [1]*profile.Sample{s}
+	return r.EmitBatch(batch[:])
+}
+
+// EmitBatch ingests a run of consecutive live dumps durably. It splits the
+// batch at snapshot points, so a snapshot still lands after exactly every
+// Every accepted dumps. For each piece it writes every WAL record and
+// fsyncs once, and only then lets the engine see the piece: an accepted
+// dump is always either durable or demonstrably absent. The engine runs
+// its one refresh after the batch's last dump, before the snapshot when
+// the batch ends on one; a snapshot inside the batch may therefore carry a
+// refresh still pending.
+func (r *Runner) EmitBatch(batch []*profile.Sample) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.mgr.Append(s); err != nil {
-		return err
-	}
-	if err := r.emit(s); err != nil {
-		return err
-	}
-	if r.opts.Every > 0 && r.sinceSave >= r.opts.Every {
-		return r.save()
+	for len(batch) > 0 {
+		n := len(batch)
+		if r.opts.Every > 0 {
+			n = min(n, max(r.opts.Every-r.sinceSave, 1))
+		}
+		piece := batch[:n]
+		batch = batch[n:]
+		if err := r.mgr.Append(piece...); err != nil {
+			return err
+		}
+		if err := r.ingest(piece, len(batch) == 0); err != nil {
+			return err
+		}
+		if r.opts.Every > 0 && r.sinceSave >= r.opts.Every {
+			if err := r.save(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -1,11 +1,12 @@
 // wal.go is the write-ahead log between snapshots: every dump the live
-// pipeline accepts is appended (in gmon binary encoding) before the engine
-// processes it, and every dump the admission queue deliberately sheds leaves
-// a marker, so the accepted stream — and the seen-seq set a resuming tailer
-// needs — can be replayed exactly. Records are individually framed and
-// checksummed; replay stops at the first invalid record and reports the
-// offset of the last valid one, which Open then truncates to, so a torn
-// tail (crash mid-append) costs at most the record being written.
+// pipeline accepts is appended (in gmon binary encoding) and fsynced before
+// the engine processes it, a batch of dumps under one fsync, and every dump
+// the admission queue deliberately sheds leaves a marker, so the accepted
+// stream — and the seen-seq set a resuming tailer needs — can be replayed
+// exactly. Records are individually framed and checksummed; replay stops at
+// the first invalid record and reports the offset of the last valid one,
+// which Open then truncates to, so a torn tail (crash mid-append) costs at
+// most the records of the append being written.
 package checkpoint
 
 import (
@@ -17,7 +18,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"time"
 
+	"github.com/incprof/incprof/internal/obs"
 	"github.com/incprof/incprof/internal/profile"
 )
 
@@ -74,14 +77,15 @@ type WALRecord struct {
 // WAL is an append-only log open for writing. It is not safe for concurrent
 // use, matching the single-producer live path that feeds it.
 type WAL struct {
-	f    *os.File
-	sync bool
-	buf  bytes.Buffer
+	f     *os.File
+	fsync bool
+	buf   bytes.Buffer
 }
 
 // openWAL opens (creating or appending to) the WAL at path, truncated to
-// validLen when the existing tail is torn. sync selects per-record fsync.
-func openWAL(path string, validLen int64, sync bool) (*WAL, error) {
+// validLen when the existing tail is torn. fsync selects one fsync per
+// append call.
+func openWAL(path string, validLen int64, fsync bool) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
@@ -94,50 +98,78 @@ func openWAL(path string, validLen int64, sync bool) (*WAL, error) {
 		f.Close()
 		return nil, err
 	}
-	return &WAL{f: f, sync: sync}, nil
+	return &WAL{f: f, fsync: fsync}, nil
 }
 
-// append frames and writes one record.
-func (w *WAL) append(kind byte, payload []byte) error {
+// begin starts a record in the WAL's buffer: its header is reserved, and
+// the caller writes the payload after it.
+func (w *WAL) begin() {
 	var hdr [walHeaderLen]byte
-	putFrameHeader(hdr[:], kind, payload)
-	if _, err := w.f.Write(hdr[:]); err != nil {
+	w.buf.Reset()
+	w.buf.Write(hdr[:])
+}
+
+// write fills in the header of the record in the buffer and writes the
+// framed record in one call.
+func (w *WAL) write(kind byte) error {
+	b := w.buf.Bytes()
+	putFrameHeader(b, kind, b[walHeaderLen:])
+	_, err := w.f.Write(b)
+	return err
+}
+
+// commit makes every record written so far durable: one fsync, whatever
+// the number of records, unless the WAL was opened without fsync.
+func (w *WAL) commit() error {
+	if !w.fsync {
+		return nil
+	}
+	start := time.Now()
+	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	if _, err := w.f.Write(payload); err != nil {
-		return err
-	}
-	if w.sync {
-		return w.f.Sync()
-	}
+	obs.C("ckpt.wal.syncs").Inc()
+	obs.H("ckpt.wal.fsync.latency").Observe(time.Since(start))
 	return nil
 }
 
-// AppendSnapshot logs one accepted dump ahead of the engine processing it.
-func (w *WAL) AppendSnapshot(s *profile.Sample) error {
-	w.buf.Reset()
-	if err := s.Encode(&w.buf); err != nil {
-		return fmt.Errorf("checkpoint: encoding WAL dump: %w", err)
+// AppendSnapshot logs accepted dumps ahead of the engine processing them,
+// one snapshot record each: one write per record, then one fsync for all of
+// them (group commit).
+func (w *WAL) AppendSnapshot(snaps ...*profile.Sample) error {
+	for _, s := range snaps {
+		start := time.Now()
+		w.begin()
+		if err := s.Encode(&w.buf); err != nil {
+			return fmt.Errorf("checkpoint: encoding WAL dump: %w", err)
+		}
+		if err := w.write(recSnapshot); err != nil {
+			return err
+		}
+		obs.H("ckpt.wal.append.latency").Observe(time.Since(start))
 	}
-	return w.append(recSnapshot, w.buf.Bytes())
+	return w.commit()
 }
 
 // AppendShed logs one deliberately-shed dump Seq.
 func (w *WAL) AppendShed(seq int) error {
+	w.begin()
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(int64(seq)))
-	return w.append(recShed, b[:])
+	w.buf.Write(b[:])
+	if err := w.write(recShed); err != nil {
+		return err
+	}
+	return w.commit()
 }
 
-// Close syncs and closes the log.
+// Close closes the log. It needs no fsync of its own: every append call
+// already committed what it wrote, unless the WAL runs without fsync.
 func (w *WAL) Close() error {
 	if w.f == nil {
 		return nil
 	}
-	err := w.f.Sync()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
+	err := w.f.Close()
 	w.f = nil
 	return err
 }

@@ -47,6 +47,17 @@ type Sink interface {
 	Emit(s *profile.Sample) error
 }
 
+// BatchSink is a Sink that also takes a run of consecutive dumps in one
+// call, the io.WriterTo idiom: ReadDir and TailDir hand such a sink each
+// read chunk's run of decoded dumps as one batch, and any other sink the
+// same dumps one Emit at a time. The sink owns the dumps of a batch; it may
+// set the slice's slots to nil as it consumes them, and the reader keeps no
+// reference to them.
+type BatchSink interface {
+	Sink
+	EmitBatch(batch []*profile.Sample) error
+}
+
 // Options configures a Collector.
 type Options struct {
 	// Interval is the dump period; 0 means DefaultInterval.

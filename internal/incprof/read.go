@@ -1,5 +1,6 @@
 // read.go is the one reader of a dump directory. It feeds each decoded dump
-// to a Sink in sequence order. A batch read (ReadDir) is one pass over a
+// to a Sink in sequence order, a chunk's run of decoded dumps as one batch
+// when the sink is a BatchSink. A batch read (ReadDir) is one pass over a
 // finished directory; a tail (TailDir, behind phasedetect -follow) repeats
 // the same pass while a collector is still writing, then ends with one batch
 // pass once the stream goes idle. Both decode through the same code, so a
@@ -41,7 +42,10 @@ type TailOptions struct {
 	// Stop, if set, ends the tail early when it becomes readable or
 	// closed: TailDir returns what it has emitted so far with no error
 	// and no terminal salvage sweep, because the run is not over — the
-	// remaining dumps belong to a later resume. TailDir only.
+	// remaining dumps belong to a later resume. It is honoured at batch
+	// boundaries: a batch the sink has begun is delivered whole, so a
+	// BatchSink may take up to one read chunk (64 dumps) after Stop
+	// fires, a sink that takes one dump at a time none. TailDir only.
 	Stop <-chan struct{}
 	// Parallelism bounds the decode pool: 0 means GOMAXPROCS, 1 decodes
 	// each dump inline on the calling goroutine. The emitted snapshots,
@@ -78,7 +82,9 @@ type SkippedFile struct {
 // pool, and it is long enough that emitting it (differencing into the
 // engine) overlaps a whole decode of the next. It bounds memory too: at
 // most two chunks of decoded snapshots are alive at once, however long the
-// run.
+// run. And it bounds a batch: a BatchSink gets at most one chunk per call,
+// which is what lets a catch-up over a backlog pay one WAL fsync and at
+// most one live refresh per chunk instead of per dump.
 const readChunk = 64
 
 // ReadDir reads a finished dump directory once, emitting each dump of the
@@ -220,8 +226,9 @@ func (r *reader) decode(files []dumpFile) chunk {
 // pass lists the directory once and emits every dump not yet done, in Seq
 // order, decoding chunk by chunk. Above parallelism 1 the next chunk
 // decodes on the pool while this one is emitted, unless this one holds a
-// dump that ends the pass; at 1 everything runs inline. The first dump that
-// fails to decode ends a pass that is not final with nothing after it
+// dump that ends the pass; at 1 everything runs inline. Each chunk's runs
+// of consecutive decoded dumps go to the sink through emit. The first dump
+// that fails to decode ends a pass that is not final with nothing after it
 // emitted, because it may still be being written. A final pass treats the
 // directory as finished: it skips the dump (salvage) or fails on it.
 // progress reports whether anything was emitted.
@@ -230,6 +237,7 @@ func (r *reader) pass(final bool) (progress bool, err error) {
 	if err != nil {
 		return false, err
 	}
+	before := r.res.Emitted
 	overlap := par.Parallelism(r.opts.Parallelism) > 1
 	var next chan chunk // the chunk decoding ahead, if any
 	defer func() {
@@ -252,38 +260,72 @@ func (r *reader) pass(final bool) (progress bool, err error) {
 			next = make(chan chunk, 1)
 			go func(ch chan<- chunk, files []dumpFile) { ch <- r.decode(files) }(next, files[hi:min(hi+readChunk, len(files))])
 		}
-		for i, f := range c.files {
-			if !final && r.stopped() {
-				return progress, nil
+		for i := 0; i < len(c.files); i++ {
+			j := i
+			for j < len(c.files) && c.errs[j] == nil {
+				j++
 			}
-			if c.errs[i] != nil {
-				if !final {
-					return progress, nil
-				}
-				if !r.opts.Salvage {
-					return progress, fmt.Errorf("incprof: decoding %s: %w", f.name, c.errs[i])
-				}
-				sk := SkippedFile{Name: f.name, Seq: f.seq, Err: c.errs[i]}
-				r.res.Skipped = append(r.res.Skipped, sk)
-				obs.C("incprof.read.skipped").Inc()
-				if r.opts.OnSkip != nil {
-					r.opts.OnSkip(sk)
-				}
-				continue
+			if stopped, err := r.emit(c, i, j, final); stopped || err != nil {
+				return r.res.Emitted > before, err
 			}
-			s := c.snaps[i]
-			c.snaps[i] = nil // the sink owns it now; the chunk must not pin it
-			if err := r.sink.Emit(s); err != nil {
-				return progress, err
+			if j == len(c.files) {
+				break
 			}
-			r.done[f.seq] = true
-			r.res.Emitted++
-			r.res.Last = s
-			obs.C("incprof.read.emitted").Inc()
-			progress = true
+			f := c.files[j]
+			if !final {
+				return r.res.Emitted > before, nil
+			}
+			if !r.opts.Salvage {
+				return r.res.Emitted > before, fmt.Errorf("incprof: decoding %s: %w", f.name, c.errs[j])
+			}
+			sk := SkippedFile{Name: f.name, Seq: f.seq, Err: c.errs[j]}
+			r.res.Skipped = append(r.res.Skipped, sk)
+			obs.C("incprof.read.skipped").Inc()
+			if r.opts.OnSkip != nil {
+				r.opts.OnSkip(sk)
+			}
+			i = j
 		}
 	}
-	return progress, nil
+	return r.res.Emitted > before, nil
+}
+
+// emit hands the run c.snaps[lo:hi] of decoded dumps to the sink: a
+// BatchSink takes it in one EmitBatch, any other sink one Emit at a time.
+// Stop is honoured at batch boundaries — before the run, and before each
+// Emit of a sink that takes one dump at a time — in a pass that is not
+// final; stopped reports that it fired. The chunk keeps no reference to an
+// emitted dump: the sink owns it.
+func (r *reader) emit(c chunk, lo, hi int, final bool) (stopped bool, err error) {
+	bs, batched := r.sink.(BatchSink)
+	for lo < hi {
+		if !final && r.stopped() {
+			return true, nil
+		}
+		n := 1
+		if batched {
+			n = hi - lo
+		}
+		run := c.snaps[lo : lo+n]
+		last := run[n-1]
+		if batched {
+			err = bs.EmitBatch(run)
+		} else {
+			err = r.sink.Emit(last)
+		}
+		clear(run)
+		if err != nil {
+			return false, err
+		}
+		for _, f := range c.files[lo : lo+n] {
+			r.done[f.seq] = true
+		}
+		r.res.Emitted += n
+		r.res.Last = last
+		obs.C("incprof.read.emitted").Add(int64(n))
+		lo += n
+	}
+	return false, nil
 }
 
 // dumpFile is one <prefix>N directory entry.

@@ -28,8 +28,8 @@ import (
 	"sync"
 	"time"
 
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/obs"
+	"github.com/incprof/incprof/internal/profile"
 )
 
 // ErrStalled reports that the admission's stall watchdog fired: the
@@ -81,7 +81,10 @@ type AdmissionOptions struct {
 // Admission is the bounded queue. The producer side (Emit/Flush) may be
 // used from one goroutine; a dedicated consumer goroutine drains the queue
 // into the downstream sink serially, preserving arrival order of the
-// admitted snapshots.
+// admitted snapshots. It stays per dump: it has no EmitBatch, so a reader
+// feeds it one Emit at a time and it hands the downstream one dump per
+// Emit. That keeps the stall watchdog's budget a per-dump one, and lets the
+// shed policy see every arrival.
 type Admission struct {
 	opts AdmissionOptions
 	down Sink

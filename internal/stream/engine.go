@@ -5,10 +5,11 @@
 //     refresh runs the identical phase.DetectMatrix call the batch
 //     phase.Detect performs over the identical matrix and profiles, so the
 //     result is byte-for-byte the batch analysis for a fixed seed.
-//   - Live: feed snapshots as they arrive; every RefreshEvery intervals the
-//     engine runs that same detection over everything seen so far, its k
-//     sweep on a bounded row sample (phase.RefreshRows), surfacing labels,
-//     gaps, and refreshed detections through callbacks.
+//   - Live: feed snapshots as they arrive, one Emit or one EmitBatch at a
+//     time; after a batch that brings RefreshEvery intervals since the last
+//     refresh, the engine runs that same detection over everything seen so
+//     far, its k sweep on a bounded row sample (phase.RefreshRows),
+//     surfacing labels, gaps, and refreshed detections through callbacks.
 package stream
 
 import (
@@ -39,9 +40,11 @@ type Options struct {
 	// final result is byte-identical to phase.Detect with these options
 	// over the same profiles.
 	Phase phase.Options
-	// RefreshEvery re-runs detection every that many intervals, clustering
-	// at most 384 sampled rows and labeling all of them. 0 (the batch
-	// setting) defers all clustering to Flush.
+	// RefreshEvery re-runs detection once that many intervals have arrived
+	// since the last refresh, clustering at most 384 sampled rows and
+	// labeling all of them. The check runs after each Emit or EmitBatch,
+	// so a batch of dumps gets at most one refresh. 0 (the batch setting)
+	// defers all clustering to Flush.
 	RefreshEvery int
 	// OnLabel receives a live phase label per interval as it arrives. The
 	// live label tracker exists only when it is set; the tracker takes its
@@ -71,9 +74,9 @@ type Refresh struct {
 	Detection *phase.Detection
 }
 
-// Engine is the streaming analysis pipeline. It is a Sink, so a collector
-// (or any snapshot source) can feed it directly. It is not safe for
-// concurrent use.
+// Engine is the streaming analysis pipeline. It is a Sink, and a batch sink
+// (EmitBatch), so a collector or a directory reader can feed it directly.
+// It is not safe for concurrent use.
 type Engine struct {
 	opts  Options
 	popts phase.Options // Phase with defaults resolved
@@ -124,17 +127,52 @@ func New(opts Options) *Engine {
 	return e
 }
 
-// Emit ingests the next cumulative snapshot.
+// Emit ingests the next cumulative snapshot: an EmitBatch of one, so a
+// caller feeding one dump at a time gets a refresh after every
+// RefreshEvery-th interval.
 func (e *Engine) Emit(s *profile.Sample) error {
-	e.snaps++
-	e.snapItems.Inc()
-	if e.snapLat == nil {
-		return e.diff.Emit(s)
+	batch := [1]*profile.Sample{s}
+	return e.EmitBatch(batch[:])
+}
+
+// EmitBatch ingests a run of consecutive cumulative snapshots, then runs at
+// most one intermediate refresh: after the batch's last dump, when
+// RefreshEvery or more intervals have arrived since the previous one. A
+// live label still surfaces for every interval as it arrives. Each slot of
+// batch is set to nil as its snapshot is differenced, so a batch pins no
+// more memory than feeding its dumps one Emit at a time.
+func (e *Engine) EmitBatch(batch []*profile.Sample) error {
+	if err := e.Ingest(batch); err != nil {
+		return err
 	}
-	start := time.Now()
-	err := e.diff.Emit(s)
-	e.snapLat.Observe(time.Since(start))
-	return err
+	if e.opts.RefreshEvery > 0 && e.sinceRefresh >= e.opts.RefreshEvery {
+		return e.refresh(false)
+	}
+	return nil
+}
+
+// Ingest is EmitBatch without the refresh: the intervals it completes
+// count toward the next refresh, which the next EmitBatch (or Flush) runs.
+// The checkpoint runner uses it for the pieces of a batch it splits at
+// snapshot points, so the batch still gets one refresh.
+func (e *Engine) Ingest(batch []*profile.Sample) error {
+	for i, s := range batch {
+		batch[i] = nil
+		e.snaps++
+		e.snapItems.Inc()
+		var start time.Time
+		if e.snapLat != nil {
+			start = time.Now()
+		}
+		err := e.diff.Emit(s)
+		if e.snapLat != nil {
+			e.snapLat.Observe(time.Since(start))
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // consume receives every completed interval profile from the differencer,
@@ -142,17 +180,18 @@ func (e *Engine) Emit(s *profile.Sample) error {
 func (e *Engine) consume(p interval.Profile) error {
 	e.intervalItems.Inc()
 	if e.intervalLat == nil {
-		return e.step(p)
+		e.step(p)
+		return nil
 	}
 	start := time.Now()
-	err := e.step(p)
+	e.step(p)
 	e.intervalLat.Observe(time.Since(start))
-	return err
+	return nil
 }
 
 // step updates the matrix and the live tracker with one interval profile
-// and triggers the periodic refresh.
-func (e *Engine) step(p interval.Profile) error {
+// and counts it toward the next refresh.
+func (e *Engine) step(p interval.Profile) {
 	e.profiles = append(e.profiles, p)
 	e.builder.Add(&p)
 	if e.tracker != nil {
@@ -160,11 +199,7 @@ func (e *Engine) step(p interval.Profile) error {
 	}
 	if e.opts.RefreshEvery > 0 {
 		e.sinceRefresh++
-		if e.sinceRefresh >= e.opts.RefreshEvery {
-			return e.refresh(false)
-		}
 	}
-	return nil
 }
 
 // Flush ends the stream: the reorder window drains, the terminal refresh

@@ -16,12 +16,12 @@ import (
 	_ "github.com/incprof/incprof/internal/apps/miniamr"
 	_ "github.com/incprof/incprof/internal/apps/minife"
 	"github.com/incprof/incprof/internal/cluster"
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/interval"
 	"github.com/incprof/incprof/internal/mpi"
 	"github.com/incprof/incprof/internal/online"
 	"github.com/incprof/incprof/internal/phase"
 	"github.com/incprof/incprof/internal/pipeline"
+	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/stream"
 )
 
@@ -326,36 +326,42 @@ func FuzzRefreshMatchesDetect(f *testing.F) {
 	f.Add(int64(7), uint8(40), uint8(0))
 	f.Add(int64(42), uint8(9), uint8(7))
 	f.Fuzz(func(t *testing.T, seed int64, n, every uint8) {
-		rng := rand.New(rand.NewSource(seed))
-		names := []string{"init", "solve", "exchange", "io"}
-		phases := 1 + rng.Intn(4)
-		shares := make([][]int64, phases)
-		for p := range shares {
-			shares[p] = make([]int64, len(names))
-			for j := range names {
-				if rng.Intn(2) == 0 {
-					shares[p][j] = int64(rng.Intn(50))
-				}
-			}
-		}
-		period := 10 * time.Millisecond
-		cum := map[string][2]int64{}
-		var snaps []*profile.Sample
-		cur := 0
-		for i := 0; i < 2+int(n)%40; i++ {
-			if rng.Intn(4) == 0 {
-				cur = rng.Intn(phases)
-			}
-			for j, name := range names {
-				c := cum[name]
-				c[0] += shares[cur][j] + int64(rng.Intn(3))
-				c[1]++
-				cum[name] = c
-			}
-			snaps = append(snaps, snap(i, time.Duration(i+1)*time.Second, period, cloneCounters(cum)))
-		}
-		checkRefreshesMatchDetect(t, snaps, baseOpts(), 1+int(every)%8)
+		checkRefreshesMatchDetect(t, randomPhaseSnaps(seed, 2+int(n)%40), baseOpts(), 1+int(every)%8)
 	})
+}
+
+// randomPhaseSnaps synthesizes n cumulative snapshots of a few functions
+// whose per-interval shares switch between 1 to 4 random phases.
+func randomPhaseSnaps(seed int64, n int) []*profile.Sample {
+	rng := rand.New(rand.NewSource(seed))
+	names := []string{"init", "solve", "exchange", "io"}
+	phases := 1 + rng.Intn(4)
+	shares := make([][]int64, phases)
+	for p := range shares {
+		shares[p] = make([]int64, len(names))
+		for j := range names {
+			if rng.Intn(2) == 0 {
+				shares[p][j] = int64(rng.Intn(50))
+			}
+		}
+	}
+	period := 10 * time.Millisecond
+	cum := map[string][2]int64{}
+	var snaps []*profile.Sample
+	cur := 0
+	for i := 0; i < n; i++ {
+		if rng.Intn(4) == 0 {
+			cur = rng.Intn(phases)
+		}
+		for j, name := range names {
+			c := cum[name]
+			c[0] += shares[cur][j] + int64(rng.Intn(3))
+			c[1]++
+			cum[name] = c
+		}
+		snaps = append(snaps, snap(i, time.Duration(i+1)*time.Second, period, cloneCounters(cum)))
+	}
+	return snaps
 }
 
 // Last exposes the live model between refreshes, before the stream ends.

@@ -5,20 +5,20 @@
 // This package runs those layers as plain calls on one cumulative snapshot
 // at a time:
 //
-//	Engine.Emit → Differencer → interval.Profile → Engine.consume
-//	                                                ├─ interval.MatrixBuilder (append-only rows, growing dims)
-//	                                                ├─ online.Tracker.Observe (live labels, reseeded per refresh)
-//	                                                └─ every R intervals: phase.DetectMatrix over the prefix
-//	                                                   (k sweep on ≤ 384 sampled rows, k selection, Algorithm 1)
+//	Engine.EmitBatch → Differencer → interval.Profile → Engine.consume
+//	  (Emit: a batch of one)                             ├─ interval.MatrixBuilder (append-only rows, growing dims)
+//	                                                     └─ online.Tracker.Observe (live labels, reseeded per refresh)
+//	  then, once per batch, when R intervals have arrived: phase.DetectMatrix over the prefix
+//	  (k sweep on ≤ 384 sampled rows, k selection, Algorithm 1)
 //
 // pipeline.Run feeds the engine from a snapshot source. A batch source is
 // finite: pipeline.Analyze feeds an Engine from its snapshot list and the
 // terminal refresh runs the identical phase.DetectMatrix call a batch
 // phase.Detect performs, so for a fixed seed the streaming result is
 // byte-identical to the batch result. A live source (cmd/phasedetect
-// -follow, a collector Sink) feeds the same engine one dump at a time and
-// additionally surfaces labels, transitions, gaps, and site updates as they
-// happen.
+// -follow, a collector Sink) feeds the same engine one dump or one read
+// chunk at a time and additionally surfaces labels, transitions, gaps, and
+// site updates as they happen.
 package stream
 
 import "github.com/incprof/incprof/internal/profile"
