@@ -43,8 +43,9 @@ func mustRun(t *testing.T, args ...string) string {
 	return stdout
 }
 
-// A -follow over a finished directory catches up in read chunks: one live
-// label per interval, at most one refresh per chunk, one WAL fsync per
+// A -follow over a finished directory catches up in read chunks within one
+// directory pass: one live label per interval, exactly one intermediate
+// refresh (at the pass's end, once it has caught up), one WAL fsync per
 // batch piece (a chunk, split at each snapshot), and the batch report.
 func TestFollowCatchUpReadsInBatches(t *testing.T) {
 	const n, every = 150, 20
@@ -56,8 +57,11 @@ func TestFollowCatchUpReadsInBatches(t *testing.T) {
 		"-metrics", metrics)
 
 	chunks := (n + readChunk - 1) / readChunk
-	if got := strings.Count(follow, "\nlive: refresh "); got > chunks {
-		t.Errorf("%d live: refresh lines over %d dumps, want at most %d (one per read chunk)", got, n, chunks)
+	if got := strings.Count(follow, "\nlive: refresh "); got != 1 {
+		t.Errorf("%d live: refresh lines over a %d-dump catch-up, want exactly one", got, n)
+	}
+	if tail := fmt.Sprintf(" over %d intervals, %d clustered\n", n, n); !strings.Contains(follow, tail) {
+		t.Errorf("no live: refresh line covers all %d intervals:\n%s", n, follow)
 	}
 	if got := strings.Count(follow, "live: interval "); got != n {
 		t.Errorf("%d live: interval lines, want %d", got, n)

@@ -154,7 +154,7 @@ func parseConfig(args []string, stderr io.Writer) (*config, int) {
 	fs.BoolVar(&c.follow, "follow", false, "tail -dir while the collector is writing: stream dumps through the incremental engine, print live: lines, report when the stream goes idle")
 	fs.DurationVar(&c.followPoll, "follow-poll", 200*time.Millisecond, "directory poll interval in -follow mode (positive)")
 	fs.DurationVar(&c.followIdle, "follow-idle", 2*time.Second, "end -follow mode after this long without a new dump (positive)")
-	fs.IntVar(&c.refresh, "refresh", 10, "model refresh cadence (intervals) in -follow mode, checked once per batch of up to 64 dumps read, so a catch-up over a backlog refreshes at most once per batch; a refresh clusters at most 384 sampled intervals, the final report all of them; 0 refreshes only at the end")
+	fs.IntVar(&c.refresh, "refresh", 10, "model refresh cadence (intervals) in -follow mode, checked once per directory scan, so a catch-up over a backlog refreshes once, when it has caught up; a refresh refits the phase model on at most 384 sampled intervals, the final report clusters all of them; 0 refreshes only at the end")
 	fs.IntVar(&c.reorder, "reorder", 0, "bounded reorder window for out-of-order dumps in -follow mode; 0 requires in-order arrival")
 	fs.StringVar(&c.ckptDir, "checkpoint-dir", "", "durable state directory for -follow: every accepted dump is write-ahead logged and the engine state snapshots every -checkpoint-every dumps, so a killed run resumes with -resume")
 	fs.IntVar(&c.ckptEvery, "checkpoint-every", 25, "snapshot cadence in accepted dumps for -checkpoint-dir; 0 takes no periodic snapshot (the WAL alone carries durability)")

@@ -75,7 +75,7 @@ func Start(mgr *Manager, opts RunnerOptions) (*Runner, *Recovery, error) {
 	// Replay the WAL through the engine: the records were accepted by the
 	// previous process after its last snapshot, so the engine must see
 	// them again, in order, before any new dump. They replay as one batch
-	// whose refresh, if due, runs with the first live batch.
+	// whose refresh, if due, runs at the end of the first live pass.
 	var snaps []*profile.Sample
 	for _, wr := range rec.Records {
 		if wr.Snap == nil {
@@ -84,7 +84,7 @@ func Start(mgr *Manager, opts RunnerOptions) (*Runner, *Recovery, error) {
 		}
 		snaps = append(snaps, wr.Snap)
 	}
-	if err := r.ingest(snaps, false); err != nil {
+	if err := r.ingest(snaps); err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: WAL replay: %w", err)
 	}
 	r.replayed = len(snaps)
@@ -94,19 +94,14 @@ func Start(mgr *Manager, opts RunnerOptions) (*Runner, *Recovery, error) {
 
 // ingest feeds the engine a run of accepted dumps and updates acceptance
 // accounting (shared by replay and live ingestion; replay must not
-// re-append to the WAL). refresh ends the run with the engine's due
-// refresh (EmitBatch); otherwise the intervals wait for the next one
-// (Ingest).
-func (r *Runner) ingest(snaps []*profile.Sample, refresh bool) error {
+// re-append to the WAL). The refresh the run makes due waits for the
+// engine's next EndPass.
+func (r *Runner) ingest(snaps []*profile.Sample) error {
 	for _, s := range snaps {
 		r.seen[s.Seq] = true
 		r.lastSeq = max(r.lastSeq, s.Seq)
 	}
-	ingest := r.eng.Ingest
-	if refresh {
-		ingest = r.eng.EmitBatch
-	}
-	if err := ingest(snaps); err != nil {
+	if err := r.eng.EmitBatch(snaps); err != nil {
 		return err
 	}
 	r.accepted += len(snaps)
@@ -114,23 +109,39 @@ func (r *Runner) ingest(snaps []*profile.Sample, refresh bool) error {
 	return nil
 }
 
-// Emit ingests one live dump durably: an EmitBatch of one.
+// Emit ingests one live dump durably, running the engine's refresh when
+// the dump makes one due, before the snapshot when the dump lands on one.
 func (r *Runner) Emit(s *profile.Sample) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	batch := [1]*profile.Sample{s}
-	return r.EmitBatch(batch[:])
+	return r.emit(batch[:], true)
 }
 
 // EmitBatch ingests a run of consecutive live dumps durably. It splits the
 // batch at snapshot points, so a snapshot still lands after exactly every
 // Every accepted dumps. For each piece it writes every WAL record and
 // fsyncs once, and only then lets the engine see the piece: an accepted
-// dump is always either durable or demonstrably absent. The engine runs
-// its one refresh after the batch's last dump, before the snapshot when
-// the batch ends on one; a snapshot inside the batch may therefore carry a
-// refresh still pending.
+// dump is always either durable or demonstrably absent. The refresh the
+// batch makes due waits for EndPass, so a snapshot taken before it may
+// carry a refresh still pending; the engine state records the count, and a
+// resumed run's first pass runs it.
 func (r *Runner) EmitBatch(batch []*profile.Sample) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.emit(batch, false)
+}
+
+// EndPass runs the engine's refresh, if the pass made one due.
+func (r *Runner) EndPass() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.eng.EndPass()
+}
+
+// emit is EmitBatch under the lock; endPass runs the engine's due refresh
+// after the last piece, before its snapshot.
+func (r *Runner) emit(batch []*profile.Sample, endPass bool) error {
 	for len(batch) > 0 {
 		n := len(batch)
 		if r.opts.Every > 0 {
@@ -141,8 +152,13 @@ func (r *Runner) EmitBatch(batch []*profile.Sample) error {
 		if err := r.mgr.Append(piece...); err != nil {
 			return err
 		}
-		if err := r.ingest(piece, len(batch) == 0); err != nil {
+		if err := r.ingest(piece); err != nil {
 			return err
+		}
+		if endPass && len(batch) == 0 {
+			if err := r.eng.EndPass(); err != nil {
+				return err
+			}
 		}
 		if r.opts.Every > 0 && r.sinceSave >= r.opts.Every {
 			if err := r.save(); err != nil {

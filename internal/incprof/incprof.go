@@ -53,9 +53,16 @@ type Sink interface {
 // same dumps one Emit at a time. The sink owns the dumps of a batch; it may
 // set the slice's slots to nil as it consumes them, and the reader keeps no
 // reference to them.
+//
+// EndPass marks the end of a directory pass: every pass that emitted a
+// batch ends with one EndPass before the next pass lists the directory,
+// however it ended — every listed dump emitted, a dump still being written,
+// or TailOptions.Stop. Work a pass's batches make due (a live refresh) can
+// wait for it, so a catch-up over a backlog does that work once.
 type BatchSink interface {
 	Sink
 	EmitBatch(batch []*profile.Sample) error
+	EndPass() error
 }
 
 // Options configures a Collector.

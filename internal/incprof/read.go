@@ -1,6 +1,7 @@
 // read.go is the one reader of a dump directory. It feeds each decoded dump
 // to a Sink in sequence order, a chunk's run of decoded dumps as one batch
-// when the sink is a BatchSink. A batch read (ReadDir) is one pass over a
+// when the sink is a BatchSink, which also learns where each pass over the
+// directory ends. A batch read (ReadDir) is one pass over a
 // finished directory; a tail (TailDir, behind phasedetect -follow) repeats
 // the same pass while a collector is still writing, then ends with one batch
 // pass once the stream goes idle. Both decode through the same code, so a
@@ -83,8 +84,8 @@ type SkippedFile struct {
 // engine) overlaps a whole decode of the next. It bounds memory too: at
 // most two chunks of decoded snapshots are alive at once, however long the
 // run. And it bounds a batch: a BatchSink gets at most one chunk per call,
-// which is what lets a catch-up over a backlog pay one WAL fsync and at
-// most one live refresh per chunk instead of per dump.
+// which is what lets a catch-up over a backlog pay one WAL fsync per chunk
+// instead of per dump (and one live refresh per pass, at EndPass).
 const readChunk = 64
 
 // ReadDir reads a finished dump directory once, emitting each dump of the
@@ -224,20 +225,32 @@ func (r *reader) decode(files []dumpFile) chunk {
 }
 
 // pass lists the directory once and emits every dump not yet done, in Seq
-// order, decoding chunk by chunk. Above parallelism 1 the next chunk
-// decodes on the pool while this one is emitted, unless this one holds a
-// dump that ends the pass; at 1 everything runs inline. Each chunk's runs
+// order, through emitAll; a pass that emitted anything and did not fail
+// ends with the BatchSink's EndPass. progress reports whether anything was
+// emitted.
+func (r *reader) pass(final bool) (progress bool, err error) {
+	before := r.res.Emitted
+	err = r.emitAll(final)
+	progress = r.res.Emitted > before
+	if bs, ok := r.sink.(BatchSink); ok && progress && err == nil {
+		err = bs.EndPass()
+	}
+	return progress, err
+}
+
+// emitAll is one pass's listing and emission, decoding chunk by chunk.
+// Above parallelism 1 the next chunk decodes on the pool while this one is
+// emitted, unless this one holds a dump that ends the pass; at 1
+// everything runs inline. Each chunk's runs
 // of consecutive decoded dumps go to the sink through emit. The first dump
 // that fails to decode ends a pass that is not final with nothing after it
 // emitted, because it may still be being written. A final pass treats the
 // directory as finished: it skips the dump (salvage) or fails on it.
-// progress reports whether anything was emitted.
-func (r *reader) pass(final bool) (progress bool, err error) {
+func (r *reader) emitAll(final bool) error {
 	files, err := listDumps(r.dir, r.f, r.skip)
 	if err != nil {
-		return false, err
+		return err
 	}
-	before := r.res.Emitted
 	overlap := par.Parallelism(r.opts.Parallelism) > 1
 	var next chan chunk // the chunk decoding ahead, if any
 	defer func() {
@@ -266,17 +279,17 @@ func (r *reader) pass(final bool) (progress bool, err error) {
 				j++
 			}
 			if stopped, err := r.emit(c, i, j, final); stopped || err != nil {
-				return r.res.Emitted > before, err
+				return err
 			}
 			if j == len(c.files) {
 				break
 			}
 			f := c.files[j]
 			if !final {
-				return r.res.Emitted > before, nil
+				return nil
 			}
 			if !r.opts.Salvage {
-				return r.res.Emitted > before, fmt.Errorf("incprof: decoding %s: %w", f.name, c.errs[j])
+				return fmt.Errorf("incprof: decoding %s: %w", f.name, c.errs[j])
 			}
 			sk := SkippedFile{Name: f.name, Seq: f.seq, Err: c.errs[j]}
 			r.res.Skipped = append(r.res.Skipped, sk)
@@ -287,7 +300,7 @@ func (r *reader) pass(final bool) (progress bool, err error) {
 			i = j
 		}
 	}
-	return r.res.Emitted > before, nil
+	return nil
 }
 
 // emit hands the run c.snaps[lo:hi] of decoded dumps to the sink: a

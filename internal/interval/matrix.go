@@ -146,7 +146,13 @@ func (b *MatrixBuilder) columns() []int32 {
 // non-zero cells in ascending column order, zero backfill for dimensions
 // that appeared after the row was added. The result shares no storage with
 // the builder, so callers may hold it across further Add calls.
-func (b *MatrixBuilder) CSRMatrix() Matrix {
+func (b *MatrixBuilder) CSRMatrix() Matrix { return b.SelectRows(nil) }
+
+// SelectRows materializes the listed rows of the canonical matrix, in the
+// given order, at its full width: CSRMatrix().Sparse.SelectRows(rows) with
+// CSRMatrix's column names, without building the rows left out. nil selects
+// every row.
+func (b *MatrixBuilder) SelectRows(rows []int) Matrix {
 	cols := b.columns()
 	names := make([]string, len(cols), b.Dims())
 	for j, id := range cols {
@@ -157,16 +163,37 @@ func (b *MatrixBuilder) CSRMatrix() Matrix {
 			names = append(names, "#calls:"+n)
 		}
 	}
-	rows := b.NumRows()
-	csr := &xmath.CSR{NumCols: len(names), RowPtr: make([]int, rows+1)}
-	nnz := len(b.cells) + len(b.calls)
-	csr.Vals = make([]float64, 0, nnz)
-	csr.Cols = make([]int32, 0, nnz)
-	for i := 0; i < rows; i++ {
+	n := len(rows)
+	csr := &xmath.CSR{NumCols: len(names)}
+	if rows == nil {
+		n = b.NumRows()
+		nnz := len(b.cells) + len(b.calls)
+		csr.Vals = make([]float64, 0, nnz)
+		csr.Cols = make([]int32, 0, nnz)
+	}
+	csr.RowPtr = make([]int, n+1)
+	for r := 0; r < n; r++ {
+		i := r
+		if rows != nil {
+			i = rows[r]
+		}
 		csr.Cols, csr.Vals = b.appendRow(i, cols, csr.Cols, csr.Vals)
-		csr.RowPtr[i+1] = len(csr.Vals)
+		csr.RowPtr[r+1] = len(csr.Vals)
 	}
 	return Matrix{FuncNames: names, Sparse: csr}
+}
+
+// EachRow calls fn with every row of the canonical matrix, in order, as
+// CSRMatrix would hold it, without materializing the matrix. The slices
+// are reused from one call to the next.
+func (b *MatrixBuilder) EachRow(fn func(i int, vals []float64, cols []int32)) {
+	cols := b.columns()
+	var idx []int32
+	var vals []float64
+	for i := 0; i < b.NumRows(); i++ {
+		idx, vals = b.appendRow(i, cols, idx[:0], vals[:0])
+		fn(i, vals, idx)
+	}
 }
 
 // appendRow appends row i's non-zero cells over the given name-sorted

@@ -233,3 +233,39 @@ func TestBuilderCSRRowsScatterToRow(t *testing.T) {
 		}
 	}
 }
+
+// SelectRows and EachRow read the builder's rows as CSRMatrix holds them at
+// every point in the stream, while dimensions are still appearing:
+// SelectRows equals CSRMatrix's SelectRows over the same rows, names and
+// width included, and EachRow visits every row in order with its cells.
+func TestBuilderSelectRowsAndEachRowMatchCSRMatrix(t *testing.T) {
+	profiles := growthProfiles(12)
+	for _, kind := range []FeatureKind{SampledSelf, ExactSelf, SelfPlusCalls} {
+		opts := FeatureOptions{Kind: kind, Exclude: exclude}
+		b := NewMatrixBuilder(opts)
+		for i := range profiles {
+			b.Add(&profiles[i])
+			full := b.CSRMatrix()
+			var rows []int
+			for r := i % 2; r <= i; r += 2 {
+				rows = append(rows, r)
+			}
+			got := b.SelectRows(rows)
+			if want := full.Sparse.SelectRows(rows); !reflect.DeepEqual(got.FuncNames, full.FuncNames) || !reflect.DeepEqual(got.Sparse, want) {
+				t.Fatalf("kind=%d after %d adds: SelectRows(%v) = %+v, want %+v", kind, i+1, rows, got.Sparse, want)
+			}
+			next := 0
+			b.EachRow(func(r int, vals []float64, cols []int32) {
+				wv, wc := full.Sparse.Row(r)
+				if r != next || !reflect.DeepEqual(append([]float64{}, vals...), append([]float64{}, wv...)) ||
+					!reflect.DeepEqual(append([]int32{}, cols...), append([]int32{}, wc...)) {
+					t.Fatalf("kind=%d after %d adds: EachRow visit %d (row %d) = %v %v, want %v %v", kind, i+1, next, r, vals, cols, wv, wc)
+				}
+				next++
+			})
+			if next != i+1 {
+				t.Fatalf("kind=%d: EachRow visited %d rows, want %d", kind, next, i+1)
+			}
+		}
+	}
+}

@@ -12,6 +12,7 @@ package ldms
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -451,13 +452,51 @@ func (r *remoteSampler) sampleOnce() (MetricSet, error) {
 	if _, err := fmt.Fprintln(r.conn, "sample"); err != nil {
 		return MetricSet{}, err
 	}
-	line, err := r.br.ReadBytes('\n')
+	line, err := readResponse(r.br)
 	if err != nil {
 		return MetricSet{}, err
 	}
-	var set MetricSet
-	if err := json.Unmarshal(line, &set); err != nil {
+	return decodeResponse(line)
+}
+
+// MaxResponseBytes bounds one response line, newline included. A metric set
+// is a few kilobytes; a peer that sends more without a newline is broken or
+// hostile, and reading on would grow the buffer without limit.
+const MaxResponseBytes = 1 << 20
+
+// ErrResponseTooLarge reports a response line longer than MaxResponseBytes.
+// The rest of that line is left unread, so the connection is out of step;
+// a retry reads on from where this attempt stopped.
+var ErrResponseTooLarge = errors.New("ldms: response exceeds MaxResponseBytes")
+
+// readResponse reads one newline-terminated response, failing with
+// ErrResponseTooLarge once MaxResponseBytes have arrived without a newline.
+func readResponse(br *bufio.Reader) ([]byte, error) {
+	var line []byte
+	for {
+		frag, err := br.ReadSlice('\n')
+		if len(line)+len(frag) > MaxResponseBytes {
+			return nil, ErrResponseTooLarge
+		}
+		line = append(line, frag...)
+		if err != bufio.ErrBufferFull {
+			return line, err
+		}
+	}
+}
+
+// decodeResponse decodes one response line: a metric set, or the error a
+// Serve endpoint reports in its place ({"error": "..."}).
+func decodeResponse(line []byte) (MetricSet, error) {
+	var resp struct {
+		MetricSet
+		Error *string `json:"error"`
+	}
+	if err := json.Unmarshal(line, &resp); err != nil {
 		return MetricSet{}, fmt.Errorf("ldms: decoding response: %w", err)
 	}
-	return set, nil
+	if resp.Error != nil {
+		return MetricSet{}, fmt.Errorf("ldms: remote sampler: %s", *resp.Error)
+	}
+	return resp.MetricSet, nil
 }

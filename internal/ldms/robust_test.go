@@ -2,9 +2,12 @@ package ldms
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -256,4 +259,102 @@ func TestAggregatorBreakerDisabledByDefault(t *testing.T) {
 		t.Fatalf("breaker interfered while disabled: calls=%d trips=%d skipped=%d",
 			s.calls, agg.BreakerTrips(), agg.SkippedPulls())
 	}
+}
+
+// A peer that streams bytes and never a newline gets ErrResponseTooLarge
+// once MaxResponseBytes have arrived, not a buffer that grows with the
+// stream.
+func TestSampleBoundsResponseWithoutNewline(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		_, _ = bufio.NewReader(conn).ReadBytes('\n')
+		chunk := make([]byte, 64<<10)
+		for i := range chunk {
+			chunk[i] = 'x'
+		}
+		for {
+			if _, err := conn.Write(chunk); err != nil {
+				return
+			}
+		}
+	}()
+	sampler, closer, err := DialWithOptions(l.Addr().String(), DialOptions{DialTimeout: time.Second, SampleTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	if _, err := sampler.Sample(); !errors.Is(err, ErrResponseTooLarge) {
+		t.Fatalf("err = %v, want ErrResponseTooLarge", err)
+	}
+}
+
+// A response exactly at the bound still decodes; one byte more does not.
+func TestReadResponseBound(t *testing.T) {
+	line := `{"producer":"p","name":"n","time_ns":1,"metrics":[{"name":"x","value":2}]}`
+	pad := strings.Repeat(" ", MaxResponseBytes-len(line)-1)
+	for _, tc := range []struct {
+		in      string
+		tooLong bool
+	}{{line + pad + "\n", false}, {line + pad + " \n", true}} {
+		got, err := readResponse(bufio.NewReader(strings.NewReader(tc.in)))
+		if tc.tooLong {
+			if !errors.Is(err, ErrResponseTooLarge) {
+				t.Fatalf("%d-byte line: err = %v, want ErrResponseTooLarge", len(tc.in), err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%d-byte line: %v", len(tc.in), err)
+		}
+		set, err := decodeResponse(got)
+		if v, ok := set.Get("x"); err != nil || !ok || v != 2 {
+			t.Fatalf("%d-byte line decoded to %+v, %v", len(tc.in), set, err)
+		}
+	}
+}
+
+// A Serve endpoint's error reply is an error, not an empty metric set.
+func TestDecodeResponseServerError(t *testing.T) {
+	if _, err := decodeResponse([]byte(`{"error":"sampler down"}` + "\n")); err == nil || !strings.Contains(err.Error(), "sampler down") {
+		t.Fatalf("err = %v, want the remote sampler's error", err)
+	}
+}
+
+// FuzzDecodeResponse: any bytes a peer sends yield a metric set or an
+// error, never a panic; a response never exceeds MaxResponseBytes; and a
+// decoded set survives the encode the server side would apply.
+func FuzzDecodeResponse(f *testing.F) {
+	f.Add([]byte(`{"producer":"rank0","name":"appekg","time_ns":5,"metrics":[{"name":"hb","value":1.5}]}` + "\n"))
+	f.Add([]byte(`{"error":"bad request"}` + "\n"))
+	f.Add([]byte("\x00\xffgarbage\n"))
+	f.Add([]byte(`{"metrics":null}`))
+	f.Add([]byte(`{"error":null,"producer":"p"}` + "\n" + `{"producer":"q"}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		br := bufio.NewReader(bytes.NewReader(data))
+		for {
+			line, err := readResponse(br)
+			if len(line) > MaxResponseBytes {
+				t.Fatalf("%d-byte response past the %d-byte bound", len(line), MaxResponseBytes)
+			}
+			if err != nil {
+				return
+			}
+			set, err := decodeResponse(line)
+			if err != nil {
+				continue
+			}
+			if _, err := json.Marshal(set); err != nil {
+				t.Fatalf("decoded set %+v does not encode: %v", set, err)
+			}
+		}
+	})
 }

@@ -15,13 +15,6 @@ func SelectPhaseSites(p *Phase, profiles []interval.Profile, m interval.Matrix, 
 	selectSites(p, profiles, m, threshold, totalIntervals)
 }
 
-// siteKey identifies a (function, instrumentation type) pair, the dedup unit
-// of Algorithm 1 line 18.
-type siteKey struct {
-	fn string
-	ty InstType
-}
-
 // selectSites runs Algorithm 1 for one phase, filling p.Sites and the
 // per-site coverage percentages.
 //
@@ -36,51 +29,46 @@ func selectSites(p *Phase, profiles []interval.Profile, m interval.Matrix, thres
 	ranks := interval.Ranks(profiles, p.Intervals)
 
 	// Line 3: sort intervals by distance to the cluster centroid, most
-	// representative first. Ties resolve to earlier intervals.
-	ordered := append([]int(nil), p.Intervals...)
-	dist := make(map[int]float64, len(ordered))
-	for _, idx := range ordered {
-		dist[idx] = m.RowEuclidean(idx, p.Centroid)
+	// representative first. Ties resolve to earlier intervals. ordered
+	// holds positions in p.Intervals, so per-member state is a slice.
+	n := len(p.Intervals)
+	ordered := make([]int, n)
+	dist := make([]float64, n)
+	for pos, idx := range p.Intervals {
+		ordered[pos] = pos
+		dist[pos] = m.RowEuclidean(idx, p.Centroid)
 	}
 	sort.SliceStable(ordered, func(a, b int) bool { return dist[ordered[a]] < dist[ordered[b]] })
 
-	selected := make(map[siteKey]bool)
-	selectedFns := make(map[string]bool)
 	var sites []Site
-	siteIndex := make(map[siteKey]int)
 
-	covered := func() int {
-		n := 0
-		for _, idx := range p.Intervals {
-			for fn := range selectedFns {
-				if profiles[idx].Active(fn) {
-					n++
-					break
-				}
+	// covered marks the members some selected function is active in, and
+	// ncovered counts them; both grow only when a new function is selected,
+	// so the walk costs one pass over the members per selected function
+	// rather than one per visited interval.
+	covered := make([]bool, n)
+	ncovered := 0
+	cover := func(fn string) {
+		for pos, idx := range p.Intervals {
+			if !covered[pos] && profiles[idx].Active(fn) {
+				covered[pos] = true
+				ncovered++
 			}
 		}
-		return n
 	}
 
-	for _, idx := range ordered {
+	for _, pos := range ordered {
 		// Coverage threshold (§VI): once selected sites cover the
 		// required fraction of the phase's intervals, stop selecting.
-		if float64(covered())/float64(len(p.Intervals)) >= threshold {
+		if float64(ncovered)/float64(n) >= threshold {
 			break
 		}
-		prof := &profiles[idx]
 		// Lines 7-9: skip intervals already covered by a selected
 		// site's function.
-		alreadyCovered := false
-		for fn := range selectedFns {
-			if prof.Active(fn) {
-				alreadyCovered = true
-				break
-			}
-		}
-		if alreadyCovered {
+		if covered[pos] {
 			continue
 		}
+		prof := &profiles[p.Intervals[pos]]
 		// Lines 10-11: sort the interval's active functions by call
 		// count ascending, then rank descending. Remaining ties break
 		// on longer self time, then name, for determinism.
@@ -120,14 +108,10 @@ func selectSites(p *Phase, profiles []interval.Profile, m interval.Matrix, thres
 		if f.calls > 0 {
 			ty = Body
 		}
-		key := siteKey{f.fn, ty}
-		// Lines 18-20: add if new.
-		if !selected[key] {
-			selected[key] = true
-			selectedFns[f.fn] = true
-			siteIndex[key] = len(sites)
-			sites = append(sites, Site{Function: f.fn, Type: ty})
-		}
+		// Lines 18-20: add the site if new. It always is: were its
+		// function selected already, this interval would be covered.
+		sites = append(sites, Site{Function: f.fn, Type: ty})
+		cover(f.fn)
 	}
 
 	// Credit each phase interval to its earliest-selected active site to

@@ -227,18 +227,18 @@ func Detect(profiles []interval.Profile, opts Options) (*Detection, error) {
 	return detectMatrix(profiles, m, nil, opts, sp)
 }
 
-// DetectMatrix is Detect over a prebuilt feature matrix: clustering, k
-// selection, phase assembly, and Algorithm 1 run exactly as in Detect, but
-// the caller supplies the matrix. The streaming engine uses it so that its
-// incrementally-built matrix flows through the one detection code path —
-// fed the matrix FeaturesCSR would have built and nil rows, DetectMatrix's
-// output is byte-identical to Detect's.
+// DetectMatrix is Detect over a prebuilt feature matrix: Fit, then every
+// interval labeled, phases assembled and Algorithm 1 run exactly as in
+// Detect, but the caller supplies the matrix. The streaming engine's
+// terminal pass uses it, so its incrementally-built matrix flows through the
+// one detection code path — fed the matrix FeaturesCSR would have built and
+// nil rows, DetectMatrix's output is byte-identical to Detect's.
 //
 // rows, when non-nil, lists the strictly ascending row indices the k-means
 // sweep and k selection run on; every interval is then labeled with its
 // nearest selected centroid, and phase assembly and Algorithm 1 run over all
 // of them. Passing every index gives the nil-rows output byte for byte.
-// Live refreshes pass RefreshRows; DBSCAN takes only nil rows.
+// DBSCAN takes only nil rows.
 func DetectMatrix(profiles []interval.Profile, m interval.Matrix, rows []int, opts Options) (*Detection, error) {
 	opts = opts.withDefaults()
 	if len(profiles) == 0 {
@@ -258,7 +258,7 @@ func DetectMatrix(profiles []interval.Profile, m interval.Matrix, rows []int, op
 	return detectMatrix(profiles, m, rows, opts, sp)
 }
 
-// checkRows validates DetectMatrix's row subset against n rows.
+// checkRows validates a row subset of Fit or DetectMatrix against n rows.
 func checkRows(rows []int, n int, alg Algorithm) error {
 	if rows == nil {
 		return nil
@@ -299,37 +299,68 @@ func RefreshRows(n int, seed uint64) []int {
 	return rows
 }
 
-// nearestCentroids labels every row of m with its nearest centroid: the
-// ascending strict-< scan on the exact packed kernel, which is the
-// assignment a converged Lloyd pass leaves. A distance is abandoned once its
-// partial sum reaches the best so far; such a centroid could not win, so
-// the labels are those of the full scan.
-func nearestCentroids(m interval.Matrix, centroids [][]float64) []int {
-	assign := make([]int, m.NumRows())
-	for i := range assign {
-		vals, cols := m.Sparse.Row(i)
-		best, bestD := 0, math.Inf(1)
-		for c, cent := range centroids {
-			if d, full := xmath.SquaredEuclideanPackedDenseBounded(vals, cols, cent, bestD); full && d < bestD {
-				best, bestD = c, d
-			}
-		}
-		assign[i] = best
-	}
-	return assign
+// Model is a fitted clustering: what the k sweep and k selection (or
+// DBSCAN) leave before any interval is grouped into a phase or any site is
+// selected. A live refresh stops here; DetectMatrix goes on from it.
+type Model struct {
+	// K is the selected number of clusters.
+	K int
+	// WCSS is the k-means sweep curve (indexed by k-1); nil for DBSCAN.
+	WCSS []float64
+	// Centroids holds each cluster's center in the matrix's feature space,
+	// indexed by cluster number.
+	Centroids [][]float64
+	// Assign is each fitted row's cluster, in the order of the rows Fit
+	// ran on; DBSCAN marks noise with cluster.Noise.
+	Assign []int
 }
 
-// detectMatrix is the shared core of Detect and DetectMatrix; opts must have
-// defaults applied, rows must have passed checkRows, and sp is the enclosing
-// phase.detect span.
-func detectMatrix(profiles []interval.Profile, m interval.Matrix, rows []int, opts Options, sp *obs.Span) (*Detection, error) {
+// Fit runs the clustering half of DetectMatrix on m: the k-means sweep and
+// k selection over the rows listed (strictly ascending; nil means every
+// row), or DBSCAN over every row. DetectMatrix over the same matrix, rows
+// and options reports the same K and WCSS, and its phases' centroids are
+// the model's, bit for bit.
+func Fit(m interval.Matrix, rows []int, opts Options) (*Model, error) {
+	opts = opts.withDefaults()
+	if m.NumRows() == 0 {
+		return nil, fmt.Errorf("phase: no interval profiles")
+	}
+	if err := checkRows(rows, m.NumRows(), opts.Algorithm); err != nil {
+		return nil, err
+	}
+	n := m.NumRows()
+	if rows != nil {
+		n = len(rows)
+	}
+	sp := obs.Under(opts.Span, "phase.fit", 0)
+	sp.SetInt("rows", int64(n)).
+		SetStr("algorithm", opts.Algorithm.String()).
+		SetStr("selection", opts.Selection.String())
+	defer sp.End()
+	return fit(m, rows, opts, sp)
+}
+
+// Nearest returns the cluster whose centroid is nearest the packed row
+// (vals, cols): the ascending strict-< scan on the exact packed kernel,
+// which is the assignment a converged Lloyd pass leaves. A distance is
+// abandoned once its partial sum reaches the best so far; such a centroid
+// could not win, so the label is that of the full scan.
+func (md *Model) Nearest(vals []float64, cols []int32) int {
+	best, bestD := 0, math.Inf(1)
+	for c, cent := range md.Centroids {
+		if d, full := xmath.SquaredEuclideanPackedDenseBounded(vals, cols, cent, bestD); full && d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best
+}
+
+// fit is the shared core of Fit and DetectMatrix; opts must have defaults
+// applied, rows must have passed checkRows, and sp is the enclosing span.
+func fit(m interval.Matrix, rows []int, opts Options, sp *obs.Span) (*Model, error) {
 	if m.Dims() == 0 {
 		return nil, fmt.Errorf("phase: no active functions in any interval")
 	}
-	det := &Detection{Matrix: m, Profiles: profiles, Options: opts}
-
-	var assign []int
-	var centroids [][]float64
 	switch opts.Algorithm {
 	case KMeansAlg:
 		copts := opts.Cluster
@@ -351,9 +382,9 @@ func detectMatrix(profiles []interval.Profile, m interval.Matrix, rows []int, op
 		if err != nil {
 			return nil, err
 		}
-		det.WCSS = make([]float64, len(results))
+		md := &Model{WCSS: make([]float64, len(results))}
 		for i, r := range results {
-			det.WCSS[i] = r.WCSS
+			md.WCSS[i] = r.WCSS
 		}
 		sel := sp.Child("phase.select")
 		var best *cluster.Result
@@ -362,33 +393,44 @@ func detectMatrix(profiles []interval.Profile, m interval.Matrix, rows []int, op
 		} else {
 			best = cluster.SelectElbow(results)
 		}
-		pts.Release() // early: Algorithm 1 below has no use for the matrix
 		sel.SetStr("method", opts.Selection.String()).SetInt("k", int64(best.K)).End()
-		det.K = best.K
-		assign = best.Assign
-		if rows != nil {
-			assign = nearestCentroids(m, best.Centroids)
-		}
-		centroids = best.Centroids
+		md.K, md.Assign, md.Centroids = best.K, best.Assign, best.Centroids
+		return md, nil
 	case DBSCANAlg:
 		eps := cluster.EstimateEpsCSR(m.Sparse, opts.DBSCANMinPts, 0.9)
 		labels, k, err := cluster.DBSCANCSR(m.Sparse, eps, opts.DBSCANMinPts)
 		if err != nil {
 			return nil, err
 		}
-		det.K = k
-		assign = labels
-		centroids = dbscanCentroidsMatrix(m, labels, k)
-		for i, l := range labels {
-			if l == cluster.Noise {
-				det.NoiseIntervals = append(det.NoiseIntervals, i)
-			}
-		}
+		return &Model{K: k, Assign: labels, Centroids: dbscanCentroidsMatrix(m, labels, k)}, nil
 	default:
 		return nil, fmt.Errorf("phase: unknown algorithm %v", opts.Algorithm)
 	}
+}
 
-	det.Phases = buildPhases(profiles, assign, centroids, det.K)
+// detectMatrix is the shared core of Detect and DetectMatrix; opts must have
+// defaults applied, rows must have passed checkRows, and sp is the enclosing
+// phase.detect span.
+func detectMatrix(profiles []interval.Profile, m interval.Matrix, rows []int, opts Options, sp *obs.Span) (*Detection, error) {
+	md, err := fit(m, rows, opts, sp)
+	if err != nil {
+		return nil, err
+	}
+	det := &Detection{K: md.K, WCSS: md.WCSS, Matrix: m, Profiles: profiles, Options: opts}
+	assign := md.Assign
+	if rows != nil {
+		assign = make([]int, m.NumRows())
+		for i := range assign {
+			assign[i] = md.Nearest(m.Sparse.Row(i))
+		}
+	}
+	for i, l := range assign {
+		if l == cluster.Noise {
+			det.NoiseIntervals = append(det.NoiseIntervals, i)
+		}
+	}
+
+	det.Phases = buildPhases(profiles, assign, md.Centroids, det.K)
 	sites := sp.Child("phase.sites")
 	total := len(profiles)
 	nsites := 0

@@ -117,8 +117,9 @@ func TestPropertyPhasesPartitionIntervals(t *testing.T) {
 	}
 }
 
-// Property: site dedup — no phase lists the same (function, type) twice,
-// and site functions are active somewhere in their phase.
+// Property: site dedup — no phase lists the same function twice (so no
+// (function, type) pair twice), and site functions are active somewhere in
+// their phase.
 func TestPropertySiteSanity(t *testing.T) {
 	f := func(seed uint64) bool {
 		profs := randomWorkload(seed)
@@ -127,13 +128,12 @@ func TestPropertySiteSanity(t *testing.T) {
 			return false
 		}
 		for _, p := range det.Phases {
-			seen := make(map[siteKey]bool)
+			seen := make(map[string]bool)
 			for _, s := range p.Sites {
-				k := siteKey{s.Function, s.Type}
-				if seen[k] {
+				if seen[s.Function] {
 					return false
 				}
-				seen[k] = true
+				seen[s.Function] = true
 				active := false
 				for _, idx := range p.Intervals {
 					if profs[idx].Active(s.Function) {

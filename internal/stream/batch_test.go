@@ -3,6 +3,7 @@ package stream_test
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/incprof/incprof/internal/interval"
@@ -12,43 +13,57 @@ import (
 	"github.com/incprof/incprof/internal/stream"
 )
 
-// batchRun is what an engine fed in batches reported: every refresh, and
-// for each batch how many refreshes it ran.
+// batchRun is what an engine fed in passes of batches reported: every
+// intermediate refresh, and for each pass how many refreshes it ran.
 type batchRun struct {
 	refreshes []stream.Refresh // intermediate ones, in order
 	final     *stream.Result
-	perBatch  []int
+	perPass   []int
 }
 
-// runBatches feeds snaps to a fresh engine, sizes[i] dumps per EmitBatch,
-// each batch a copy so the engine's slot clearing leaves snaps intact.
-func runBatches(t *testing.T, snaps []*profile.Sample, sizes []int, popts phase.Options, every int) batchRun {
+// runPasses feeds snaps to a fresh engine as passes of batches,
+// passes[p][b] dumps per EmitBatch and one EndPass after each pass, each
+// batch a copy so the engine's slot clearing leaves snaps intact. A refresh
+// anywhere but in an EndPass fails the test.
+func runPasses(t *testing.T, snaps []*profile.Sample, passes [][]int, popts phase.Options, every int) batchRun {
 	t.Helper()
 	var run batchRun
+	inEnd := false
 	eng := stream.New(stream.Options{
 		Phase:        popts,
 		RefreshEvery: every,
 		OnLabel:      func(online.Event) {},
 		OnRefresh: func(r stream.Refresh) {
-			if !r.Final {
-				run.refreshes = append(run.refreshes, r)
-				run.perBatch[len(run.perBatch)-1]++
+			if r.Final {
+				return
 			}
+			if !inEnd {
+				t.Fatalf("refresh %d over %d intervals ran inside a pass", r.Index, r.Intervals)
+			}
+			run.refreshes = append(run.refreshes, r)
+			run.perPass[len(run.perPass)-1]++
 		},
 	})
 	lo := 0
-	for _, n := range sizes {
-		run.perBatch = append(run.perBatch, 0)
-		batch := append([]*profile.Sample(nil), snaps[lo:lo+n]...)
-		if err := eng.EmitBatch(batch); err != nil {
+	for _, pass := range passes {
+		run.perPass = append(run.perPass, 0)
+		for _, n := range pass {
+			batch := append([]*profile.Sample(nil), snaps[lo:lo+n]...)
+			if err := eng.EmitBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range batch {
+				if s != nil {
+					t.Fatalf("batch slot %d still holds seq %d after EmitBatch", i, s.Seq)
+				}
+			}
+			lo += n
+		}
+		inEnd = true
+		if err := eng.EndPass(); err != nil {
 			t.Fatal(err)
 		}
-		for i, s := range batch {
-			if s != nil {
-				t.Fatalf("batch slot %d still holds seq %d after EmitBatch", i, s.Seq)
-			}
-		}
-		lo += n
+		inEnd = false
 	}
 	r, err := eng.Finish()
 	if err != nil {
@@ -59,11 +74,13 @@ func runBatches(t *testing.T, snaps []*profile.Sample, sizes []int, popts phase.
 }
 
 // FuzzBatchedRefreshesMatchDetect splits a random phase stream into random
-// batches and checks the batch refresh cadence: every intermediate refresh
-// is phase.DetectMatrix over its prefix and phase.RefreshRows, byte for
-// byte; a batch runs at most one refresh, exactly when it brings the count
-// since the last one to the cadence; batches of one reproduce Emit's
-// refresh sequence; and the final detection is the batch phase.Detect.
+// batches, grouped into random directory passes, and checks the pass
+// refresh cadence: a refresh runs only at a pass's end, exactly when the
+// pass brings the count since the last one to the cadence; every
+// intermediate refresh's model is the batch analysis of its prefix on
+// phase.RefreshRows (checkModel); passes of one single-dump batch
+// reproduce Emit's refresh sequence; and the final detection is the batch
+// phase.Detect.
 func FuzzBatchedRefreshesMatchDetect(f *testing.F) {
 	f.Add(int64(1), uint8(70), uint8(3), uint8(12))
 	f.Add(int64(7), uint8(130), uint8(0), uint8(64))
@@ -78,44 +95,42 @@ func FuzzBatchedRefreshesMatchDetect(f *testing.F) {
 		}
 
 		rng := rand.New(rand.NewSource(seed ^ 0x5bd1e995))
-		var sizes []int
+		var passes [][]int
 		for left := len(snaps); left > 0; {
-			k := min(left, 1+rng.Intn(1+int(maxBatch)%64))
-			sizes = append(sizes, k)
-			left -= k
+			var pass []int
+			for b := 1 + rng.Intn(4); b > 0 && left > 0; b-- {
+				k := min(left, 1+rng.Intn(1+int(maxBatch)%64))
+				pass = append(pass, k)
+				left -= k
+			}
+			passes = append(passes, pass)
 		}
-		run := runBatches(t, snaps, sizes, popts, re)
+		run := runPasses(t, snaps, passes, popts, re)
 
 		var wantAt []int // the interval counts refreshes should cover
 		since, total := 0, 0
-		for _, k := range sizes {
-			since += k
-			total += k
+		for _, pass := range passes {
+			for _, k := range pass {
+				since += k
+				total += k
+			}
 			if since >= re {
 				wantAt = append(wantAt, total)
 				since = 0
 			}
 		}
 		if len(run.refreshes) != len(wantAt) {
-			t.Fatalf("%d refreshes over batches %v, want %d at %v", len(run.refreshes), sizes, len(wantAt), wantAt)
+			t.Fatalf("%d refreshes over passes %v, want %d at %v", len(run.refreshes), passes, len(wantAt), wantAt)
 		}
 		for i, r := range run.refreshes {
 			if r.Intervals != wantAt[i] {
-				t.Fatalf("refresh %d covers %d intervals, want %d (batches %v)", i, r.Intervals, wantAt[i], sizes)
+				t.Fatalf("refresh %d covers %d intervals, want %d (passes %v)", i, r.Intervals, wantAt[i], passes)
 			}
-			prefix := profs[:r.Intervals]
-			want, err := phase.DetectMatrix(prefix, interval.FeaturesCSR(prefix, popts.Features),
-				phase.RefreshRows(r.Intervals, popts.Cluster.Seed), popts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(flatten(t, r.Detection, nil), flatten(t, want, nil)) {
-				t.Fatalf("refresh %d over %d intervals differs from DetectMatrix over the prefix", i, r.Intervals)
-			}
+			checkModel(t, profs, r, popts)
 		}
-		for b, c := range run.perBatch {
+		for p, c := range run.perPass {
 			if c > 1 {
-				t.Fatalf("batch %d (%d dumps) ran %d refreshes", b, sizes[b], c)
+				t.Fatalf("pass %d (batches %v) ran %d refreshes", p, passes[p], c)
 			}
 		}
 
@@ -127,11 +142,11 @@ func FuzzBatchedRefreshesMatchDetect(f *testing.F) {
 			t.Fatal("final detection after batches differs from batch Detect")
 		}
 
-		ones := make([]int, len(snaps))
+		ones := make([][]int, len(snaps))
 		for i := range ones {
-			ones[i] = 1
+			ones[i] = []int{1}
 		}
-		byOne := runBatches(t, snaps, ones, popts, re)
+		byOne := runPasses(t, snaps, ones, popts, re)
 		var byEmit []stream.Refresh
 		eng := stream.New(stream.Options{
 			Phase:        popts,
@@ -152,13 +167,11 @@ func FuzzBatchedRefreshesMatchDetect(f *testing.F) {
 			t.Fatal(err)
 		}
 		if len(byOne.refreshes) != len(byEmit) {
-			t.Fatalf("batches of one ran %d refreshes, Emit %d", len(byOne.refreshes), len(byEmit))
+			t.Fatalf("single-dump passes ran %d refreshes, Emit %d", len(byOne.refreshes), len(byEmit))
 		}
 		for i := range byEmit {
-			a, b := byOne.refreshes[i], byEmit[i]
-			if a.Index != b.Index || a.Intervals != b.Intervals || a.Clustered != b.Clustered ||
-				!bytes.Equal(flatten(t, a.Detection, nil), flatten(t, b.Detection, nil)) {
-				t.Fatalf("refresh %d: batches of one (%d intervals) differ from Emit (%d intervals)", i, a.Intervals, b.Intervals)
+			if a, b := byOne.refreshes[i], byEmit[i]; !reflect.DeepEqual(a, b) {
+				t.Fatalf("refresh %d: single-dump passes (%d intervals) differ from Emit (%d intervals)", i, a.Intervals, b.Intervals)
 			}
 		}
 	})

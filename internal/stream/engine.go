@@ -5,11 +5,12 @@
 //     refresh runs the identical phase.DetectMatrix call the batch
 //     phase.Detect performs over the identical matrix and profiles, so the
 //     result is byte-for-byte the batch analysis for a fixed seed.
-//   - Live: feed snapshots as they arrive, one Emit or one EmitBatch at a
-//     time; after a batch that brings RefreshEvery intervals since the last
-//     refresh, the engine runs that same detection over everything seen so
-//     far, its k sweep on a bounded row sample (phase.RefreshRows),
-//     surfacing labels, gaps, and refreshed detections through callbacks.
+//   - Live: feed snapshots as they arrive, one Emit at a time or in
+//     EmitBatch runs closed by EndPass; once RefreshEvery intervals have
+//     arrived since the last refresh, the engine refits the phase model
+//     (phase.Fit) on a bounded row sample of everything seen so far
+//     (phase.RefreshRows), surfacing labels, gaps, and refreshed models
+//     through callbacks.
 package stream
 
 import (
@@ -40,11 +41,11 @@ type Options struct {
 	// final result is byte-identical to phase.Detect with these options
 	// over the same profiles.
 	Phase phase.Options
-	// RefreshEvery re-runs detection once that many intervals have arrived
-	// since the last refresh, clustering at most 384 sampled rows and
-	// labeling all of them. The check runs after each Emit or EmitBatch,
-	// so a batch of dumps gets at most one refresh. 0 (the batch setting)
-	// defers all clustering to Flush.
+	// RefreshEvery refits the phase model once that many intervals have
+	// arrived since the last refresh, clustering at most 384 sampled rows.
+	// The check runs after each Emit and at each EndPass, so a directory
+	// pass of dumps gets at most one refresh. 0 (the batch setting) defers
+	// all clustering to Flush.
 	RefreshEvery int
 	// OnLabel receives a live phase label per interval as it arrives. The
 	// live label tracker exists only when it is set; the tracker takes its
@@ -58,7 +59,8 @@ type Options struct {
 	Span *obs.Span
 }
 
-// Refresh summarizes one re-clustering pass.
+// Refresh summarizes one re-clustering pass: an intermediate one refits the
+// model only; the final one is the full detection, Result.Detection.
 type Refresh struct {
 	// Index numbers refreshes from 0; Final marks the Flush-time pass.
 	Index int
@@ -70,12 +72,13 @@ type Refresh struct {
 	Clustered int
 	// K is the selected number of phases.
 	K int
-	// Detection is the full result of this pass.
-	Detection *phase.Detection
+	// Model is an intermediate pass's fitted model; nil on the final pass.
+	Model *phase.Model
 }
 
 // Engine is the streaming analysis pipeline. It is a Sink, and a batch sink
-// (EmitBatch), so a collector or a directory reader can feed it directly.
+// (EmitBatch, EndPass), so a collector or a directory reader can feed it
+// directly.
 // It is not safe for concurrent use.
 type Engine struct {
 	opts  Options
@@ -97,7 +100,8 @@ type Engine struct {
 	snaps        int
 	sinceRefresh int
 	refreshes    int
-	last         *phase.Detection
+	last         *phase.Model     // the latest intermediate refresh's
+	final        *phase.Detection // the terminal refresh's
 	span         *obs.Span
 	flushed      bool
 }
@@ -127,35 +131,23 @@ func New(opts Options) *Engine {
 	return e
 }
 
-// Emit ingests the next cumulative snapshot: an EmitBatch of one, so a
-// caller feeding one dump at a time gets a refresh after every
+// Emit ingests the next cumulative snapshot, then runs the refresh if one
+// is due: a caller feeding one dump at a time gets a refresh after every
 // RefreshEvery-th interval.
 func (e *Engine) Emit(s *profile.Sample) error {
 	batch := [1]*profile.Sample{s}
-	return e.EmitBatch(batch[:])
-}
-
-// EmitBatch ingests a run of consecutive cumulative snapshots, then runs at
-// most one intermediate refresh: after the batch's last dump, when
-// RefreshEvery or more intervals have arrived since the previous one. A
-// live label still surfaces for every interval as it arrives. Each slot of
-// batch is set to nil as its snapshot is differenced, so a batch pins no
-// more memory than feeding its dumps one Emit at a time.
-func (e *Engine) EmitBatch(batch []*profile.Sample) error {
-	if err := e.Ingest(batch); err != nil {
+	if err := e.EmitBatch(batch[:]); err != nil {
 		return err
 	}
-	if e.opts.RefreshEvery > 0 && e.sinceRefresh >= e.opts.RefreshEvery {
-		return e.refresh(false)
-	}
-	return nil
+	return e.EndPass()
 }
 
-// Ingest is EmitBatch without the refresh: the intervals it completes
-// count toward the next refresh, which the next EmitBatch (or Flush) runs.
-// The checkpoint runner uses it for the pieces of a batch it splits at
-// snapshot points, so the batch still gets one refresh.
-func (e *Engine) Ingest(batch []*profile.Sample) error {
+// EmitBatch ingests a run of consecutive cumulative snapshots. A live label
+// still surfaces for every interval as it arrives; the refresh the run
+// makes due waits for EndPass (or Flush). Each slot of batch is set to nil
+// as its snapshot is differenced, so a batch pins no more memory than
+// feeding its dumps one Emit at a time.
+func (e *Engine) EmitBatch(batch []*profile.Sample) error {
 	for i, s := range batch {
 		batch[i] = nil
 		e.snaps++
@@ -171,6 +163,17 @@ func (e *Engine) Ingest(batch []*profile.Sample) error {
 		if err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// EndPass marks the end of a directory pass: the reader has emitted every
+// dump it could this pass. It runs the one intermediate refresh the pass
+// made due, if any, so a catch-up over a backlog refreshes once, when it
+// has caught up.
+func (e *Engine) EndPass() error {
+	if e.opts.RefreshEvery > 0 && e.sinceRefresh >= e.opts.RefreshEvery {
+		return e.refresh()
 	}
 	return nil
 }
@@ -217,22 +220,31 @@ func (e *Engine) Flush() error {
 	if e.opts.Robust && e.snaps == 0 {
 		return fmt.Errorf("interval: no snapshots")
 	}
-	return e.refresh(true)
+	// The terminal pass runs the batch detection over every row, so it is
+	// byte-identical to phase.Detect over the same profiles; it traces
+	// under the engine span.
+	popts := e.popts
+	popts.Span = e.span
+	det, err := phase.DetectMatrix(e.profiles, e.builder.CSRMatrix(), nil, popts)
+	if err != nil {
+		return err
+	}
+	e.final = det
+	if e.reseeds() {
+		e.reseed(det.Matrix.FuncNames, det.Phases)
+	}
+	e.done(Refresh{Final: true, Intervals: len(e.profiles), Clustered: len(e.profiles), K: det.K})
+	return nil
 }
 
-// refresh re-runs detection over everything seen so far: every pass is
-// phase.DetectMatrix with the engine's options over the incrementally-built
-// matrix. The final pass clusters every row, so it is byte-identical to
-// phase.Detect over the same profiles. An intermediate k-means pass clusters
-// only phase.RefreshRows — at most 384 rows, however long the run — and
-// labels every interval against that model, so its cost stops growing with
-// the run's history. Intermediate passes trace under their own
-// stream.refresh span; the final pass traces under the engine span.
-func (e *Engine) refresh(final bool) error {
-	// The refresh matrix is built in flat CSR form: the sweep and
-	// silhouette selection run on it without densifying.
-	m := e.builder.CSRMatrix()
-	if !final && (len(e.profiles) == 0 || m.Dims() == 0) {
+// refresh refits the phase model on everything seen so far: phase.Fit on
+// the phase.RefreshRows sample, at most 384 rows however long the run,
+// read straight out of the builder. No phase is assembled and no site
+// selected — live mode reads only the model's K and, for the tracker, its
+// centroids in phase order with their sizes, which need every interval's
+// nearest centroid. The pass traces under its own stream.refresh span.
+func (e *Engine) refresh() error {
+	if len(e.profiles) == 0 || e.builder.Dims() == 0 {
 		// Too early to cluster (no rows, or no function active yet): a live
 		// stream just waits for the next refresh; only the terminal pass
 		// turns this into the batch path's error.
@@ -240,64 +252,73 @@ func (e *Engine) refresh(final bool) error {
 		e.sinceRefresh = 0
 		return nil
 	}
-
 	popts := e.popts
-	popts.Span = e.span
 	var rows []int
-	if !final && popts.Algorithm == phase.KMeansAlg {
+	if popts.Algorithm == phase.KMeansAlg {
 		rows = phase.RefreshRows(len(e.profiles), popts.Cluster.Seed)
 	}
 	clustered := len(e.profiles)
 	if rows != nil {
 		clustered = len(rows)
 	}
-	if !final {
-		rsp := e.span.ChildKey("stream.refresh", uint64(e.refreshes+1))
-		defer rsp.End()
-		rsp.SetInt("intervals", int64(len(e.profiles))).SetInt("clustered", int64(clustered))
-		popts.Span = rsp
-	}
-	det, err := phase.DetectMatrix(e.profiles, m, rows, popts)
+	rsp := e.span.ChildKey("stream.refresh", uint64(e.refreshes+1))
+	defer rsp.End()
+	rsp.SetInt("intervals", int64(len(e.profiles))).SetInt("clustered", int64(clustered))
+	popts.Span = rsp
+	m := e.builder.SelectRows(rows)
+	md, err := phase.Fit(m, nil, popts)
 	if err != nil {
 		return err
 	}
-
-	e.last = det
-	if e.tracker != nil && det.Options.Algorithm == phase.KMeansAlg && e.popts.Features.Kind == interval.SampledSelf {
-		// Reseed the live tracker from the fresh model, in phase-ID order
-		// so live labels line up with reported phase numbers. The
-		// tracker's feature space is sampled self seconds; only the
-		// SampledSelf matrix shares it, so other feature kinds leave the
-		// tracker's own drifting model in place.
-		cents := make([][]float64, len(det.Phases))
-		sizes := make([]int, len(det.Phases))
-		for i := range det.Phases {
-			cents[i] = det.Phases[i].Centroid
-			sizes[i] = len(det.Phases[i].Intervals)
+	e.last = md
+	if e.reseeds() {
+		assign := md.Assign
+		if rows != nil {
+			assign = make([]int, len(e.profiles))
+			e.builder.EachRow(func(i int, vals []float64, cols []int32) { assign[i] = md.Nearest(vals, cols) })
 		}
-		e.tracker.Reseed(m.FuncNames, cents, sizes)
+		e.reseed(m.FuncNames, phase.BuildPhases(e.profiles, assign, md.Centroids, md.K))
 	}
-
-	obs.C("stream.refreshes").Inc()
-	idx := e.refreshes
-	e.refreshes++
-	e.sinceRefresh = 0
-	if e.opts.OnRefresh != nil {
-		e.opts.OnRefresh(Refresh{
-			Index:     idx,
-			Final:     final,
-			Intervals: len(e.profiles),
-			Clustered: clustered,
-			K:         det.K,
-			Detection: det,
-		})
-	}
+	e.done(Refresh{Intervals: len(e.profiles), Clustered: clustered, K: md.K, Model: md})
 	return nil
 }
 
-// Last returns the most recent refresh's detection (nil before the first
-// refresh) — the live view of the run's phase structure.
-func (e *Engine) Last() *phase.Detection { return e.last }
+// reseeds reports whether refreshes reseed the live tracker. The tracker's
+// feature space is sampled self seconds; only a k-means model over the
+// SampledSelf matrix shares it, so other configurations leave the tracker's
+// own drifting model in place.
+func (e *Engine) reseeds() bool {
+	return e.tracker != nil && e.popts.Algorithm == phase.KMeansAlg && e.popts.Features.Kind == interval.SampledSelf
+}
+
+// reseed replaces the live tracker's model with the phases' centroids and
+// sizes, in phase-ID order so live labels line up with reported phase
+// numbers.
+func (e *Engine) reseed(names []string, phases []phase.Phase) {
+	cents := make([][]float64, len(phases))
+	sizes := make([]int, len(phases))
+	for i := range phases {
+		cents[i] = phases[i].Centroid
+		sizes[i] = len(phases[i].Intervals)
+	}
+	e.tracker.Reseed(names, cents, sizes)
+}
+
+// done counts a finished refresh and reports it.
+func (e *Engine) done(r Refresh) {
+	obs.C("stream.refreshes").Inc()
+	r.Index = e.refreshes
+	e.refreshes++
+	e.sinceRefresh = 0
+	if e.opts.OnRefresh != nil {
+		e.opts.OnRefresh(r)
+	}
+}
+
+// Last returns the most recent intermediate refresh's model (nil before
+// the first) — the live view of the run's phase structure. The terminal
+// detection is Result.Detection.
+func (e *Engine) Last() *phase.Model { return e.last }
 
 // Dims returns the feature-space dimensionality accumulated so far.
 func (e *Engine) Dims() int { return e.builder.Dims() }
@@ -325,7 +346,7 @@ func (e *Engine) Finish() (*Result, error) {
 		return nil, err
 	}
 	return &Result{
-		Detection: e.last,
+		Detection: e.final,
 		Profiles:  e.profiles,
 		Gaps:      e.diff.Gaps(),
 		Refreshes: e.refreshes,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -235,13 +236,85 @@ func phaseSnaps(n int) []*profile.Sample {
 	return out
 }
 
+// sameBits reports whether two float slices are equal bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// modelLabels labels every interval of prefix with md the way the engine
+// labels them for its tracker: the fitted labels when the refresh clustered
+// every row, each row's nearest centroid when it clustered a sample.
+func modelLabels(md *phase.Model, prefix []interval.Profile, popts phase.Options) []int {
+	if phase.RefreshRows(len(prefix), popts.Cluster.Seed) == nil {
+		return md.Assign
+	}
+	m := interval.FeaturesCSR(prefix, popts.Features)
+	labels := make([]int, len(prefix))
+	for i := range labels {
+		labels[i] = md.Nearest(m.Sparse.Row(i))
+	}
+	return labels
+}
+
+// checkModel demands that an intermediate refresh's model be the batch
+// analysis of the run so far on its bounded row sample: phase.Fit over the
+// batch FeaturesCSR matrix of the prefix and the rows phase.RefreshRows
+// picks, and DetectMatrix on the same rows, bit for bit — the same K and
+// WCSS, and each detected phase's centroid the model's centroid of the
+// cluster its members carry.
+func checkModel(t *testing.T, profs []interval.Profile, r stream.Refresh, popts phase.Options) {
+	t.Helper()
+	prefix := profs[:r.Intervals]
+	m := interval.FeaturesCSR(prefix, popts.Features)
+	rows := phase.RefreshRows(r.Intervals, popts.Cluster.Seed)
+	md := r.Model
+	if md == nil {
+		t.Fatalf("refresh %d carries no model", r.Index)
+	}
+	fit, err := phase.Fit(m, rows, popts)
+	if err != nil {
+		t.Fatalf("refresh %d: %v", r.Index, err)
+	}
+	if md.K != fit.K || r.K != md.K || !sameBits(md.WCSS, fit.WCSS) || len(md.Centroids) != len(fit.Centroids) ||
+		!reflect.DeepEqual(md.Assign, fit.Assign) {
+		t.Fatalf("refresh %d over %d intervals differs from Fit over the prefix (k=%d, want %d)", r.Index, r.Intervals, md.K, fit.K)
+	}
+	for c := range fit.Centroids {
+		if !sameBits(md.Centroids[c], fit.Centroids[c]) {
+			t.Fatalf("refresh %d over %d intervals: centroid %d differs from Fit's", r.Index, r.Intervals, c)
+		}
+	}
+	det, err := phase.DetectMatrix(prefix, m, rows, popts)
+	if err != nil {
+		t.Fatalf("refresh %d: %v", r.Index, err)
+	}
+	if det.K != md.K || !sameBits(det.WCSS, md.WCSS) {
+		t.Fatalf("refresh %d over %d intervals: k=%d, want DetectMatrix's %d", r.Index, r.Intervals, md.K, det.K)
+	}
+	labels := modelLabels(md, prefix, popts)
+	for _, p := range det.Phases {
+		for _, i := range p.Intervals {
+			if labels[i] != labels[p.Intervals[0]] {
+				t.Fatalf("refresh %d: phase %d mixes clusters %d and %d", r.Index, p.ID, labels[p.Intervals[0]], labels[i])
+			}
+		}
+		if !sameBits(p.Centroid, md.Centroids[labels[p.Intervals[0]]]) {
+			t.Fatalf("refresh %d over %d intervals: phase %d's centroid differs from the model's", r.Index, r.Intervals, p.ID)
+		}
+	}
+}
+
 // checkRefreshesMatchDetect feeds snaps through an engine refreshing every
-// `every` intervals and demands that each intermediate refresh's detection
-// equal phase.DetectMatrix over the same prefix of the batch profiles, with
-// the matrix built by the batch FeaturesCSR and the rows phase.RefreshRows
-// picks for the prefix length: a live refresh is the batch analysis of the
-// run so far on its bounded row sample, nothing else. It returns the number
-// of intermediate refreshes compared.
+// `every` intervals and holds each intermediate refresh's model to
+// checkModel. It returns the number of intermediate refreshes compared.
 func checkRefreshesMatchDetect(t *testing.T, snaps []*profile.Sample, popts phase.Options, every int) int {
 	t.Helper()
 	profs, err := interval.Difference(snaps)
@@ -257,16 +330,7 @@ func checkRefreshesMatchDetect(t *testing.T, snaps []*profile.Sample, popts phas
 			if r.Final {
 				return
 			}
-			prefix := profs[:r.Intervals]
-			rows := phase.RefreshRows(r.Intervals, popts.Cluster.Seed)
-			want, err := phase.DetectMatrix(prefix, interval.FeaturesCSR(prefix, popts.Features), rows, popts)
-			if err != nil {
-				t.Fatalf("refresh %d: %v", r.Index, err)
-			}
-			if r.K != want.K || !bytes.Equal(flatten(t, r.Detection, nil), flatten(t, want, nil)) {
-				t.Fatalf("refresh %d over %d intervals differs from DetectMatrix over the prefix (k=%d, want %d)",
-					r.Index, r.Intervals, r.K, want.K)
-			}
+			checkModel(t, profs, r, popts)
 			compared++
 		},
 	})
@@ -373,11 +437,11 @@ func TestEngineLastGivesLiveDetectionMidRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 7 && eng.Last() == nil {
-			t.Fatal("no live detection after first refresh")
+			t.Fatal("no live model after first refresh")
 		}
 	}
-	if eng.Last() == nil || len(eng.Last().Phases) == 0 {
-		t.Fatal("live detection empty")
+	if md := eng.Last(); md == nil || md.K == 0 || len(md.Centroids) != md.K {
+		t.Fatal("live model empty")
 	}
 	if _, err := eng.Finish(); err != nil {
 		t.Fatal(err)

@@ -60,14 +60,14 @@ func TestLiveLabelAgreement(t *testing.T) {
 				t.Fatal(err)
 			}
 			var live []int
-			var refreshes []*phase.Detection
+			var refreshes []stream.Refresh
 			eng := stream.New(stream.Options{
 				Phase:        baseOpts(),
 				RefreshEvery: 10,
 				OnLabel:      func(ev online.Event) { live = append(live, ev.Phase) },
 				OnRefresh: func(r stream.Refresh) {
 					if !r.Final {
-						refreshes = append(refreshes, r.Detection)
+						refreshes = append(refreshes, r)
 					}
 				},
 			})
@@ -83,9 +83,9 @@ func TestLiveLabelAgreement(t *testing.T) {
 			final := phaseLabels(r.Detection, len(r.Profiles))
 			liveARI := cluster.AdjustedRandIndex(live, final)
 			var sum float64
-			for _, d := range refreshes {
-				n := len(d.Profiles)
-				sum += cluster.AdjustedRandIndex(phaseLabels(d, n), final[:n])
+			for _, rf := range refreshes {
+				n := rf.Intervals
+				sum += cluster.AdjustedRandIndex(modelLabels(rf.Model, r.Profiles[:n], baseOpts()), final[:n])
 			}
 			refreshARI := sum / float64(len(refreshes))
 			t.Logf("%d intervals: live-label ARI %.4f (exact %.4f), mean-refresh ARI %.4f (exact %.4f)",
@@ -101,9 +101,9 @@ func TestLiveLabelAgreement(t *testing.T) {
 }
 
 // No intermediate refresh over a 2,000-interval stream clusters more than
-// 384 rows: the engine reports the bound, every k sweep the trace records
-// under a stream.refresh span ran on at most 384 points, and every refresh
-// still labels every interval.
+// 384 rows: the engine reports the bound, each refresh's model was fitted
+// on that many rows, and every k sweep the trace records under a
+// stream.refresh span ran on at most 384 points.
 func TestRefreshRowBudget(t *testing.T) {
 	obs.Enable(obs.Config{Seed: 1})
 	defer obs.Disable()
@@ -119,12 +119,8 @@ func TestRefreshRowBudget(t *testing.T) {
 		OnLabel:      func(online.Event) {},
 		Span:         root,
 		OnRefresh: func(r stream.Refresh) {
-			labeled := 0
-			for _, p := range r.Detection.Phases {
-				labeled += len(p.Intervals)
-			}
-			if labeled != r.Intervals {
-				t.Fatalf("refresh %d labels %d of %d intervals", r.Index, labeled, r.Intervals)
+			if !r.Final && len(r.Model.Assign) != r.Clustered {
+				t.Fatalf("refresh %d's model was fitted on %d rows, reported %d", r.Index, len(r.Model.Assign), r.Clustered)
 			}
 			want := min(r.Intervals, 384)
 			if r.Final {

@@ -12,9 +12,9 @@
 //   - the feature matrix builder: it is a pure deterministic function of the
 //     profile list and the engine options, so Restore rebuilds it by replay
 //     instead of persisting a second copy of every row;
-//   - any clustering model, including the last intermediate Detection
-//     (Engine.Last): every refresh recomputes its detection from the
-//     profiles alone, and the terminal Flush never reads the previous one;
+//   - any clustering model, including the last intermediate refresh's
+//     (Engine.Last): every refresh refits its model from the profiles
+//     alone, and the terminal Flush never reads the previous one;
 //   - tracing spans: pure observability state.
 package stream
 

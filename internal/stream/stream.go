@@ -6,10 +6,11 @@
 // at a time:
 //
 //	Engine.EmitBatch → Differencer → interval.Profile → Engine.consume
-//	  (Emit: a batch of one)                             ├─ interval.MatrixBuilder (append-only rows, growing dims)
+//	  (Emit: a batch of one, then EndPass)               ├─ interval.MatrixBuilder (append-only rows, growing dims)
 //	                                                     └─ online.Tracker.Observe (live labels, reseeded per refresh)
-//	  then, once per batch, when R intervals have arrived: phase.DetectMatrix over the prefix
-//	  (k sweep on ≤ 384 sampled rows, k selection, Algorithm 1)
+//	  then, at EndPass, once R intervals have arrived: phase.Fit over the prefix
+//	  (k sweep on ≤ 384 sampled rows, k selection); at Flush, phase.DetectMatrix
+//	  over every row (k sweep, k selection, Algorithm 1)
 //
 // pipeline.Run feeds the engine from a snapshot source. A batch source is
 // finite: pipeline.Analyze feeds an Engine from its snapshot list and the
@@ -18,7 +19,7 @@
 // byte-identical to the batch result. A live source (cmd/phasedetect
 // -follow, a collector Sink) feeds the same engine one dump or one read
 // chunk at a time and additionally surfaces labels, transitions, gaps, and
-// site updates as they happen.
+// refreshed models as they happen.
 package stream
 
 import "github.com/incprof/incprof/internal/profile"
