@@ -302,9 +302,9 @@ func fmtValue(v float64, unit string) string {
 		return fmt.Sprintf("%.0fns", v)
 	case "bytes":
 		switch {
-		case v >= 1<<20 || v <= -(1 << 20):
+		case v >= 1<<20 || v <= -(1<<20):
 			return fmt.Sprintf("%.1fMiB", v/(1<<20))
-		case v >= 1<<10 || v <= -(1 << 10):
+		case v >= 1<<10 || v <= -(1<<10):
 			return fmt.Sprintf("%.1fKiB", v/(1<<10))
 		}
 		return fmt.Sprintf("%.0fB", v)

@@ -152,7 +152,7 @@ func parseConfig(args []string, stderr io.Writer) (*config, int) {
 	fs.BoolVar(&c.salvage, "salvage", false, "degraded mode: skip corrupt/truncated dumps and absorb missing, duplicate, late, or regressed dumps as gaps instead of failing")
 	fs.StringVar(&c.gap, "gap", "split", "missing-dump repair policy in salvage mode: split, drop, or scale")
 	fs.BoolVar(&c.follow, "follow", false, "tail -dir while the collector is writing: stream dumps through the incremental engine, print live: lines, report when the stream goes idle")
-	fs.DurationVar(&c.followPoll, "follow-poll", 200*time.Millisecond, "directory poll interval in -follow mode (positive)")
+	fs.DurationVar(&c.followPoll, "follow-poll", 200*time.Millisecond, "longest wait between directory checks; on Linux the tail also wakes when a dump lands")
 	fs.DurationVar(&c.followIdle, "follow-idle", 2*time.Second, "end -follow mode after this long without a new dump (positive)")
 	fs.IntVar(&c.refresh, "refresh", 10, "model refresh cadence (intervals) in -follow mode, checked once per directory scan, so a catch-up over a backlog refreshes once, when it has caught up; a refresh refits the phase model on at most 384 sampled intervals, the final report clusters all of them; 0 refreshes only at the end")
 	fs.IntVar(&c.reorder, "reorder", 0, "bounded reorder window for out-of-order dumps in -follow mode; 0 requires in-order arrival")

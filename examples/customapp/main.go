@@ -13,8 +13,8 @@ import (
 	"time"
 
 	incprof "github.com/incprof/incprof"
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/mpi"
+	"github.com/incprof/incprof/internal/profile"
 )
 
 // weatherModel is the user-defined workload body for one rank. Phases:

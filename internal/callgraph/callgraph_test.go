@@ -3,8 +3,8 @@ package callgraph
 import (
 	"testing"
 
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/phase"
+	"github.com/incprof/incprof/internal/profile"
 )
 
 // miniFE-shaped arcs: main calls perform_elem_loop once, which calls

@@ -14,8 +14,8 @@ import (
 
 	"github.com/incprof/incprof/internal/gate"
 	"github.com/incprof/incprof/internal/gate/trajectory"
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/interval"
+	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/stream"
 )
 

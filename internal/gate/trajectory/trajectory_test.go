@@ -129,11 +129,11 @@ func TestGateRegressionAndGuards(t *testing.T) {
 		"zero/prev":     {Value: 0, Unit: "bytes"},
 	}}
 	cur := &Entry{Date: "2026-08-08", Metrics: map[string]Metric{
-		"gated/slow":    {Value: 150, Unit: "ns/op", NoisePct: 2},  // real regression
-		"gated/noisy":   {Value: 120, Unit: "ns/op", NoisePct: 3},  // inside prev noise
-		"info/walltime": {Value: 900, Unit: "ms", Ungated: true},   // 9x but ungated
-		"only/cur":      {Value: 1, Unit: "count"},                 // no previous point
-		"zero/prev":     {Value: 50, Unit: "bytes"},                // delta undefined
+		"gated/slow":    {Value: 150, Unit: "ns/op", NoisePct: 2}, // real regression
+		"gated/noisy":   {Value: 120, Unit: "ns/op", NoisePct: 3}, // inside prev noise
+		"info/walltime": {Value: 900, Unit: "ms", Ungated: true},  // 9x but ungated
+		"only/cur":      {Value: 1, Unit: "count"},                // no previous point
+		"zero/prev":     {Value: 50, Unit: "bytes"},               // delta undefined
 	}}
 	comps, pass := Gate(prev, cur, 5)
 	if pass {

@@ -6,14 +6,16 @@
 // the same pass while a collector is still writing, then ends with one batch
 // pass once the stream goes idle. Both decode through the same code, so a
 // tailed run sees byte-identical snapshots to a later read of the finished
-// directory.
+// directory. On Linux a tail learns new dump names from an inotify watch
+// (watch_linux.go) and lists the directory only to seed, verify and finish.
 package incprof
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/incprof/incprof/internal/obs"
@@ -26,7 +28,8 @@ type TailOptions struct {
 	// Format selects the frontend whose dumps are read; nil reads
 	// gmon.out.N (the "gmon" format).
 	Format *profile.Format
-	// Poll is the directory re-scan interval. Default 200ms. TailDir only.
+	// Poll is the longest wait between directory checks; on Linux the
+	// tail also wakes when a dump lands. Default 200ms. TailDir only.
 	Poll time.Duration
 	// Idle ends the tail: once no new dump has been emitted for this
 	// long, the run is assumed finished. Default 2s. TailDir only.
@@ -98,15 +101,22 @@ func ReadDir(dir string, sink Sink, opts TailOptions) (TailResult, error) {
 	return r.res, err
 }
 
-// TailDir polls dir for dumps of the configured format (gmon.out.N by
+// TailDir follows dir for dumps of the configured format (gmon.out.N by
 // default) and emits each decoded snapshot to sink in sequence order as it
 // appears, returning once no new dump has arrived for opts.Idle of wall
-// time, however long each directory scan takes. A file that fails to decode
-// is assumed to be mid-write and blocks emission (order is preserved, never
-// skipped around) until the idle window expires; then the directory is read
-// once more as a finished one (ReadDir), which skips (salvage) or fails on
-// whatever still does not decode. The sink's Flush is NOT called — the
-// caller owns stream termination.
+// time, however long each directory scan takes. On Linux it watches the
+// directory (inotify) and wakes when a dump is renamed in or its write
+// closes; it lists the directory only for the first pass, after lost
+// events, every opts.Idle/2 to verify the watch, and for the final pass. A
+// watch that is lost, or that misses a dump a listing finds, gives way to a
+// listing on every poll, which is how the tail runs off Linux and wherever
+// the watch cannot be made. The last quarter of an idle window lists every
+// poll too, and a dump found then starts a new watch. A file that fails to
+// decode is assumed to be mid-write and blocks emission (order is
+// preserved, never skipped around) until the idle window expires; then the
+// directory is read once more as a finished one (ReadDir), which skips
+// (salvage) or fails on whatever still does not decode. The sink's Flush is
+// NOT called — the caller owns stream termination.
 func TailDir(dir string, sink Sink, opts TailOptions) (TailResult, error) {
 	if opts.Poll <= 0 {
 		opts.Poll = 200 * time.Millisecond
@@ -115,6 +125,9 @@ func TailDir(dir string, sink Sink, opts TailOptions) (TailResult, error) {
 		opts.Idle = 2 * time.Second
 	}
 	r := newReader(dir, sink, opts)
+	r.watch()
+	defer r.unwatch()
+	rested := false    // the watch was dropped late in an idle window
 	last := time.Now() // the last emit, or the start
 	for {
 		if r.stopped() {
@@ -124,26 +137,50 @@ func TailDir(dir string, sink Sink, opts TailOptions) (TailResult, error) {
 		if err != nil || r.res.Stopped {
 			return r.res, err
 		}
-		if progress {
+		if idle := time.Since(last); progress {
 			last = time.Now()
-		} else if time.Since(last) >= opts.Idle {
-			break
-		}
-		if opts.Stop != nil {
-			select {
-			case <-opts.Stop:
-				r.res.Stopped = true
-				return r.res, nil
-			case <-time.After(opts.Poll):
+			if rested {
+				r.watch()
+				rested = false
 			}
-		} else {
-			time.Sleep(opts.Poll)
+		} else if idle >= opts.Idle {
+			break
+		} else if r.w != nil && idle >= opts.Idle-opts.Idle/4 {
+			// Tearing a watch down waits out a kernel grace period of tens
+			// of milliseconds, and a process cannot exit before it ends.
+			// Dropping the watch for the last quarter of the window, which
+			// lists every poll instead, keeps that wait off the run's end.
+			r.unwatch()
+			rested = true
+		}
+		if r.wait() {
+			return r.res, nil
 		}
 	}
 	// The run is over; whatever still fails to decode is corrupt, not
 	// mid-write.
 	_, err := r.pass(true)
 	return r.res, err
+}
+
+// wait blocks until the next pass is due: Poll has passed, or the watch
+// reports that a dump landed or that events were lost. It reports whether
+// Stop fired instead.
+func (r *reader) wait() (stopped bool) {
+	var wake <-chan struct{}
+	if r.w != nil {
+		wake = r.w.src.wake()
+	}
+	t := time.NewTimer(r.opts.Poll)
+	defer t.Stop()
+	select {
+	case <-r.opts.Stop:
+		r.res.Stopped = true
+		return true
+	case <-wake:
+	case <-t.C:
+	}
+	return false
 }
 
 // reader is the state one read or tail carries across its passes.
@@ -155,6 +192,7 @@ type reader struct {
 	syms symbols
 	done map[int]bool // Seqs emitted, or seen by the pipeline
 	res  TailResult
+	w    *watched // a tail's watch of the directory; nil lists every pass
 }
 
 func newReader(dir string, sink Sink, opts TailOptions) *reader {
@@ -238,7 +276,7 @@ func (r *reader) pass(final bool) (progress bool, err error) {
 	return progress, err
 }
 
-// emitAll is one pass's listing and emission, decoding chunk by chunk.
+// emitAll is one pass's emission, decoding chunk by chunk.
 // Above parallelism 1 the next chunk decodes on the pool while this one is
 // emitted, unless this one holds a dump that ends the pass; at 1
 // everything runs inline. Each chunk's runs
@@ -247,7 +285,7 @@ func (r *reader) pass(final bool) (progress bool, err error) {
 // emitted, because it may still be being written. A final pass treats the
 // directory as finished: it skips the dump (salvage) or fails on it.
 func (r *reader) emitAll(final bool) error {
-	files, err := listDumps(r.dir, r.f, r.skip)
+	files, err := r.files(final)
 	if err != nil {
 		return err
 	}
@@ -370,8 +408,172 @@ func listDumps(dir string, f *profile.Format, skip func(seq int) bool) ([]dumpFi
 			files = append(files, dumpFile{seq, e.Name()})
 		}
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].seq < files[j].seq })
+	sortBySeq(files)
 	return files, nil
+}
+
+func sortBySeq(files []dumpFile) {
+	slices.SortFunc(files, func(a, b dumpFile) int { return cmp.Compare(a.seq, b.seq) })
+}
+
+// list lists the directory: the dumps not yet done, in Seq order.
+func (r *reader) list() ([]dumpFile, error) {
+	obs.CV("incprof.read.listings").Inc()
+	return listDumps(r.dir, r.f, r.skip)
+}
+
+// dirEvent is one change a watch reports in the dump directory.
+type dirEvent struct {
+	op   uint8
+	seq  int    // the dump's Seq (evAdded, evRemoved)
+	name string // its file name (evAdded, evRemoved)
+}
+
+// dirEvent ops.
+const (
+	evAdded    uint8 = 1 << iota // a dump's name entered the directory
+	evRemoved                    // a dump's name left it
+	evWake                       // a dump was renamed in or written: read it now
+	evOverflow                   // the kernel dropped events: list again
+	evLost                       // the watch is gone
+)
+
+// dirEvents is a change feed for a dump directory; openWatch makes one.
+type dirEvents interface {
+	// drain appends every event queued before the call, oldest first.
+	drain(dst []dirEvent) []dirEvent
+	// wake is ready once an evWake, evOverflow or evLost event has been
+	// queued since the last drain.
+	wake() <-chan struct{}
+	// close releases the feed; drain is not called after it.
+	close()
+}
+
+// watched is a tail's picture of the dump directory between listings: the
+// dumps in it not yet done, kept up to date from a dirEvents feed.
+type watched struct {
+	src   dirEvents
+	names map[int]string // Seq → file name
+	// unreported holds the Seqs the last verification listed before any
+	// event named them. One still unnamed at the next verification means
+	// the feed misses what lands (a network file system).
+	unreported map[int]bool
+	listed     time.Time  // the last listing
+	relist     bool       // the picture needs a listing: the first pass, or events were lost
+	evs        []dirEvent // drain scratch
+}
+
+// files returns the dumps not yet done, in Seq order. A read, a final pass
+// and a tail without a watch list the directory. A watched tail takes them
+// from its picture and lists only to seed it, after lost events, and every
+// Idle/2 to verify the watch.
+func (r *reader) files(final bool) ([]dumpFile, error) {
+	if final || r.w == nil {
+		return r.list()
+	}
+	if r.absorb(); r.w == nil {
+		return r.list()
+	}
+	w := r.w
+	if !w.relist && time.Since(w.listed) < r.opts.Idle/2 {
+		return w.pending(r.skip), nil
+	}
+	if !w.relist && len(w.unreported) > 0 {
+		r.fallBack() // blind
+		return r.list()
+	}
+	return r.reseed()
+}
+
+// absorb applies the events queued since the last drain to the picture. An
+// overflow marks it for a listing; a lost watch falls back.
+func (r *reader) absorb() {
+	w := r.w
+	w.evs = w.src.drain(w.evs[:0])
+	for _, ev := range w.evs {
+		switch {
+		case ev.op&evLost != 0:
+			r.fallBack()
+			return
+		case ev.op&evOverflow != 0:
+			if !w.relist {
+				obs.CV("incprof.read.fallbacks").Inc()
+			}
+			w.relist = true
+		case ev.op&evAdded != 0:
+			w.names[ev.seq] = ev.name
+			delete(w.unreported, ev.seq)
+		default:
+			delete(w.names, ev.seq)
+			delete(w.unreported, ev.seq)
+		}
+	}
+}
+
+// reseed lists the directory, makes the listing the picture, then applies
+// the events drained after it. That order loses nothing: a dump renamed in
+// while the listing ran is in the listing or in those events. A verification
+// listing also notes each dump it found that no event had named.
+func (r *reader) reseed() ([]dumpFile, error) {
+	w := r.w
+	files, err := r.list()
+	if err != nil {
+		return nil, err
+	}
+	verify := !w.relist
+	old := w.names
+	w.names = make(map[int]string, len(files))
+	clear(w.unreported)
+	for _, f := range files {
+		w.names[f.seq] = f.name
+		if _, ok := old[f.seq]; verify && !ok {
+			w.unreported[f.seq] = true
+		}
+	}
+	w.listed, w.relist = time.Now(), false
+	if r.absorb(); r.w == nil {
+		return files, nil
+	}
+	return w.pending(r.skip), nil
+}
+
+// pending returns the picture's dumps not yet done, in Seq order, and drops
+// the done ones from it.
+func (w *watched) pending(skip func(seq int) bool) []dumpFile {
+	var files []dumpFile
+	for seq, name := range w.names {
+		if skip(seq) {
+			delete(w.names, seq)
+			continue
+		}
+		files = append(files, dumpFile{seq, name})
+	}
+	sortBySeq(files)
+	return files
+}
+
+// fallBack ends the watch: the tail lists the directory on every poll from
+// now on.
+func (r *reader) fallBack() {
+	obs.CV("incprof.read.fallbacks").Inc()
+	r.unwatch()
+}
+
+// watch starts the tail's watch of the directory where the platform has
+// one. It comes before the first listing, so no dump lands unseen between
+// the two; that listing seeds the picture.
+func (r *reader) watch() {
+	if src := openWatch(r.dir, r.f.SeqFromName); src != nil {
+		r.w = &watched{src: src, names: map[int]string{}, unreported: map[int]bool{}, relist: true}
+	}
+}
+
+// unwatch closes the watch, if there is one.
+func (r *reader) unwatch() {
+	if r.w != nil {
+		r.w.src.close()
+		r.w = nil
+	}
 }
 
 // decodeDump reads and decodes one dump. A decoder whose container has no

@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"github.com/incprof/incprof/internal/exec"
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/incprof"
+	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/profiler"
 	"github.com/incprof/incprof/internal/stream"
 )

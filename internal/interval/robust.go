@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/obs"
 	"github.com/incprof/incprof/internal/par"
+	"github.com/incprof/incprof/internal/profile"
 )
 
 // maxSplitFanout bounds how many repaired profiles GapSplit synthesizes for
@@ -435,11 +435,11 @@ type RobustStream struct {
 	policy GapPolicy
 
 	prev      *profile.Sample // last kept snapshot
-	prevAdj   time.Duration  // its rebased timestamp
-	tsOffset  time.Duration  // accumulated clock-restart rebase
-	started   bool           // at least one snapshot kept
-	pushed    int            // snapshots pushed, nil or not (error reporting)
-	nProfiles int            // profiles emitted so far (Index / FirstProfile)
+	prevAdj   time.Duration   // its rebased timestamp
+	tsOffset  time.Duration   // accumulated clock-restart rebase
+	started   bool            // at least one snapshot kept
+	pushed    int             // snapshots pushed, nil or not (error reporting)
+	nProfiles int             // profiles emitted so far (Index / FirstProfile)
 }
 
 // NewRobustStream returns an empty stream repairing missing spans under

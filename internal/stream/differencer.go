@@ -9,9 +9,9 @@ import (
 	"container/heap"
 	"fmt"
 
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/interval"
 	"github.com/incprof/incprof/internal/obs"
+	"github.com/incprof/incprof/internal/profile"
 )
 
 // DifferencerOptions configures a Differencer.

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/interval"
+	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/stream"
 )
 

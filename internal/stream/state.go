@@ -23,9 +23,9 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/interval"
 	"github.com/incprof/incprof/internal/online"
+	"github.com/incprof/incprof/internal/profile"
 )
 
 // EngineState is the full serializable state of an Engine between two
