@@ -101,7 +101,6 @@ type config struct {
 	parallel   int
 	includeMPI bool
 	fast       bool
-	online     bool
 	promote    bool
 	merge      bool
 	salvage    bool
@@ -146,7 +145,6 @@ func parseConfig(args []string, stderr io.Writer) (*config, int) {
 	fs.IntVar(&c.parallel, "parallel", 0, "worker-pool bound for dump decode (batch and -follow) and the k-means sweep; 0 means GOMAXPROCS, 1 forces serial (results are identical either way)")
 	fs.BoolVar(&c.includeMPI, "include-mpi", false, "keep MPI pseudo-functions in the feature space")
 	fs.BoolVar(&c.fast, "fast", false, "also run fast-phase analysis (call-count loop grouping + periodicity)")
-	fs.BoolVar(&c.online, "online", false, "also replay the intervals through the streaming phase tracker")
 	fs.BoolVar(&c.promote, "promote", false, "apply call-graph site promotion to the selected sites")
 	fs.BoolVar(&c.merge, "merge", false, "merge phases with identical site sets")
 	fs.BoolVar(&c.salvage, "salvage", false, "degraded mode: skip corrupt/truncated dumps and absorb missing, duplicate, late, or regressed dumps as gaps instead of failing")
@@ -597,17 +595,6 @@ func (c *config) report(w io.Writer, det *phase.Detection, profiles []interval.P
 		}
 	}
 
-	if c.online {
-		tr := online.New(online.Options{Exclude: mpi.IsMPIFunc})
-		events := tr.ObserveAll(profiles)
-		fmt.Fprintf(w, "\nstreaming tracker: %d phases, transitions at %v\n",
-			tr.Phases(), tr.Transitions())
-		for _, ev := range events {
-			if ev.NewPhase {
-				fmt.Fprintf(w, "  interval %d founds phase %d\n", ev.Interval, ev.Phase)
-			}
-		}
-	}
 	return nil
 }
 

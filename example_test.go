@@ -71,22 +71,3 @@ func (printSink) Emit(recs []incprof.HeartbeatRecord) error {
 	}
 	return nil
 }
-
-// ExampleOnlineTracker labels intervals live and reports the transition
-// when the workload changes phase.
-func ExampleOnlineTracker() {
-	tr := incprof.NewOnlineTracker(incprof.OnlineOptions{})
-	mk := func(fn string) incprof.IntervalProfile {
-		return incprof.IntervalProfile{
-			Self: map[string]time.Duration{fn: time.Second},
-		}
-	}
-	for i := 0; i < 3; i++ {
-		tr.Observe(mk("init"))
-	}
-	ev := tr.Observe(mk("solve"))
-	fmt.Printf("interval %d: phase %d (new=%v transition=%v)\n",
-		ev.Interval, ev.Phase, ev.NewPhase, ev.Transition)
-	// Output:
-	// interval 3: phase 1 (new=true transition=true)
-}

@@ -9,7 +9,6 @@ import (
 	"github.com/incprof/incprof/internal/heartbeat"
 	"github.com/incprof/incprof/internal/incprof"
 	"github.com/incprof/incprof/internal/interval"
-	"github.com/incprof/incprof/internal/online"
 	"github.com/incprof/incprof/internal/phase"
 	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/profiler"
@@ -242,18 +241,3 @@ func Instrument(rt *Runtime, ekg *EKG, sites []SiteSpec, loopPeriod time.Duratio
 func SitesFromDetection(det *Detection) []SiteSpec {
 	return heartbeat.SitesFromDetection(det)
 }
-
-// Online (streaming) phase tracking (see internal/online): the
-// deployment-side complement to offline detection — intervals are labeled
-// as they arrive, and phase transitions are reported live.
-type (
-	// OnlineTracker labels a live stream of interval profiles.
-	OnlineTracker = online.Tracker
-	// OnlineOptions tunes the streaming tracker.
-	OnlineOptions = online.Options
-	// OnlineEvent describes one observed interval's assignment.
-	OnlineEvent = online.Event
-)
-
-// NewOnlineTracker creates a streaming phase tracker.
-func NewOnlineTracker(opts OnlineOptions) *OnlineTracker { return online.New(opts) }

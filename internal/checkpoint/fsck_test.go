@@ -16,6 +16,7 @@ import (
 	"github.com/incprof/incprof/internal/checkpoint"
 	"github.com/incprof/incprof/internal/faults"
 	"github.com/incprof/incprof/internal/profile"
+	"github.com/incprof/incprof/internal/stream"
 )
 
 // fsckSnaps builds a deterministic synthetic cumulative stream: enough for
@@ -302,5 +303,62 @@ func TestFsckMatchesRecovery(t *testing.T) {
 				t.Errorf("Recover replayed %d records, fsck predicted %d", len(rec.Records), rep.RecoverRecords)
 			}
 		})
+	}
+}
+
+// A resumed run's snapshots report the model the run had before the crash:
+// resumed and saved before any refresh, the new generation's Meta.K is the
+// crashed generation's, not 0.
+func TestResumedSaveKeepsModelK(t *testing.T) {
+	dir := t.TempDir()
+	opts := engOpts(false, 1)
+	const every = 10
+	snaps := fsckSnaps(30, 8)
+	runToCrash(t, dir, false, opts, every, snaps, 25)
+	metaK := func(gen int) int {
+		t.Helper()
+		rep, err := checkpoint.Fsck(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range rep.Snaps {
+			if s.Generation == gen && s.Valid {
+				return s.Meta.K
+			}
+		}
+		t.Fatalf("no valid snapshot at generation %d", gen)
+		return 0
+	}
+	before := metaK(20)
+	if before == 0 {
+		t.Fatal("test premise broken: the crashed run's snapshot records no model")
+	}
+
+	mgr, err := checkpoint.Open(dir, checkpoint.ManagerOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refreshes := 0
+	opts.OnRefresh = func(r stream.Refresh) {
+		if !r.Final {
+			refreshes++
+		}
+	}
+	runner, _, err := checkpoint.Start(mgr, checkpoint.RunnerOptions{Config: testConfig(false), Engine: opts, Every: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner.SetSaveOnFlush(true)
+	if err := runner.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if refreshes != 0 {
+		t.Fatalf("test premise broken: the resumed run refreshed %d times before its save", refreshes)
+	}
+	if after := metaK(25); after != before {
+		t.Fatalf("resumed save records Meta.K = %d, want the crashed run's %d", after, before)
 	}
 }

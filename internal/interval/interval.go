@@ -36,7 +36,7 @@ type Profile struct {
 	// Repaired marks a profile synthesized by DifferenceRobust's gap
 	// repair (split/scaled spans, post-restart resyncs) rather than
 	// observed directly. Downstream consumers treat repaired intervals as
-	// low-confidence: the online tracker will not found phases from them.
+	// low-confidence: the live labeller will not found phases from them.
 	Repaired bool
 }
 

@@ -154,15 +154,7 @@ func (b *MatrixBuilder) CSRMatrix() Matrix { return b.SelectRows(nil) }
 // every row.
 func (b *MatrixBuilder) SelectRows(rows []int) Matrix {
 	cols := b.columns()
-	names := make([]string, len(cols), b.Dims())
-	for j, id := range cols {
-		names[j] = b.fns[id]
-	}
-	if b.opts.Kind == SelfPlusCalls {
-		for _, n := range names[:len(cols)] {
-			names = append(names, "#calls:"+n)
-		}
-	}
+	names := b.FuncNames()
 	n := len(rows)
 	csr := &xmath.CSR{NumCols: len(names)}
 	if rows == nil {
@@ -183,17 +175,29 @@ func (b *MatrixBuilder) SelectRows(rows []int) Matrix {
 	return Matrix{FuncNames: names, Sparse: csr}
 }
 
-// EachRow calls fn with every row of the canonical matrix, in order, as
-// CSRMatrix would hold it, without materializing the matrix. The slices
-// are reused from one call to the next.
-func (b *MatrixBuilder) EachRow(fn func(i int, vals []float64, cols []int32)) {
+// FuncNames returns the canonical matrix's column names as CSRMatrix would
+// label them: the dimensions in name order, then (under SelfPlusCalls)
+// their "#calls:" columns.
+func (b *MatrixBuilder) FuncNames() []string {
 	cols := b.columns()
-	var idx []int32
-	var vals []float64
-	for i := 0; i < b.NumRows(); i++ {
-		idx, vals = b.appendRow(i, cols, idx[:0], vals[:0])
-		fn(i, vals, idx)
+	names := make([]string, len(cols), b.Dims())
+	for j, id := range cols {
+		names[j] = b.fns[id]
 	}
+	if b.opts.Kind == SelfPlusCalls {
+		for _, n := range names[:len(cols)] {
+			names = append(names, "#calls:"+n)
+		}
+	}
+	return names
+}
+
+// Row returns row i of the canonical matrix as CSRMatrix would hold it
+// now, without materializing the matrix: its non-zero values and their
+// ascending columns.
+func (b *MatrixBuilder) Row(i int) ([]float64, []int32) {
+	cols, vals := b.appendRow(i, b.columns(), nil, nil)
+	return vals, cols
 }
 
 // appendRow appends row i's non-zero cells over the given name-sorted

@@ -234,11 +234,12 @@ func TestBuilderCSRRowsScatterToRow(t *testing.T) {
 	}
 }
 
-// SelectRows and EachRow read the builder's rows as CSRMatrix holds them at
-// every point in the stream, while dimensions are still appearing:
-// SelectRows equals CSRMatrix's SelectRows over the same rows, names and
-// width included, and EachRow visits every row in order with its cells.
-func TestBuilderSelectRowsAndEachRowMatchCSRMatrix(t *testing.T) {
+// SelectRows, Row and FuncNames read the builder's rows and columns as
+// CSRMatrix holds them at every point in the stream, while dimensions are
+// still appearing: SelectRows equals CSRMatrix's SelectRows over the same
+// rows, names and width included, Row(r) is row r with its cells, and
+// FuncNames is CSRMatrix's column names.
+func TestBuilderSelectRowsAndRowMatchCSRMatrix(t *testing.T) {
 	profiles := growthProfiles(12)
 	for _, kind := range []FeatureKind{SampledSelf, ExactSelf, SelfPlusCalls} {
 		opts := FeatureOptions{Kind: kind, Exclude: exclude}
@@ -254,17 +255,16 @@ func TestBuilderSelectRowsAndEachRowMatchCSRMatrix(t *testing.T) {
 			if want := full.Sparse.SelectRows(rows); !reflect.DeepEqual(got.FuncNames, full.FuncNames) || !reflect.DeepEqual(got.Sparse, want) {
 				t.Fatalf("kind=%d after %d adds: SelectRows(%v) = %+v, want %+v", kind, i+1, rows, got.Sparse, want)
 			}
-			next := 0
-			b.EachRow(func(r int, vals []float64, cols []int32) {
+			if names := b.FuncNames(); !reflect.DeepEqual(names, full.FuncNames) {
+				t.Fatalf("kind=%d after %d adds: FuncNames = %v, want %v", kind, i+1, names, full.FuncNames)
+			}
+			for r := 0; r <= i; r++ {
+				vals, cols := b.Row(r)
 				wv, wc := full.Sparse.Row(r)
-				if r != next || !reflect.DeepEqual(append([]float64{}, vals...), append([]float64{}, wv...)) ||
+				if !reflect.DeepEqual(append([]float64{}, vals...), append([]float64{}, wv...)) ||
 					!reflect.DeepEqual(append([]int32{}, cols...), append([]int32{}, wc...)) {
-					t.Fatalf("kind=%d after %d adds: EachRow visit %d (row %d) = %v %v, want %v %v", kind, i+1, next, r, vals, cols, wv, wc)
+					t.Fatalf("kind=%d after %d adds: Row(%d) = %v %v, want %v %v", kind, i+1, r, vals, cols, wv, wc)
 				}
-				next++
-			})
-			if next != i+1 {
-				t.Fatalf("kind=%d: EachRow visited %d rows, want %d", kind, next, i+1)
 			}
 		}
 	}

@@ -192,8 +192,9 @@ func Run(src Source, opts RunOptions) (*RunResult, error) {
 }
 
 // unlessReplaying mutes an engine callback while *replaying is set; a nil
-// callback stays nil, because the engine keys behavior (the live tracker) on
-// its presence.
+// callback stays nil, because the engine labels intervals only when OnLabel
+// is set. A muted OnLabel still labels each replayed interval, so the
+// provisional live phases it founds are the ones the crashed run had.
 func unlessReplaying[T any](replaying *bool, f func(T)) func(T) {
 	if f == nil {
 		return nil

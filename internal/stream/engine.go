@@ -10,7 +10,8 @@
 //     arrived since the last refresh, the engine refits the phase model
 //     (phase.Fit) on a bounded row sample of everything seen so far
 //     (phase.RefreshRows), surfacing labels, gaps, and refreshed models
-//     through callbacks.
+//     through callbacks. Live labels come from the last refreshed model
+//     (labels.go).
 package stream
 
 import (
@@ -47,9 +48,9 @@ type Options struct {
 	// pass of dumps gets at most one refresh. 0 (the batch setting) defers
 	// all clustering to Flush.
 	RefreshEvery int
-	// OnLabel receives a live phase label per interval as it arrives. The
-	// live label tracker exists only when it is set; the tracker takes its
-	// defaults, excluding the functions Phase.Features.Exclude drops.
+	// OnLabel receives a live phase label per interval as it arrives,
+	// read from the last intermediate refresh's model (labels.go); the
+	// engine labels nothing when it is nil.
 	OnLabel func(online.Event)
 	// OnGap receives each repaired stream discontinuity as it happens.
 	OnGap func(interval.Gap)
@@ -95,31 +96,29 @@ type Engine struct {
 
 	builder  *interval.MatrixBuilder
 	profiles []interval.Profile
-	tracker  *online.Tracker
 
 	snaps        int
 	sinceRefresh int
 	refreshes    int
 	last         *phase.Model     // the latest intermediate refresh's
+	live         labeller         // last's clusters and the provisional phases
 	final        *phase.Detection // the terminal refresh's
 	span         *obs.Span
 	flushed      bool
 }
 
 // New builds an engine: Emit calls the differencer, which hands every
-// completed profile to the feature builder, the tracker and the refresh
-// cadence.
+// completed profile to the feature builder, the live labeller and the
+// refresh cadence.
 func New(opts Options) *Engine {
 	e := &Engine{
 		opts:    opts,
 		popts:   opts.Phase.WithDefaults(),
 		builder: interval.NewMatrixBuilder(opts.Phase.Features),
+		live:    labeller{prev: -1},
 		span:    obs.Under(opts.Span, "stream.engine", 0),
 	}
 	e.span.SetBool("robust", opts.Robust).SetInt("refresh_every", int64(opts.RefreshEvery))
-	if opts.OnLabel != nil {
-		e.tracker = online.New(online.Options{Exclude: opts.Phase.Features.Exclude, OnEvent: opts.OnLabel})
-	}
 	e.diff = NewDifferencer(DifferencerOptions{
 		Robust:  opts.Robust,
 		Policy:  opts.Gap,
@@ -192,13 +191,13 @@ func (e *Engine) consume(p interval.Profile) error {
 	return nil
 }
 
-// step updates the matrix and the live tracker with one interval profile
-// and counts it toward the next refresh.
+// step adds one interval profile to the matrix, labels its row live and
+// counts it toward the next refresh.
 func (e *Engine) step(p interval.Profile) {
 	e.profiles = append(e.profiles, p)
 	e.builder.Add(&p)
-	if e.tracker != nil {
-		e.tracker.Observe(p)
+	if e.opts.OnLabel != nil {
+		e.opts.OnLabel(e.live.label(e.builder, len(e.profiles)-1, p.Repaired))
 	}
 	if e.opts.RefreshEvery > 0 {
 		e.sinceRefresh++
@@ -230,19 +229,16 @@ func (e *Engine) Flush() error {
 		return err
 	}
 	e.final = det
-	if e.reseeds() {
-		e.reseed(det.Matrix.FuncNames, det.Phases)
-	}
 	e.done(Refresh{Final: true, Intervals: len(e.profiles), Clustered: len(e.profiles), K: det.K})
 	return nil
 }
 
 // refresh refits the phase model on everything seen so far: phase.Fit on
 // the phase.RefreshRows sample, at most 384 rows however long the run,
-// read straight out of the builder. No phase is assembled and no site
-// selected — live mode reads only the model's K and, for the tracker, its
-// centroids in phase order with their sizes, which need every interval's
-// nearest centroid. The pass traces under its own stream.refresh span.
+// read straight out of the builder. No phase is assembled, no site selected
+// and no earlier interval relabelled: live mode reads only the model's K
+// and its centroids, which label the intervals still to come. The pass
+// traces under its own stream.refresh span.
 func (e *Engine) refresh() error {
 	if len(e.profiles) == 0 || e.builder.Dims() == 0 {
 		// Too early to cluster (no rows, or no function active yet): a live
@@ -271,37 +267,9 @@ func (e *Engine) refresh() error {
 		return err
 	}
 	e.last = md
-	if e.reseeds() {
-		assign := md.Assign
-		if rows != nil {
-			assign = make([]int, len(e.profiles))
-			e.builder.EachRow(func(i int, vals []float64, cols []int32) { assign[i] = md.Nearest(vals, cols) })
-		}
-		e.reseed(m.FuncNames, phase.BuildPhases(e.profiles, assign, md.Centroids, md.K))
-	}
+	e.live.reset(md, m.FuncNames)
 	e.done(Refresh{Intervals: len(e.profiles), Clustered: clustered, K: md.K, Model: md})
 	return nil
-}
-
-// reseeds reports whether refreshes reseed the live tracker. The tracker's
-// feature space is sampled self seconds; only a k-means model over the
-// SampledSelf matrix shares it, so other configurations leave the tracker's
-// own drifting model in place.
-func (e *Engine) reseeds() bool {
-	return e.tracker != nil && e.popts.Algorithm == phase.KMeansAlg && e.popts.Features.Kind == interval.SampledSelf
-}
-
-// reseed replaces the live tracker's model with the phases' centroids and
-// sizes, in phase-ID order so live labels line up with reported phase
-// numbers.
-func (e *Engine) reseed(names []string, phases []phase.Phase) {
-	cents := make([][]float64, len(phases))
-	sizes := make([]int, len(phases))
-	for i := range phases {
-		cents[i] = phases[i].Centroid
-		sizes[i] = len(phases[i].Intervals)
-	}
-	e.tracker.Reseed(names, cents, sizes)
 }
 
 // done counts a finished refresh and reports it.
@@ -316,8 +284,9 @@ func (e *Engine) done(r Refresh) {
 }
 
 // Last returns the most recent intermediate refresh's model (nil before
-// the first) — the live view of the run's phase structure. The terminal
-// detection is Result.Detection.
+// the first) — the live view of the run's phase structure. A restored
+// engine's keeps no Assign, and its centroids are in live phase-ID order
+// (see EngineState.Model). The terminal detection is Result.Detection.
 func (e *Engine) Last() *phase.Model { return e.last }
 
 // Dims returns the feature-space dimensionality accumulated so far.

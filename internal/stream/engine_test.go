@@ -170,54 +170,6 @@ func TestEngineParallelismInvariance(t *testing.T) {
 	}
 }
 
-// With refreshes off, the engine's live labels are exactly the tracker's
-// ObserveAll over the same profiles — including the low-confidence marks on
-// repaired intervals, the PR 2 contract surfaced through the stream stage.
-func TestEngineLabelsMatchTrackerIncludingLowConfidence(t *testing.T) {
-	period := 10 * time.Millisecond
-	snaps := []*profile.Sample{
-		snap(0, time.Second, period, map[string][2]int64{"a": {100, 10}}),
-		// Seqs 1-2 lost: split repair synthesizes low-confidence intervals.
-		snap(3, 4*time.Second, period, map[string][2]int64{"a": {400, 40}}),
-		snap(4, 5*time.Second, period, map[string][2]int64{"a": {500, 50}}),
-	}
-	rres, err := interval.DifferenceRobust(snaps, interval.RobustOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rres.Repaired() == 0 {
-		t.Fatal("test premise broken: no repaired profiles")
-	}
-	want := online.New(online.Options{}).ObserveAll(rres.Profiles)
-
-	var got []online.Event
-	eng := stream.New(stream.Options{
-		Robust:  true,
-		Phase:   baseOpts(),
-		OnLabel: func(ev online.Event) { got = append(got, ev) },
-	})
-	for _, s := range snaps {
-		if err := eng.Emit(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := eng.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("engine labels diverge from tracker:\n got %+v\nwant %+v", got, want)
-	}
-	lowconf := 0
-	for _, ev := range got {
-		if ev.LowConfidence {
-			lowconf++
-		}
-	}
-	if lowconf != rres.Repaired() {
-		t.Fatalf("lowconf labels = %d, want %d (one per repaired interval)", lowconf, rres.Repaired())
-	}
-}
-
 // phaseSnaps synthesizes a run with two cleanly-separated phases: "init"
 // dominates the first 10 intervals, "solve" the rest.
 func phaseSnaps(n int) []*profile.Sample {
@@ -249,9 +201,9 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// modelLabels labels every interval of prefix with md the way the engine
-// labels them for its tracker: the fitted labels when the refresh clustered
-// every row, each row's nearest centroid when it clustered a sample.
+// modelLabels labels every interval of prefix with md: the fitted labels
+// when the refresh clustered every row, each row's nearest centroid when it
+// clustered a sample.
 func modelLabels(md *phase.Model, prefix []interval.Profile, popts phase.Options) []int {
 	if phase.RefreshRows(len(prefix), popts.Cluster.Seed) == nil {
 		return md.Assign

@@ -7,14 +7,19 @@
 // WAL of the accepted snapshots since) to disk; this file owns only the
 // in-memory capture.
 //
+// The last intermediate refresh's model is part of the state: live labels
+// come from it until the next refresh, and Engine.Last reports it. The
+// state keeps what those read — K, WCSS and the centroids, in live phase-ID
+// order, with the names of their columns — plus the provisional live
+// phases and the previous label, so its size does not grow with the run.
+//
 // What is deliberately NOT part of the state:
 //
 //   - the feature matrix builder: it is a pure deterministic function of the
 //     profile list and the engine options, so Restore rebuilds it by replay
 //     instead of persisting a second copy of every row;
-//   - any clustering model, including the last intermediate refresh's
-//     (Engine.Last): every refresh refits its model from the profiles
-//     alone, and the terminal Flush never reads the previous one;
+//   - the model's per-row Assign: every refresh refits its model from the
+//     profiles alone, and the terminal Flush never reads the previous one;
 //   - tracing spans: pure observability state.
 package stream
 
@@ -24,7 +29,7 @@ import (
 	"sort"
 
 	"github.com/incprof/incprof/internal/interval"
-	"github.com/incprof/incprof/internal/online"
+	"github.com/incprof/incprof/internal/phase"
 	"github.com/incprof/incprof/internal/profile"
 )
 
@@ -44,9 +49,19 @@ type EngineState struct {
 	// Differencer is the differencer's state, including the pending
 	// reorder window.
 	Differencer DifferencerState
-	// Tracker is the live label tracker's state, nil when the engine runs
-	// without one (no OnLabel).
-	Tracker *online.TrackerState
+	// Model is the last intermediate refresh's model (Engine.Last), nil
+	// before the first. It keeps K and WCSS, and its centroids in live
+	// phase-ID order, but not the per-row Assign.
+	Model *phase.Model
+	// Funcs names the feature columns of Model's centroids and of
+	// Provisional.
+	Funcs []string
+	// Provisional holds the live phases founded since the last refresh,
+	// one centroid each.
+	Provisional [][]float64
+	// Prev is the previous interval's live label, nil when there is none:
+	// before the first label, and just after a refresh.
+	Prev *int
 }
 
 // DifferencerState is the serializable state of the snapshot→profile
@@ -83,9 +98,19 @@ func (e *Engine) State() (*EngineState, error) {
 		Refreshes:    e.refreshes,
 		Profiles:     append([]interval.Profile(nil), e.profiles...),
 		Differencer:  e.diff.state(),
+		Funcs:        append([]string(nil), e.live.funcs...),
+		Provisional:  cloneRows(e.live.cents[e.live.k:]),
 	}
-	if e.tracker != nil {
-		st.Tracker = e.tracker.State()
+	if e.last != nil {
+		st.Model = &phase.Model{
+			K:         e.last.K,
+			WCSS:      append([]float64(nil), e.last.WCSS...),
+			Centroids: cloneRows(e.live.cents[:e.live.k]),
+		}
+	}
+	if e.live.prev >= 0 {
+		prev := e.live.prev
+		st.Prev = &prev
 	}
 	return st, nil
 }
@@ -116,10 +141,61 @@ func Restore(opts Options, st *EngineState) (*Engine, error) {
 	if err := e.diff.restore(st.Differencer); err != nil {
 		return nil, err
 	}
-	if e.tracker != nil && st.Tracker != nil {
-		e.tracker.Restore(st.Tracker)
+	if err := e.live.restore(st, e.builder.FuncNames()); err != nil {
+		return nil, err
+	}
+	if st.Model != nil {
+		md := *st.Model
+		md.WCSS = append([]float64(nil), md.WCSS...)
+		md.Centroids = cloneRows(md.Centroids)
+		e.last = &md
 	}
 	return e, nil
+}
+
+// restore loads the live model, the provisional phases and the previous
+// label from st, after checking that every centroid spans Funcs and that
+// Funcs are columns of the restored builder, whose columns are dims.
+func (l *labeller) restore(st *EngineState, dims []string) error {
+	col := make(map[string]bool, len(dims))
+	for _, fn := range dims {
+		col[fn] = true
+	}
+	for _, fn := range st.Funcs {
+		if !col[fn] {
+			return fmt.Errorf("stream: state names column %q, which its profiles never fill", fn)
+		}
+	}
+	var cents [][]float64
+	if st.Model != nil {
+		cents = append(cents, st.Model.Centroids...)
+	}
+	cents = append(cents, st.Provisional...)
+	for _, c := range cents {
+		if len(c) != len(st.Funcs) {
+			return fmt.Errorf("stream: state centroid spans %d columns, not its %d", len(c), len(st.Funcs))
+		}
+	}
+	l.funcs = append([]string(nil), st.Funcs...)
+	l.cents = cloneRows(cents)
+	l.k = len(cents) - len(st.Provisional)
+	l.prev = -1
+	if st.Prev != nil {
+		l.prev = *st.Prev
+	}
+	return nil
+}
+
+// cloneRows deep-copies a list of vectors.
+func cloneRows(rows [][]float64) [][]float64 {
+	if rows == nil {
+		return nil
+	}
+	out := make([][]float64, len(rows))
+	for i, r := range rows {
+		out[i] = append([]float64(nil), r...)
+	}
+	return out
 }
 
 // state exports the differencer, deep-copying snapshots and gaps.

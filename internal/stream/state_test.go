@@ -3,6 +3,7 @@ package stream_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -60,14 +61,18 @@ func jsonRoundTrip(t *testing.T, st *stream.EngineState) *stream.EngineState {
 
 // State/Restore mid-stream: the restored engine finishes byte-identically
 // to the original continuing from the same point, with live labels and
-// periodic refreshes on so tracker and refresh-cadence state both matter.
+// periodic refreshes on so the live model and refresh-cadence state both
+// matter. From the cut on, the restored engine's live labels are the
+// original's, provisional phases pending at the cut included.
 func TestEngineStateRestoreMidStreamBitIdentity(t *testing.T) {
 	snaps := collect(t, "graph500")
+	pending := false
 	for _, cut := range []int{1, 7, len(snaps) / 2, len(snaps) - 1} {
+		var la, lb []online.Event
 		opts := stream.Options{
 			Phase:        baseOpts(),
 			RefreshEvery: 5,
-			OnLabel:      func(online.Event) {},
+			OnLabel:      func(ev online.Event) { la = append(la, ev) },
 		}
 		a := stream.New(opts)
 		for _, s := range snaps[:cut] {
@@ -79,11 +84,20 @@ func TestEngineStateRestoreMidStreamBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pending = pending || len(st.Provisional) > 0
+		atCut := len(la)
+		opts.OnLabel = func(ev online.Event) { lb = append(lb, ev) }
 		b, err := stream.Restore(opts, jsonRoundTrip(t, st))
 		if err != nil {
 			t.Fatal(err)
 		}
 		finishBoth(t, a, b, snaps[cut:])
+		if !reflect.DeepEqual(la[atCut:], lb) {
+			t.Fatalf("cut %d: restored engine's %d live labels differ from the original's %d", cut, len(lb), len(la)-atCut)
+		}
+	}
+	if !pending {
+		t.Fatal("test premise broken: no cut left a provisional phase pending")
 	}
 }
 
@@ -231,4 +245,34 @@ func TestLateDropSurfacing(t *testing.T) {
 			t.Fatalf("late gaps = %d, want 1 (gaps: %+v)", late, r.Gaps)
 		}
 	})
+}
+
+// Restore refuses a live model it could not label with: a centroid whose
+// width is not its column list's, or a column the replayed profiles never
+// made a dimension.
+func TestEngineStateRestoreRejectsMalformedLiveModel(t *testing.T) {
+	opts := stream.Options{Phase: baseOpts(), RefreshEvery: 5, OnLabel: func(online.Event) {}}
+	eng := stream.New(opts)
+	for _, s := range phaseSnaps(12) {
+		if err := eng.Emit(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, spoil := range map[string]func(st *stream.EngineState){
+		"short centroid":    func(st *stream.EngineState) { st.Model.Centroids[0] = st.Model.Centroids[0][:1] },
+		"short provisional": func(st *stream.EngineState) { st.Provisional = [][]float64{{1}} },
+		"unknown column":    func(st *stream.EngineState) { st.Funcs[0] = "never_seen" },
+	} {
+		st, err := eng.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Model == nil || len(st.Funcs) != 2 {
+			t.Fatalf("test premise broken: state holds model %v over %v", st.Model, st.Funcs)
+		}
+		spoil(st)
+		if _, err := stream.Restore(opts, st); err == nil {
+			t.Fatalf("%s: Restore accepted the state", name)
+		}
+	}
 }

@@ -7,10 +7,11 @@
 //
 //	Engine.EmitBatch → Differencer → interval.Profile → Engine.consume
 //	  (Emit: a batch of one, then EndPass)               ├─ interval.MatrixBuilder (append-only rows, growing dims)
-//	                                                     └─ online.Tracker.Observe (live labels, reseeded per refresh)
+//	                                                     └─ labeller.label (live label: the row's nearest
+//	                                                        candidate — last model's clusters, provisional phases)
 //	  then, at EndPass, once R intervals have arrived: phase.Fit over the prefix
-//	  (k sweep on ≤ 384 sampled rows, k selection); at Flush, phase.DetectMatrix
-//	  over every row (k sweep, k selection, Algorithm 1)
+//	  (k sweep on ≤ 384 sampled rows, k selection), which becomes the live model;
+//	  at Flush, phase.DetectMatrix over every row (k sweep, k selection, Algorithm 1)
 //
 // pipeline.Run feeds the engine from a snapshot source. A batch source is
 // finite: pipeline.Analyze feeds an Engine from its snapshot list and the

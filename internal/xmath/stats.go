@@ -137,32 +137,6 @@ func SquaredEuclideanBounded(a, b []float64, limit float64) (float64, bool) {
 	return s, true
 }
 
-// EuclideanPadded returns the L2 distance between vectors that may differ in
-// length, treating the missing trailing dimensions of the shorter vector as
-// zero. Growing feature spaces (the online tracker, the streaming engine's
-// matrix builder) pad centroids lazily, so their hot paths compare vectors of
-// unequal length; for equal lengths it is exactly Euclidean.
-func EuclideanPadded(a, b []float64) float64 {
-	return math.Sqrt(SquaredEuclideanPadded(a, b))
-}
-
-// SquaredEuclideanPadded is EuclideanPadded without the square root.
-func SquaredEuclideanPadded(a, b []float64) float64 {
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	var s float64
-	for i, av := range a {
-		var bv float64
-		if i < len(b) {
-			bv = b[i]
-		}
-		d := av - bv
-		s += d * d
-	}
-	return s
-}
-
 // Sum returns the total of xs.
 func Sum(xs []float64) float64 {
 	var s float64
