@@ -92,7 +92,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "appekg: HB%d = %s (%s)\n", s.ID, s.Function, s.Type)
 	}
 
-	hb, err := pipeline.RunWithHeartbeats(app, sites, pipeline.HeartbeatOptions{})
+	hb, err := pipeline.RunWithHeartbeats(app, sites)
 	fail(err)
 
 	out := os.Stdout
@@ -170,7 +170,7 @@ func runCheck(baselineList, checkPath string) {
 	fail(err)
 	run, err := readRecords(checkPath)
 	fail(err)
-	anoms := b.Check(run, hbanalysis.CheckOptions{})
+	anoms := b.Check(run)
 	fmt.Printf("baseline: %d runs; checked run: %d records; slowdown factor %.3f\n",
 		b.Runs(), len(run), b.SlowdownFactor(run))
 	if len(anoms) == 0 {

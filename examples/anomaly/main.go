@@ -43,7 +43,7 @@ func main() {
 	for seed := uint64(1); seed <= 3; seed++ {
 		p := miniamr.DefaultParams(scale)
 		p.Seed = seed
-		hb, err := pipeline.RunWithHeartbeats(miniamr.New(p), sites, pipeline.HeartbeatOptions{})
+		hb, err := pipeline.RunWithHeartbeats(miniamr.New(p), sites)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func main() {
 	// dominant heartbeat report 3x durations (as a failing node would).
 	p := miniamr.DefaultParams(scale)
 	p.Seed = 9
-	hb, err := pipeline.RunWithHeartbeats(miniamr.New(p), sites, pipeline.HeartbeatOptions{})
+	hb, err := pipeline.RunWithHeartbeats(miniamr.New(p), sites)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func main() {
 		}
 	}
 
-	healthyAnoms := baseline.Check(hb.Records, hbanalysis.CheckOptions{})
+	healthyAnoms := baseline.Check(hb.Records)
 	fmt.Printf("\nhealthy run: %d anomalies, slowdown factor %.3f\n",
 		len(healthyAnoms), baseline.SlowdownFactor(hb.Records))
 
-	anoms := baseline.Check(degraded, hbanalysis.CheckOptions{})
+	anoms := baseline.Check(degraded)
 	fmt.Printf("degraded run: %d anomalies, slowdown factor %.3f\n",
 		len(anoms), baseline.SlowdownFactor(degraded))
 	for i, a := range anoms {

@@ -14,7 +14,6 @@ import (
 	"log"
 	"os"
 
-	"github.com/incprof/incprof/internal/apps"
 	"github.com/incprof/incprof/internal/harness"
 	"github.com/incprof/incprof/internal/pipeline"
 
@@ -46,16 +45,10 @@ func main() {
 	}
 
 	// Overhead summary for this app, as Table I reports it.
-	app, err := apps.New(*appName, *scale)
-	if err != nil {
-		log.Fatal(err)
-	}
-	model := pipeline.DefaultOverheadModel
 	fmt.Printf("\nIncProf overhead (modeled): %.1f%% — %d dumps, %d samples, %d calls over %s\n",
-		model.IncProfOverheadPct(res.Experiment.Profiled),
+		pipeline.IncProfOverheadPct(res.Experiment.Profiled),
 		res.Experiment.Profiled.RepDumps,
 		res.Experiment.Profiled.RepSamples,
 		res.Experiment.Profiled.RepCalls,
 		res.Experiment.Profiled.VirtualRuntime)
-	_ = app
 }

@@ -21,28 +21,21 @@ import (
 	"github.com/incprof/incprof/internal/xmath"
 )
 
+const (
+	// projectionDims is the random-projection dimensionality, SimPoint's
+	// default.
+	projectionDims = 15
+	// kMax bounds the k-means sweep, matching the source-side detector for
+	// comparability.
+	kMax = 8
+)
+
 // Options configures the BBV analysis.
 type Options struct {
-	// Dims is the random-projection dimensionality; 0 means 15,
-	// SimPoint's default.
-	Dims int
-	// KMax bounds the k-means sweep; 0 means 8, matching the source-side
-	// detector for comparability.
-	KMax int
 	// Seed drives the projection and clustering.
 	Seed uint64
 	// Exclude drops blocks of the named functions (e.g. MPI wrappers).
 	Exclude func(name string) bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.Dims == 0 {
-		o.Dims = 15
-	}
-	if o.KMax == 0 {
-		o.KMax = 8
-	}
-	return o
 }
 
 // Result is the BBV phase analysis output.
@@ -53,14 +46,12 @@ type Result struct {
 	K int
 	// WCSS is the k-means sweep curve over the projected vectors.
 	WCSS []float64
-	// Dims is the projected dimensionality used.
-	Dims int
 }
 
 // Phases clusters the intervals of a coverage collection by their
-// basic-block vectors.
+// basic-block vectors, projected to SimPoint's 15 dimensions and swept over
+// k ≤ 8 with the elbow selecting k.
 func Phases(snaps []*gcov.Snapshot, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
 	profiles, err := gcov.Difference(snaps)
 	if err != nil {
 		return nil, err
@@ -106,13 +97,13 @@ func Phases(snaps []*gcov.Snapshot, opts Options) (*Result, error) {
 		raw[i] = row
 	}
 
-	projected := Project(raw, opts.Dims, opts.Seed)
-	results, err := cluster.SweepCSR(xmath.NewCSRFromDense(projected), opts.KMax, cluster.Options{Seed: opts.Seed})
+	projected := Project(raw, projectionDims, opts.Seed)
+	results, err := cluster.SweepCSR(xmath.NewCSRFromDense(projected), kMax, cluster.Options{Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}
 	best := cluster.SelectElbow(results)
-	res := &Result{Assign: best.Assign, K: best.K, Dims: opts.Dims}
+	res := &Result{Assign: best.Assign, K: best.K}
 	res.WCSS = make([]float64, len(results))
 	for i, r := range results {
 		res.WCSS[i] = r.WCSS

@@ -11,7 +11,7 @@
 // the caller is usually the more meaningful source-level name. Walks stop at
 // roots (functions nobody calls, e.g. main), at fan-in (multiple callers),
 // at hot callers (called much more often than the site, the utility-function
-// smell Algorithm 1 avoids), and after MaxHops steps.
+// smell Algorithm 1 avoids), and after three steps.
 package callgraph
 
 import (
@@ -105,37 +105,30 @@ func (g *Graph) UniqueCaller(name string) (string, bool) {
 	return "", false
 }
 
+// The promotion walk's bounds.
+const (
+	// maxHops bounds the walk length.
+	maxHops = 3
+	// maxCallRatio rejects a promotion when the caller is called more than
+	// this factor as often as the current function (a busier parent is a
+	// worse heartbeat site): the caller must be called no more often than
+	// the site.
+	maxCallRatio = 1.0
+)
+
 // PromoteOptions tunes site promotion.
 type PromoteOptions struct {
-	// MaxHops bounds the walk length; 0 means 3.
-	MaxHops int
-	// MaxCallRatio rejects a promotion when the caller is called more
-	// than this factor as often as the current function (a busier parent
-	// is a worse heartbeat site); 0 means 1.0 — the caller must be
-	// called no more often than the site.
-	MaxCallRatio float64
 	// Exclude rejects specific functions as promotion targets (e.g.
 	// "main", MPI wrappers). Roots are always excluded.
 	Exclude func(name string) bool
-}
-
-func (o PromoteOptions) withDefaults() PromoteOptions {
-	if o.MaxHops == 0 {
-		o.MaxHops = 3
-	}
-	if o.MaxCallRatio == 0 {
-		o.MaxCallRatio = 1.0
-	}
-	return o
 }
 
 // Promote walks fn upward along unique-caller chains and returns the
 // highest acceptable ancestor; it returns fn itself when no promotion
 // applies.
 func (g *Graph) Promote(fn string, opts PromoteOptions) string {
-	opts = opts.withDefaults()
 	cur := fn
-	for hop := 0; hop < opts.MaxHops; hop++ {
+	for hop := 0; hop < maxHops; hop++ {
 		caller, ok := g.UniqueCaller(cur)
 		if !ok {
 			break
@@ -151,7 +144,7 @@ func (g *Graph) Promote(fn string, opts PromoteOptions) string {
 		}
 		curCalls := g.nodes[cur].InCalls()
 		callerCalls := callerNode.InCalls()
-		if curCalls > 0 && float64(callerCalls) > opts.MaxCallRatio*float64(curCalls) {
+		if curCalls > 0 && float64(callerCalls) > maxCallRatio*float64(curCalls) {
 			break
 		}
 		cur = caller

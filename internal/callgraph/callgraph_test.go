@@ -78,20 +78,26 @@ func TestPromoteStopsAtFanIn(t *testing.T) {
 }
 
 func TestPromoteStopsAtHotCaller(t *testing.T) {
-	// helper is called 1000x by worker, which is itself called 5000x —
-	// promoting to the busier parent would pick a worse site.
-	g := FromArcs([]profile.Arc{
-		{Caller: "main", Callee: "driver", Count: 1},
-		{Caller: "driver", Callee: "worker", Count: 5000},
-		{Caller: "worker", Callee: "helper", Count: 1000},
-	})
-	if got := g.Promote("helper", PromoteOptions{}); got != "helper" {
+	// helper is called 1000x by worker, which driver calls workerCalls
+	// times.
+	arcs := func(workerCalls int64) []profile.Arc {
+		return []profile.Arc{
+			{Caller: "main", Callee: "driver", Count: 1},
+			{Caller: "driver", Callee: "worker", Count: workerCalls},
+			{Caller: "worker", Callee: "helper", Count: 1000},
+		}
+	}
+	// Promoting to a busier parent would pick a worse site.
+	if got := FromArcs(arcs(5000)).Promote("helper", PromoteOptions{}); got != "helper" {
 		t.Fatalf("promoted to hotter caller: %q", got)
 	}
-	// A generous ratio allows one hop (further hops climb to driver, so
-	// bound them).
-	if got := g.Promote("helper", PromoteOptions{MaxCallRatio: 10, MaxHops: 1}); got != "worker" {
-		t.Fatalf("ratio override ignored: %q", got)
+	// The ratio bound is inclusive: a caller called exactly as often as
+	// the site is its equal, one call more is a busier parent.
+	if got := FromArcs(arcs(1000)).Promote("helper", PromoteOptions{}); got != "driver" {
+		t.Fatalf("equal-rate caller refused: %q", got)
+	}
+	if got := FromArcs(arcs(1001)).Promote("helper", PromoteOptions{}); got != "helper" {
+		t.Fatalf("busier caller accepted: %q", got)
 	}
 }
 
@@ -101,11 +107,13 @@ func TestPromoteRespectsMaxHops(t *testing.T) {
 		{Caller: "a", Callee: "b", Count: 1},
 		{Caller: "b", Callee: "c", Count: 1},
 		{Caller: "c", Callee: "d", Count: 1},
+		{Caller: "d", Callee: "e", Count: 1},
 	})
-	if got := g.Promote("d", PromoteOptions{MaxHops: 1}); got != "c" {
-		t.Fatalf("MaxHops=1 -> %q", got)
+	// e is four hops below a; the walk stops after three.
+	if got := g.Promote("e", PromoteOptions{}); got != "b" {
+		t.Fatalf("walk from e -> %q, want b after 3 hops", got)
 	}
-	if got := g.Promote("d", PromoteOptions{MaxHops: 5}); got != "a" {
+	if got := g.Promote("c", PromoteOptions{}); got != "a" {
 		t.Fatalf("full climb stops below root: %q", got)
 	}
 }

@@ -343,6 +343,3 @@ func (m *Manager) Close() error {
 	m.wal = nil
 	return err
 }
-
-// Dir returns the state directory path.
-func (m *Manager) Dir() string { return m.dir }

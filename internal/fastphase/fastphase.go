@@ -23,45 +23,27 @@ import (
 	"github.com/incprof/incprof/internal/interval"
 )
 
+// The analysis thresholds.
+const (
+	// minActiveFrac is the fraction of intervals a function must be called
+	// in to participate in loop grouping.
+	minActiveFrac = 0.5
+	// corrThreshold is the minimum Pearson correlation between call-count
+	// series for two functions to share a loop.
+	corrThreshold = 0.85
+	// rateTolerance bounds the allowed ratio between two functions' mean
+	// call rates within one group (a loop may call one helper twice per
+	// iteration).
+	rateTolerance = 2.0
+	// minStrength is the minimum autocorrelation peak height to report a
+	// periodicity. The autocorrelation search spans a third of the series.
+	minStrength = 0.3
+)
+
 // Options tunes the analysis.
 type Options struct {
-	// MinActiveFrac is the fraction of intervals a function must be
-	// called in to participate in loop grouping; 0 means 0.5.
-	MinActiveFrac float64
-	// CorrThreshold is the minimum Pearson correlation between
-	// call-count series for two functions to share a loop; 0 means 0.85.
-	CorrThreshold float64
-	// RateTolerance bounds the allowed ratio between two functions' mean
-	// call rates within one group; 0 means 2.0 (a loop may call one
-	// helper twice per iteration).
-	RateTolerance float64
-	// MaxLag bounds the autocorrelation search; 0 means a third of the
-	// series length.
-	MaxLag int
-	// MinStrength is the minimum autocorrelation peak height to report a
-	// periodicity; 0 means 0.3.
-	MinStrength float64
 	// Exclude drops functions from the analysis (e.g. MPI wrappers).
 	Exclude func(name string) bool
-}
-
-func (o Options) withDefaults(n int) Options {
-	if o.MinActiveFrac == 0 {
-		o.MinActiveFrac = 0.5
-	}
-	if o.CorrThreshold == 0 {
-		o.CorrThreshold = 0.85
-	}
-	if o.RateTolerance == 0 {
-		o.RateTolerance = 2.0
-	}
-	if o.MaxLag == 0 {
-		o.MaxLag = n / 3
-	}
-	if o.MinStrength == 0 {
-		o.MinStrength = 0.3
-	}
-	return o
 }
 
 // Group is one set of functions called from the same fast loop.
@@ -94,10 +76,13 @@ type Result struct {
 	Periodicities []Periodicity
 }
 
-// Analyze runs both analyses over interval profiles.
+// Analyze runs both analyses over interval profiles, with the thresholds
+// above: loops group functions active in at least half the intervals whose
+// call series correlate at 0.85 or more within a 2× rate band, and a
+// periodicity is an autocorrelation peak of at least 0.3 within a third of
+// the series.
 func Analyze(profiles []interval.Profile, opts Options) *Result {
 	n := len(profiles)
-	opts = opts.withDefaults(n)
 	res := &Result{}
 	if n < 4 {
 		return res
@@ -131,13 +116,13 @@ func Analyze(profiles []interval.Profile, opts Options) *Result {
 		}
 	}
 
-	res.Groups = groupLoops(callSeries, n, opts)
-	res.Periodicities = findPeriodicities(activitySeries, opts)
+	res.Groups = groupLoops(callSeries, n)
+	res.Periodicities = findPeriodicities(activitySeries, n/3)
 	return res
 }
 
 // groupLoops unions functions with correlated, similar-rate call series.
-func groupLoops(series map[string][]float64, n int, opts Options) []Group {
+func groupLoops(series map[string][]float64, n int) []Group {
 	type candidate struct {
 		fn   string
 		s    []float64
@@ -153,7 +138,7 @@ func groupLoops(series map[string][]float64, n int, opts Options) []Group {
 			}
 			total += v
 		}
-		if float64(active) < opts.MinActiveFrac*float64(n) {
+		if float64(active) < minActiveFrac*float64(n) {
 			continue
 		}
 		cands = append(cands, candidate{fn: fn, s: s, rate: total / float64(n)})
@@ -179,10 +164,10 @@ func groupLoops(series map[string][]float64, n int, opts Options) []Group {
 			if ratio < 1 {
 				ratio = 1 / ratio
 			}
-			if ratio > opts.RateTolerance {
+			if ratio > rateTolerance {
 				continue
 			}
-			if Pearson(cands[i].s, cands[j].s) >= opts.CorrThreshold {
+			if Pearson(cands[i].s, cands[j].s) >= corrThreshold {
 				parent[find(i)] = find(j)
 			}
 		}
@@ -219,12 +204,12 @@ func groupLoops(series map[string][]float64, n int, opts Options) []Group {
 }
 
 // findPeriodicities scans each activity series' autocorrelation for its
-// strongest peak.
-func findPeriodicities(series map[string][]float64, opts Options) []Periodicity {
+// strongest peak up to maxLag.
+func findPeriodicities(series map[string][]float64, maxLag int) []Periodicity {
 	var out []Periodicity
 	for fn, s := range series {
-		lag, strength := DominantPeriod(s, opts.MaxLag)
-		if lag >= 2 && strength >= opts.MinStrength {
+		lag, strength := DominantPeriod(s, maxLag)
+		if lag >= 2 && strength >= minStrength {
 			out = append(out, Periodicity{Function: fn, Period: lag, Strength: strength})
 		}
 	}

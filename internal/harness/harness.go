@@ -53,9 +53,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Table1Row is one application's measured Table I entries. The overhead
-// columns come from the priced instrumentation-event model
-// (pipeline.OverheadModel); the raw host wall-clock durations of each run
-// are retained for the record.
+// columns come from the priced instrumentation events
+// (pipeline.IncProfOverheadPct, pipeline.HeartbeatOverheadPct); the raw host
+// wall-clock durations of each run are retained for the record.
 type Table1Row struct {
 	App              string
 	Procs, Nodes     int
@@ -98,14 +98,13 @@ func Table1(cfg Config) ([]Table1Row, error) {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		m := app.Meta()
-		model := pipeline.DefaultOverheadModel
 		rows[i] = Table1Row{
 			App:              name,
 			Procs:            m.Ranks,
 			Nodes:            m.PaperNodes,
 			UninstrRuntime:   e.Baseline.VirtualRuntime,
-			IncProfOvhdPct:   model.IncProfOverheadPct(e.Profiled),
-			HeartbeatOvhdPct: model.HeartbeatOverheadPct(e.Manual),
+			IncProfOvhdPct:   pipeline.IncProfOverheadPct(e.Profiled),
+			HeartbeatOvhdPct: pipeline.HeartbeatOverheadPct(e.Manual),
 			PhasesDiscovered: len(e.Analysis.Detection.Phases),
 			BaselineHost:     e.Baseline.HostDuration,
 			ProfiledHost:     e.Profiled.HostDuration,

@@ -174,34 +174,23 @@ type Anomaly struct {
 	Observed, Expected float64
 }
 
-// CheckOptions tunes anomaly detection.
-type CheckOptions struct {
-	// ZThreshold is the minimum |z-score| to flag; 0 means 4.
-	ZThreshold float64
-	// MinSigmaFrac floors the baseline standard deviation at this
-	// fraction of the mean, so near-constant baselines don't flag
-	// measurement noise; 0 means 0.05.
-	MinSigmaFrac float64
-}
-
-func (o CheckOptions) withDefaults() CheckOptions {
-	if o.ZThreshold == 0 {
-		o.ZThreshold = 4
-	}
-	if o.MinSigmaFrac == 0 {
-		o.MinSigmaFrac = 0.05
-	}
-	return o
-}
+// The anomaly thresholds.
+const (
+	// zThreshold is the minimum |z-score| to flag.
+	zThreshold = 4
+	// minSigmaFrac floors the baseline standard deviation at this fraction
+	// of the mean, so near-constant baselines don't flag measurement noise.
+	minSigmaFrac = 0.05
+)
 
 // Check flags intervals of a run that deviate from the baseline, ordered by
 // descending score. When the baseline has seen a record's exact (heartbeat,
 // interval) slot — runs of a fixed configuration align that way — the
 // per-interval statistics judge it, so structurally slow intervals are only
 // anomalous if they misbehave relative to themselves; otherwise the
-// run-global statistics apply.
-func (b *Baseline) Check(recs []heartbeat.Record, opts CheckOptions) []Anomaly {
-	opts = opts.withDefaults()
+// run-global statistics apply. A value is anomalous at |z| > 4, with the
+// baseline's standard deviation floored at 5 % of its mean.
+func (b *Baseline) Check(recs []heartbeat.Record) []Anomaly {
 	var out []Anomaly
 	for _, r := range recs {
 		if !b.Known(r.HB) {
@@ -217,7 +206,7 @@ func (b *Baseline) Check(recs []heartbeat.Record, opts CheckOptions) []Anomaly {
 		if iw, ok := b.intervalDuration[k]; ok && iw.N() >= minIntervalObs {
 			dur = iw
 		}
-		if z := zscore(r.MeanDuration.Seconds(), dur, opts.MinSigmaFrac); z > opts.ZThreshold && r.MeanDuration.Seconds() > dur.Mean() {
+		if z := zscore(r.MeanDuration.Seconds(), dur); z > zThreshold && r.MeanDuration.Seconds() > dur.Mean() {
 			out = append(out, Anomaly{
 				HB: r.HB, Interval: r.Interval, Kind: DurationHigh,
 				Score: z, Observed: r.MeanDuration.Seconds(), Expected: dur.Mean(),
@@ -227,7 +216,7 @@ func (b *Baseline) Check(recs []heartbeat.Record, opts CheckOptions) []Anomaly {
 		if iw, ok := b.intervalRate[k]; ok && iw.N() >= minIntervalObs {
 			rate = iw
 		}
-		if z := zscore(float64(r.Count), rate, opts.MinSigmaFrac); z > opts.ZThreshold {
+		if z := zscore(float64(r.Count), rate); z > zThreshold {
 			kind := RateHigh
 			if float64(r.Count) < rate.Mean() {
 				kind = RateLow
@@ -250,11 +239,11 @@ func (b *Baseline) Check(recs []heartbeat.Record, opts CheckOptions) []Anomaly {
 	return out
 }
 
-// zscore returns |x - mean| / max(sigma, minFrac*|mean|); one-sided callers
-// compare against the mean themselves.
-func zscore(x float64, w xmath.Welford, minFrac float64) float64 {
+// zscore returns |x - mean| / max(sigma, minSigmaFrac*|mean|); one-sided
+// callers compare against the mean themselves.
+func zscore(x float64, w xmath.Welford) float64 {
 	sigma := w.Stddev()
-	if floor := minFrac * math.Abs(w.Mean()); sigma < floor {
+	if floor := minSigmaFrac * math.Abs(w.Mean()); sigma < floor {
 		sigma = floor
 	}
 	if sigma == 0 {

@@ -32,9 +32,6 @@ func NewGmonOutStore(dir string) (*GmonOutStore, error) {
 	return &GmonOutStore{dir: dir}, nil
 }
 
-// Dir returns the directory the store writes into.
-func (g *GmonOutStore) Dir() string { return g.dir }
-
 // Put implements Store.
 func (g *GmonOutStore) Put(s *profile.Sample) error {
 	layout := gmon.LayoutForSample(s)

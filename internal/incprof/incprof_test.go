@@ -421,13 +421,6 @@ func TestStoreAccessorsAndErrPropagation(t *testing.T) {
 	if st.Dir() != dir {
 		t.Fatalf("Dir = %q", st.Dir())
 	}
-	gst, err := NewGmonOutStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gst.Dir() != dir {
-		t.Fatalf("GmonOutStore Dir = %q", gst.Dir())
-	}
 
 	// A store that cannot write surfaces its error through the collector.
 	rt := exec.New(nil)

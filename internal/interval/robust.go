@@ -119,8 +119,6 @@ type RobustOptions struct {
 	// Parallelism bounds the worker pool (0 means GOMAXPROCS, 1 forces
 	// serial); the output is identical for every value.
 	Parallelism int
-	// Span, when non-nil, parents the tracing span this call records.
-	Span *obs.Span
 }
 
 // Result is DifferenceRobust's output: the per-interval profiles that could
@@ -163,7 +161,7 @@ func DifferenceRobust(snaps []*profile.Sample, opts RobustOptions) (*Result, err
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("interval: no snapshots")
 	}
-	sp := obs.Under(opts.Span, "interval.robust", 0)
+	sp := obs.Start("interval.robust")
 	sp.SetInt("snapshots", int64(len(snaps))).SetStr("policy", opts.Policy.String())
 	defer sp.End()
 

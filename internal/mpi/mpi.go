@@ -8,15 +8,14 @@
 // communication. This substrate reproduces that structure: each rank is a
 // goroutine owning an exec.Runtime; collectives block the goroutine until
 // all ranks arrive, then advance every rank's virtual clock to the latest
-// arrival time (plus a modeled collective cost), charging the wait to an
-// MPI pseudo-function so it shows up in profiles the way MPI library time
-// does under gprof.
+// arrival time, charging the wait to an MPI pseudo-function so it shows up
+// in profiles the way MPI library time does under gprof. The network is
+// instantaneous: the paper never prices the interconnect.
 package mpi
 
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/incprof/incprof/internal/exec"
 	"github.com/incprof/incprof/internal/vclock"
@@ -52,28 +51,15 @@ const (
 	Min
 )
 
-// CostModel sets the virtual time collectives consume beyond
-// synchronization. The zero value models an instantaneous network.
-type CostModel struct {
-	// BarrierCost is added to every barrier (and underlies every other
-	// collective).
-	BarrierCost time.Duration
-	// PerElement is added per reduced/broadcast float64 element.
-	PerElement time.Duration
-}
-
 // Config configures a communicator.
 type Config struct {
 	// Size is the number of ranks; must be >= 1.
 	Size int
-	// Cost is the collective cost model.
-	Cost CostModel
 }
 
 // Comm is a communicator over Size ranks.
 type Comm struct {
 	size int
-	cost CostModel
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -92,7 +78,8 @@ func NewComm(cfg Config) (*Comm, error) {
 	if cfg.Size < 1 {
 		return nil, fmt.Errorf("mpi: size %d < 1", cfg.Size)
 	}
-	c := &Comm{size: cfg.Size, cost: cfg.Cost,
+	c := &Comm{
+		size:   cfg.Size,
 		inbox:  make([][]float64, cfg.Size),
 		outbox: make([][]float64, cfg.Size),
 	}
@@ -238,28 +225,24 @@ func (c *Comm) rendezvous(id int, t vclock.Time, payload []float64, reduce func(
 }
 
 // sync performs a rendezvous attributed to fn, advancing the rank's clock to
-// the release time plus cost.
-func (r *Rank) sync(fn exec.FuncID, payload []float64, reduce func(in, out [][]float64), cost time.Duration) {
+// the release time.
+func (r *Rank) sync(fn exec.FuncID, payload []float64, reduce func(in, out [][]float64)) {
 	r.rt.Call(fn, func() {
 		rel := r.comm.rendezvous(r.id, r.rt.Now(), payload, reduce)
 		r.rt.WorkUntil(rel)
-		if cost > 0 {
-			r.rt.Work(cost)
-		}
 	})
 }
 
 // Barrier synchronizes all ranks; every clock advances to the latest
-// arrival time plus the barrier cost, with the wait charged to MPI_Barrier.
+// arrival time, with the wait charged to MPI_Barrier.
 func (r *Rank) Barrier() {
-	r.sync(r.fnBarrier, nil, nil, r.comm.cost.BarrierCost)
+	r.sync(r.fnBarrier, nil, nil)
 }
 
 // Allreduce combines each rank's vals elementwise with op and returns the
 // reduced vector on every rank. All ranks must pass equal lengths.
 func (r *Rank) Allreduce(op Op, vals []float64) []float64 {
 	in := append([]float64(nil), vals...)
-	cost := r.comm.cost.BarrierCost + time.Duration(len(vals))*r.comm.cost.PerElement
 	r.sync(r.fnAllreduce, in, func(inbox, outbox [][]float64) {
 		n := len(inbox[0])
 		for _, contrib := range inbox {
@@ -288,7 +271,7 @@ func (r *Rank) Allreduce(op Op, vals []float64) []float64 {
 		for i := range outbox {
 			outbox[i] = res
 		}
-	}, cost)
+	})
 	out := r.comm.takeOut(r.id)
 	return append([]float64(nil), out...)
 }
@@ -300,12 +283,11 @@ func (r *Rank) Bcast(root int, vals []float64) []float64 {
 	if r.id == root {
 		in = append([]float64(nil), vals...)
 	}
-	cost := r.comm.cost.BarrierCost + time.Duration(len(vals))*r.comm.cost.PerElement
 	r.sync(r.fnBcast, in, func(inbox, outbox [][]float64) {
 		for i := range outbox {
 			outbox[i] = inbox[root]
 		}
-	}, cost)
+	})
 	out := r.comm.takeOut(r.id)
 	return append([]float64(nil), out...)
 }
@@ -315,14 +297,13 @@ func (r *Rank) Bcast(root int, vals []float64) []float64 {
 // stencil applications.
 func (r *Rank) RingExchange(vals []float64) []float64 {
 	in := append([]float64(nil), vals...)
-	cost := r.comm.cost.BarrierCost + time.Duration(len(vals))*r.comm.cost.PerElement
 	size := r.comm.size
 	r.sync(r.fnSendRecv, in, func(inbox, outbox [][]float64) {
 		for dst := 0; dst < size; dst++ {
 			src := (dst - 1 + size) % size
 			outbox[dst] = inbox[src]
 		}
-	}, cost)
+	})
 	out := r.comm.takeOut(r.id)
 	return append([]float64(nil), out...)
 }

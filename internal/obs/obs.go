@@ -79,14 +79,6 @@ func active() *state {
 	return global.Load()
 }
 
-// Seed returns the enabled run's seed (0 when disabled).
-func Seed() uint64 {
-	if st := active(); st != nil {
-		return st.cfg.Seed
-	}
-	return 0
-}
-
 // fnvOffset and fnvPrime are the FNV-1a 64-bit parameters; span IDs are
 // FNV-1a over (seed, parent, name, key).
 const (

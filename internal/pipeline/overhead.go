@@ -2,8 +2,8 @@ package pipeline
 
 import "time"
 
-// OverheadModel prices the instrumentation events of a run so Table I's
-// overhead columns can be computed deterministically inside the simulator.
+// The instrumentation prices behind Table I's overhead columns, so they can
+// be computed deterministically inside the simulator.
 //
 // The paper measures wall-clock slowdown of real runs; in this reproduction
 // the applications' compute is virtual, so a wall-clock ratio would compare
@@ -13,47 +13,37 @@ import "time"
 // the overhead is the priced total relative to the uninstrumented virtual
 // runtime. The real hot-path costs of this implementation are measured
 // separately by the testing.B benchmarks.
-type OverheadModel struct {
-	// SampleInterrupt is the cost of one profiling-clock interrupt
+const (
+	// sampleInterruptCost is the cost of one profiling-clock interrupt
 	// (gprof's SIGPROF handler: PC capture + histogram bump).
-	SampleInterrupt time.Duration
-	// Mcount is the cost of one function-entry hook execution.
-	Mcount time.Duration
-	// DumpWrite is the cost of one IncProf snapshot dump: forcing the
-	// gmon write-out plus renaming the file on a shared filesystem —
-	// the dominant term at the paper's one-dump-per-second rate.
-	DumpWrite time.Duration
-	// BeatHotPath is the cost of one begin/end heartbeat pair.
-	BeatHotPath time.Duration
-	// FlushWrite is the cost of one heartbeat interval flush record.
-	FlushWrite time.Duration
-}
-
-// DefaultOverheadModel holds the calibration used for the Table I
-// reproduction.
-var DefaultOverheadModel = OverheadModel{
-	SampleInterrupt: 8 * time.Microsecond,
-	Mcount:          120 * time.Nanosecond,
-	DumpWrite:       40 * time.Millisecond,
-	BeatHotPath:     350 * time.Nanosecond,
-	FlushWrite:      1 * time.Millisecond,
-}
+	sampleInterruptCost = 8 * time.Microsecond
+	// mcountCost is the cost of one function-entry hook execution.
+	mcountCost = 120 * time.Nanosecond
+	// dumpWriteCost is the cost of one IncProf snapshot dump: forcing the
+	// gmon write-out plus renaming the file on a shared filesystem — the
+	// dominant term at the paper's one-dump-per-second rate.
+	dumpWriteCost = 40 * time.Millisecond
+	// beatHotPathCost is the cost of one begin/end heartbeat pair.
+	beatHotPathCost = 350 * time.Nanosecond
+	// flushWriteCost is the cost of one heartbeat interval flush record.
+	flushWriteCost = 1 * time.Millisecond
+)
 
 // IncProfOverheadPct prices a profiled run against its uninstrumented
 // virtual runtime.
-func (m OverheadModel) IncProfOverheadPct(res *CollectionResult) float64 {
+func IncProfOverheadPct(res *CollectionResult) float64 {
 	if res.VirtualRuntime <= 0 {
 		return 0
 	}
-	cost := time.Duration(res.RepSamples)*m.SampleInterrupt +
-		time.Duration(res.RepCalls)*m.Mcount +
-		time.Duration(res.RepDumps)*m.DumpWrite
+	cost := time.Duration(res.RepSamples)*sampleInterruptCost +
+		time.Duration(res.RepCalls)*mcountCost +
+		time.Duration(res.RepDumps)*dumpWriteCost
 	return 100 * float64(cost) / float64(res.VirtualRuntime)
 }
 
 // HeartbeatOverheadPct prices a heartbeat-instrumented run against its
 // virtual runtime.
-func (m OverheadModel) HeartbeatOverheadPct(res *HeartbeatResult) float64 {
+func HeartbeatOverheadPct(res *HeartbeatResult) float64 {
 	if res.VirtualRuntime <= 0 {
 		return 0
 	}
@@ -62,6 +52,6 @@ func (m OverheadModel) HeartbeatOverheadPct(res *HeartbeatResult) float64 {
 		beats = res.PerRankBeats[0]
 	}
 	flushes := int64(res.VirtualRuntime / time.Second)
-	cost := time.Duration(beats)*m.BeatHotPath + time.Duration(flushes)*m.FlushWrite
+	cost := time.Duration(beats)*beatHotPathCost + time.Duration(flushes)*flushWriteCost
 	return 100 * float64(cost) / float64(res.VirtualRuntime)
 }

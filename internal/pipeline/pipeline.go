@@ -37,13 +37,9 @@ import (
 type CollectOptions struct {
 	// Interval is the IncProf dump interval (0 means 1s).
 	Interval time.Duration
-	// SamplePeriod is the profiling clock period (0 means 10ms).
-	SamplePeriod time.Duration
-	// Profile attaches the profiler and collector; when false the run is
-	// the uninstrumented baseline.
+	// Profile attaches the profiler, sampling at gprof's 10 ms, and the
+	// collector; when false the run is the uninstrumented baseline.
 	Profile bool
-	// Cost is the MPI collective cost model.
-	Cost mpi.CostModel
 	// Faults, when non-nil, interposes the fault injector between every
 	// rank's collector and its store, exercising the degraded data path.
 	// Injection is deterministic per (Faults.Seed, rank, dump Seq).
@@ -67,8 +63,8 @@ type CollectionResult struct {
 	// Dumps is the total number of snapshots across ranks.
 	Dumps int
 	// RepSamples, RepCalls, and RepDumps are the representative (rank 0)
-	// instrumentation event counts a profiled run generated; the
-	// OverheadModel prices them.
+	// instrumentation event counts a profiled run generated;
+	// IncProfOverheadPct prices them.
 	RepSamples int64
 	RepCalls   int64
 	RepDumps   int64
@@ -91,10 +87,10 @@ func Collect(app apps.App, opts CollectOptions) (*CollectionResult, error) {
 	vtimes := make([]time.Duration, ranks)
 	start := time.Now()
 	var repSamples, repCalls, repDumps int64
-	err := mpi.Run(mpi.Config{Size: ranks, Cost: opts.Cost}, nil, func(r *mpi.Rank) {
+	err := mpi.Run(mpi.Config{Size: ranks}, nil, func(r *mpi.Rank) {
 		rt := r.Runtime()
 		if opts.Profile {
-			p := profiler.New(rt, opts.SamplePeriod)
+			p := profiler.New(rt, profiler.DefaultSamplePeriod)
 			var st incprof.Store = incprof.NewMemStore()
 			if opts.Faults != nil {
 				fs := faults.NewStore(st, *opts.Faults, r.ID())
@@ -157,20 +153,10 @@ type AnalyzeOptions struct {
 	Parallelism int
 	// Rank selects the representative rank (default 0).
 	Rank int
-	// IncludeMPI keeps MPI pseudo-functions in the feature space. The
-	// default (false) matches gprof's real behavior: MPI library time is
-	// invisible to the histogram because the library is not compiled
-	// with -pg.
-	IncludeMPI bool
 	// PromoteSites applies call-graph site promotion (the paper's §VI-B
-	// improvement path): sites climb unique-caller chains to
-	// higher-level source functions.
+	// improvement path): sites climb unique-caller chains, past MPI
+	// wrappers, to higher-level source functions.
 	PromoteSites bool
-	// Promote tunes the promotion walk when PromoteSites is set.
-	Promote callgraph.PromoteOptions
-	// MergePhases combines phases with identical site sets after
-	// detection (the paper's §VI-A/§VI-D postprocessing idea).
-	MergePhases bool
 	// Robust switches snapshot differencing to the gap-aware path
 	// (interval.DifferenceRobust): missing, duplicate, late, and
 	// regressed dumps degrade the analysis instead of failing it, and the
@@ -194,6 +180,9 @@ type Analysis struct {
 }
 
 // Analyze differences the chosen rank's snapshots and runs phase detection.
+// Unless Phase.Features.Exclude says otherwise, MPI pseudo-functions stay out
+// of the feature space, as in gprof: MPI library time is invisible to the
+// histogram because the library is not compiled with -pg.
 func Analyze(res *CollectionResult, opts AnalyzeOptions) (*Analysis, error) {
 	if opts.Rank < 0 || opts.Rank >= len(res.Snapshots) {
 		return nil, fmt.Errorf("pipeline: rank %d out of range", opts.Rank)
@@ -209,7 +198,7 @@ func Analyze(res *CollectionResult, opts AnalyzeOptions) (*Analysis, error) {
 	if popts.Cluster.Parallelism == 0 {
 		popts.Cluster.Parallelism = opts.Parallelism
 	}
-	if !opts.IncludeMPI && popts.Features.Exclude == nil {
+	if popts.Features.Exclude == nil {
 		popts.Features.Exclude = mpi.IsMPIFunc
 	}
 	// Analyze is Run over the snapshot list: the same differencer, feature
@@ -228,27 +217,9 @@ func Analyze(res *CollectionResult, opts AnalyzeOptions) (*Analysis, error) {
 	if opts.PromoteSites {
 		// The final snapshot's arcs cover the whole run.
 		g := callgraph.FromSnapshot(snaps[len(snaps)-1])
-		popts := opts.Promote
-		if popts.Exclude == nil {
-			popts.Exclude = mpi.IsMPIFunc
-		}
-		callgraph.PromoteDetection(det, g, popts)
-	}
-	if opts.MergePhases {
-		det.MergeDuplicatePhases()
+		callgraph.PromoteDetection(det, g, callgraph.PromoteOptions{Exclude: mpi.IsMPIFunc})
 	}
 	return &Analysis{Detection: det, Profiles: profs, Gaps: gaps}, nil
-}
-
-// HeartbeatOptions configures an instrumented run.
-type HeartbeatOptions struct {
-	// Interval is the heartbeat collection interval (0 means 1s).
-	Interval time.Duration
-	// LoopBeatPeriod is the nominal loop-iteration beat duration
-	// (0 means 100ms).
-	LoopBeatPeriod time.Duration
-	// Cost is the MPI collective cost model.
-	Cost mpi.CostModel
 }
 
 // HeartbeatResult is the outcome of a heartbeat-instrumented run.
@@ -267,23 +238,23 @@ type HeartbeatResult struct {
 }
 
 // RunWithHeartbeats re-runs the application with AppEKG auto-instrumentation
-// on the given sites.
-func RunWithHeartbeats(app apps.App, sites []heartbeat.SiteSpec, opts HeartbeatOptions) (*HeartbeatResult, error) {
+// on the given sites: records flush once per 1 s interval, and a loop site
+// beats once per heartbeat.DefaultLoopBeatPeriod of accrued self time.
+func RunWithHeartbeats(app apps.App, sites []heartbeat.SiteSpec) (*HeartbeatResult, error) {
 	ranks := app.Meta().Ranks
 	res := &HeartbeatResult{PerRankBeats: make([]int64, ranks), Sites: sites}
 	sinks := make([]*heartbeat.MemSink, ranks)
 	vtimes := make([]time.Duration, ranks)
 	start := time.Now()
-	err := mpi.Run(mpi.Config{Size: ranks, Cost: opts.Cost}, nil, func(r *mpi.Rank) {
+	err := mpi.Run(mpi.Config{Size: ranks}, nil, func(r *mpi.Rank) {
 		rt := r.Runtime()
 		sink := heartbeat.NewMemSink()
 		sinks[r.ID()] = sink
 		ekg := heartbeat.New(heartbeat.Options{
-			Interval: opts.Interval,
-			Clock:    rt.Clock(),
-			Sinks:    []heartbeat.Sink{sink},
+			Clock: rt.Clock(),
+			Sinks: []heartbeat.Sink{sink},
 		})
-		heartbeat.Instrument(rt, ekg, sites, opts.LoopBeatPeriod)
+		heartbeat.Instrument(rt, ekg, sites, heartbeat.DefaultLoopBeatPeriod)
 		defer ekg.Close()
 		app.Run(r)
 		vtimes[r.ID()] = rt.Now().Duration()
@@ -323,9 +294,8 @@ type Experiment struct {
 
 // ExperimentOptions configures RunExperiment.
 type ExperimentOptions struct {
-	Collect   CollectOptions
-	Analyze   AnalyzeOptions
-	Heartbeat HeartbeatOptions
+	Collect CollectOptions
+	Analyze AnalyzeOptions
 	// SkipBaseline omits the uninstrumented run (overhead columns will
 	// be zero).
 	SkipBaseline bool
@@ -355,22 +325,13 @@ func RunExperiment(app apps.App, opts ExperimentOptions) (*Experiment, error) {
 		return nil, fmt.Errorf("analysis: %w", err)
 	}
 	discovered := heartbeat.SitesFromDetection(e.Analysis.Detection)
-	if e.Discovered, err = RunWithHeartbeats(app, discovered, opts.Heartbeat); err != nil {
+	if e.Discovered, err = RunWithHeartbeats(app, discovered); err != nil {
 		return nil, fmt.Errorf("discovered-site heartbeat run: %w", err)
 	}
 	if !opts.SkipManual {
-		if e.Manual, err = RunWithHeartbeats(app, app.ManualSites(), opts.Heartbeat); err != nil {
+		if e.Manual, err = RunWithHeartbeats(app, app.ManualSites()); err != nil {
 			return nil, fmt.Errorf("manual-site heartbeat run: %w", err)
 		}
 	}
 	return e, nil
-}
-
-// OverheadPct returns the relative host-time overhead of run versus base in
-// percent, the measure behind Table I's overhead columns.
-func OverheadPct(base, run time.Duration) float64 {
-	if base <= 0 {
-		return 0
-	}
-	return 100 * (float64(run) - float64(base)) / float64(base)
 }

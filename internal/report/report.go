@@ -33,9 +33,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Render writes the table as aligned text.
 func (t *Table) Render(w io.Writer) error {
 	bw := bufio.NewWriter(w)

