@@ -496,7 +496,7 @@ func reportGaps(w io.Writer, gaps []interval.Gap, repaired int, policy interval.
 // and site table, the timeline, and the optional fast-phase and streaming
 // tracker sections. last is the final snapshot ingested, nil when a resumed
 // run saw no new dump.
-func (c *config) report(w io.Writer, det *phase.Detection, profiles []interval.Profile, last *profile.Sample) error {
+func (c *config) report(w io.Writer, det *phase.Detection, profiles []interval.Row, last *profile.Sample) error {
 	promote := c.promote
 	if promote && last == nil {
 		fmt.Fprintln(w, "call-graph promotion skipped: no snapshot ingested this run")
@@ -567,7 +567,7 @@ func (c *config) report(w io.Writer, det *phase.Detection, profiles []interval.P
 	}
 
 	if c.fast {
-		res := fastphase.Analyze(profiles, fastphase.Options{Exclude: mpi.IsMPIFunc})
+		res := fastphase.Analyze(interval.Profiles(profiles), fastphase.Options{Exclude: mpi.IsMPIFunc})
 		fmt.Fprintln(w)
 		ft := report.NewTable("Fast-phase analysis (call-count loop groups)",
 			"Group", "Function", "Loop rate (iters/interval)")

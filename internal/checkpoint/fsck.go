@@ -119,8 +119,8 @@ func Fsck(dir string) (*FsckReport, error) {
 		if err != nil {
 			info.Err = err.Error()
 		} else {
-			profiles, _, valid, err := decodeSegment(segFile, data)
-			info.Profiles, info.ValidBytes = len(profiles), int64(valid)
+			rows, _, valid, err := decodeSegment(segFile, data)
+			info.Profiles, info.ValidBytes = len(rows), int64(valid)
 			if err != nil {
 				info.Err = err.Error()
 			}

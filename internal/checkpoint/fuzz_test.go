@@ -126,18 +126,18 @@ func FuzzReadSnapshot(f *testing.F) {
 	})
 }
 
-// encodeSegment is a whole segment file holding profiles.
-func encodeSegment(profiles []interval.Profile) []byte {
+// encodeSegment is a whole segment file holding rows.
+func encodeSegment(rows []interval.Row) []byte {
 	seg := newSegment("", segIndex{}, nil)
 	buf := appendSegHeader(nil)
-	for i := range profiles {
-		buf = seg.appendRecord(buf, &profiles[i])
+	for i := range rows {
+		buf = seg.appendRecord(buf, &rows[i], i)
 	}
 	return buf
 }
 
 func FuzzReadSegment(f *testing.F) {
-	valid := encodeSegment(segProfiles())
+	valid := encodeSegment(segRows())
 	f.Add(valid)
 	f.Add(valid[:5]) // torn header
 	huge := append([]byte(nil), valid...)
@@ -148,20 +148,20 @@ func FuzzReadSegment(f *testing.F) {
 	f.Add(old) // wrong version
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, fixFrames(data, min(len(data), segHeaderLen))} {
-			var profiles []interval.Profile
+			var rows []interval.Row
 			var valid int
 			var err error
-			checkAllocs(t, len(in), func() { profiles, _, valid, err = decodeSegment("fuzz.seg", in) })
+			checkAllocs(t, len(in), func() { rows, _, valid, err = decodeSegment("fuzz.seg", in) })
 			checkTyped(t, err)
 			if valid > len(in) || (err == nil) != (valid == len(in)) {
 				t.Fatalf("valid length %d of %d with error %v", valid, len(in), err)
 			}
 			// What decodes is what the writer would store for it.
-			if len(profiles) == 0 {
+			if len(rows) == 0 {
 				continue
 			}
-			again, _, _, err := decodeSegment("again.seg", encodeSegment(profiles))
-			if err != nil || !reflect.DeepEqual(again, profiles) {
+			again, _, _, err := decodeSegment("again.seg", encodeSegment(rows))
+			if err != nil || !sameRows(again, rows) {
 				t.Fatalf("re-encoded profiles differ: %v", err)
 			}
 		}

@@ -156,12 +156,12 @@ func loadGeneration(dir string, gen int) (*Snapshot, segIndex, []string, error) 
 	if snap.Engine == nil && seg.Profiles > 0 {
 		return nil, seg, nil, corrupt(filepath.Base(snapPath(dir, gen)), "names %d segment profiles but holds no engine state", seg.Profiles)
 	}
-	profiles, names, err := readSegment(segPath(dir), seg)
+	rows, names, err := readSegment(segPath(dir), seg)
 	if err != nil {
 		return nil, seg, nil, fmt.Errorf("%w, named by %s", err, filepath.Base(snapPath(dir, gen)))
 	}
 	if snap.Engine != nil {
-		snap.Engine.Profiles = profiles
+		snap.Engine.Profiles = rows
 	}
 	return snap, seg, names, nil
 }
@@ -278,11 +278,11 @@ func (m *Manager) AppendShed(seq int) error {
 // garbage-collected.
 func (m *Manager) Save(snap *Snapshot) error {
 	start := time.Now()
-	var profiles []interval.Profile
+	var rows []interval.Row
 	if snap.Engine != nil {
-		profiles = snap.Engine.Profiles
+		rows = snap.Engine.Profiles
 	}
-	segBytes, err := m.seg.append(profiles, m.sync)
+	segBytes, err := m.seg.append(rows, m.sync)
 	if err != nil {
 		return err
 	}

@@ -45,7 +45,7 @@ func flatten(t *testing.T, det *phase.Detection, gaps []interval.Gap) []byte {
 		Matrix   interval.Matrix
 		Profiles []interval.Profile
 		Gaps     []interval.Gap
-	}{det.K, det.WCSS, det.Phases, det.Matrix, det.Profiles, gaps})
+	}{det.K, det.WCSS, det.Phases, det.Matrix, interval.Profiles(det.Profiles), gaps})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,20 @@
-// segment.go is the profile segment: the interval profiles a run has emitted,
-// each written once, in order, as it first appears in a snapshot. A v2
+// segment.go is the profile segment: the intervals a run has emitted, each
+// written once, in order, as it first appears in a snapshot. It encodes
+// from the engine's store (interval.Row) and decodes into one. A v2
 // snapshot does not carry the profiles — they are the one part of the engine
 // state that grows with the run's history — but names the prefix of the
 // segment (profile count and byte length) that holds them, so a save costs
 // the profiles accepted since the previous save, not every profile so far.
 //
 // The file is an 8-byte magic and a 4-byte format version, then one record
-// per profile, framed exactly as WAL records are (kind, length, CRC-32C,
+// per interval, framed exactly as WAL records are (kind, length, CRC-32C,
 // payload). A record's payload opens with the function names it introduces;
 // together the records build one name table for the segment, and every map
-// entry refers to a name by its index in that table. Varints keep a
-// profile to a few bytes per active function.
+// entry refers to a name by its index in that table. The payload then holds
+// the interval's index, bounds and repair flag and three maps — sampled
+// self time, exact self time, calls — each its entry count plus one, then
+// its entries sorted by name index. Varints keep an interval to a few bytes
+// per active function.
 package checkpoint
 
 import (
@@ -61,6 +65,7 @@ type segment struct {
 	ids   map[string]int // name → index in names
 	buf   []byte
 	fresh []string
+	cells []interval.Cell
 	pairs []idValue
 }
 
@@ -79,14 +84,14 @@ func newSegment(path string, index segIndex, names []string) *segment {
 	return s
 }
 
-// append writes profiles[s.index.Profiles:] after the valid prefix, fsyncs
-// when sync is set, and returns the bytes written. profiles must extend the
-// profiles already written: the engine only ever appends to its history.
-func (s *segment) append(profiles []interval.Profile, sync bool) (int64, error) {
-	if len(profiles) < s.index.Profiles {
-		return 0, fmt.Errorf("checkpoint: snapshot holds %d interval profiles, fewer than the %d the segment already has", len(profiles), s.index.Profiles)
+// append writes rows[s.index.Profiles:] after the valid prefix, fsyncs
+// when sync is set, and returns the bytes written. rows must extend the
+// intervals already written: the engine only ever appends to its history.
+func (s *segment) append(rows []interval.Row, sync bool) (int64, error) {
+	if len(rows) < s.index.Profiles {
+		return 0, fmt.Errorf("checkpoint: snapshot holds %d interval profiles, fewer than the %d the segment already has", len(rows), s.index.Profiles)
 	}
-	if len(profiles) == s.index.Profiles {
+	if len(rows) == s.index.Profiles {
 		return 0, nil
 	}
 	base := len(s.names)
@@ -94,8 +99,8 @@ func (s *segment) append(profiles []interval.Profile, sync bool) (int64, error) 
 	if s.index.Bytes == 0 {
 		s.buf = appendSegHeader(s.buf)
 	}
-	for i := s.index.Profiles; i < len(profiles); i++ {
-		s.buf = s.appendRecord(s.buf, &profiles[i])
+	for i := s.index.Profiles; i < len(rows); i++ {
+		s.buf = s.appendRecord(s.buf, &rows[i], i)
 	}
 	if err := s.write(sync); err != nil {
 		// The records never became durable: forget the names they added.
@@ -105,7 +110,7 @@ func (s *segment) append(profiles []interval.Profile, sync bool) (int64, error) 
 		s.names = s.names[:base]
 		return 0, err
 	}
-	s.index = segIndex{Profiles: len(profiles), Bytes: s.index.Bytes + int64(len(s.buf))}
+	s.index = segIndex{Profiles: len(rows), Bytes: s.index.Bytes + int64(len(s.buf))}
 	return int64(len(s.buf)), nil
 }
 
@@ -145,14 +150,18 @@ func (s *segment) write(sync bool) error {
 	return nil
 }
 
-// appendRecord frames one profile onto buf, extending the name table with
-// the names it introduces (sorted, so the bytes do not depend on map order).
-func (s *segment) appendRecord(buf []byte, p *interval.Profile) []byte {
-	s.fresh = newNames(s.fresh[:0], p.Self, s.ids)
-	s.fresh = newNames(s.fresh, p.ExactSelf, s.ids)
-	s.fresh = newNames(s.fresh, p.Calls, s.ids)
+// appendRecord frames row, interval index, onto buf, extending the name
+// table with the names it introduces (sorted, so the bytes do not depend on
+// the store's numbering).
+func (s *segment) appendRecord(buf []byte, row *interval.Row, index int) []byte {
+	s.cells = row.Cells(s.cells[:0])
+	s.fresh = s.fresh[:0]
+	for _, c := range s.cells {
+		if _, ok := s.ids[row.Name(c.ID)]; !ok {
+			s.fresh = append(s.fresh, row.Name(c.ID))
+		}
+	}
 	sort.Strings(s.fresh)
-	s.fresh = slices.Compact(s.fresh)
 	for _, n := range s.fresh {
 		s.ids[n] = len(s.names)
 		s.names = append(s.names, n)
@@ -165,40 +174,30 @@ func (s *segment) appendRecord(buf []byte, p *interval.Profile) []byte {
 		buf = binary.AppendUvarint(buf, uint64(len(n)))
 		buf = append(buf, n...)
 	}
-	buf = binary.AppendVarint(buf, int64(p.Index))
-	buf = binary.AppendVarint(buf, int64(p.Start))
-	buf = binary.AppendVarint(buf, int64(p.End))
+	buf = binary.AppendVarint(buf, int64(index))
+	buf = binary.AppendVarint(buf, int64(row.Start))
+	buf = binary.AppendVarint(buf, int64(row.End))
 	repaired := byte(0)
-	if p.Repaired {
+	if row.Repaired {
 		repaired = 1
 	}
 	buf = append(buf, repaired)
-	buf = appendMap(buf, p.Self, s.ids, &s.pairs)
-	buf = appendMap(buf, p.ExactSelf, s.ids, &s.pairs)
-	buf = appendMap(buf, p.Calls, s.ids, &s.pairs)
+	buf = s.appendMap(buf, row, func(c *interval.Cell) int64 { return int64(c.Self) })
+	buf = s.appendMap(buf, row, func(c *interval.Cell) int64 { return int64(c.ExactSelf) })
+	buf = s.appendMap(buf, row, func(c *interval.Cell) int64 { return c.Calls })
 	putFrameHeader(buf[start:start+walHeaderLen], recProfile, buf[start+walHeaderLen:])
 	return buf
 }
 
-// newNames appends the keys of m missing from ids.
-func newNames[V ~int64](fresh []string, m map[string]V, ids map[string]int) []string {
-	for n := range m {
-		if _, ok := ids[n]; !ok {
-			fresh = append(fresh, n)
+// appendMap encodes the non-zero values get reads from the row's cells
+// (s.cells) as a map: its length plus one, then its entries sorted by name
+// index.
+func (s *segment) appendMap(buf []byte, row *interval.Row, get func(*interval.Cell) int64) []byte {
+	ps := s.pairs[:0]
+	for i := range s.cells {
+		if v := get(&s.cells[i]); v != 0 {
+			ps = append(ps, idValue{s.ids[row.Name(s.cells[i].ID)], v})
 		}
-	}
-	return fresh
-}
-
-// appendMap encodes m as its length plus one (0 for a nil map, which the
-// decoder restores as nil) and its entries sorted by name index.
-func appendMap[V ~int64](buf []byte, m map[string]V, ids map[string]int, pairs *[]idValue) []byte {
-	if m == nil {
-		return append(buf, 0)
-	}
-	ps := (*pairs)[:0]
-	for n, v := range m {
-		ps = append(ps, idValue{ids[n], int64(v)})
 	}
 	slices.SortFunc(ps, func(a, b idValue) int { return a.id - b.id })
 	buf = binary.AppendUvarint(buf, uint64(len(ps))+1)
@@ -206,16 +205,16 @@ func appendMap[V ~int64](buf []byte, m map[string]V, ids map[string]int, pairs *
 		buf = binary.AppendUvarint(buf, uint64(e.id))
 		buf = binary.AppendVarint(buf, e.val)
 	}
-	*pairs = ps
+	s.pairs = ps
 	return buf
 }
 
 // readSegment loads the prefix idx names from the segment at path: exactly
 // idx.Bytes bytes, which must decode cleanly into exactly idx.Profiles
-// profiles. It returns the profiles and the name table the prefix defines.
+// intervals. It returns their rows and the name table the prefix defines.
 // The length is checked against the file's size before anything is
 // allocated for it.
-func readSegment(path string, idx segIndex) ([]interval.Profile, []string, error) {
+func readSegment(path string, idx segIndex) ([]interval.Row, []string, error) {
 	name := filepath.Base(path)
 	if idx.Bytes < 0 || idx.Profiles < 0 {
 		return nil, nil, corrupt(name, "negative index %+v", idx)
@@ -245,23 +244,24 @@ func readSegment(path string, idx segIndex) ([]interval.Profile, []string, error
 	if _, err := io.ReadFull(f, data); err != nil {
 		return nil, nil, err
 	}
-	profiles, names, _, err := decodeSegment(name, data)
+	rows, names, _, err := decodeSegment(name, data)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(profiles) != idx.Profiles {
-		return nil, nil, corrupt(name, "holds %d profiles in its first %d bytes, the prefix names %d", len(profiles), idx.Bytes, idx.Profiles)
+	if len(rows) != idx.Profiles {
+		return nil, nil, corrupt(name, "holds %d profiles in its first %d bytes, the prefix names %d", len(rows), idx.Bytes, idx.Profiles)
 	}
-	return profiles, names, nil
+	return rows, names, nil
 }
 
 // decodeSegment decodes segment bytes up to the first record that is torn,
-// fails its checksum, or does not decode. It returns the profiles and name
-// table before that point, the byte length they end at, and a *corruptError
-// describing the first bad byte (nil when data decodes to its end). Every
+// fails its checksum, or does not decode. It returns the rows (in a fresh
+// interval store) and name table before that point, the byte length they
+// end at, and a *corruptError describing the first bad byte (nil when data
+// decodes to its end). Every
 // count in the data is checked against the bytes left before anything is
 // allocated for it.
-func decodeSegment(name string, data []byte) (profiles []interval.Profile, names []string, valid int, err error) {
+func decodeSegment(name string, data []byte) (rows []interval.Row, names []string, valid int, err error) {
 	if len(data) == 0 {
 		return nil, nil, 0, nil
 	}
@@ -274,31 +274,34 @@ func decodeSegment(name string, data []byte) (profiles []interval.Profile, names
 	if v := binary.LittleEndian.Uint32(data[len(segMagic):segHeaderLen]); v != segVersion {
 		return nil, nil, 0, corrupt(name, "unsupported segment version %d (this build reads version %d)", v, segVersion)
 	}
+	store := interval.NewMatrixBuilder(interval.FeatureOptions{})
+	var d decoder
 	off := segHeaderLen
 	for off < len(data) {
 		kind, payload, next, ok := nextFrame(data, off)
 		if !ok {
-			return profiles, names, off, corrupt(name, "torn or corrupt record at byte %d", off)
+			return store.Rows(), names, off, corrupt(name, "torn or corrupt record at byte %d", off)
 		}
 		if kind != recProfile {
-			return profiles, names, off, corrupt(name, "unknown record kind %q at byte %d", kind, off)
+			return store.Rows(), names, off, corrupt(name, "unknown record kind %q at byte %d", kind, off)
 		}
-		d := decoder{b: payload}
-		grown, p := d.profile(names)
+		d.b, d.err = payload, nil
+		grown := d.record(names, store)
 		if d.err != nil {
-			return profiles, names, off, corrupt(name, "record at byte %d: %v", off, d.err)
+			return store.Rows(), names, off, corrupt(name, "record at byte %d: %v", off, d.err)
 		}
 		names = grown
-		profiles = append(profiles, p)
 		off = next
 	}
-	return profiles, names, off, nil
+	return store.Rows(), names, off, nil
 }
 
 // decoder reads one record payload; the first failure sticks in err.
+// cellBuf is reused across records.
 type decoder struct {
-	b   []byte
-	err error
+	b       []byte
+	err     error
+	cellBuf []interval.Cell
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -344,9 +347,10 @@ func (d *decoder) count(min int) int {
 	return int(n)
 }
 
-// profile decodes one record: the names it adds to the table, then the
-// profile whose map entries index the grown table.
-func (d *decoder) profile(names []string) ([]string, interval.Profile) {
+// record decodes one record into store: the names it adds to the table,
+// then the interval, which must be the store's next, with map entries that
+// index the grown table.
+func (d *decoder) record(names []string, store *interval.MatrixBuilder) []string {
 	for i, n := 0, d.count(1); i < n && d.err == nil; i++ {
 		l := d.count(1)
 		if d.err == nil {
@@ -354,50 +358,56 @@ func (d *decoder) profile(names []string) ([]string, interval.Profile) {
 			d.b = d.b[l:]
 		}
 	}
-	var p interval.Profile
-	p.Index = int(d.varint())
-	p.Start = time.Duration(d.varint())
-	p.End = time.Duration(d.varint())
+	if index := d.varint(); d.err == nil && index != int64(store.NumRows()) {
+		d.fail("interval index %d, want %d", index, store.NumRows())
+	}
+	start, end := time.Duration(d.varint()), time.Duration(d.varint())
+	var repaired bool
 	if d.err == nil {
 		if len(d.b) == 0 || d.b[0] > 1 {
 			d.fail("bad repaired flag")
 		} else {
-			p.Repaired = d.b[0] == 1
+			repaired = d.b[0] == 1
 			d.b = d.b[1:]
 		}
 	}
-	p.Self = decodeMap[time.Duration](d, names)
-	p.ExactSelf = decodeMap[time.Duration](d, names)
-	p.Calls = decodeMap[int64](d, names)
+	d.cellBuf = d.cells(names, d.cellBuf[:0], func(c *interval.Cell, v int64) { c.Self = time.Duration(v) })
+	d.cellBuf = d.cells(names, d.cellBuf, func(c *interval.Cell, v int64) { c.ExactSelf = time.Duration(v) })
+	d.cellBuf = d.cells(names, d.cellBuf, func(c *interval.Cell, v int64) { c.Calls = v })
 	if d.err == nil && len(d.b) != 0 {
 		d.fail("%d trailing bytes", len(d.b))
 	}
-	return names, p
+	if d.err == nil {
+		store.AddCells(start, end, repaired, d.cellBuf, func(id int32) string { return names[id] })
+	}
+	return names
 }
 
-// decodeMap reads what appendMap wrote.
-func decodeMap[V ~int64](d *decoder, names []string) map[string]V {
+// cells reads what appendMap wrote, appending one cell per entry with its
+// value put in place by set.
+func (d *decoder) cells(names []string, cells []interval.Cell, set func(*interval.Cell, int64)) []interval.Cell {
 	n := d.uvarint()
 	if d.err != nil || n == 0 {
-		return nil
+		return cells
 	}
 	n--
 	if n > uint64(len(d.b)/2) {
 		d.fail("map of %d entries exceeds the %d bytes left", n, len(d.b))
-		return nil
+		return cells
 	}
-	m := make(map[string]V, n)
 	for i := uint64(0); i < n; i++ {
 		id := d.uvarint()
 		v := d.varint()
 		if d.err != nil {
-			return nil
+			return cells
 		}
 		if id >= uint64(len(names)) {
 			d.fail("name index %d outside a table of %d", id, len(names))
-			return nil
+			return cells
 		}
-		m[names[id]] = V(v)
+		c := interval.Cell{ID: int32(id)}
+		set(&c, v)
+		cells = append(cells, c)
 	}
-	return m
+	return cells
 }

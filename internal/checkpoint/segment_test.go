@@ -12,11 +12,11 @@ import (
 	"github.com/incprof/incprof/internal/interval"
 )
 
-// segProfiles covers every shape a profile field takes: nil and empty maps,
-// repaired intervals, names shared across maps and introduced late, and
-// negative values.
-func segProfiles() []interval.Profile {
-	return []interval.Profile{
+// segRows covers every shape an interval takes: nil and empty maps (both
+// store no cells), repaired intervals, names shared across maps and
+// introduced late, and negative values.
+func segRows() []interval.Row {
+	return rowsOf([]interval.Profile{
 		{Index: 0, Start: 0, End: time.Second,
 			Self:      map[string]time.Duration{"work": 900 * time.Millisecond, "io": 100 * time.Millisecond},
 			ExactSelf: map[string]time.Duration{"work": 901 * time.Millisecond},
@@ -27,13 +27,18 @@ func segProfiles() []interval.Profile {
 		{Index: 2, Start: 2 * time.Second, End: 3 * time.Second,
 			Self:      map[string]time.Duration{"late": time.Millisecond, "work": 5},
 			ExactSelf: map[string]time.Duration{"zeta": 7}},
-	}
+	})
+}
+
+// sameRows reports whether two row lists hold the same intervals.
+func sameRows(a, b []interval.Row) bool {
+	return reflect.DeepEqual(interval.Profiles(a), interval.Profiles(b))
 }
 
 func TestSegmentRoundTripAcrossSaves(t *testing.T) {
 	dir := t.TempDir()
 	path := segPath(dir)
-	want := segProfiles()
+	want := segRows()
 	seg := newSegment(path, segIndex{}, nil)
 	if _, err := seg.append(want[:1], true); err != nil {
 		t.Fatal(err)
@@ -54,24 +59,25 @@ func TestSegmentRoundTripAcrossSaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
+	if !sameRows(got, want) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", interval.Profiles(got), interval.Profiles(want))
 	}
 	if !reflect.DeepEqual(names, seg.names) {
 		t.Fatalf("name table %v, appender holds %v", names, seg.names)
 	}
 	// The first save's prefix still reads on its own: a fallback generation.
-	if got, _, err := readSegment(path, first); err != nil || !reflect.DeepEqual(got, want[:1]) {
-		t.Fatalf("first prefix: %+v, %v", got, err)
+	if got, _, err := readSegment(path, first); err != nil || !sameRows(got, want[:1]) {
+		t.Fatalf("first prefix: %+v, %v", interval.Profiles(got), err)
 	}
 
-	// The bytes do not depend on map iteration order.
+	// The bytes do not depend on the store's numbering: the rows read back
+	// from the segment encode to the same bytes.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	other := newSegment(filepath.Join(dir, "again.seg"), segIndex{}, nil)
-	if _, err := other.append(want, true); err != nil {
+	if _, err := other.append(got, true); err != nil {
 		t.Fatal(err)
 	}
 	again, err := os.ReadFile(other.path)
@@ -85,7 +91,7 @@ func TestSegmentRoundTripAcrossSaves(t *testing.T) {
 
 func TestSegmentAppendTruncatesPastValidPrefix(t *testing.T) {
 	path := segPath(t.TempDir())
-	want := segProfiles()
+	want := segRows()
 	seg := newSegment(path, segIndex{}, nil)
 	if _, err := seg.append(want[:2], false); err != nil {
 		t.Fatal(err)
@@ -108,8 +114,8 @@ func TestSegmentAppendTruncatesPastValidPrefix(t *testing.T) {
 	if _, err := resumed.append(want, false); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, err = readSegment(path, resumed.index); err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("after resumed append: %+v, %v", got, err)
+	if got, _, err = readSegment(path, resumed.index); err != nil || !sameRows(got, want) {
+		t.Fatalf("after resumed append: %+v, %v", interval.Profiles(got), err)
 	}
 	if info, _ := os.Stat(path); info.Size() != resumed.index.Bytes {
 		t.Fatalf("segment is %d bytes, index names %d", info.Size(), resumed.index.Bytes)
@@ -119,7 +125,7 @@ func TestSegmentAppendTruncatesPastValidPrefix(t *testing.T) {
 func TestReadSegmentRejectsWhatTheIndexDoesNotMatch(t *testing.T) {
 	path := segPath(t.TempDir())
 	seg := newSegment(path, segIndex{}, nil)
-	if _, err := seg.append(segProfiles(), false); err != nil {
+	if _, err := seg.append(segRows(), false); err != nil {
 		t.Fatal(err)
 	}
 	idx := seg.index
@@ -138,4 +144,13 @@ func TestReadSegmentRejectsWhatTheIndexDoesNotMatch(t *testing.T) {
 			}
 		})
 	}
+}
+
+// rowsOf stores profiles as rows of one interval store, in order.
+func rowsOf(profiles []interval.Profile) []interval.Row {
+	b := interval.NewMatrixBuilder(interval.FeatureOptions{})
+	for i := range profiles {
+		b.Add(&profiles[i])
+	}
+	return b.Rows()
 }

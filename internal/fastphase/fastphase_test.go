@@ -175,7 +175,7 @@ func TestGadgetMainLoopRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast := Analyze(an.Profiles, Options{Exclude: mpi.IsMPIFunc})
+	fast := Analyze(interval.Profiles(an.Profiles), Options{Exclude: mpi.IsMPIFunc})
 	if len(fast.Groups) == 0 {
 		t.Fatal("no fast loops found in gadget")
 	}

@@ -209,12 +209,12 @@ func TestFaultedStreamSurvivesRobustDifferencing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := interval.DifferenceRobust(snaps, interval.RobustOptions{})
+	profiles, gaps, err := differenceRobust(snaps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	missing := 0
-	for _, g := range res.Gaps {
+	for _, g := range gaps {
 		if g.Kind != interval.GapMissing {
 			t.Fatalf("unexpected gap kind %v", g.Kind)
 		}
@@ -225,9 +225,9 @@ func TestFaultedStreamSurvivesRobustDifferencing(t *testing.T) {
 	if missing == 0 || missing > fs.Dropped() {
 		t.Fatalf("gaps cover %d missing dumps, injector dropped %d", missing, fs.Dropped())
 	}
-	if len(res.Profiles) != seqs[len(seqs)-1]+1 {
+	if len(profiles) != seqs[len(seqs)-1]+1 {
 		t.Fatalf("split repair yielded %d profiles, want %d (every interval up to the last kept dump)",
-			len(res.Profiles), seqs[len(seqs)-1]+1)
+			len(profiles), seqs[len(seqs)-1]+1)
 	}
 }
 
@@ -321,3 +321,17 @@ func TestConnGarbageAbsorbedByRetry(t *testing.T) {
 type discard struct{}
 
 func (discard) Emit(*profile.Sample) error { return nil }
+
+// differenceRobust pushes snaps through a RobustStream, as the streaming
+// engine's robust differencer does, and returns the profiles and gaps it
+// emits and its terminal error.
+func differenceRobust(snaps []*profile.Sample) ([]interval.Profile, []interval.Gap, error) {
+	rs := interval.NewRobustStream(interval.GapSplit)
+	var profiles []interval.Profile
+	var gaps []interval.Gap
+	for _, s := range snaps {
+		p, g := rs.Push(s)
+		profiles, gaps = append(profiles, p...), append(gaps, g...)
+	}
+	return profiles, gaps, rs.Err()
+}

@@ -87,10 +87,10 @@ func TestDifferenceProducesIntervalProfiles(t *testing.T) {
 		t.Fatalf("profiles = %d", len(profs))
 	}
 	// f active in intervals 0-1, g in interval 2.
-	if !profs[0].Active("f") || profs[0].Active("g") {
+	if profs[0].Self["f"] <= 0 || profs[0].Self["g"] > 0 {
 		t.Fatalf("interval 0: %v", profs[0].Self)
 	}
-	if !profs[2].Active("g") || profs[2].Active("f") {
+	if profs[2].Self["g"] <= 0 || profs[2].Self["f"] > 0 {
 		t.Fatalf("interval 2: %v", profs[2].Self)
 	}
 	if profs[0].Calls["f"] != 1 || profs[1].Calls["f"] != 0 {

@@ -112,13 +112,13 @@ func TestJaCoCoSeriesReachesAnalysisCore(t *testing.T) {
 	if len(profs) != 3 {
 		t.Fatalf("profiles = %d", len(profs))
 	}
-	if !profs[0].Active("init") || profs[0].Active("solve") {
+	if profs[0].Self["init"] <= 0 || profs[0].Self["solve"] > 0 {
 		t.Fatalf("interval 0: %v", profs[0].Self)
 	}
-	if !profs[1].Active("solve") || profs[1].Active("init") {
+	if profs[1].Self["solve"] <= 0 || profs[1].Self["init"] > 0 {
 		t.Fatalf("interval 1 should hold only the newly covered function: %v", profs[1].Self)
 	}
-	if !profs[2].Active("report") {
+	if profs[2].Self["report"] <= 0 {
 		t.Fatalf("interval 2: %v", profs[2].Self)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"github.com/incprof/incprof/internal/obs"
 	"github.com/incprof/incprof/internal/phase"
 	"github.com/incprof/incprof/internal/pipeline"
+	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/report"
 )
 
@@ -105,7 +106,8 @@ func ablateKSelect(w io.Writer, cfg Config) error {
 	for _, name := range apps.Names() {
 		an := analyses[name]
 		chordK := cluster.ElbowKChord(an.Detection.WCSS)
-		silDet, err := phase.Detect(an.Profiles, phase.Options{
+		profs := interval.Profiles(an.Profiles)
+		silDet, err := phase.Detect(profs, phase.Options{
 			Selection: phase.Silhouette,
 			Features:  interval.FeatureOptions{Exclude: mpi.IsMPIFunc},
 			Cluster:   cluster.Options{Seed: cfg.Seed},
@@ -135,7 +137,7 @@ func ablateDBSCAN(w io.Writer, cfg Config) error {
 		"App", "k-means phases", "DBSCAN phases", "DBSCAN noise intervals")
 	for _, name := range apps.Names() {
 		an := analyses[name]
-		dbDet, err := phase.Detect(an.Profiles, phase.Options{
+		dbDet, err := phase.Detect(interval.Profiles(an.Profiles), phase.Options{
 			Algorithm: phase.DBSCANAlg,
 			Features:  interval.FeatureOptions{Exclude: mpi.IsMPIFunc},
 		})
@@ -163,9 +165,9 @@ func ablateFeatures(w io.Writer, cfg Config) error {
 		"Ablation A3 — feature choice (phases / sites discovered)",
 		"App", "sampled-self", "exact-self", "self+calls")
 	for _, name := range apps.Names() {
-		an := analyses[name]
+		profs := interval.Profiles(analyses[name].Profiles)
 		cell := func(kind interval.FeatureKind) string {
-			det, err := phase.Detect(an.Profiles, phase.Options{
+			det, err := phase.Detect(profs, phase.Options{
 				Features: interval.FeatureOptions{Kind: kind, Exclude: mpi.IsMPIFunc},
 				Cluster:  cluster.Options{Seed: cfg.Seed},
 			})
@@ -201,8 +203,9 @@ func ablateCoverage(w io.Writer, cfg Config) error {
 	tb := report.NewTable("Ablation A4 — Algorithm 1 coverage threshold (total sites)", cols...)
 	for _, name := range apps.Names() {
 		row := []string{name}
+		profs := interval.Profiles(analyses[name].Profiles)
 		for _, t := range thresholds {
-			det, err := phase.Detect(analyses[name].Profiles, phase.Options{
+			det, err := phase.Detect(profs, phase.Options{
 				CoverageThreshold: t,
 				Features:          interval.FeatureOptions{Exclude: mpi.IsMPIFunc},
 				Cluster:           cluster.Options{Seed: cfg.Seed},
@@ -259,7 +262,7 @@ func ablateSampling(w io.Writer, cfg Config) error {
 				fns[s.Function] = true
 			}
 		}
-		fast := fastphase.Analyze(an.Profiles, fastphase.Options{Exclude: mpi.IsMPIFunc})
+		fast := fastphase.Analyze(interval.Profiles(an.Profiles), fastphase.Options{Exclude: mpi.IsMPIFunc})
 		recovered := 0
 		if len(fast.Groups) > 0 {
 			for _, fn := range fast.Groups[0].Functions {
@@ -340,7 +343,7 @@ func ablateMerge(w io.Writer, cfg Config) error {
 		"App", "Phases before", "Phases after", "Merged")
 	for _, name := range apps.Names() {
 		an := analyses[name]
-		det, err := phase.Detect(an.Profiles, phase.Options{
+		det, err := phase.Detect(interval.Profiles(an.Profiles), phase.Options{
 			Features: interval.FeatureOptions{Exclude: mpi.IsMPIFunc},
 			Cluster:  cluster.Options{Seed: cfg.Seed},
 		})
@@ -376,7 +379,7 @@ func ablateFastPhase(w io.Writer, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	fast := fastphase.Analyze(an.Profiles, fastphase.Options{Exclude: mpi.IsMPIFunc})
+	fast := fastphase.Analyze(interval.Profiles(an.Profiles), fastphase.Options{Exclude: mpi.IsMPIFunc})
 
 	tb := report.NewTable(
 		"Ablation A8 — fast-phase analysis on Gadget2 (call-count loop grouping)",
@@ -584,10 +587,11 @@ func ablateBBV(w io.Writer, cfg Config) error {
 // faults (DESIGN.md A12). Each application is profiled once fault-free to
 // produce a golden phase detection; the golden rank-0 snapshot stream is
 // then replayed through the deterministic fault injector at increasing
-// drop rates, salvaged by gap-aware differencing (split repair), and
-// re-detected. The table reports surviving dumps, absorbed gaps, detected
-// k, and the Adjusted Rand Index of the degraded labels against the
-// golden ones — 1.000 at 0% by construction, decaying as data is lost.
+// drop rates, salvaged by the robust analysis (gap-aware differencing with
+// split repair), and re-detected. The table reports surviving dumps,
+// absorbed gaps, detected k, and the Adjusted Rand Index of the degraded
+// labels against the golden ones — 1.000 at 0% by construction, decaying as
+// data is lost.
 func ablateFaults(w io.Writer, cfg Config) error {
 	rates := []float64{0, 0.05, 0.10, 0.20, 0.30}
 	tb := report.NewTable(
@@ -630,27 +634,19 @@ func ablateFaults(w io.Writer, cfg Config) error {
 			if err != nil {
 				return err
 			}
-			rres, err := interval.DifferenceRobust(kept, interval.RobustOptions{Parallelism: cfg.Parallelism})
+			ropts := analyzeOptions(cfg)
+			ropts.Parallelism, ropts.Robust = cfg.Parallelism, true
+			rres, err := pipeline.Analyze(&pipeline.CollectionResult{Snapshots: [][]*profile.Sample{kept}}, ropts)
 			if err != nil {
 				return fmt.Errorf("%s at %.0f%%: %w", name, rate*100, err)
 			}
-			det, err := phase.Detect(rres.Profiles, phase.Options{
-				Features: interval.FeatureOptions{Exclude: mpi.IsMPIFunc},
-				Cluster:  cluster.Options{Seed: cfg.Seed, Parallelism: cfg.Parallelism},
-			})
-			if err != nil {
-				return fmt.Errorf("%s at %.0f%%: %w", name, rate*100, err)
-			}
-			n := len(goldenLabels)
-			if len(rres.Profiles) < n {
-				n = len(rres.Profiles)
-			}
-			ari := cluster.AdjustedRandIndex(goldenLabels[:n], labelsOf(det, n))
+			n := min(len(goldenLabels), len(rres.Profiles))
+			ari := cluster.AdjustedRandIndex(goldenLabels[:n], labelsOf(rres.Detection, n))
 			tb.AddRow(name,
 				fmt.Sprintf("%.0f", rate*100),
 				fmt.Sprint(len(kept)),
 				fmt.Sprint(len(rres.Gaps)),
-				fmt.Sprint(det.K),
+				fmt.Sprint(rres.Detection.K),
 				fmt.Sprintf("%.3f", ari))
 		}
 	}

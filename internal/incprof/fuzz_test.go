@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/incprof/incprof/internal/interval"
 	"github.com/incprof/incprof/internal/profile"
 )
 
@@ -66,11 +65,11 @@ func FuzzSnapshotsSalvage(f *testing.F) {
 		}
 		// The survivors feed the repair path without panicking; at least
 		// the known-good dump is always there.
-		res, err := interval.DifferenceRobust(snaps, interval.RobustOptions{})
+		profiles, _, err := differenceRobust(snaps)
 		if err != nil {
-			t.Fatalf("DifferenceRobust on salvaged snapshots: %v", err)
+			t.Fatalf("robust differencing of salvaged snapshots: %v", err)
 		}
-		if len(res.Profiles) == 0 {
+		if len(profiles) == 0 {
 			t.Fatal("no profiles from salvaged snapshots")
 		}
 	})

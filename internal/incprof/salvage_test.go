@@ -80,23 +80,23 @@ func TestSalvageSkipsCorruptAndTruncatedDumps(t *testing.T) {
 	// Downstream degraded-mode analysis completes with Gap records at the
 	// skipped intervals (the acceptance path: corrupt file -> salvage ->
 	// gap-aware differencing).
-	res, err := interval.DifferenceRobust(snaps, interval.RobustOptions{})
+	profiles, gaps, err := differenceRobust(snaps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Gaps) != 2 {
-		t.Fatalf("gaps = %+v, want 2", res.Gaps)
+	if len(gaps) != 2 {
+		t.Fatalf("gaps = %+v, want 2", gaps)
 	}
-	for _, g := range res.Gaps {
+	for _, g := range gaps {
 		if g.Kind != interval.GapMissing || g.Missing != 1 {
 			t.Fatalf("gap = %+v, want a single-dump missing gap", g)
 		}
 	}
-	if got := res.Gaps[0].ToSeq; got != 2 {
+	if got := gaps[0].ToSeq; got != 2 {
 		t.Fatalf("first gap closes at seq %d, want 2", got)
 	}
-	if len(res.Profiles) != 6 {
-		t.Fatalf("split repair yielded %d profiles, want 6", len(res.Profiles))
+	if len(profiles) != 6 {
+		t.Fatalf("split repair yielded %d profiles, want 6", len(profiles))
 	}
 }
 
@@ -183,4 +183,18 @@ func TestCollectorHaltStopsDumpingMidRun(t *testing.T) {
 	if c.Dumps() != 2 {
 		t.Fatalf("halted collector took %d dumps, want 2", c.Dumps())
 	}
+}
+
+// differenceRobust pushes snaps through a RobustStream, as the streaming
+// engine's robust differencer does, and returns the profiles and gaps it
+// emits and its terminal error.
+func differenceRobust(snaps []*profile.Sample) ([]interval.Profile, []interval.Gap, error) {
+	rs := interval.NewRobustStream(interval.GapSplit)
+	var profiles []interval.Profile
+	var gaps []interval.Gap
+	for _, s := range snaps {
+		p, g := rs.Push(s)
+		profiles, gaps = append(profiles, p...), append(gaps, g...)
+	}
+	return profiles, gaps, rs.Err()
 }

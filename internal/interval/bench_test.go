@@ -37,14 +37,14 @@ func BenchmarkDifferenceP(b *testing.B) {
 	}
 }
 
-// BenchmarkDifferenceRobust covers the salvage path (gap detection + split
-// repair) for the same overhead gate.
+// BenchmarkDifferenceRobust covers the salvage path, RobustStream's gap
+// detection and split repair, for the same overhead gate.
 func BenchmarkDifferenceRobust(b *testing.B) {
 	snaps := benchStream(10)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DifferenceRobust(snaps, RobustOptions{Parallelism: 8}); err != nil {
+		if _, err := robust(snaps, GapSplit); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -33,16 +33,12 @@ type Profile struct {
 	// Calls maps function name to the number of invocations within the
 	// interval (drives Algorithm 1's sort and body/loop tagging).
 	Calls map[string]int64
-	// Repaired marks a profile synthesized by DifferenceRobust's gap
+	// Repaired marks a profile synthesized by RobustStream's gap
 	// repair (split/scaled spans, post-restart resyncs) rather than
 	// observed directly. Downstream consumers treat repaired intervals as
 	// low-confidence: the live labeller will not found phases from them.
 	Repaired bool
 }
-
-// Active reports whether fn has non-zero sampled self time in the interval —
-// the paper's definition of "active" for rank computation.
-func (p *Profile) Active(fn string) bool { return p.Self[fn] > 0 }
 
 // Difference converts cumulative snapshots into per-interval profiles by
 // subtracting each snapshot from its successor; the first snapshot is its
@@ -212,27 +208,4 @@ func FeaturesCSR(profiles []Profile, opts FeatureOptions) Matrix {
 		b.Add(&profiles[i])
 	}
 	return b.CSRMatrix()
-}
-
-// Ranks computes the paper's per-function, per-phase rank: "the fraction of
-// intervals in the phase that the function is active in (i.e., has a
-// non-zero execution time)" (§V-B). members lists interval indices belonging
-// to one phase.
-func Ranks(profiles []Profile, members []int) map[string]float64 {
-	if len(members) == 0 {
-		return map[string]float64{}
-	}
-	counts := make(map[string]int)
-	for _, idx := range members {
-		for fn := range profiles[idx].Self {
-			if profiles[idx].Active(fn) {
-				counts[fn]++
-			}
-		}
-	}
-	out := make(map[string]float64, len(counts))
-	for fn, n := range counts {
-		out[fn] = float64(n) / float64(len(members))
-	}
-	return out
 }

@@ -52,8 +52,8 @@ func TestDifferenceBasic(t *testing.T) {
 	if p1.Calls["a"] != 1 {
 		t.Fatalf("interval 1 calls(a) = %d, want 1", p1.Calls["a"])
 	}
-	if !p1.Active("a") || p1.Active("b") {
-		t.Fatal("Active() wrong")
+	if p1.Self["a"] <= 0 || p1.Self["b"] > 0 {
+		t.Fatal("sampled activity wrong")
 	}
 }
 
@@ -162,32 +162,6 @@ func TestFeatureKindString(t *testing.T) {
 	}
 }
 
-func TestRanks(t *testing.T) {
-	profs := []Profile{
-		{Self: map[string]time.Duration{"a": time.Second, "b": time.Second}},
-		{Self: map[string]time.Duration{"a": time.Second}},
-		{Self: map[string]time.Duration{"a": time.Second, "c": time.Second}},
-		{Self: map[string]time.Duration{"z": time.Second}}, // not in phase
-	}
-	r := Ranks(profs, []int{0, 1, 2})
-	if r["a"] != 1.0 {
-		t.Fatalf("rank(a) = %v, want 1", r["a"])
-	}
-	if r["b"] != 1.0/3.0 || r["c"] != 1.0/3.0 {
-		t.Fatalf("rank(b,c) = %v,%v, want 1/3", r["b"], r["c"])
-	}
-	if _, ok := r["z"]; ok {
-		t.Fatal("rank computed for function outside the phase")
-	}
-}
-
-func TestRanksEmptyPhase(t *testing.T) {
-	r := Ranks(nil, nil)
-	if len(r) != 0 {
-		t.Fatalf("Ranks of empty phase = %v", r)
-	}
-}
-
 // End-to-end: differencing real collector output recovers per-interval work.
 func TestDifferenceOverRealCollection(t *testing.T) {
 	rt := exec.New(nil)
@@ -211,12 +185,12 @@ func TestDifferenceOverRealCollection(t *testing.T) {
 	}
 	// Intervals 0-2 are pure phase1; intervals 3-4 pure phase2.
 	for i := 0; i < 3; i++ {
-		if profs[i].Self["phase1"] != time.Second || profs[i].Active("phase2") {
+		if profs[i].Self["phase1"] != time.Second || profs[i].Self["phase2"] > 0 {
 			t.Fatalf("interval %d: %+v", i, profs[i].Self)
 		}
 	}
 	for i := 3; i < 5; i++ {
-		if profs[i].Self["phase2"] != time.Second || profs[i].Active("phase1") {
+		if profs[i].Self["phase2"] != time.Second || profs[i].Self["phase1"] > 0 {
 			t.Fatalf("interval %d: %+v", i, profs[i].Self)
 		}
 	}

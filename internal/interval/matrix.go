@@ -1,130 +1,286 @@
-// matrix.go holds the incremental feature-matrix builder: the streaming
-// counterpart of FeaturesCSR. Rows append one interval at a time, the feature
-// space grows when a function first shows activity mid-run, and earlier rows
-// are implicitly backfilled with zeros for late-appearing dimensions — so a
-// builder fed row by row produces a Matrix identical to a batch FeaturesCSR
-// call over the same profiles. FeaturesCSR itself is a thin wrapper over the
-// builder: there is exactly one code path that decides what becomes a
-// dimension and what value a cell gets.
+// matrix.go holds the per-interval store and the feature matrix built over
+// it. MatrixBuilder keeps every interval once, as a Row of cells by function
+// id; the clustering matrix, Algorithm 1, the checkpoint segment and any
+// interval.Profile an API hands out all read those cells. The feature space
+// grows when a function first shows activity mid-run, and earlier rows read
+// as zero in the late dimensions, so a builder fed row by row produces the
+// Matrix a batch FeaturesCSR call (a thin wrapper over the builder) does.
 package interval
 
 import (
+	"encoding/binary"
+	"slices"
 	"sort"
 	"time"
 
 	"github.com/incprof/incprof/internal/xmath"
 )
 
-// MatrixBuilder accumulates interval profiles into a clustering matrix
-// incrementally. Internally rows are stored sparsely (only non-zero cells),
-// so memory is O(total non-zero cells + functions), not
-// O(intervals × functions); CSRMatrix materializes the name-sorted canonical
-// form on demand.
+// Row is one interval held by a MatrixBuilder: its bounds, whether gap
+// repair synthesized it, and its cells. A Row reads its cells from the
+// builder's storage, which only ever grows, so a Row — and a slice of them,
+// as Rows returns — stays valid however many intervals follow it.
+type Row struct {
+	Start, End time.Duration // as Profile's
+	Repaired   bool          // as Profile's
+
+	st       *cellStore
+	from, to int // the row's cells are st.data[from:to]
+}
+
+// Cell is one function's activity in one interval; at least one of its
+// quantities is non-zero.
+type Cell struct {
+	// ID numbers the function in its store; Row.Name maps it back.
+	ID        int32
+	Self      time.Duration
+	ExactSelf time.Duration
+	Calls     int64
+}
+
+// cellStore is what a builder's rows read: the function names by id and
+// every row's cells back to back, each as varints — the id's distance from
+// the previous cell's, then self, exact self and calls, 0 when absent.
+// Varints keep an interval to a few bytes per active function, and the
+// store holds no pointer per cell for the garbage collector to scan.
+type cellStore struct {
+	ids  map[string]int32
+	fns  []string
+	data []byte
+}
+
+// Cells appends the row's cells to buf in ascending id order.
+func (r *Row) Cells(buf []Cell) []Cell {
+	d := r.st.data[r.from:r.to]
+	id := int32(-1)
+	for len(d) > 0 {
+		delta, n := binary.Uvarint(d)
+		d = d[n:]
+		self, n := binary.Varint(d)
+		d = d[n:]
+		exact, n := binary.Varint(d)
+		d = d[n:]
+		calls, n := binary.Varint(d)
+		d = d[n:]
+		id += int32(delta)
+		buf = append(buf, Cell{ID: id, Self: time.Duration(self), ExactSelf: time.Duration(exact), Calls: calls})
+	}
+	return buf
+}
+
+// Name returns the name of function id.
+func (r *Row) Name(id int32) string { return r.st.fns[id] }
+
+// Lookup returns fn's id in the row's store, false when no interval of the
+// store has recorded it.
+func (r *Row) Lookup(fn string) (int32, bool) {
+	id, ok := r.st.ids[fn]
+	return id, ok
+}
+
+// NumFuncs bounds the function ids of the row's store: every id is below
+// it.
+func (r *Row) NumFuncs() int { return len(r.st.fns) }
+
+// Profiles materializes rows as interval profiles indexed by position: one
+// map entry per non-zero quantity.
+func Profiles(rows []Row) []Profile {
+	out := make([]Profile, len(rows))
+	for i := range rows {
+		r := &rows[i]
+		out[i] = Profile{Index: i, Start: r.Start, End: r.End, Repaired: r.Repaired,
+			Self: make(map[string]time.Duration), ExactSelf: make(map[string]time.Duration), Calls: make(map[string]int64)}
+		for _, c := range r.Cells(nil) {
+			fn := r.Name(c.ID)
+			if c.Self != 0 {
+				out[i].Self[fn] = c.Self
+			}
+			if c.ExactSelf != 0 {
+				out[i].ExactSelf[fn] = c.ExactSelf
+			}
+			if c.Calls != 0 {
+				out[i].Calls[fn] = c.Calls
+			}
+		}
+	}
+	return out
+}
+
+// MatrixBuilder is the per-interval store and the clustering matrix over
+// it. Rows hold only their non-zero cells, so memory is O(total non-zero
+// cells + functions), not O(intervals × functions); CSRMatrix materializes
+// the name-sorted canonical matrix on demand.
 //
 // The zero value is not usable; construct with NewMatrixBuilder.
 type MatrixBuilder struct {
 	opts FeatureOptions
+	st   *cellStore
+	rows []Row
 
-	// ids numbers every function that has had a stored cell, in
-	// first-seen order, and fns maps the number back. dim marks the ones
-	// that have qualified as a dimension — positive feature value in at
-	// least one row, not excluded — and ndims counts them. cols caches the
-	// dimension ids in name order and is invalidated on growth.
-	ids   map[string]int32
-	fns   []string
+	// Per function id: excl marks the functions opts.Exclude drops from
+	// the feature space (their cells are still stored: Algorithm 1 reads
+	// their activity), dim the ones that have qualified as a dimension —
+	// positive feature value in at least one row, not excluded — and ndims
+	// counts them. cols caches the dimension ids in name order and is
+	// invalidated on growth.
+	excl  []bool
 	dim   []bool
 	ndims int
 	cols  []int32
 
-	// Each row's non-zero cells, by function id, flat across rows: row i's
-	// time cells are cells[rowEnd[i-1]:rowEnd[i]] (from 0 for row 0), its
-	// call-count cells (SelfPlusCalls only) calls[callEnd[i-1]:callEnd[i]].
-	// Cells are keyed by function, not column, so a dimension that appears
-	// late needs no backfill pass over old rows: their cells are simply
-	// absent, i.e. zero. The flat arrays hold no pointers, so they cost the
-	// garbage collector nothing to scan however long the run.
-	cells   []cell
-	rowEnd  []int
-	calls   []cell
-	callEnd []int
+	// ncells counts the stored cells, bounding the matrix's non-zeros.
+	ncells int
 
-	// scratch is one row scattered by function id; it is all zeros
-	// between appendRow calls.
-	scratch []float64
-}
-
-// cell is one stored non-zero value of function id.
-type cell struct {
-	id int32
-	v  float64
+	// Scratch: the row being added by id and the ids it touches, names new
+	// to the store, decoded cells, and one row's time and call values
+	// scattered by id (all zeros between uses).
+	pend    []Cell
+	touched []int32
+	fresh   []string
+	cells   []Cell
+	times   []float64
+	calls   []float64
 }
 
 // NewMatrixBuilder returns an empty builder for the given feature options.
 func NewMatrixBuilder(opts FeatureOptions) *MatrixBuilder {
-	return &MatrixBuilder{opts: opts, ids: make(map[string]int32)}
-}
-
-// pick selects the per-function duration map the configured feature kind
-// reads.
-func (b *MatrixBuilder) pick(p *Profile) map[string]time.Duration {
-	if b.opts.Kind == ExactSelf {
-		return p.ExactSelf
-	}
-	return p.Self
+	return &MatrixBuilder{opts: opts, st: &cellStore{ids: make(map[string]int32)}}
 }
 
 // Add appends one interval's row. A function first crossing zero activity
 // here grows the feature space; rows added earlier read as zero in the new
 // dimension.
 func (b *MatrixBuilder) Add(p *Profile) {
-	for fn, d := range b.pick(p) {
-		if d == 0 || b.excluded(fn) {
+	addDurations(b, p.Self, func(c *Cell, v time.Duration) { c.Self = v })
+	addDurations(b, p.ExactSelf, func(c *Cell, v time.Duration) { c.ExactSelf = v })
+	addDurations(b, p.Calls, func(c *Cell, v int64) { c.Calls = v })
+	if len(b.fresh) > 0 {
+		// Functions new to the store take ids in name order, so the ids do
+		// not depend on map iteration order.
+		fresh := b.intern()
+		for _, fn := range fresh {
+			c := b.touch(b.st.ids[fn])
+			c.Self, c.ExactSelf, c.Calls = p.Self[fn], p.ExactSelf[fn], p.Calls[fn]
+		}
+	}
+	b.commit(p.Start, p.End, p.Repaired)
+}
+
+// addDurations records m's non-zero values into the pending row through set,
+// deferring names the store has not seen to b.fresh.
+func addDurations[V ~int64](b *MatrixBuilder, m map[string]V, set func(*Cell, V)) {
+	for fn, v := range m {
+		if v == 0 {
 			continue
 		}
+		id, ok := b.st.ids[fn]
+		if !ok {
+			b.fresh = append(b.fresh, fn)
+			continue
+		}
+		set(b.touch(id), v)
+	}
+}
+
+// AddCells appends one interval given its cells in the caller's own
+// numbering, which name maps to function names. A function's quantities may
+// come split across several cells; each non-zero one is kept.
+func (b *MatrixBuilder) AddCells(start, end time.Duration, repaired bool, cells []Cell, name func(int32) string) {
+	for _, c := range cells {
+		if _, ok := b.st.ids[name(c.ID)]; !ok {
+			b.fresh = append(b.fresh, name(c.ID))
+		}
+	}
+	b.intern()
+	for _, c := range cells {
+		p := b.touch(b.st.ids[name(c.ID)])
+		if c.Self != 0 {
+			p.Self = c.Self
+		}
+		if c.ExactSelf != 0 {
+			p.ExactSelf = c.ExactSelf
+		}
+		if c.Calls != 0 {
+			p.Calls = c.Calls
+		}
+	}
+	b.commit(start, end, repaired)
+}
+
+// intern gives the names in b.fresh ids, in name order, and returns them
+// sorted and deduplicated; b.fresh is empty afterwards.
+func (b *MatrixBuilder) intern() []string {
+	sort.Strings(b.fresh)
+	fresh := slices.Compact(b.fresh)
+	for _, fn := range fresh {
+		b.st.ids[fn] = int32(len(b.st.fns))
+		b.st.fns = append(b.st.fns, fn)
+		b.excl = append(b.excl, b.opts.Exclude != nil && b.opts.Exclude(fn))
+		b.dim = append(b.dim, false)
+		b.pend = append(b.pend, Cell{})
+	}
+	b.fresh = b.fresh[:0]
+	return fresh
+}
+
+// touch returns the pending cell of function id, noting the id when the
+// cell is still all zero (a cell left zero may be noted twice; commit
+// stores it at most once).
+func (b *MatrixBuilder) touch(id int32) *Cell {
+	c := &b.pend[id]
+	if *c == (Cell{}) {
+		b.touched = append(b.touched, id)
+	}
+	return c
+}
+
+// commit encodes the pending row, registers the dimensions it qualifies,
+// and clears the pending state.
+func (b *MatrixBuilder) commit(start, end time.Duration, repaired bool) {
+	slices.Sort(b.touched)
+	from := len(b.st.data)
+	prev := int32(-1)
+	for _, id := range b.touched {
+		c := b.pend[id]
+		b.pend[id] = Cell{}
+		if c.Self == 0 && c.ExactSelf == 0 && c.Calls == 0 {
+			continue // all zero, or noted twice and stored already
+		}
+		b.st.data = binary.AppendUvarint(b.st.data, uint64(id-prev))
+		b.st.data = binary.AppendVarint(b.st.data, int64(c.Self))
+		b.st.data = binary.AppendVarint(b.st.data, int64(c.ExactSelf))
+		b.st.data = binary.AppendVarint(b.st.data, c.Calls)
+		prev = id
+		b.ncells++
 		// Non-zero cells are stored even when the function has not (yet)
 		// qualified as a dimension: the matrix carries the stored value
 		// for every row once the function qualifies in any row, including
 		// rows where it was negative.
-		id := b.id(fn, d > 0)
-		b.cells = append(b.cells, cell{id, d.Seconds()})
-	}
-	b.rowEnd = append(b.rowEnd, len(b.cells))
-	if b.opts.Kind == SelfPlusCalls {
-		for fn, n := range p.Calls {
-			if n == 0 || b.excluded(fn) {
-				continue
-			}
-			id := b.id(fn, n > 0)
-			b.calls = append(b.calls, cell{id, float64(n)})
+		if !b.excl[id] && !b.dim[id] && (b.timeOf(c) > 0 || (b.opts.Kind == SelfPlusCalls && c.Calls > 0)) {
+			b.dim[id] = true
+			b.ndims++
+			b.cols = nil
 		}
 	}
-	b.callEnd = append(b.callEnd, len(b.calls))
+	b.touched = b.touched[:0]
+	b.rows = append(b.rows, Row{Start: start, End: end, Repaired: repaired, st: b.st, from: from, to: len(b.st.data)})
 }
 
-func (b *MatrixBuilder) excluded(fn string) bool {
-	return b.opts.Exclude != nil && b.opts.Exclude(fn)
-}
-
-// id returns fn's function number, assigning the next one on first sight,
-// and registers fn as a dimension the first time qualifies is set.
-func (b *MatrixBuilder) id(fn string, qualifies bool) int32 {
-	id, ok := b.ids[fn]
-	if !ok {
-		id = int32(len(b.fns))
-		b.ids[fn] = id
-		b.fns = append(b.fns, fn)
-		b.dim = append(b.dim, false)
+// timeOf is the time quantity the configured feature kind reads.
+func (b *MatrixBuilder) timeOf(c Cell) time.Duration {
+	if b.opts.Kind == ExactSelf {
+		return c.ExactSelf
 	}
-	if qualifies && !b.dim[id] {
-		b.dim[id] = true
-		b.ndims++
-		b.cols = nil
-	}
-	return id
+	return c.Self
 }
 
 // NumRows returns the number of intervals added so far.
-func (b *MatrixBuilder) NumRows() int { return len(b.rowEnd) }
+func (b *MatrixBuilder) NumRows() int { return len(b.rows) }
+
+// Rows returns every interval added so far, in order. Later Adds do not
+// change the returned rows; appending to the slice does not change the
+// builder.
+func (b *MatrixBuilder) Rows() []Row { return b.rows[:len(b.rows):len(b.rows)] }
 
 // columns returns the dimension ids in canonical (name-sorted) order.
 func (b *MatrixBuilder) columns() []int32 {
@@ -135,7 +291,7 @@ func (b *MatrixBuilder) columns() []int32 {
 				b.cols = append(b.cols, int32(id))
 			}
 		}
-		sort.Slice(b.cols, func(i, j int) bool { return b.fns[b.cols[i]] < b.fns[b.cols[j]] })
+		sort.Slice(b.cols, func(i, j int) bool { return b.st.fns[b.cols[i]] < b.st.fns[b.cols[j]] })
 	}
 	return b.cols
 }
@@ -159,7 +315,10 @@ func (b *MatrixBuilder) SelectRows(rows []int) Matrix {
 	csr := &xmath.CSR{NumCols: len(names)}
 	if rows == nil {
 		n = b.NumRows()
-		nnz := len(b.cells) + len(b.calls)
+		nnz := b.ncells
+		if b.opts.Kind == SelfPlusCalls {
+			nnz *= 2
+		}
 		csr.Vals = make([]float64, 0, nnz)
 		csr.Cols = make([]int32, 0, nnz)
 	}
@@ -182,7 +341,7 @@ func (b *MatrixBuilder) FuncNames() []string {
 	cols := b.columns()
 	names := make([]string, len(cols), b.Dims())
 	for j, id := range cols {
-		names[j] = b.fns[id]
+		names[j] = b.st.fns[id]
 	}
 	if b.opts.Kind == SelfPlusCalls {
 		for _, n := range names[:len(cols)] {
@@ -202,37 +361,36 @@ func (b *MatrixBuilder) Row(i int) ([]float64, []int32) {
 
 // appendRow appends row i's non-zero cells over the given name-sorted
 // dimension ids to idx and vals in ascending column order: the time
-// columns, then (under SelfPlusCalls) the call-count columns.
+// columns, then (under SelfPlusCalls) the call-count columns. The row is
+// scattered by function id, then gathered in column order.
 func (b *MatrixBuilder) appendRow(i int, cols []int32, idx []int32, vals []float64) ([]int32, []float64) {
-	idx, vals = b.appendCells(b.cells, b.rowEnd, i, cols, 0, idx, vals)
+	if len(b.times) < len(b.st.fns) {
+		b.times = make([]float64, len(b.st.fns))
+		b.calls = make([]float64, len(b.st.fns))
+	}
+	b.cells = b.rows[i].Cells(b.cells[:0])
+	for _, c := range b.cells {
+		b.times[c.ID] = b.timeOf(c).Seconds()
+		b.calls[c.ID] = float64(c.Calls)
+	}
+	idx, vals = gather(b.times, cols, 0, idx, vals)
 	if b.opts.Kind == SelfPlusCalls {
-		idx, vals = b.appendCells(b.calls, b.callEnd, i, cols, len(cols), idx, vals)
+		idx, vals = gather(b.calls, cols, len(cols), idx, vals)
+	}
+	for _, c := range b.cells {
+		b.times[c.ID], b.calls[c.ID] = 0, 0
 	}
 	return idx, vals
 }
 
-// appendCells scatters row i of one flat cell array by function id, then
-// gathers it in column order, offsetting column numbers by off.
-func (b *MatrixBuilder) appendCells(cells []cell, end []int, i int, cols []int32, off int, idx []int32, vals []float64) ([]int32, []float64) {
-	from := 0
-	if i > 0 {
-		from = end[i-1]
-	}
-	row := cells[from:end[i]]
-	if len(b.scratch) < len(b.fns) {
-		b.scratch = make([]float64, len(b.fns))
-	}
-	for _, c := range row {
-		b.scratch[c.id] = c.v
-	}
+// gather appends the non-zero values of byID at the given dimension ids, in
+// column order, offsetting column numbers by off.
+func gather(byID []float64, cols []int32, off int, idx []int32, vals []float64) ([]int32, []float64) {
 	for j, id := range cols {
-		if v := b.scratch[id]; v != 0 {
+		if v := byID[id]; v != 0 {
 			idx = append(idx, int32(off+j))
 			vals = append(vals, v)
 		}
-	}
-	for _, c := range row {
-		b.scratch[c.id] = 0
 	}
 	return idx, vals
 }

@@ -105,7 +105,7 @@ func TestPropertyRepairedTotalsNeverExceedRaw(t *testing.T) {
 		kept := dropSeqs(snaps, drop)
 		wantSelf, wantCalls := rawTotals(snaps)
 		for _, policy := range []GapPolicy{GapSplit, GapDrop, GapScale} {
-			res, err := DifferenceRobust(kept, RobustOptions{Policy: policy})
+			res, err := robust(kept, policy)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, policy, err)
 			}
@@ -146,7 +146,7 @@ func TestPropertyGapsPartitionMissingSeqs(t *testing.T) {
 		snaps := genStream(rng, 10+rng.Intn(15), fns)
 		drop := pickDrops(rng, len(snaps), 1+rng.Intn(5))
 		kept := dropSeqs(snaps, drop)
-		res, err := DifferenceRobust(kept, RobustOptions{})
+		res, err := robust(kept, GapSplit)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -184,7 +184,7 @@ func TestPropertyDedupeIdempotent(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewSource(int64(3000 + trial)))
 		snaps := genStream(rng, 6+rng.Intn(12), fns)
-		clean, err := DifferenceRobust(snaps, RobustOptions{})
+		clean, err := robust(snaps, GapSplit)
 		if err != nil {
 			t.Fatalf("trial %d clean: %v", trial, err)
 		}
@@ -206,7 +206,7 @@ func TestPropertyDedupeIdempotent(t *testing.T) {
 				injected++
 			}
 		}
-		res, err := DifferenceRobust(perturbed, RobustOptions{})
+		res, err := robust(perturbed, GapSplit)
 		if err != nil {
 			t.Fatalf("trial %d perturbed: %v", trial, err)
 		}
@@ -240,7 +240,7 @@ func TestSplitFanoutCapped(t *testing.T) {
 		}
 	}
 	snaps := []*profile.Sample{mk(0, 100), mk(1<<30, 300)}
-	res, err := DifferenceRobust(snaps, RobustOptions{Policy: GapSplit})
+	res, err := robust(snaps, GapSplit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,30 +256,5 @@ func TestSplitFanoutCapped(t *testing.T) {
 	}
 	if len(res.Gaps) != 1 || res.Gaps[0].Kind != GapMissing {
 		t.Fatalf("gaps = %+v", res.Gaps)
-	}
-}
-
-// TestPropertyParallelismInvariance: the robust result is bit-identical at
-// any worker-pool bound, even on heavily perturbed streams.
-func TestPropertyParallelismInvariance(t *testing.T) {
-	fns := []string{"p", "q"}
-	for trial := 0; trial < 10; trial++ {
-		rng := rand.New(rand.NewSource(int64(4000 + trial)))
-		snaps := genStream(rng, 20, fns)
-		kept := dropSeqs(snaps, pickDrops(rng, len(snaps), 3))
-		var ref *Result
-		for _, p := range []int{1, 2, 8} {
-			res, err := DifferenceRobust(kept, RobustOptions{Parallelism: p})
-			if err != nil {
-				t.Fatalf("trial %d p=%d: %v", trial, p, err)
-			}
-			if ref == nil {
-				ref = res
-				continue
-			}
-			if !reflect.DeepEqual(ref, res) {
-				t.Fatalf("trial %d: result differs at parallelism %d", trial, p)
-			}
-		}
 	}
 }

@@ -1,7 +1,7 @@
 // robust.go is the degraded-mode counterpart of Difference: real IncProf
 // deployments lose dumps to node failures, write truncated files when a
 // collector dies mid-encode, and restart collectors whose cumulative
-// counters then reset. DifferenceRobust absorbs those faults — every
+// counters then reset. RobustStream absorbs those faults — every
 // discontinuity becomes an explicit Gap record plus, depending on policy,
 // repaired interval profiles — instead of aborting the analysis the way the
 // strict path does.
@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/incprof/incprof/internal/obs"
-	"github.com/incprof/incprof/internal/par"
 	"github.com/incprof/incprof/internal/profile"
 )
 
@@ -23,7 +21,7 @@ import (
 // while keeping the allocation proportional to the data actually seen.
 const maxSplitFanout = 4096
 
-// GapPolicy selects how DifferenceRobust repairs the span covered by
+// GapPolicy selects how RobustStream repairs the span covered by
 // missing dumps.
 type GapPolicy int
 
@@ -106,166 +104,17 @@ type Gap struct {
 	// Missing is the number of dumps lost inside the gap (0 for
 	// duplicates, late arrivals, and pure resyncs).
 	Missing int
-	// FirstProfile indexes the first profile in Result.Profiles
-	// synthesized from this gap; -1 when the policy emitted none.
+	// FirstProfile indexes the first profile of the stream synthesized
+	// from this gap; -1 when the policy emitted none.
 	FirstProfile int
 }
 
-// RobustOptions configures DifferenceRobust.
-type RobustOptions struct {
-	// Policy selects the repair policy for missing spans (default
-	// GapSplit).
-	Policy GapPolicy
-	// Parallelism bounds the worker pool (0 means GOMAXPROCS, 1 forces
-	// serial); the output is identical for every value.
-	Parallelism int
-}
-
-// Result is DifferenceRobust's output: the per-interval profiles that could
-// be recovered plus a record of every repair that was needed. A fault-free
-// stream yields Gaps == nil and Profiles identical to Difference's.
-type Result struct {
-	Profiles []Profile
-	Gaps     []Gap
-}
-
-// Repaired counts the profiles synthesized by gap repair.
-func (r *Result) Repaired() int {
-	n := 0
-	for i := range r.Profiles {
-		if r.Profiles[i].Repaired {
-			n++
-		}
-	}
-	return n
-}
-
-// pairOut is one snapshot pair's contribution, assembled in order after the
-// pool drains so the output is independent of worker scheduling.
-type pairOut struct {
-	profiles []Profile
-	gap      *Gap // gap repaired while differencing this pair, if any
-}
-
-// DifferenceRobust converts cumulative snapshots into per-interval profiles
-// like Difference, but survives lost, duplicate, late, and corrupt-restart
-// data: missing Seq numbers become Gap records repaired under opts.Policy,
-// duplicate and out-of-order dumps are skipped, and cumulative-counter or
-// timestamp regressions (a collector restart) resynchronize the stream
-// instead of failing it. Profiles synthesized by any repair carry
-// Repaired == true.
-//
-// The result is deterministic: it depends only on the snapshot contents,
-// never on Parallelism or scheduling.
-func DifferenceRobust(snaps []*profile.Sample, opts RobustOptions) (*Result, error) {
-	if len(snaps) == 0 {
-		return nil, fmt.Errorf("interval: no snapshots")
-	}
-	sp := obs.Start("interval.robust")
-	sp.SetInt("snapshots", int64(len(snaps))).SetStr("policy", opts.Policy.String())
-	defer sp.End()
-
-	// Serial pre-pass: drop nils, duplicates, and late arrivals; rebase
-	// timestamps across collector restarts so Start/End stay monotone.
-	kept := make([]*profile.Sample, 0, len(snaps))
-	adjTS := make([]time.Duration, 0, len(snaps)) // rebased timestamps
-	restart := make([]bool, 0, len(snaps))        // timestamp regressed at this snapshot
-	preGaps := make(map[int][]Gap)                // kept index -> gaps recorded just after it
-	var tsOffset time.Duration
-	for _, s := range snaps {
-		if s == nil {
-			continue
-		}
-		after := len(kept) - 1
-		if len(kept) > 0 {
-			prevSeq := kept[len(kept)-1].Seq
-			if s.Seq == prevSeq {
-				preGaps[after] = append(preGaps[after], Gap{Kind: GapDuplicate, FromSeq: s.Seq, ToSeq: s.Seq, FirstProfile: -1})
-				continue
-			}
-			if s.Seq < prevSeq {
-				preGaps[after] = append(preGaps[after], Gap{Kind: GapLate, FromSeq: prevSeq, ToSeq: s.Seq, FirstProfile: -1})
-				continue
-			}
-		}
-		adj := tsOffset + s.Timestamp
-		if len(kept) > 0 && adj < adjTS[len(adjTS)-1] {
-			// The collector's clock restarted: rebase this and all
-			// following timestamps onto the end of the previous segment.
-			tsOffset = adjTS[len(adjTS)-1]
-			adj = tsOffset + s.Timestamp
-			restart = append(restart, true)
-		} else {
-			restart = append(restart, false)
-		}
-		kept = append(kept, s)
-		adjTS = append(adjTS, adj)
-	}
-	if len(kept) == 0 {
-		return nil, fmt.Errorf("interval: no usable snapshots (all %d were nil or duplicates)", len(snaps))
-	}
-
-	// Each pair (kept[i-1], kept[i]) diffs independently; assembly below
-	// is serial and in index order, so the pool size cannot change the
-	// output.
-	outs := make([]pairOut, len(kept))
-	par.For(len(kept), opts.Parallelism, func(i int) {
-		outs[i] = diffPair(kept, adjTS, restart, i, opts.Policy)
-	})
-
-	res := &Result{}
-	for i := range outs {
-		if g := outs[i].gap; g != nil {
-			if len(outs[i].profiles) > 0 {
-				g.FirstProfile = len(res.Profiles)
-			} else {
-				g.FirstProfile = -1
-			}
-			res.Gaps = append(res.Gaps, *g)
-		}
-		for _, p := range outs[i].profiles {
-			p.Index = len(res.Profiles)
-			res.Profiles = append(res.Profiles, p)
-		}
-		for _, g := range preGaps[i] {
-			res.Gaps = append(res.Gaps, g)
-		}
-	}
-	sp.SetInt("profiles", int64(len(res.Profiles))).SetInt("gaps", int64(len(res.Gaps)))
-	if obs.Enabled() {
-		// Gap-kind and repair-policy counter names are built dynamically, so
-		// the whole block stays behind Enabled to keep the disabled path
-		// allocation-free.
-		obs.C("interval.profiles").Add(int64(len(res.Profiles)))
-		for _, g := range res.Gaps {
-			obs.C("interval.gaps." + g.Kind.String()).Inc()
-		}
-		if n := res.Repaired(); n > 0 {
-			obs.C("interval.repaired." + opts.Policy.String()).Add(int64(n))
-		}
-	}
-	return res, nil
-}
-
-// diffPair differences kept[i] against its predecessor, detecting and
-// repairing gaps and regressions local to the pair.
-func diffPair(kept []*profile.Sample, adjTS []time.Duration, restart []bool, i int, policy GapPolicy) pairOut {
-	var prev *profile.Sample
-	var start time.Duration
-	if i > 0 {
-		prev = kept[i-1]
-		start = adjTS[i-1]
-	}
-	return robustPair(prev, kept[i], start, adjTS[i], restart[i], policy)
-}
-
-// robustPair is the single robust-differencing kernel shared by the batch
-// pool (DifferenceRobust via diffPair) and the streaming RobustStream: it
-// differences s against its kept predecessor (nil at stream start), detects
-// resyncs and missing spans, and applies the repair policy. tsRestart
-// reports that the timestamp pre-pass already caught a clock regression at
-// this snapshot.
-func robustPair(prev, s *profile.Sample, start, end time.Duration, tsRestart bool, policy GapPolicy) pairOut {
+// robustPair is RobustStream's kernel: it differences s against its kept
+// predecessor (nil at stream start), detects resyncs and missing spans, and
+// applies the repair policy, returning the profiles the pair yields and the
+// gap it repaired, if any. tsRestart reports that the stream already caught
+// a clock regression at this snapshot.
+func robustPair(prev, s *profile.Sample, start, end time.Duration, tsRestart bool, policy GapPolicy) ([]Profile, *Gap) {
 	prevSeq := -1
 	if prev != nil {
 		prevSeq = prev.Seq
@@ -273,7 +122,7 @@ func robustPair(prev, s *profile.Sample, start, end time.Duration, tsRestart boo
 	missing := s.Seq - prevSeq - 1
 
 	// Decide whether the pair needs a resync: the counters (or the clock,
-	// caught in the pre-pass) regressed, or the sample period changed.
+	// caught by the caller) regressed, or the sample period changed.
 	resync := tsRestart
 	kind := GapRegression
 	if prev != nil && !resync && s.SamplePeriod != prev.SamplePeriod {
@@ -295,20 +144,17 @@ func robustPair(prev, s *profile.Sample, start, end time.Duration, tsRestart boo
 	case resync:
 		p := makeProfile(s, base, start, end)
 		p.Repaired = true
-		return pairOut{
-			profiles: []Profile{p},
-			gap:      &Gap{Kind: kind, FromSeq: prevSeq, ToSeq: s.Seq, Missing: max(missing, 0)},
-		}
+		return []Profile{p}, &Gap{Kind: kind, FromSeq: prevSeq, ToSeq: s.Seq, Missing: max(missing, 0)}
 	case missing > 0:
 		gap := &Gap{Kind: GapMissing, FromSeq: prevSeq, ToSeq: s.Seq, Missing: missing}
 		switch policy {
 		case GapDrop:
-			return pairOut{gap: gap}
+			return nil, gap
 		case GapScale:
 			p := makeProfile(s, base, start, end)
 			scaleProfile(&p, missing+1)
 			p.Repaired = true
-			return pairOut{profiles: []Profile{p}, gap: gap}
+			return []Profile{p}, gap
 		default: // GapSplit
 			if missing+1 > maxSplitFanout {
 				// The gap is too wide to split (likely a corrupt Seq): keep
@@ -316,12 +162,12 @@ func robustPair(prev, s *profile.Sample, start, end time.Duration, tsRestart boo
 				// conserved without allocating millions of profiles.
 				p := makeProfile(s, base, start, end)
 				p.Repaired = true
-				return pairOut{profiles: []Profile{p}, gap: gap}
+				return []Profile{p}, gap
 			}
-			return pairOut{profiles: splitSpan(s, base, start, end, missing+1), gap: gap}
+			return splitSpan(s, base, start, end, missing+1), gap
 		}
 	default:
-		return pairOut{profiles: []Profile{makeProfile(s, base, start, end)}}
+		return []Profile{makeProfile(s, base, start, end)}, nil
 	}
 }
 
@@ -419,14 +265,13 @@ func scaleProfile(p *Profile, n int) {
 	}
 }
 
-// RobustStream is the incremental form of DifferenceRobust: snapshots push
-// one at a time and the stream retains only the previous kept snapshot plus
-// two clock-rebase scalars — O(1) memory in the run length — instead of the
-// whole dump list. Feeding a RobustStream the same snapshots in the same
-// order as a DifferenceRobust call yields byte-identical Profiles (indices,
-// spans, Repaired flags) and Gaps (order, FirstProfile): both run the shared
-// robustPair kernel, and the batch pre-pass is replayed here one element at
-// a time.
+// RobustStream is the robust differencer: snapshots push one at a time and
+// the stream retains only the previous kept snapshot plus two clock-rebase
+// scalars — O(1) memory in the run length — instead of the whole dump list.
+// Nil snapshots are skipped, duplicate and late ones recorded as gaps and
+// dropped, and a clock that runs backwards rebases every following
+// timestamp onto the end of the previous segment, so Start/End stay
+// monotone.
 //
 // RobustStream is not safe for concurrent use.
 type RobustStream struct {
@@ -447,10 +292,9 @@ func NewRobustStream(policy GapPolicy) *RobustStream {
 }
 
 // Push ingests the next snapshot and returns the profiles and gaps it
-// produced, in the exact order DifferenceRobust would have assembled them.
-// A nil snapshot, a duplicate, or a late arrival produces no profiles; the
-// latter two produce their Gap record. Returned profiles carry their final
-// stream-wide Index values.
+// produced, in stream order. A nil snapshot, a duplicate, or a late arrival
+// produces no profiles; the latter two produce their Gap record. Returned
+// profiles carry their final stream-wide Index values.
 func (r *RobustStream) Push(s *profile.Sample) ([]Profile, []Gap) {
 	r.pushed++
 	if s == nil {
@@ -477,22 +321,21 @@ func (r *RobustStream) Push(s *profile.Sample) ([]Profile, []Gap) {
 	if r.started {
 		start = r.prevAdj
 	}
-	out := robustPair(r.prev, s, start, adj, restart, r.policy)
+	profiles, g := robustPair(r.prev, s, start, adj, restart, r.policy)
 	var gaps []Gap
-	if g := out.gap; g != nil {
-		if len(out.profiles) > 0 {
+	if g != nil {
+		g.FirstProfile = -1
+		if len(profiles) > 0 {
 			g.FirstProfile = r.nProfiles
-		} else {
-			g.FirstProfile = -1
 		}
 		gaps = append(gaps, *g)
 	}
-	for i := range out.profiles {
-		out.profiles[i].Index = r.nProfiles
+	for i := range profiles {
+		profiles[i].Index = r.nProfiles
 		r.nProfiles++
 	}
 	r.prev, r.prevAdj, r.started = s, adj, true
-	return out.profiles, gaps
+	return profiles, gaps
 }
 
 // Profiles returns the number of profiles emitted so far.
@@ -547,9 +390,8 @@ func RestoreRobustStream(st RobustStreamState) *RobustStream {
 	return r
 }
 
-// Err returns the terminal validation error a drained stream would have
-// reported: pushing only nils, duplicates, and late arrivals is the
-// streaming analogue of DifferenceRobust's "no usable snapshots". It
+// Err returns the terminal validation error of a drained stream: pushing
+// only nils, duplicates, and late arrivals leaves no usable snapshot. It
 // returns nil while the stream is healthy (or still empty with nothing
 // pushed).
 func (r *RobustStream) Err() error {

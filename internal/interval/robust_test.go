@@ -24,6 +24,25 @@ func rsnap(seq int, ts time.Duration, samples int64, calls int64) *profile.Sampl
 	}
 }
 
+// robustResult is everything a RobustStream emits over a snapshot list.
+type robustResult struct {
+	Profiles []Profile
+	Gaps     []Gap
+}
+
+// robust pushes snaps through a RobustStream in order and collects what it
+// emits; the error is the stream's terminal one.
+func robust(snaps []*profile.Sample, policy GapPolicy) (*robustResult, error) {
+	rs := NewRobustStream(policy)
+	res := &robustResult{}
+	for _, s := range snaps {
+		profiles, gaps := rs.Push(s)
+		res.Profiles = append(res.Profiles, profiles...)
+		res.Gaps = append(res.Gaps, gaps...)
+	}
+	return res, rs.Err()
+}
+
 func TestRobustMatchesStrictOnCleanStream(t *testing.T) {
 	snaps := []*profile.Sample{
 		rsnap(0, time.Second, 50, 5),
@@ -35,7 +54,7 @@ func TestRobustMatchesStrictOnCleanStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, policy := range []GapPolicy{GapSplit, GapDrop, GapScale} {
-		res, err := DifferenceRobust(snaps, RobustOptions{Policy: policy})
+		res, err := robust(snaps, policy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +88,7 @@ func TestRobustMissingSeqPolicies(t *testing.T) {
 	}
 
 	t.Run("split", func(t *testing.T) {
-		res, err := DifferenceRobust(snaps, RobustOptions{Policy: GapSplit})
+		res, err := robust(snaps, GapSplit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +124,7 @@ func TestRobustMissingSeqPolicies(t *testing.T) {
 	})
 
 	t.Run("drop", func(t *testing.T) {
-		res, err := DifferenceRobust(snaps, RobustOptions{Policy: GapDrop})
+		res, err := robust(snaps, GapDrop)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +137,7 @@ func TestRobustMissingSeqPolicies(t *testing.T) {
 	})
 
 	t.Run("scale", func(t *testing.T) {
-		res, err := DifferenceRobust(snaps, RobustOptions{Policy: GapScale})
+		res, err := robust(snaps, GapScale)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +163,7 @@ func TestRobustLeadingGap(t *testing.T) {
 		rsnap(2, 3*time.Second, 90, 9),
 		rsnap(3, 4*time.Second, 100, 10),
 	}
-	res, err := DifferenceRobust(snaps, RobustOptions{Policy: GapSplit})
+	res, err := robust(snaps, GapSplit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +195,7 @@ func TestRobustCounterRegressionResyncs(t *testing.T) {
 	if _, err := Difference(snaps); err == nil {
 		t.Fatal("strict Difference accepted a counter regression")
 	}
-	res, err := DifferenceRobust(snaps, RobustOptions{})
+	res, err := robust(snaps, GapSplit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +228,7 @@ func TestRobustTimestampRestartRebases(t *testing.T) {
 		rsnap(2, time.Second, 30, 3), // clock restarted
 		rsnap(3, 2*time.Second, 70, 7),
 	}
-	res, err := DifferenceRobust(snaps, RobustOptions{})
+	res, err := robust(snaps, GapSplit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +256,7 @@ func TestRobustDuplicateAndLateSeqsSkipped(t *testing.T) {
 		rsnap(0, time.Second, 50, 5), // late re-delivery of Seq 0
 		rsnap(2, 3*time.Second, 130, 13),
 	}
-	res, err := DifferenceRobust(snaps, RobustOptions{})
+	res, err := robust(snaps, GapSplit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +288,7 @@ func TestRobustSamplePeriodChangeResyncs(t *testing.T) {
 		rsnap(1, 2*time.Second, 120, 12),
 		changed,
 	}
-	res, err := DifferenceRobust(snaps, RobustOptions{})
+	res, err := robust(snaps, GapSplit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,54 +300,11 @@ func TestRobustSamplePeriodChangeResyncs(t *testing.T) {
 	}
 }
 
-func TestRobustParallelismInvariant(t *testing.T) {
-	var snaps []*profile.Sample
-	var cum int64
-	for i := 0; i < 40; i++ {
-		cum += int64(i%7) + 1
-		if i%9 == 4 {
-			continue // punch holes
-		}
-		snaps = append(snaps, rsnap(i, time.Duration(i+1)*time.Second, cum, cum/2))
-	}
-	serial, err := DifferenceRobust(snaps, RobustOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := DifferenceRobust(snaps, RobustOptions{Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.Profiles) != len(parallel.Profiles) || len(serial.Gaps) != len(parallel.Gaps) {
-		t.Fatalf("shape differs: %d/%d profiles, %d/%d gaps",
-			len(serial.Profiles), len(parallel.Profiles), len(serial.Gaps), len(parallel.Gaps))
-	}
-	for i := range serial.Profiles {
-		s, p := serial.Profiles[i], parallel.Profiles[i]
-		if s.Index != p.Index || s.Start != p.Start || s.End != p.End || s.Repaired != p.Repaired {
-			t.Fatalf("profile %d metadata differs", i)
-		}
-		if len(s.Self) != len(p.Self) {
-			t.Fatalf("profile %d Self size differs", i)
-		}
-		for fn, d := range s.Self {
-			if p.Self[fn] != d {
-				t.Fatalf("profile %d Self[%s] = %v vs %v", i, fn, p.Self[fn], d)
-			}
-		}
-	}
-	for i := range serial.Gaps {
-		if serial.Gaps[i] != parallel.Gaps[i] {
-			t.Fatalf("gap %d differs: %+v vs %+v", i, serial.Gaps[i], parallel.Gaps[i])
-		}
-	}
-}
-
 func TestRobustEmptyAndAllUnusable(t *testing.T) {
-	if _, err := DifferenceRobust(nil, RobustOptions{}); err == nil {
-		t.Fatal("expected error for empty input")
+	if _, err := robust(nil, GapSplit); err != nil {
+		t.Fatalf("a stream with nothing pushed reports %v; it is healthy while empty", err)
 	}
-	if _, err := DifferenceRobust([]*profile.Sample{nil, nil}, RobustOptions{}); err == nil {
+	if _, err := robust([]*profile.Sample{nil, nil}, GapSplit); err == nil {
 		t.Fatal("expected error for all-nil input")
 	}
 }
@@ -359,7 +335,7 @@ func TestEachCounterRegressionFailsStrictAndResyncsRobust(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), `"b" regressed`) {
 				t.Fatalf("StrictPair error = %v, want a regression of \"b\"", err)
 			}
-			res, err := DifferenceRobust([]*profile.Sample{prev, next}, RobustOptions{})
+			res, err := robust([]*profile.Sample{prev, next}, GapSplit)
 			if err != nil {
 				t.Fatal(err)
 			}

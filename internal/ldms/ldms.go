@@ -97,39 +97,6 @@ func (m *MemStore) Sets() []MetricSet {
 	return append([]MetricSet(nil), m.sets...)
 }
 
-// CSVStore writes one row per metric:
-//
-//	time_s,producer,set,metric,value
-type CSVStore struct {
-	mu     sync.Mutex
-	w      *bufio.Writer
-	header bool
-}
-
-// NewCSVStore returns a store writing CSV rows to w.
-func NewCSVStore(w io.Writer) *CSVStore {
-	return &CSVStore{w: bufio.NewWriter(w)}
-}
-
-// Store implements Store.
-func (c *CSVStore) Store(s MetricSet) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.header {
-		if _, err := c.w.WriteString("time_s,producer,set,metric,value\n"); err != nil {
-			return err
-		}
-		c.header = true
-	}
-	for _, m := range s.Metrics {
-		if _, err := fmt.Fprintf(c.w, "%.3f,%s,%s,%s,%g\n",
-			s.Time.Seconds(), s.Producer, s.Name, m.Name, m.Value); err != nil {
-			return err
-		}
-	}
-	return c.w.Flush()
-}
-
 // BreakerOptions configures the aggregator's per-sampler circuit breaker.
 // A sampler that fails Threshold consecutive pulls is "tripped": the
 // aggregator stops pulling it for Cooldown rounds, then probes it once —

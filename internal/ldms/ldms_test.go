@@ -3,7 +3,6 @@ package ldms
 import (
 	"errors"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -89,22 +88,6 @@ func TestAggregatorContinuesPastFailingSampler(t *testing.T) {
 	}
 	if agg.Err() == nil {
 		t.Fatal("Err not recorded")
-	}
-}
-
-func TestCSVStoreFormat(t *testing.T) {
-	var b strings.Builder
-	st := NewCSVStore(&b)
-	err := st.Store(MetricSet{
-		Producer: "rank0", Name: "appekg", Time: 1500 * time.Millisecond,
-		Metrics: []Metric{{Name: "hb1_count", Value: 42}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "time_s,producer,set,metric,value\n1.500,rank0,appekg,hb1_count,42\n"
-	if b.String() != want {
-		t.Fatalf("csv = %q, want %q", b.String(), want)
 	}
 }
 

@@ -48,7 +48,7 @@ func idlePhase(n int, seed uint64) (Phase, []interval.Profile, interval.Matrix) 
 // referenceSites is a direct transcription of Algorithm 1 that recounts
 // coverage over every member before each interval it visits.
 func referenceSites(p *Phase, profiles []interval.Profile, m interval.Matrix, threshold float64) []Site {
-	ranks := interval.Ranks(profiles, p.Intervals)
+	ranks := referenceRanks(profiles, p.Intervals)
 	ordered := append([]int(nil), p.Intervals...)
 	dist := make(map[int]float64, len(ordered))
 	for _, idx := range ordered {
@@ -58,7 +58,7 @@ func referenceSites(p *Phase, profiles []interval.Profile, m interval.Matrix, th
 	selected := map[string]bool{}
 	activeSelected := func(idx int) bool {
 		for fn := range selected {
-			if profiles[idx].Active(fn) {
+			if profiles[idx].Self[fn] > 0 {
 				return true
 			}
 		}
@@ -80,8 +80,8 @@ func referenceSites(p *Phase, profiles []interval.Profile, m interval.Matrix, th
 		}
 		prof := &profiles[idx]
 		var best string
-		for fn := range prof.Self {
-			if !prof.Active(fn) {
+		for fn, d := range prof.Self {
+			if d <= 0 {
 				continue
 			}
 			if best == "" {
@@ -127,7 +127,7 @@ func TestSelectSitesIdleIntervalsLinear(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		p, profs, m := idlePhase(600, seed)
 		want := referenceSites(&p, profs, m, 0.95)
-		selectSites(&p, profs, m, 0.95, len(profs))
+		selectSites(&p, rowsOf(profs), m, 0.95, len(profs))
 		got := make([]Site, len(p.Sites))
 		for i, s := range p.Sites {
 			got[i] = Site{Function: s.Function, Type: s.Type}
@@ -135,14 +135,14 @@ func TestSelectSitesIdleIntervalsLinear(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: sites %v, want %v", seed, got, want)
 		}
-		if c := p.Coverage(profs); c >= 0.95 {
+		if c := coverage(&p, profs); c >= 0.95 {
 			t.Fatalf("seed %d: coverage %.3f reaches the threshold; the phase must keep it out of reach", seed, c)
 		}
 	}
 
 	p, profs, m := idlePhase(8000, 1)
 	start := time.Now()
-	selectSites(&p, profs, m, 0.95, len(profs))
+	selectSites(&p, rowsOf(profs), m, 0.95, len(profs))
 	d := time.Since(start)
 	t.Logf("8,000 intervals, 10%% idle: %v, %d sites", d, len(p.Sites))
 	if d > time.Second {

@@ -67,22 +67,17 @@ func (d *Detection) MergeDuplicatePhases() int {
 // recomputeCoverage refreshes per-site Phase % and App % after the phase's
 // interval membership changed, using the same earliest-selected-site credit
 // rule as Algorithm 1's reporting.
-func recomputeCoverage(p *Phase, profiles []interval.Profile, totalIntervals int) {
-	credit := make([]int, len(p.Sites))
-	for _, idx := range p.Intervals {
-		for si := range p.Sites {
-			if profiles[idx].Active(p.Sites[si].ActivityFunction()) {
-				credit[si]++
-				break
-			}
-		}
+func recomputeCoverage(p *Phase, rows []interval.Row, totalIntervals int) {
+	if len(p.Intervals) == 0 {
+		return
 	}
+	siteIDs := make([]int32, len(p.Sites))
 	for si := range p.Sites {
-		if len(p.Intervals) > 0 {
-			p.Sites[si].PhasePct = 100 * float64(credit[si]) / float64(len(p.Intervals))
+		id, ok := rows[0].Lookup(p.Sites[si].ActivityFunction())
+		if !ok {
+			id = -1
 		}
-		if totalIntervals > 0 {
-			p.Sites[si].AppPct = 100 * float64(credit[si]) / float64(totalIntervals)
-		}
+		siteIDs[si] = id
 	}
+	activeIDs(rows, p.Intervals).credit(p, siteIDs, totalIntervals)
 }

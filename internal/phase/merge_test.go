@@ -96,7 +96,7 @@ func TestMergeDifferentSitesUntouched(t *testing.T) {
 
 func TestMergeEmptySiteSetsNeverMerge(t *testing.T) {
 	det := &Detection{
-		Profiles: twoPhaseWorkload(),
+		Profiles: rowsOf(twoPhaseWorkload()),
 		Phases: []Phase{
 			{ID: 0, Intervals: []int{0}},
 			{ID: 1, Intervals: []int{1}},

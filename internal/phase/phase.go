@@ -198,8 +198,9 @@ type Detection struct {
 	WCSS []float64
 	// Matrix is the feature matrix the clustering ran on.
 	Matrix interval.Matrix
-	// Profiles are the interval profiles analyzed.
-	Profiles []interval.Profile
+	// Profiles are the intervals analyzed, as rows of the store the
+	// matrix was built from.
+	Profiles []interval.Row
 	// Options echoes the effective configuration.
 	Options Options
 	// NoiseIntervals lists intervals DBSCAN labeled as noise (empty for
@@ -222,40 +223,46 @@ func Detect(profiles []interval.Profile, opts Options) (*Detection, error) {
 	feat := sp.Child("interval.features")
 	// The batch path builds the flat CSR form directly: clustering and site
 	// selection consume it natively, so nothing densifies (DESIGN.md §14).
-	m := interval.FeaturesCSR(profiles, opts.Features)
+	// Algorithm 1 reads the builder's rows, the one store of the profiles.
+	b := interval.NewMatrixBuilder(opts.Features)
+	for i := range profiles {
+		b.Add(&profiles[i])
+	}
+	m := b.CSRMatrix()
 	feat.SetInt("dims", int64(m.Dims())).End()
-	return detectMatrix(profiles, m, nil, opts, sp)
+	return detectMatrix(b.Rows(), m, nil, opts, sp)
 }
 
 // DetectMatrix is Detect over a prebuilt feature matrix: Fit, then every
 // interval labeled, phases assembled and Algorithm 1 run exactly as in
-// Detect, but the caller supplies the matrix. The streaming engine's
-// terminal pass uses it, so its incrementally-built matrix flows through the
-// one detection code path — fed the matrix FeaturesCSR would have built and
-// nil rows, DetectMatrix's output is byte-identical to Detect's.
+// Detect, but the caller supplies the store's rows and the matrix built over
+// them. The streaming engine's terminal pass uses it, so its
+// incrementally-built store flows through the one detection code path — fed
+// the rows and matrix a MatrixBuilder holds and nil rows, DetectMatrix's
+// output is byte-identical to Detect's.
 //
-// rows, when non-nil, lists the strictly ascending row indices the k-means
+// sub, when non-nil, lists the strictly ascending row indices the k-means
 // sweep and k selection run on; every interval is then labeled with its
 // nearest selected centroid, and phase assembly and Algorithm 1 run over all
-// of them. Passing every index gives the nil-rows output byte for byte.
-// DBSCAN takes only nil rows.
-func DetectMatrix(profiles []interval.Profile, m interval.Matrix, rows []int, opts Options) (*Detection, error) {
+// of them. Passing every index gives the nil-sub output byte for byte.
+// DBSCAN takes only a nil sub.
+func DetectMatrix(rows []interval.Row, m interval.Matrix, sub []int, opts Options) (*Detection, error) {
 	opts = opts.withDefaults()
-	if len(profiles) == 0 {
+	if len(rows) == 0 {
 		return nil, fmt.Errorf("phase: no interval profiles")
 	}
-	if m.NumRows() != len(profiles) {
-		return nil, fmt.Errorf("phase: matrix has %d rows for %d profiles", m.NumRows(), len(profiles))
+	if m.NumRows() != len(rows) {
+		return nil, fmt.Errorf("phase: matrix has %d rows for %d profiles", m.NumRows(), len(rows))
 	}
-	if err := checkRows(rows, len(profiles), opts.Algorithm); err != nil {
+	if err := checkRows(sub, len(rows), opts.Algorithm); err != nil {
 		return nil, err
 	}
 	sp := obs.Under(opts.Span, "phase.detect", 0)
-	sp.SetInt("profiles", int64(len(profiles))).
+	sp.SetInt("profiles", int64(len(rows))).
 		SetStr("algorithm", opts.Algorithm.String()).
 		SetStr("selection", opts.Selection.String())
 	defer sp.End()
-	return detectMatrix(profiles, m, rows, opts, sp)
+	return detectMatrix(rows, m, sub, opts, sp)
 }
 
 // checkRows validates a row subset of Fit or DetectMatrix against n rows.
@@ -409,16 +416,16 @@ func fit(m interval.Matrix, rows []int, opts Options, sp *obs.Span) (*Model, err
 }
 
 // detectMatrix is the shared core of Detect and DetectMatrix; opts must have
-// defaults applied, rows must have passed checkRows, and sp is the enclosing
+// defaults applied, sub must have passed checkRows, and sp is the enclosing
 // phase.detect span.
-func detectMatrix(profiles []interval.Profile, m interval.Matrix, rows []int, opts Options, sp *obs.Span) (*Detection, error) {
-	md, err := fit(m, rows, opts, sp)
+func detectMatrix(rows []interval.Row, m interval.Matrix, sub []int, opts Options, sp *obs.Span) (*Detection, error) {
+	md, err := fit(m, sub, opts, sp)
 	if err != nil {
 		return nil, err
 	}
-	det := &Detection{K: md.K, WCSS: md.WCSS, Matrix: m, Profiles: profiles, Options: opts}
+	det := &Detection{K: md.K, WCSS: md.WCSS, Matrix: m, Profiles: rows, Options: opts}
 	assign := md.Assign
-	if rows != nil {
+	if sub != nil {
 		assign = make([]int, m.NumRows())
 		for i := range assign {
 			assign[i] = md.Nearest(m.Sparse.Row(i))
@@ -430,12 +437,12 @@ func detectMatrix(profiles []interval.Profile, m interval.Matrix, rows []int, op
 		}
 	}
 
-	det.Phases = buildPhases(profiles, assign, md.Centroids, det.K)
+	det.Phases = buildPhases(assign, md.Centroids, det.K)
 	sites := sp.Child("phase.sites")
-	total := len(profiles)
+	total := len(rows)
 	nsites := 0
 	for i := range det.Phases {
-		selectSites(&det.Phases[i], profiles, m, opts.CoverageThreshold, total)
+		selectSites(&det.Phases[i], rows, m, opts.CoverageThreshold, total)
 		nsites += len(det.Phases[i].Sites)
 	}
 	sites.SetInt("phases", int64(len(det.Phases))).SetInt("sites", int64(nsites)).End()
@@ -482,16 +489,15 @@ func dbscanCentroidsMatrix(m interval.Matrix, labels []int, k int) [][]float64 {
 
 // BuildPhases groups intervals by cluster assignment and orders phases by
 // first occurrence in time, renumbering IDs accordingly — the phase-assembly
-// step of Detect, exported so the streaming engine's intermediate refreshes
-// assemble phases through the same code as the batch path. Sites are not
-// selected; see SelectPhaseSites.
+// step of Detect. Sites are not selected; see SelectPhaseSites. The profiles
+// are not read: phase assembly needs only the assignment.
 func BuildPhases(profiles []interval.Profile, assign []int, centroids [][]float64, k int) []Phase {
-	return buildPhases(profiles, assign, centroids, k)
+	return buildPhases(assign, centroids, k)
 }
 
 // buildPhases groups intervals by cluster and orders phases by first
 // occurrence in time, renumbering IDs accordingly.
-func buildPhases(profiles []interval.Profile, assign []int, centroids [][]float64, k int) []Phase {
+func buildPhases(assign []int, centroids [][]float64, k int) []Phase {
 	members := make([][]int, k)
 	for i, c := range assign {
 		if c < 0 {

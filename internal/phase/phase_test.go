@@ -242,7 +242,7 @@ func TestPhasePctPartitionsPhase(t *testing.T) {
 	if sum < 99.9 || sum > 100.1 {
 		t.Fatalf("PhasePct sum = %v, want 100", sum)
 	}
-	if cov := p.Coverage(profs); cov != 1.0 {
+	if cov := coverage(&p, profs); cov != 1.0 {
 		t.Fatalf("Coverage = %v", cov)
 	}
 }

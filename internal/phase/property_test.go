@@ -57,7 +57,7 @@ func TestPropertyCoverageInvariant(t *testing.T) {
 			return false
 		}
 		for _, p := range det.Phases {
-			cov := p.Coverage(profs)
+			cov := coverage(&p, profs)
 			// Algorithm 1 stops only at >= threshold or when every
 			// interval has been processed. Every processed uncovered
 			// interval with activity contributes a site, so coverage
@@ -136,7 +136,7 @@ func TestPropertySiteSanity(t *testing.T) {
 				seen[s.Function] = true
 				active := false
 				for _, idx := range p.Intervals {
-					if profs[idx].Active(s.Function) {
+					if profs[idx].Self[s.Function] > 0 {
 						active = true
 						break
 					}

@@ -62,9 +62,9 @@ func subsetReference(t *testing.T, profiles []interval.Profile, m interval.Matri
 			}
 		}
 	}
-	det.Phases = buildPhases(profiles, assign, best.Centroids, best.K)
+	det.Phases = BuildPhases(profiles, assign, best.Centroids, best.K)
 	for i := range det.Phases {
-		selectSites(&det.Phases[i], profiles, m, opts.CoverageThreshold, len(profiles))
+		SelectPhaseSites(&det.Phases[i], profiles, m, opts.CoverageThreshold, len(profiles))
 	}
 	return det
 }
@@ -94,7 +94,7 @@ func FuzzDetectRows(f *testing.F) {
 			opts.Selection = Silhouette
 		}
 		m := interval.FeaturesCSR(profs, opts.Features)
-		whole, err := DetectMatrix(profs, m, nil, opts)
+		whole, err := DetectMatrix(rowsOf(profs), m, nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func FuzzDetectRows(f *testing.F) {
 		for i := range all {
 			all[i] = i
 		}
-		got, err := DetectMatrix(profs, m, all, opts)
+		got, err := DetectMatrix(rowsOf(profs), m, all, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func FuzzDetectRows(f *testing.F) {
 		if len(rows) == 0 {
 			rows = []int{rng.Intn(len(profs))}
 		}
-		got, err = DetectMatrix(profs, m, rows, opts)
+		got, err = DetectMatrix(rowsOf(profs), m, rows, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,11 +143,11 @@ func TestDetectMatrixRejectsBadRows(t *testing.T) {
 		"negative":     {-1, 4},
 		"out of range": {0, len(profs)},
 	} {
-		if _, err := DetectMatrix(profs, m, rows, Options{}); err == nil {
+		if _, err := DetectMatrix(rowsOf(profs), m, rows, Options{}); err == nil {
 			t.Errorf("%s rows %v accepted", name, rows)
 		}
 	}
-	if _, err := DetectMatrix(profs, m, []int{0, 5, 20}, Options{Algorithm: DBSCANAlg}); err == nil {
+	if _, err := DetectMatrix(rowsOf(profs), m, []int{0, 5, 20}, Options{Algorithm: DBSCANAlg}); err == nil {
 		t.Error("DBSCAN accepted a row subset")
 	}
 }

@@ -158,7 +158,7 @@ type AnalyzeOptions struct {
 	// wrappers, to higher-level source functions.
 	PromoteSites bool
 	// Robust switches snapshot differencing to the gap-aware path
-	// (interval.DifferenceRobust): missing, duplicate, late, and
+	// (interval.RobustStream): missing, duplicate, late, and
 	// regressed dumps degrade the analysis instead of failing it, and the
 	// gaps encountered are reported on the Analysis.
 	Robust bool
@@ -169,11 +169,12 @@ type AnalyzeOptions struct {
 	Span *obs.Span
 }
 
-// Analysis is the phase-analysis output plus the interval profiles it ran
-// on.
+// Analysis is the phase-analysis output plus the intervals it ran on.
 type Analysis struct {
 	Detection *phase.Detection
-	Profiles  []interval.Profile
+	// Profiles are the intervals, as rows of the engine's store
+	// (interval.Profiles materializes them).
+	Profiles []interval.Row
 	// Gaps lists the collection faults robust differencing absorbed;
 	// empty on the strict path and on clean streams.
 	Gaps []interval.Gap

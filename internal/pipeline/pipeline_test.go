@@ -9,6 +9,7 @@ import (
 	_ "github.com/incprof/incprof/internal/apps/graph500"
 	_ "github.com/incprof/incprof/internal/apps/minife"
 	"github.com/incprof/incprof/internal/heartbeat"
+	"github.com/incprof/incprof/internal/interval"
 	"github.com/incprof/incprof/internal/phase"
 )
 
@@ -253,12 +254,13 @@ func TestDetectionBodyLoopAgainstCallData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	profs := interval.Profiles(an.Profiles)
 	for _, p := range an.Detection.Phases {
 		for _, s := range p.Sites {
 			sawBodyEvidence, sawLoopEvidence := false, false
 			for _, idx := range p.Intervals {
-				prof := an.Profiles[idx]
-				if !prof.Active(s.Function) {
+				prof := profs[idx]
+				if prof.Self[s.Function] <= 0 {
 					continue
 				}
 				if prof.Calls[s.Function] > 0 {

@@ -17,7 +17,7 @@ import (
 // DifferencerOptions configures a Differencer.
 type DifferencerOptions struct {
 	// Robust selects the fault-tolerant differencing kernel
-	// (interval.RobustStream, sharing DifferenceRobust's repair policies);
+	// (interval.RobustStream, with its gap repair policies);
 	// false selects the strict kernel (interval.StrictPair, sharing
 	// Difference's validation), where any discontinuity is an error.
 	Robust bool

@@ -159,40 +159,49 @@ func cloneCounters(m map[string][2]int64) map[string][2]int64 {
 	return out
 }
 
-// The core equivalence property of the tentpole: a RobustStream-backed
-// differencer fed one snapshot at a time produces exactly the profiles and
-// gaps DifferenceRobust assembles from the full list, for every policy and
-// any fault pattern.
-func TestRobustDifferencerMatchesBatchOnFaultyStreams(t *testing.T) {
+// robustKernel pushes snaps straight through an interval.RobustStream and
+// returns what it emits and its terminal error.
+func robustKernel(snaps []*profile.Sample, policy interval.GapPolicy) ([]interval.Profile, []interval.Gap, error) {
+	rs := interval.NewRobustStream(policy)
+	var profiles []interval.Profile
+	var gaps []interval.Gap
+	for _, s := range snaps {
+		p, g := rs.Push(s)
+		profiles, gaps = append(profiles, p...), append(gaps, g...)
+	}
+	return profiles, gaps, rs.Err()
+}
+
+// A robust differencer without a reorder window hands on exactly the
+// profiles and gaps its RobustStream kernel emits, for every policy and any
+// fault pattern.
+func TestRobustDifferencerMatchesKernelOnFaultyStreams(t *testing.T) {
 	for _, policy := range []interval.GapPolicy{interval.GapSplit, interval.GapDrop, interval.GapScale} {
 		for seed := int64(1); seed <= 25; seed++ {
 			snaps := faultySnaps(seed, 40)
-			want, err := interval.DifferenceRobust(snaps, interval.RobustOptions{Policy: policy})
+			wantProfiles, wantGaps, err := robustKernel(snaps, policy)
 			if err != nil {
-				t.Fatalf("policy %v seed %d: batch: %v", policy, seed, err)
+				t.Fatalf("policy %v seed %d: kernel: %v", policy, seed, err)
 			}
 			got, gaps, err := runDifferencer(t, stream.DifferencerOptions{Robust: true, Policy: policy}, snaps)
 			if err != nil {
 				t.Fatalf("policy %v seed %d: stream: %v", policy, seed, err)
 			}
-			if len(got) == 0 {
-				got = nil // DeepEqual: batch uses nil for empty
+			if !reflect.DeepEqual(got, wantProfiles) {
+				t.Fatalf("policy %v seed %d: profiles diverge\n got %+v\nwant %+v", policy, seed, got, wantProfiles)
 			}
-			if !reflect.DeepEqual(got, want.Profiles) {
-				t.Fatalf("policy %v seed %d: profiles diverge\n got %+v\nwant %+v", policy, seed, got, want.Profiles)
-			}
-			if !reflect.DeepEqual(gaps, want.Gaps) {
-				t.Fatalf("policy %v seed %d: gaps diverge\n got %+v\nwant %+v", policy, seed, gaps, want.Gaps)
+			if !reflect.DeepEqual(gaps, wantGaps) {
+				t.Fatalf("policy %v seed %d: gaps diverge\n got %+v\nwant %+v", policy, seed, gaps, wantGaps)
 			}
 		}
 	}
 }
 
-func TestRobustDifferencerAllUnusableErrorsLikeBatch(t *testing.T) {
+func TestRobustDifferencerAllUnusableErrorsLikeKernel(t *testing.T) {
 	snaps := []*profile.Sample{nil, nil}
-	wantRes, wantErr := interval.DifferenceRobust(snaps, interval.RobustOptions{})
+	_, _, wantErr := robustKernel(snaps, interval.GapSplit)
 	if wantErr == nil {
-		t.Fatalf("batch accepted all-nil stream: %+v", wantRes)
+		t.Fatal("the kernel accepted an all-nil stream")
 	}
 	_, _, gotErr := runDifferencer(t, stream.DifferencerOptions{Robust: true}, snaps)
 	if gotErr == nil || gotErr.Error() != wantErr.Error() {
@@ -211,7 +220,7 @@ func TestReorderWindowRepairsShuffledDelivery(t *testing.T) {
 		cum += int64(10 + i)
 		ordered = append(ordered, snap(i, time.Duration(i+1)*time.Second, period, map[string][2]int64{"a": {cum, cum / 10}}))
 	}
-	want, err := interval.DifferenceRobust(ordered, interval.RobustOptions{})
+	want, _, err := robustKernel(ordered, interval.GapSplit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +249,8 @@ func TestReorderWindowRepairsShuffledDelivery(t *testing.T) {
 	if len(gaps) != 0 {
 		t.Fatalf("reorder window left gaps: %+v", gaps)
 	}
-	if !reflect.DeepEqual(got, want.Profiles) {
-		t.Fatalf("reordered profiles diverge from in-order batch")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reordered profiles diverge from the in-order stream")
 	}
 }
 

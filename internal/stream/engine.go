@@ -94,8 +94,7 @@ type Engine struct {
 	snapItems, intervalItems *obs.Counter
 	snapLat, intervalLat     *obs.Histogram
 
-	builder  *interval.MatrixBuilder
-	profiles []interval.Profile
+	builder *interval.MatrixBuilder // the intervals' one store, and the matrix
 
 	snaps        int
 	sinceRefresh int
@@ -191,13 +190,12 @@ func (e *Engine) consume(p interval.Profile) error {
 	return nil
 }
 
-// step adds one interval profile to the matrix, labels its row live and
+// step stores one interval profile as a row, labels the row live and
 // counts it toward the next refresh.
 func (e *Engine) step(p interval.Profile) {
-	e.profiles = append(e.profiles, p)
 	e.builder.Add(&p)
 	if e.opts.OnLabel != nil {
-		e.opts.OnLabel(e.live.label(e.builder, len(e.profiles)-1, p.Repaired))
+		e.opts.OnLabel(e.live.label(e.builder, e.builder.NumRows()-1, p.Repaired))
 	}
 	if e.opts.RefreshEvery > 0 {
 		e.sinceRefresh++
@@ -224,12 +222,13 @@ func (e *Engine) Flush() error {
 	// under the engine span.
 	popts := e.popts
 	popts.Span = e.span
-	det, err := phase.DetectMatrix(e.profiles, e.builder.CSRMatrix(), nil, popts)
+	det, err := phase.DetectMatrix(e.builder.Rows(), e.builder.CSRMatrix(), nil, popts)
 	if err != nil {
 		return err
 	}
 	e.final = det
-	e.done(Refresh{Final: true, Intervals: len(e.profiles), Clustered: len(e.profiles), K: det.K})
+	n := e.builder.NumRows()
+	e.done(Refresh{Final: true, Intervals: n, Clustered: n, K: det.K})
 	return nil
 }
 
@@ -240,7 +239,8 @@ func (e *Engine) Flush() error {
 // and its centroids, which label the intervals still to come. The pass
 // traces under its own stream.refresh span.
 func (e *Engine) refresh() error {
-	if len(e.profiles) == 0 || e.builder.Dims() == 0 {
+	n := e.builder.NumRows()
+	if n == 0 || e.builder.Dims() == 0 {
 		// Too early to cluster (no rows, or no function active yet): a live
 		// stream just waits for the next refresh; only the terminal pass
 		// turns this into the batch path's error.
@@ -251,15 +251,15 @@ func (e *Engine) refresh() error {
 	popts := e.popts
 	var rows []int
 	if popts.Algorithm == phase.KMeansAlg {
-		rows = phase.RefreshRows(len(e.profiles), popts.Cluster.Seed)
+		rows = phase.RefreshRows(n, popts.Cluster.Seed)
 	}
-	clustered := len(e.profiles)
+	clustered := n
 	if rows != nil {
 		clustered = len(rows)
 	}
 	rsp := e.span.ChildKey("stream.refresh", uint64(e.refreshes+1))
 	defer rsp.End()
-	rsp.SetInt("intervals", int64(len(e.profiles))).SetInt("clustered", int64(clustered))
+	rsp.SetInt("intervals", int64(n)).SetInt("clustered", int64(clustered))
 	popts.Span = rsp
 	m := e.builder.SelectRows(rows)
 	md, err := phase.Fit(m, nil, popts)
@@ -268,7 +268,7 @@ func (e *Engine) refresh() error {
 	}
 	e.last = md
 	e.live.reset(md, m.FuncNames)
-	e.done(Refresh{Intervals: len(e.profiles), Clustered: clustered, K: md.K, Model: md})
+	e.done(Refresh{Intervals: n, Clustered: clustered, K: md.K, Model: md})
 	return nil
 }
 
@@ -297,8 +297,9 @@ type Result struct {
 	// Detection is the final detection, byte-identical to the batch
 	// phase.Detect over the same snapshots and options.
 	Detection *phase.Detection
-	// Profiles are the per-interval profiles the stream produced.
-	Profiles []interval.Profile
+	// Profiles are the intervals the stream produced, as rows of the
+	// engine's store (interval.Profiles materializes them).
+	Profiles []interval.Row
 	// Gaps lists every repaired discontinuity, in stream order.
 	Gaps []interval.Gap
 	// Refreshes counts detection passes, including the final one.
@@ -316,7 +317,7 @@ func (e *Engine) Finish() (*Result, error) {
 	}
 	return &Result{
 		Detection: e.final,
-		Profiles:  e.profiles,
+		Profiles:  e.builder.Rows(),
 		Gaps:      e.diff.Gaps(),
 		Refreshes: e.refreshes,
 		LateDrops: e.diff.LateDrops(),

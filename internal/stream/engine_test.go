@@ -38,7 +38,7 @@ func flatten(t *testing.T, det *phase.Detection, gaps []interval.Gap) []byte {
 		Matrix   interval.Matrix
 		Profiles []interval.Profile
 		Gaps     []interval.Gap
-	}{det.K, det.WCSS, det.Phases, det.Matrix, det.Profiles, gaps})
+	}{det.K, det.WCSS, det.Phases, det.Matrix, interval.Profiles(det.Profiles), gaps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,17 +115,18 @@ func TestEngineFinalMatchesBatchAcrossApps(t *testing.T) {
 	}
 }
 
-// Robust mode: the engine's repairs and final model match the batch robust
-// path exactly, gaps included, on adversarial fault patterns.
+// Robust mode: the engine's repairs and final model match batch detection
+// over the robust kernel's profiles exactly, gaps included, on adversarial
+// fault patterns.
 func TestEngineRobustMatchesBatchOnFaultyStreams(t *testing.T) {
 	popts := baseOpts()
 	for seed := int64(1); seed <= 8; seed++ {
 		snaps := faultySnaps(seed, 50)
-		rres, err := interval.DifferenceRobust(snaps, interval.RobustOptions{})
+		profiles, gaps, err := robustKernel(snaps, interval.GapSplit)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		batch, err := phase.Detect(rres.Profiles, popts)
+		batch, err := phase.Detect(profiles, popts)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -140,7 +141,7 @@ func TestEngineRobustMatchesBatchOnFaultyStreams(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if got, want := flatten(t, r.Detection, r.Gaps), flatten(t, batch, rres.Gaps); !bytes.Equal(got, want) {
+		if got, want := flatten(t, r.Detection, r.Gaps), flatten(t, batch, gaps); !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: robust streaming analysis diverged from batch", seed)
 		}
 	}
@@ -244,7 +245,7 @@ func checkModel(t *testing.T, profs []interval.Profile, r stream.Refresh, popts 
 			t.Fatalf("refresh %d over %d intervals: centroid %d differs from Fit's", r.Index, r.Intervals, c)
 		}
 	}
-	det, err := phase.DetectMatrix(prefix, m, rows, popts)
+	det, err := phase.DetectMatrix(rowsOf(prefix), m, rows, popts)
 	if err != nil {
 		t.Fatalf("refresh %d: %v", r.Index, err)
 	}

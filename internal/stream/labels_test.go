@@ -298,15 +298,21 @@ func TestEngineLabelsMatchModelIncludingLowConfidence(t *testing.T) {
 		snap(4, 5*time.Second, period, map[string][2]int64{"a": {200, 20}, "b": {900, 30}}),
 		snap(5, 6*time.Second, period, map[string][2]int64{"a": {200, 20}, "b": {1200, 40}}),
 	}
-	rres, err := interval.DifferenceRobust(snaps, interval.RobustOptions{})
+	profiles, _, err := robustKernel(snaps, interval.GapSplit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rres.Repaired() == 0 {
+	repaired := 0
+	for _, p := range profiles {
+		if p.Repaired {
+			repaired++
+		}
+	}
+	if repaired == 0 {
 		t.Fatal("test premise broken: no repaired profiles")
 	}
 	events, refs := labelRun(t, stream.Options{Robust: true, Phase: baseOpts()}, snaps)
-	checkLabels(t, events, rres.Profiles, refs, baseOpts())
+	checkLabels(t, events, profiles, refs, baseOpts())
 	lowconf, far := 0, 0
 	for _, ev := range events {
 		if !ev.LowConfidence {
@@ -320,8 +326,8 @@ func TestEngineLabelsMatchModelIncludingLowConfidence(t *testing.T) {
 			far++
 		}
 	}
-	if lowconf != rres.Repaired() {
-		t.Fatalf("lowconf labels = %d, want %d (one per repaired interval)", lowconf, rres.Repaired())
+	if lowconf != repaired {
+		t.Fatalf("lowconf labels = %d, want %d (one per repaired interval)", lowconf, repaired)
 	}
 	if far == 0 {
 		t.Fatal("test premise broken: no repaired interval lay beyond the founding threshold")

@@ -8,6 +8,7 @@ import (
 
 	"github.com/incprof/incprof/internal/apps"
 	"github.com/incprof/incprof/internal/cluster"
+	"github.com/incprof/incprof/internal/interval"
 	"github.com/incprof/incprof/internal/obs"
 	"github.com/incprof/incprof/internal/online"
 	"github.com/incprof/incprof/internal/phase"
@@ -85,7 +86,7 @@ func TestLiveLabelAgreement(t *testing.T) {
 			var sum float64
 			for _, rf := range refreshes {
 				n := rf.Intervals
-				sum += cluster.AdjustedRandIndex(modelLabels(rf.Model, r.Profiles[:n], baseOpts()), final[:n])
+				sum += cluster.AdjustedRandIndex(modelLabels(rf.Model, interval.Profiles(r.Profiles[:n]), baseOpts()), final[:n])
 			}
 			refreshARI := sum / float64(len(refreshes))
 			t.Logf("%d intervals: live-label ARI %.4f (exact %.4f), mean-refresh ARI %.4f (exact %.4f)",

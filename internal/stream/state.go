@@ -15,9 +15,8 @@
 //
 // What is deliberately NOT part of the state:
 //
-//   - the feature matrix builder: it is a pure deterministic function of the
-//     profile list and the engine options, so Restore rebuilds it by replay
-//     instead of persisting a second copy of every row;
+//   - the feature matrix: Restore adds the rows to a fresh MatrixBuilder,
+//     which rebuilds dimensions and columns from them;
 //   - the model's per-row Assign: every refresh refits its model from the
 //     profiles alone, and the terminal Flush never reads the previous one;
 //   - tracing spans: pure observability state.
@@ -34,18 +33,20 @@ import (
 )
 
 // EngineState is the full serializable state of an Engine between two
-// accepted snapshots. All reference fields are deep-copied on export, so a
-// state stays valid however the live engine moves on.
+// accepted snapshots. Every reference field but Profiles is deep-copied on
+// export, and Profiles only ever grows, so a state stays valid however the
+// live engine moves on.
 type EngineState struct {
 	// Snaps counts snapshots emitted into the engine.
 	Snaps int
 	// SinceRefresh and Refreshes restore the refresh cadence mid-cycle.
 	SinceRefresh int
 	Refreshes    int
-	// Profiles is every interval profile emitted so far; Restore replays
-	// them through a fresh MatrixBuilder, so the matrix needs no separate
-	// representation.
-	Profiles []interval.Profile
+	// Profiles is every interval emitted so far, as rows of the engine's
+	// store; Restore adds them to a fresh MatrixBuilder, so the matrix
+	// needs no separate representation. The checkpoint layer keeps them in
+	// its profile segment, not in the snapshot's JSON.
+	Profiles []interval.Row
 	// Differencer is the differencer's state, including the pending
 	// reorder window.
 	Differencer DifferencerState
@@ -96,7 +97,7 @@ func (e *Engine) State() (*EngineState, error) {
 		Snaps:        e.snaps,
 		SinceRefresh: e.sinceRefresh,
 		Refreshes:    e.refreshes,
-		Profiles:     append([]interval.Profile(nil), e.profiles...),
+		Profiles:     e.builder.Rows(),
 		Differencer:  e.diff.state(),
 		Funcs:        append([]string(nil), e.live.funcs...),
 		Provisional:  cloneRows(e.live.cents[e.live.k:]),
@@ -130,13 +131,14 @@ func Restore(opts Options, st *EngineState) (*Engine, error) {
 	e.snaps = st.Snaps
 	e.sinceRefresh = st.SinceRefresh
 	e.refreshes = st.Refreshes
-	e.profiles = append([]interval.Profile(nil), st.Profiles...)
-	// The builder is a deterministic function of (profiles, options):
-	// replaying the profiles reproduces rows, dimension set, and growth
-	// history exactly as the original engine built them one interval at a
-	// time.
-	for i := range e.profiles {
-		e.builder.Add(&e.profiles[i])
+	// The builder is a deterministic function of (rows, options): adding
+	// the rows again reproduces cells, dimension set, and growth history
+	// exactly as the original engine built them one interval at a time.
+	var cells []interval.Cell
+	for i := range st.Profiles {
+		r := &st.Profiles[i]
+		cells = r.Cells(cells[:0])
+		e.builder.AddCells(r.Start, r.End, r.Repaired, cells, r.Name)
 	}
 	if err := e.diff.restore(st.Differencer); err != nil {
 		return nil, err
