@@ -327,11 +327,13 @@ func (discard) Emit(*profile.Sample) error { return nil }
 // emits and its terminal error.
 func differenceRobust(snaps []*profile.Sample) ([]interval.Profile, []interval.Gap, error) {
 	rs := interval.NewRobustStream(interval.GapSplit)
-	var profiles []interval.Profile
+	b := interval.NewMatrixBuilder(interval.FeatureOptions{})
 	var gaps []interval.Gap
 	for _, s := range snaps {
-		p, g := rs.Push(s)
-		profiles, gaps = append(profiles, p...), append(gaps, g...)
+		rs.Push(s, func(g interval.Gap) { gaps = append(gaps, g) }, func(d *interval.Delta) error {
+			b.AddCells(d.Start, d.End, d.Repaired, d.Cells, d.Name)
+			return nil
+		})
 	}
-	return profiles, gaps, rs.Err()
+	return interval.Profiles(b.Rows()), gaps, rs.Err()
 }

@@ -28,9 +28,9 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// discard drops a differenced profile: the gates measure the differencer
+// discard drops a differenced interval: the gates measure the differencer
 // alone.
-func discard(interval.Profile) error { return nil }
+func discard(*interval.Delta) error { return nil }
 
 // synthStream feeds n synthetic snapshots of funcs functions into sink,
 // seed-deterministically, calling observe(i) after each emit.

@@ -365,17 +365,21 @@ func parseSymbols(data []byte) ([]string, time.Duration, error) {
 }
 
 // decode is the "gmon" format's Decode. A canonical dump goes to
-// profile.Decode. A GNU gmon.out dump is keyed by address, so it decodes
-// against the layout and timestamp in its sidecar, which r must offer as a
-// companion file (a *profile.Dump does); its Seq is left to the file name.
+// profile.Decode, which parses a *profile.Dump in place. A GNU gmon.out dump
+// is keyed by address, so it decodes against the layout and timestamp in
+// its sidecar, which r must offer as a companion file (a *profile.Dump
+// does); its Seq is left to the file name.
 func decode(r io.Reader) (*profile.Sample, error) {
-	br := bufio.NewReader(r)
-	if head, _ := br.Peek(len(gmonMagic)); !bytes.Equal(head, gmonMagic[:]) {
-		return profile.Decode(br)
-	}
 	dump, ok := r.(*profile.Dump)
 	if !ok {
+		br := bufio.NewReader(r)
+		if head, _ := br.Peek(len(gmonMagic)); !bytes.Equal(head, gmonMagic[:]) {
+			return profile.Decode(br)
+		}
 		return nil, errors.New("gmon: a GNU gmon.out dump needs its " + SymbolsPrefix + "N sidecar")
+	}
+	if !bytes.HasPrefix(dump.Bytes(), gmonMagic[:]) {
+		return profile.Decode(dump)
 	}
 	side, err := dump.Companion(SymbolsPrefix)
 	if err != nil {
@@ -385,7 +389,7 @@ func decode(r io.Reader) (*profile.Sample, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := ReadGmonOut(br, NewSymbolLayout(names))
+	s, err := ReadGmonOut(dump, NewSymbolLayout(names))
 	if err != nil {
 		return nil, err
 	}

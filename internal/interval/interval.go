@@ -11,6 +11,7 @@ package interval
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/incprof/incprof/internal/par"
@@ -66,12 +67,12 @@ func DifferenceP(snaps []*profile.Sample, parallelism int) ([]Profile, error) {
 		if i > 0 {
 			prev = snaps[i-1]
 		}
-		p, err := StrictPair(prev, snaps[i])
+		d, err := StrictPair(prev, snaps[i], make([]Cell, 0, len(snaps[i].Funcs)))
 		if err != nil {
 			return err
 		}
-		p.Index = i
-		profiles[i] = p
+		profiles[i] = profileOf(d.Start, d.End, false, d.Cells, d.Name)
+		profiles[i].Index = i
 		return nil
 	})
 	if err != nil {
@@ -80,54 +81,99 @@ func DifferenceP(snaps []*profile.Sample, parallelism int) ([]Profile, error) {
 	return profiles, nil
 }
 
+// Delta is one interval as a differencing kernel hands it on: its bounds,
+// whether gap repair synthesized it, and one Cell per function with
+// activity, in name order. A cell's ID is the position of the function's
+// record in the dump's Funcs, which Name maps back. A kernel reuses its
+// Delta's storage: it is valid until the next call into the kernel.
+type Delta struct {
+	Start, End time.Duration // as Profile's
+	Repaired   bool          // as Profile's
+	Cells      []Cell
+
+	funcs []profile.FuncRecord
+}
+
+// Name returns the name of the function a cell's ID numbers.
+func (d *Delta) Name(id int32) string { return d.funcs[id].Name }
+
 // StrictPair differences one cumulative snapshot against its predecessor
 // under Difference's strict validation: monotone timestamps, a constant
 // sample period, and non-decreasing counters, any violation an error. prev
-// is nil for the first snapshot of a run (the profile is then cumulative
-// from program start). The returned Profile's Index is left zero; drivers
-// set it to the interval's position in their own stream.
+// is nil for the first snapshot of a run (the interval is then cumulative
+// from program start). The cells are appended to buf[:0].
 //
 // StrictPair is the single strict-differencing kernel: the batch pool
 // (DifferenceP) and the streaming engine's incremental differencer both call
-// it, so the two paths cannot diverge. It builds the profile with the robust
-// kernel's makeProfile.
-func StrictPair(prev, s *profile.Sample) (Profile, error) {
-	if prev == nil {
-		return makeProfile(s, nil, 0, s.Timestamp), nil
+// it, so the two paths cannot diverge. It shares the merge walk, diff, with
+// RobustStream.
+func StrictPair(prev, s *profile.Sample, buf []Cell) (Delta, error) {
+	d := Delta{End: s.Timestamp, funcs: s.Funcs}
+	if prev != nil {
+		if s.Timestamp < prev.Timestamp {
+			return Delta{}, fmt.Errorf("interval: snapshot %d at %v precedes snapshot %d at %v",
+				s.Seq, s.Timestamp, prev.Seq, prev.Timestamp)
+		}
+		if s.SamplePeriod != prev.SamplePeriod {
+			return Delta{}, fmt.Errorf("interval: sample period changed between snapshots %d and %d", prev.Seq, s.Seq)
+		}
+		d.Start = prev.Timestamp
 	}
-	if s.Timestamp < prev.Timestamp {
-		return Profile{}, fmt.Errorf("interval: snapshot %d at %v precedes snapshot %d at %v",
-			s.Seq, s.Timestamp, prev.Seq, prev.Timestamp)
-	}
-	if s.SamplePeriod != prev.SamplePeriod {
-		return Profile{}, fmt.Errorf("interval: sample period changed between snapshots %d and %d", prev.Seq, s.Seq)
-	}
-	if fn, ok := regressed(prev, s); ok {
-		return Profile{}, fmt.Errorf("interval: cumulative counter for %q regressed between snapshots %d and %d",
+	cells, fn, ok := diff(prev, s, buf[:0])
+	if !ok {
+		return Delta{}, fmt.Errorf("interval: cumulative counter for %q regressed between snapshots %d and %d",
 			fn, prev.Seq, s.Seq)
 	}
-	return makeProfile(s, prev, prev.Timestamp, s.Timestamp), nil
+	d.Cells = cells
+	return d, nil
 }
 
-// regressed reports the first function of s whose cumulative samples, self
-// time, or calls fell below its record in prev: the strict kernel's error
-// and the robust kernel's resync trigger. Both Funcs lists are sorted by
-// name, so one merge walk pairs the records.
-func regressed(prev, s *profile.Sample) (string, bool) {
+// diff is the differencing kernel both drivers share: one merge walk over
+// the name-sorted Funcs lists of s and base (nil: difference against zero)
+// that appends to cells, in name order, each function's positive deltas of
+// sampled self time, exact self time and calls. A function with none gets
+// no cell; records repeating a name share one cell, a later record's
+// positive delta replacing the earlier one's. Against a non-nil base the
+// walk also checks that no counter fell: it stops at the first function
+// whose cumulative samples, self time or calls fell below its base record,
+// returning that name and false — the strict kernel's error and the robust
+// kernel's resync trigger.
+func diff(base, s *profile.Sample, cells []Cell) ([]Cell, string, bool) {
 	j := 0
-	for _, rec := range s.Funcs {
-		for j < len(prev.Funcs) && prev.Funcs[j].Name < rec.Name {
-			j++
+	for i := range s.Funcs {
+		rec := &s.Funcs[i]
+		var b profile.FuncRecord
+		if base != nil {
+			for j < len(base.Funcs) && base.Funcs[j].Name < rec.Name {
+				j++
+			}
+			if j < len(base.Funcs) && base.Funcs[j].Name == rec.Name {
+				b = base.Funcs[j]
+			}
+			if rec.Samples < b.Samples || rec.SelfTime < b.SelfTime || rec.Calls < b.Calls {
+				return cells, rec.Name, false
+			}
 		}
-		var prevRec profile.FuncRecord
-		if j < len(prev.Funcs) && prev.Funcs[j].Name == rec.Name {
-			prevRec = prev.Funcs[j]
+		samples, self, calls := rec.Samples-b.Samples, rec.SelfTime-b.SelfTime, rec.Calls-b.Calls
+		if samples <= 0 && self <= 0 && calls <= 0 {
+			continue
 		}
-		if rec.Samples < prevRec.Samples || rec.SelfTime < prevRec.SelfTime || rec.Calls < prevRec.Calls {
-			return rec.Name, true
+		if n := len(cells); n == 0 || s.Funcs[cells[n-1].ID].Name != rec.Name {
+			cells = append(cells, Cell{ID: int32(i)})
+		}
+		c := &cells[len(cells)-1]
+		if samples > 0 {
+			c.Self = time.Duration(samples) * s.SamplePeriod
+		}
+		if self > 0 {
+			c.ExactSelf = self
+		}
+		if calls > 0 {
+			c.Calls = calls
 		}
 	}
-	return "", false
+	// A zero sample period leaves a cell of samples alone all zero.
+	return slices.DeleteFunc(cells, Cell.empty), "", true
 }
 
 // FeatureKind selects which per-function quantity becomes the clustering
@@ -200,8 +246,8 @@ func (m *Matrix) RowEuclidean(i int, v []float64) float64 {
 // dimensions; dimensions are ordered by name for determinism.
 //
 // FeaturesCSR is the batch form of MatrixBuilder — the streaming engine
-// feeds the same builder one profile at a time — so both paths construct
-// identical matrices by construction.
+// feeds the same builder one interval's cells at a time — so both paths
+// construct identical matrices by construction.
 func FeaturesCSR(profiles []Profile, opts FeatureOptions) Matrix {
 	b := NewMatrixBuilder(opts)
 	for i := range profiles {

@@ -82,28 +82,39 @@ func (r *Row) Lookup(fn string) (int32, bool) {
 // it.
 func (r *Row) NumFuncs() int { return len(r.st.fns) }
 
+// empty reports whether none of the cell's quantities is non-zero.
+func (c Cell) empty() bool { return c.Self == 0 && c.ExactSelf == 0 && c.Calls == 0 }
+
 // Profiles materializes rows as interval profiles indexed by position: one
 // map entry per non-zero quantity.
 func Profiles(rows []Row) []Profile {
 	out := make([]Profile, len(rows))
 	for i := range rows {
 		r := &rows[i]
-		out[i] = Profile{Index: i, Start: r.Start, End: r.End, Repaired: r.Repaired,
-			Self: make(map[string]time.Duration), ExactSelf: make(map[string]time.Duration), Calls: make(map[string]int64)}
-		for _, c := range r.Cells(nil) {
-			fn := r.Name(c.ID)
-			if c.Self != 0 {
-				out[i].Self[fn] = c.Self
-			}
-			if c.ExactSelf != 0 {
-				out[i].ExactSelf[fn] = c.ExactSelf
-			}
-			if c.Calls != 0 {
-				out[i].Calls[fn] = c.Calls
-			}
-		}
+		out[i] = profileOf(r.Start, r.End, r.Repaired, r.Cells(nil), r.Name)
+		out[i].Index = i
 	}
 	return out
+}
+
+// profileOf builds the profile of one interval from its cells, which name
+// maps to function names.
+func profileOf(start, end time.Duration, repaired bool, cells []Cell, name func(int32) string) Profile {
+	p := Profile{Start: start, End: end, Repaired: repaired,
+		Self: make(map[string]time.Duration), ExactSelf: make(map[string]time.Duration), Calls: make(map[string]int64)}
+	for _, c := range cells {
+		fn := name(c.ID)
+		if c.Self != 0 {
+			p.Self[fn] = c.Self
+		}
+		if c.ExactSelf != 0 {
+			p.ExactSelf[fn] = c.ExactSelf
+		}
+		if c.Calls != 0 {
+			p.Calls[fn] = c.Calls
+		}
+	}
+	return p
 }
 
 // MatrixBuilder is the per-interval store and the clustering matrix over
@@ -132,12 +143,13 @@ type MatrixBuilder struct {
 	ncells int
 
 	// Scratch: the row being added by id and the ids it touches, names new
-	// to the store, decoded cells, and one row's time and call values
-	// scattered by id (all zeros between uses).
+	// to the store, decoded or Add's cells and Add's names, and one row's
+	// time and call values scattered by id (all zeros between uses).
 	pend    []Cell
 	touched []int32
 	fresh   []string
 	cells   []Cell
+	names   []string
 	times   []float64
 	calls   []float64
 }
@@ -147,72 +159,54 @@ func NewMatrixBuilder(opts FeatureOptions) *MatrixBuilder {
 	return &MatrixBuilder{opts: opts, st: &cellStore{ids: make(map[string]int32)}}
 }
 
-// Add appends one interval's row. A function first crossing zero activity
-// here grows the feature space; rows added earlier read as zero in the new
-// dimension.
+// Add appends one interval given as a profile: the form FeaturesCSR and
+// the []Profile entry points of package phase hand in.
 func (b *MatrixBuilder) Add(p *Profile) {
-	addDurations(b, p.Self, func(c *Cell, v time.Duration) { c.Self = v })
-	addDurations(b, p.ExactSelf, func(c *Cell, v time.Duration) { c.ExactSelf = v })
-	addDurations(b, p.Calls, func(c *Cell, v int64) { c.Calls = v })
-	if len(b.fresh) > 0 {
-		// Functions new to the store take ids in name order, so the ids do
-		// not depend on map iteration order.
-		fresh := b.intern()
-		for _, fn := range fresh {
-			c := b.touch(b.st.ids[fn])
-			c.Self, c.ExactSelf, c.Calls = p.Self[fn], p.ExactSelf[fn], p.Calls[fn]
-		}
+	names, cells := b.names[:0], b.cells[:0]
+	for fn, v := range p.Self {
+		names, cells = append(names, fn), append(cells, Cell{ID: int32(len(cells)), Self: v})
 	}
-	b.commit(p.Start, p.End, p.Repaired)
-}
-
-// addDurations records m's non-zero values into the pending row through set,
-// deferring names the store has not seen to b.fresh.
-func addDurations[V ~int64](b *MatrixBuilder, m map[string]V, set func(*Cell, V)) {
-	for fn, v := range m {
-		if v == 0 {
-			continue
-		}
-		id, ok := b.st.ids[fn]
-		if !ok {
-			b.fresh = append(b.fresh, fn)
-			continue
-		}
-		set(b.touch(id), v)
+	for fn, v := range p.ExactSelf {
+		names, cells = append(names, fn), append(cells, Cell{ID: int32(len(cells)), ExactSelf: v})
 	}
+	for fn, v := range p.Calls {
+		names, cells = append(names, fn), append(cells, Cell{ID: int32(len(cells)), Calls: v})
+	}
+	b.AddCells(p.Start, p.End, p.Repaired, cells, func(id int32) string { return names[id] })
+	b.names, b.cells = names, cells
 }
 
 // AddCells appends one interval given its cells in the caller's own
-// numbering, which name maps to function names. A function's quantities may
-// come split across several cells; each non-zero one is kept.
+// numbering, which name maps to function names: the differencing kernels'
+// Delta, a restored row. A function's quantities may come split across
+// several cells; each non-zero one is kept. A function first crossing zero
+// activity here grows the feature space; rows added earlier read as zero in
+// the new dimension.
 func (b *MatrixBuilder) AddCells(start, end time.Duration, repaired bool, cells []Cell, name func(int32) string) {
+	known := int32(len(b.st.fns))
 	for _, c := range cells {
-		if _, ok := b.st.ids[name(c.ID)]; !ok {
+		if id, ok := b.st.ids[name(c.ID)]; ok {
+			b.merge(id, c)
+		} else if !c.empty() {
 			b.fresh = append(b.fresh, name(c.ID))
 		}
 	}
-	b.intern()
-	for _, c := range cells {
-		p := b.touch(b.st.ids[name(c.ID)])
-		if c.Self != 0 {
-			p.Self = c.Self
-		}
-		if c.ExactSelf != 0 {
-			p.ExactSelf = c.ExactSelf
-		}
-		if c.Calls != 0 {
-			p.Calls = c.Calls
+	if len(b.fresh) > 0 {
+		b.intern()
+		for _, c := range cells {
+			if id, ok := b.st.ids[name(c.ID)]; ok && id >= known {
+				b.merge(id, c)
+			}
 		}
 	}
 	b.commit(start, end, repaired)
 }
 
-// intern gives the names in b.fresh ids, in name order, and returns them
-// sorted and deduplicated; b.fresh is empty afterwards.
-func (b *MatrixBuilder) intern() []string {
+// intern gives the names in b.fresh ids in name order, so the ids do not
+// depend on the order cells come in; b.fresh is empty afterwards.
+func (b *MatrixBuilder) intern() {
 	sort.Strings(b.fresh)
-	fresh := slices.Compact(b.fresh)
-	for _, fn := range fresh {
+	for _, fn := range slices.Compact(b.fresh) {
 		b.st.ids[fn] = int32(len(b.st.fns))
 		b.st.fns = append(b.st.fns, fn)
 		b.excl = append(b.excl, b.opts.Exclude != nil && b.opts.Exclude(fn))
@@ -220,7 +214,20 @@ func (b *MatrixBuilder) intern() []string {
 		b.pend = append(b.pend, Cell{})
 	}
 	b.fresh = b.fresh[:0]
-	return fresh
+}
+
+// merge records c's non-zero quantities in the pending cell of function id.
+func (b *MatrixBuilder) merge(id int32, c Cell) {
+	p := b.touch(id)
+	if c.Self != 0 {
+		p.Self = c.Self
+	}
+	if c.ExactSelf != 0 {
+		p.ExactSelf = c.ExactSelf
+	}
+	if c.Calls != 0 {
+		p.Calls = c.Calls
+	}
 }
 
 // touch returns the pending cell of function id, noting the id when the

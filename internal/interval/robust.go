@@ -109,162 +109,6 @@ type Gap struct {
 	FirstProfile int
 }
 
-// robustPair is RobustStream's kernel: it differences s against its kept
-// predecessor (nil at stream start), detects resyncs and missing spans, and
-// applies the repair policy, returning the profiles the pair yields and the
-// gap it repaired, if any. tsRestart reports that the stream already caught
-// a clock regression at this snapshot.
-func robustPair(prev, s *profile.Sample, start, end time.Duration, tsRestart bool, policy GapPolicy) ([]Profile, *Gap) {
-	prevSeq := -1
-	if prev != nil {
-		prevSeq = prev.Seq
-	}
-	missing := s.Seq - prevSeq - 1
-
-	// Decide whether the pair needs a resync: the counters (or the clock,
-	// caught by the caller) regressed, or the sample period changed.
-	resync := tsRestart
-	kind := GapRegression
-	if prev != nil && !resync && s.SamplePeriod != prev.SamplePeriod {
-		resync = true
-		kind = GapPeriodChange
-	}
-	if prev != nil && !resync {
-		_, resync = regressed(prev, s)
-	}
-
-	base := prev
-	if resync {
-		// Cumulative counters reset: the snapshot is taken as cumulative
-		// since the restart, i.e. differenced against zero.
-		base = nil
-	}
-
-	switch {
-	case resync:
-		p := makeProfile(s, base, start, end)
-		p.Repaired = true
-		return []Profile{p}, &Gap{Kind: kind, FromSeq: prevSeq, ToSeq: s.Seq, Missing: max(missing, 0)}
-	case missing > 0:
-		gap := &Gap{Kind: GapMissing, FromSeq: prevSeq, ToSeq: s.Seq, Missing: missing}
-		switch policy {
-		case GapDrop:
-			return nil, gap
-		case GapScale:
-			p := makeProfile(s, base, start, end)
-			scaleProfile(&p, missing+1)
-			p.Repaired = true
-			return []Profile{p}, gap
-		default: // GapSplit
-			if missing+1 > maxSplitFanout {
-				// The gap is too wide to split (likely a corrupt Seq): keep
-				// the whole delta in one repaired profile so totals are still
-				// conserved without allocating millions of profiles.
-				p := makeProfile(s, base, start, end)
-				p.Repaired = true
-				return []Profile{p}, gap
-			}
-			return splitSpan(s, base, start, end, missing+1), gap
-		}
-	default:
-		return []Profile{makeProfile(s, base, start, end)}, nil
-	}
-}
-
-// makeProfile computes one interval profile from a snapshot pair (base may
-// be nil, meaning cumulative-from-zero): the per-function delta loop both
-// differencing kernels share. Deltas that are not positive are left out.
-func makeProfile(s, base *profile.Sample, start, end time.Duration) Profile {
-	p := Profile{
-		Start:     start,
-		End:       end,
-		Self:      make(map[string]time.Duration),
-		ExactSelf: make(map[string]time.Duration),
-		Calls:     make(map[string]int64),
-	}
-	for _, rec := range s.Funcs {
-		var baseRec profile.FuncRecord
-		if base != nil {
-			baseRec, _ = base.Func(rec.Name)
-		}
-		if d := rec.Samples - baseRec.Samples; d > 0 {
-			p.Self[rec.Name] = time.Duration(d) * s.SamplePeriod
-		}
-		if d := rec.SelfTime - baseRec.SelfTime; d > 0 {
-			p.ExactSelf[rec.Name] = d
-		}
-		if d := rec.Calls - baseRec.Calls; d > 0 {
-			p.Calls[rec.Name] = d
-		}
-	}
-	return p
-}
-
-// splitSpan divides the combined delta of a gap-spanning pair into n
-// repaired profiles with even time bounds; integer remainders accumulate on
-// the last share so per-function totals are conserved exactly.
-func splitSpan(s, base *profile.Sample, start, end time.Duration, n int) []Profile {
-	whole := makeProfile(s, base, start, end)
-	span := end - start
-	out := make([]Profile, n)
-	for j := 0; j < n; j++ {
-		p := Profile{
-			Start:     start + time.Duration(j)*span/time.Duration(n),
-			End:       start + time.Duration(j+1)*span/time.Duration(n),
-			Self:      make(map[string]time.Duration),
-			ExactSelf: make(map[string]time.Duration),
-			Calls:     make(map[string]int64),
-			Repaired:  true,
-		}
-		if j == n-1 {
-			p.End = end
-		}
-		for fn, d := range whole.Self {
-			if v := shareDuration(d, j, n); v > 0 {
-				p.Self[fn] = v
-			}
-		}
-		for fn, d := range whole.ExactSelf {
-			if v := shareDuration(d, j, n); v > 0 {
-				p.ExactSelf[fn] = v
-			}
-		}
-		for fn, c := range whole.Calls {
-			if v := shareInt64(c, j, n); v > 0 {
-				p.Calls[fn] = v
-			}
-		}
-		out[j] = p
-	}
-	return out
-}
-
-// scaleProfile divides every per-function quantity by n (the span length in
-// intervals), turning a combined delta into an average per-interval rate.
-func scaleProfile(p *Profile, n int) {
-	for fn, d := range p.Self {
-		if v := d / time.Duration(n); v > 0 {
-			p.Self[fn] = v
-		} else {
-			delete(p.Self, fn)
-		}
-	}
-	for fn, d := range p.ExactSelf {
-		if v := d / time.Duration(n); v > 0 {
-			p.ExactSelf[fn] = v
-		} else {
-			delete(p.ExactSelf, fn)
-		}
-	}
-	for fn, c := range p.Calls {
-		if v := c / int64(n); v > 0 {
-			p.Calls[fn] = v
-		} else {
-			delete(p.Calls, fn)
-		}
-	}
-}
-
 // RobustStream is the robust differencer: snapshots push one at a time and
 // the stream retains only the previous kept snapshot plus two clock-rebase
 // scalars — O(1) memory in the run length — instead of the whole dump list.
@@ -283,6 +127,9 @@ type RobustStream struct {
 	started   bool            // at least one snapshot kept
 	pushed    int             // snapshots pushed, nil or not (error reporting)
 	nProfiles int             // profiles emitted so far (Index / FirstProfile)
+	cells     []Cell          // Push's scratch: the pair's cells,
+	share     []Cell          // one share of them,
+	delta     Delta           // and the interval handed to emit
 }
 
 // NewRobustStream returns an empty stream repairing missing spans under
@@ -291,21 +138,23 @@ func NewRobustStream(policy GapPolicy) *RobustStream {
 	return &RobustStream{policy: policy}
 }
 
-// Push ingests the next snapshot and returns the profiles and gaps it
-// produced, in stream order. A nil snapshot, a duplicate, or a late arrival
-// produces no profiles; the latter two produce their Gap record. Returned
-// profiles carry their final stream-wide Index values.
-func (r *RobustStream) Push(s *profile.Sample) ([]Profile, []Gap) {
+// Push ingests the next snapshot: it hands each gap the snapshot reveals to
+// onGap, then each interval it completes to emit, in stream order, and
+// returns emit's first error. A nil snapshot, a duplicate, or a late arrival
+// completes no interval; the latter two report their Gap.
+func (r *RobustStream) Push(s *profile.Sample, onGap func(Gap), emit func(*Delta) error) error {
 	r.pushed++
 	if s == nil {
-		return nil, nil
+		return nil
 	}
 	if r.started {
 		if s.Seq == r.prev.Seq {
-			return nil, []Gap{{Kind: GapDuplicate, FromSeq: s.Seq, ToSeq: s.Seq, FirstProfile: -1}}
+			onGap(Gap{Kind: GapDuplicate, FromSeq: s.Seq, ToSeq: s.Seq, FirstProfile: -1})
+			return nil
 		}
 		if s.Seq < r.prev.Seq {
-			return nil, []Gap{{Kind: GapLate, FromSeq: r.prev.Seq, ToSeq: s.Seq, FirstProfile: -1}}
+			onGap(Gap{Kind: GapLate, FromSeq: r.prev.Seq, ToSeq: s.Seq, FirstProfile: -1})
+			return nil
 		}
 	}
 	adj := r.tsOffset + s.Timestamp
@@ -321,21 +170,105 @@ func (r *RobustStream) Push(s *profile.Sample) ([]Profile, []Gap) {
 	if r.started {
 		start = r.prevAdj
 	}
-	profiles, g := robustPair(r.prev, s, start, adj, restart, r.policy)
-	var gaps []Gap
-	if g != nil {
-		g.FirstProfile = -1
-		if len(profiles) > 0 {
-			g.FirstProfile = r.nProfiles
-		}
-		gaps = append(gaps, *g)
-	}
-	for i := range profiles {
-		profiles[i].Index = r.nProfiles
-		r.nProfiles++
-	}
+	prev := r.prev
 	r.prev, r.prevAdj, r.started = s, adj, true
-	return profiles, gaps
+
+	prevSeq := -1
+	if prev != nil {
+		prevSeq = prev.Seq
+	}
+	missing := s.Seq - prevSeq - 1
+
+	// The pair needs a resync when the clock (caught above) or the
+	// counters regressed, or the sample period changed: the cumulative
+	// counters reset, so the snapshot is taken as cumulative since the
+	// restart, i.e. differenced against zero.
+	resync, kind := restart, GapRegression
+	if prev != nil && !resync && s.SamplePeriod != prev.SamplePeriod {
+		resync, kind = true, GapPeriodChange
+	}
+	base := prev
+	if resync {
+		base = nil
+	}
+	cells, _, ok := diff(base, s, r.cells[:0])
+	if !ok {
+		resync = true
+		cells, _, _ = diff(nil, s, cells[:0])
+	}
+	r.cells = cells
+
+	// Repair: parts intervals share the span's delta evenly (GapSplit), or
+	// one holds it divided by scale (GapScale).
+	parts, scale := 1, 1
+	var gap *Gap
+	switch {
+	case resync:
+		gap = &Gap{Kind: kind, FromSeq: prevSeq, ToSeq: s.Seq, Missing: max(missing, 0)}
+	case missing > 0:
+		gap = &Gap{Kind: GapMissing, FromSeq: prevSeq, ToSeq: s.Seq, Missing: missing}
+		switch r.policy {
+		case GapDrop:
+			parts = 0
+		case GapScale:
+			scale = missing + 1
+		default: // GapSplit
+			// A gap too wide to split (likely a corrupt Seq) keeps the
+			// whole delta in one repaired interval, so totals are still
+			// conserved without allocating millions of them.
+			if missing+1 <= maxSplitFanout {
+				parts = missing + 1
+			}
+		}
+	}
+	if gap != nil {
+		gap.FirstProfile = -1
+		if parts > 0 {
+			gap.FirstProfile = r.nProfiles
+		}
+		onGap(*gap)
+	}
+	r.nProfiles += parts
+	d := &r.delta
+	d.Repaired, d.funcs = gap != nil, s.Funcs
+	span := adj - start
+	for j := 0; j < parts; j++ {
+		d.Start = start + time.Duration(j)*span/time.Duration(parts)
+		d.End = start + time.Duration(j+1)*span/time.Duration(parts)
+		if j == parts-1 {
+			d.End = adj
+		}
+		d.Cells = r.cells
+		if n := max(parts, scale); n > 1 {
+			// The j-th of n even shares; a scaled interval takes the
+			// first, the delta divided by n.
+			r.share = shares(r.cells, j, n, r.share[:0])
+			d.Cells = r.share
+		}
+		if err := emit(d); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// shares appends to out the j-th of n even shares of cells, the last share
+// absorbing the integer remainders so per-function totals are conserved
+// exactly; a share that is not positive is dropped, and a cell left with
+// none.
+func shares(cells []Cell, j, n int, out []Cell) []Cell {
+	for _, c := range cells {
+		sc := Cell{
+			ID:        c.ID,
+			Self:      max(time.Duration(share(int64(c.Self), j, n)), 0),
+			ExactSelf: max(time.Duration(share(int64(c.ExactSelf), j, n)), 0),
+			Calls:     max(share(c.Calls, j, n), 0),
+		}
+		if !sc.empty() {
+			out = append(out, sc)
+		}
+	}
+	return out
 }
 
 // Profiles returns the number of profiles emitted so far.
@@ -401,17 +334,12 @@ func (r *RobustStream) Err() error {
 	return nil
 }
 
-// shareInt64 returns the j-th of n even shares of d; the last share absorbs
+// share returns the j-th of n even shares of d; the last share absorbs
 // the remainder so the shares sum to d.
-func shareInt64(d int64, j, n int) int64 {
+func share(d int64, j, n int) int64 {
 	q := d / int64(n)
 	if j == n-1 {
 		return d - q*int64(n-1)
 	}
 	return q
-}
-
-// shareDuration is shareInt64 over a time.Duration.
-func shareDuration(d time.Duration, j, n int) time.Duration {
-	return time.Duration(shareInt64(int64(d), j, n))
 }

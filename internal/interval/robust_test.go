@@ -34,12 +34,15 @@ type robustResult struct {
 // emits; the error is the stream's terminal one.
 func robust(snaps []*profile.Sample, policy GapPolicy) (*robustResult, error) {
 	rs := NewRobustStream(policy)
+	b := NewMatrixBuilder(FeatureOptions{})
 	res := &robustResult{}
 	for _, s := range snaps {
-		profiles, gaps := rs.Push(s)
-		res.Profiles = append(res.Profiles, profiles...)
-		res.Gaps = append(res.Gaps, gaps...)
+		rs.Push(s, func(g Gap) { res.Gaps = append(res.Gaps, g) }, func(d *Delta) error {
+			b.AddCells(d.Start, d.End, d.Repaired, d.Cells, d.Name)
+			return nil
+		})
 	}
+	res.Profiles = Profiles(b.Rows())
 	return res, rs.Err()
 }
 
@@ -331,7 +334,7 @@ func TestEachCounterRegressionFailsStrictAndResyncsRobust(t *testing.T) {
 			next.Funcs[0].Samples += 5 // a advances, b regresses
 			tc.fall(&next.Funcs[1])
 
-			_, err := StrictPair(prev, next)
+			_, err := StrictPair(prev, next, nil)
 			if err == nil || !strings.Contains(err.Error(), `"b" regressed`) {
 				t.Fatalf("StrictPair error = %v, want a regression of \"b\"", err)
 			}
@@ -362,7 +365,7 @@ func TestRegressionCheckPairsRecordsByName(t *testing.T) {
 		profile.FuncRecord{Name: "d", Samples: 9, Calls: 3},
 		profile.FuncRecord{Name: "e", Samples: 4, Calls: 1},
 	)
-	if _, err := StrictPair(prev, grown); err != nil {
+	if _, err := StrictPair(prev, grown, nil); err != nil {
 		t.Fatalf("new and vanished functions read as a regression: %v", err)
 	}
 	fell := snap(1, 2*time.Second,
@@ -371,7 +374,7 @@ func TestRegressionCheckPairsRecordsByName(t *testing.T) {
 		profile.FuncRecord{Name: "e", Samples: 4, Calls: 1},
 		profile.FuncRecord{Name: "f", Samples: 6, Calls: 2},
 	)
-	_, err := StrictPair(prev, fell)
+	_, err := StrictPair(prev, fell, nil)
 	if err == nil || !strings.Contains(err.Error(), `"f" regressed`) {
 		t.Fatalf("StrictPair error = %v, want a regression of \"f\"", err)
 	}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 	"time"
 )
 
@@ -103,18 +102,27 @@ func (s *Sample) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Decode reads a sample previously written by Encode.
+// Decode reads a sample previously written by Encode. A *Dump is parsed in
+// place, from the bytes it already holds; any other reader is read to its
+// end first.
 func Decode(r io.Reader) (*Sample, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	d, ok := r.(*Dump)
+	if !ok {
+		data, err := io.ReadAll(r)
+		if err != nil {
+			return nil, err
+		}
+		d = NewDump(data, "", 0)
+	}
+	var magic [len(Magic)]byte
+	if _, err := io.ReadFull(d, magic[:]); err != nil {
 		return nil, fmt.Errorf("profile: reading magic: %w", err)
 	}
-	if string(magic) != Magic {
-		return nil, fmt.Errorf("profile: bad magic %q", magic)
+	if string(magic[:]) != Magic {
+		return nil, fmt.Errorf("profile: bad magic %q", magic[:])
 	}
-	getUvarint := func() (uint64, error) { return binary.ReadUvarint(br) }
-	getVarint := func() (int64, error) { return binary.ReadVarint(br) }
+	getUvarint := func() (uint64, error) { return binary.ReadUvarint(d) }
+	getVarint := func() (int64, error) { return binary.ReadVarint(d) }
 	getString := func() (string, error) {
 		n, err := getUvarint()
 		if err != nil {
@@ -123,18 +131,17 @@ func Decode(r io.Reader) (*Sample, error) {
 		if n > maxCount {
 			return "", fmt.Errorf("profile: string length %d too large", n)
 		}
-		if n > maxPrealloc {
-			var sb strings.Builder
-			if _, err := io.CopyN(&sb, br, int64(n)); err != nil {
-				return "", err
+		b := d.Bytes()
+		if n > uint64(len(b)) {
+			// A string past maxPrealloc was copied out a chunk at a
+			// time, which reports a short read as io.EOF.
+			if n > maxPrealloc || len(b) == 0 {
+				return "", io.EOF
 			}
-			return sb.String(), nil
+			return "", io.ErrUnexpectedEOF
 		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
+		d.Seek(int64(n), io.SeekCurrent)
+		return string(b[:n]), nil
 	}
 	ver, err := getUvarint()
 	if err != nil {

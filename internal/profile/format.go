@@ -58,15 +58,21 @@ type Format struct {
 // bytes, plus the companion files its frontend writes beside it.
 type Dump struct {
 	bytes.Reader
-	dir string
-	seq int
+	data []byte
+	dir  string
+	seq  int
 }
 
 // NewDump returns the reader of dump seq under dir, whose bytes are data.
 func NewDump(data []byte, dir string, seq int) *Dump {
-	d := &Dump{dir: dir, seq: seq}
+	d := &Dump{data: data, dir: dir, seq: seq}
 	d.Reset(data)
 	return d
+}
+
+// Bytes returns the dump's unread bytes, without copying or consuming them.
+func (d *Dump) Bytes() []byte {
+	return d.data[d.Size()-int64(d.Len()):]
 }
 
 // Companion reads the file prefix+N beside the dump, N being the dump's

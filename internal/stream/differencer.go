@@ -1,5 +1,5 @@
 // differencer.go is the ingest step of the streaming engine: cumulative
-// profile samples in, per-interval profiles out, retaining only the previous
+// profile samples in, per-interval cells out, retaining only the previous
 // kept snapshot (plus an optional bounded reorder window) instead of the
 // whole dump list — O(1) memory in the run length where the batch
 // differencers are O(n).
@@ -37,17 +37,18 @@ type DifferencerOptions struct {
 	OnGap func(interval.Gap)
 }
 
-// Differencer turns cumulative snapshots into interval profiles, handing
-// each completed profile to the function it was built with. It is not safe
-// for concurrent use; a stream is a single logical sequence.
+// Differencer turns cumulative snapshots into intervals, handing each
+// completed one to the function it was built with. It is not safe for
+// concurrent use; a stream is a single logical sequence.
 type Differencer struct {
 	opts DifferencerOptions
-	emit func(interval.Profile) error
+	emit func(*interval.Delta) error
 
-	// Strict-mode state: the previous snapshot and the count of profiles
-	// emitted (their Index values).
-	prev *profile.Sample
-	n    int
+	// Strict-mode state: the previous snapshot, the count of intervals
+	// emitted, and the interval handed to emit, whose cells are reused.
+	prev  *profile.Sample
+	n     int
+	delta interval.Delta
 
 	// Robust-mode state.
 	rs   *interval.RobustStream
@@ -65,10 +66,11 @@ type Differencer struct {
 	lateDrops int
 }
 
-// NewDifferencer returns a differencer that calls emit with every profile
+// NewDifferencer returns a differencer that calls emit with every interval
 // it completes, in stream order; an error from emit fails the Emit (or
-// Flush) that completed the profile.
-func NewDifferencer(opts DifferencerOptions, emit func(interval.Profile) error) *Differencer {
+// Flush) that completed the interval. The Delta is valid only during the
+// call.
+func NewDifferencer(opts DifferencerOptions, emit func(*interval.Delta) error) *Differencer {
 	d := &Differencer{opts: opts, emit: emit, released: -1}
 	if opts.Reorder > 0 {
 		d.depth = obs.G("stream.differencer.reorder.depth")
@@ -79,9 +81,9 @@ func NewDifferencer(opts DifferencerOptions, emit func(interval.Profile) error) 
 	return d
 }
 
-// Emit ingests the next cumulative snapshot, handing every profile it
+// Emit ingests the next cumulative snapshot, handing every interval it
 // completes to emit. In robust mode one snapshot may complete several
-// profiles (a split gap repair) or none (a duplicate); in strict mode any
+// intervals (a split gap repair) or none (a duplicate); in strict mode any
 // discontinuity is an error, matching interval.Difference.
 func (d *Differencer) Emit(s *profile.Sample) error {
 	if d.opts.Reorder <= 0 {
@@ -106,34 +108,7 @@ func (d *Differencer) ingest(s *profile.Sample) error {
 		d.released = s.Seq
 	}
 	if d.rs != nil {
-		profiles, gaps := d.rs.Push(s)
-		for _, g := range gaps {
-			if g.Kind == interval.GapLate {
-				// The dump is discarded: it arrived after the bounded
-				// window (or the unbuffered stream) had already released
-				// past its Seq. Count it so the loss is visible in the
-				// ops surface, not just buried in the gap list.
-				d.lateDrops++
-				obs.C("stream.differencer.late_dropped").Inc()
-			}
-			d.gaps = append(d.gaps, g)
-			if obs.Enabled() {
-				obs.C("interval.gaps." + g.Kind.String()).Inc()
-			}
-			if d.opts.OnGap != nil {
-				d.opts.OnGap(g)
-			}
-		}
-		for i := range profiles {
-			if profiles[i].Repaired && obs.Enabled() {
-				obs.C("interval.repaired." + d.opts.Policy.String()).Inc()
-			}
-			obs.C("interval.profiles").Inc()
-			if err := d.emit(profiles[i]); err != nil {
-				return err
-			}
-		}
-		return nil
+		return d.rs.Push(s, d.gap, d.handOn)
 	}
 	if s == nil {
 		return fmt.Errorf("stream: nil snapshot")
@@ -147,15 +122,42 @@ func (d *Differencer) ingest(s *profile.Sample) error {
 		return fmt.Errorf("stream: snapshot seq %d arrived after the reorder window (size %d) released seq %d; widen -reorder or run robust",
 			s.Seq, d.opts.Reorder, d.prev.Seq)
 	}
-	p, err := interval.StrictPair(d.prev, s)
+	delta, err := interval.StrictPair(d.prev, s, d.delta.Cells)
 	if err != nil {
 		return err
 	}
-	p.Index = d.n
+	d.delta = delta
 	d.n++
 	d.prev = s
+	return d.handOn(&d.delta)
+}
+
+// gap records one gap the robust kernel repaired.
+func (d *Differencer) gap(g interval.Gap) {
+	if g.Kind == interval.GapLate {
+		// The dump is discarded: it arrived after the bounded window (or
+		// the unbuffered stream) had already released past its Seq. Count
+		// it so the loss is visible in the ops surface, not just buried in
+		// the gap list.
+		d.lateDrops++
+		obs.C("stream.differencer.late_dropped").Inc()
+	}
+	d.gaps = append(d.gaps, g)
+	if obs.Enabled() {
+		obs.C("interval.gaps." + g.Kind.String()).Inc()
+	}
+	if d.opts.OnGap != nil {
+		d.opts.OnGap(g)
+	}
+}
+
+// handOn counts one completed interval and hands it to emit.
+func (d *Differencer) handOn(delta *interval.Delta) error {
+	if delta.Repaired && obs.Enabled() {
+		obs.C("interval.repaired." + d.opts.Policy.String()).Inc()
+	}
 	obs.C("interval.profiles").Inc()
-	return d.emit(p)
+	return d.emit(delta)
 }
 
 // Flush drains the reorder window in Seq order through the kernel, then
@@ -173,7 +175,7 @@ func (d *Differencer) Flush() error {
 	return nil
 }
 
-// Profiles returns the number of profiles emitted so far.
+// Profiles returns the number of intervals emitted so far.
 func (d *Differencer) Profiles() int {
 	if d.rs != nil {
 		return d.rs.Profiles()

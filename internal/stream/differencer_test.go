@@ -33,18 +33,18 @@ func snap(seq int, ts time.Duration, period time.Duration, funcs map[string][2]i
 // it emitted.
 func runDifferencer(t *testing.T, opts stream.DifferencerOptions, snaps []*profile.Sample) ([]interval.Profile, []interval.Gap, error) {
 	t.Helper()
-	var got []interval.Profile
-	d := stream.NewDifferencer(opts, func(p interval.Profile) error {
-		got = append(got, p)
+	b := interval.NewMatrixBuilder(interval.FeatureOptions{})
+	d := stream.NewDifferencer(opts, func(d *interval.Delta) error {
+		b.AddCells(d.Start, d.End, d.Repaired, d.Cells, d.Name)
 		return nil
 	})
 	for _, s := range snaps {
 		if err := d.Emit(s); err != nil {
-			return got, d.Gaps(), err
+			return interval.Profiles(b.Rows()), d.Gaps(), err
 		}
 	}
 	err := d.Flush()
-	return got, d.Gaps(), err
+	return interval.Profiles(b.Rows()), d.Gaps(), err
 }
 
 func cleanSnaps() []*profile.Sample {
@@ -163,13 +163,15 @@ func cloneCounters(m map[string][2]int64) map[string][2]int64 {
 // returns what it emits and its terminal error.
 func robustKernel(snaps []*profile.Sample, policy interval.GapPolicy) ([]interval.Profile, []interval.Gap, error) {
 	rs := interval.NewRobustStream(policy)
-	var profiles []interval.Profile
+	b := interval.NewMatrixBuilder(interval.FeatureOptions{})
 	var gaps []interval.Gap
 	for _, s := range snaps {
-		p, g := rs.Push(s)
-		profiles, gaps = append(profiles, p...), append(gaps, g...)
+		rs.Push(s, func(g interval.Gap) { gaps = append(gaps, g) }, func(d *interval.Delta) error {
+			b.AddCells(d.Start, d.End, d.Repaired, d.Cells, d.Name)
+			return nil
+		})
 	}
-	return profiles, gaps, rs.Err()
+	return interval.Profiles(b.Rows()), gaps, rs.Err()
 }
 
 // A robust differencer without a reorder window hands on exactly the

@@ -107,7 +107,7 @@ type Engine struct {
 }
 
 // New builds an engine: Emit calls the differencer, which hands every
-// completed profile to the feature builder, the live labeller and the
+// completed interval to the feature builder, the live labeller and the
 // refresh cadence.
 func New(opts Options) *Engine {
 	e := &Engine{
@@ -176,26 +176,26 @@ func (e *Engine) EndPass() error {
 	return nil
 }
 
-// consume receives every completed interval profile from the differencer,
-// timing the step when latencies are recorded.
-func (e *Engine) consume(p interval.Profile) error {
+// consume receives every completed interval from the differencer, timing
+// the step when latencies are recorded.
+func (e *Engine) consume(d *interval.Delta) error {
 	e.intervalItems.Inc()
 	if e.intervalLat == nil {
-		e.step(p)
+		e.step(d)
 		return nil
 	}
 	start := time.Now()
-	e.step(p)
+	e.step(d)
 	e.intervalLat.Observe(time.Since(start))
 	return nil
 }
 
-// step stores one interval profile as a row, labels the row live and
+// step stores one interval's cells as a row, labels the row live and
 // counts it toward the next refresh.
-func (e *Engine) step(p interval.Profile) {
-	e.builder.Add(&p)
+func (e *Engine) step(d *interval.Delta) {
+	e.builder.AddCells(d.Start, d.End, d.Repaired, d.Cells, d.Name)
 	if e.opts.OnLabel != nil {
-		e.opts.OnLabel(e.live.label(e.builder, e.builder.NumRows()-1, p.Repaired))
+		e.opts.OnLabel(e.live.label(e.builder, e.builder.NumRows()-1, d.Repaired))
 	}
 	if e.opts.RefreshEvery > 0 {
 		e.sinceRefresh++

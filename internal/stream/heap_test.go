@@ -86,3 +86,26 @@ func TestEngineHeapPerIntervalBounded(t *testing.T) {
 		t.Fatalf("engine heap grows by %.0f B per interval, want at most 600", perInterval)
 	}
 }
+
+// Differencing a dump and storing its interval allocates nothing per
+// interval beyond the store's amortized growth: a strict EmitBatch over a
+// live-shaped stream, labels and refreshes off, makes at most one
+// allocation per interval, where building string-keyed profile maps for
+// each interval took about 21.
+func TestEngineEmitBatchAllocsPerInterval(t *testing.T) {
+	const n = 2000
+	dumps := make([]*profile.Sample, 0, n)
+	liveShapedDumps(n, func(s *profile.Sample) { dumps = append(dumps, s) })
+	eng := stream.New(stream.Options{Phase: baseOpts()})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := eng.EmitBatch(dumps); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perInterval := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.2f allocations per interval over %d intervals", perInterval, n)
+	if perInterval > 1 {
+		t.Fatalf("EmitBatch makes %.2f allocations per interval, want at most 1", perInterval)
+	}
+}
